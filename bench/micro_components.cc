@@ -142,6 +142,40 @@ BM_FunctionalSim(benchmark::State &state)
 }
 BENCHMARK(BM_FunctionalSim);
 
+/**
+ * Program::fetch alone, the per-instruction floor under every layer
+ * that executes instructions. Arg 0 walks a sequential window through
+ * chunk boundaries (the functional simulator's and the core's access
+ * pattern); arg 1 fetches seeded random indices over the whole
+ * program.
+ */
+void
+BM_ProgramFetch(benchmark::State &state)
+{
+    const Program prog = generateProgram(findProfile("gcc-2"));
+    const bool random = state.range(0) != 0;
+    std::vector<InstCount> drawn(1 << 16);
+    Rng rng(13, "bm-fetch");
+    for (InstCount &i : drawn)
+        i = rng.nextBounded(prog.length);
+    std::size_t pos = 0;
+    InstCount next = 0;
+    for (auto _ : state) {
+        InstCount i;
+        if (random) {
+            i = drawn[pos];
+            pos = (pos + 1) & (drawn.size() - 1);
+        } else {
+            i = next;
+            next = next + 1 < prog.length ? next + 1 : 0;
+        }
+        const Instruction ins = prog.fetch(i);
+        benchmark::DoNotOptimize(ins);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProgramFetch)->ArgName("random")->Arg(0)->Arg(1);
+
 void
 BM_FunctionalWarming(benchmark::State &state)
 {

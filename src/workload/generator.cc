@@ -15,13 +15,10 @@ constexpr Addr kCodeBase = 0x40000000ull;
 constexpr Addr kDataBase = 0x10000000ull;
 constexpr std::uint64_t kHotBytes = 64 * 1024;
 
-/** Uniform double in [0,1) from a hash of (seed, a, b, salt). */
+/** Uniform double in [0,1) from the top 53 bits of a hash. */
 double
-hashU01(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-        std::uint64_t salt)
+toU01(std::uint64_t h)
 {
-    const std::uint64_t h =
-        hashMix(hashCombine(hashCombine(seed, a), hashCombine(b, salt)));
     return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
@@ -30,6 +27,25 @@ hashVal(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
         std::uint64_t salt)
 {
     return hashMix(hashCombine(hashCombine(seed, a), hashCombine(b, salt)));
+}
+
+/** Uniform double in [0,1) from a hash of (seed, a, b, salt). */
+double
+hashU01(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+        std::uint64_t salt)
+{
+    return toU01(hashVal(seed, a, b, salt));
+}
+
+/**
+ * hashVal(seed, index, slot, salt) from its two halves: the index half
+ * hashCombine(seed, index) and the slot's precomputed drawKey
+ * hashCombine(slot, salt).
+ */
+std::uint64_t
+instanceDraw(std::uint64_t seed, InstCount index, const SlotSpec &s)
+{
+    return hashMix(hashCombine(hashCombine(seed, index), s.drawKey));
 }
 
 /** Static role of a slot in a phase's loop body. */
@@ -56,6 +72,76 @@ slotRole(const PhaseSpec &ph, std::uint64_t seed, unsigned phase,
     if (u < t)
         return Opcode::IntMul;
     return Opcode::IntAlu;
+}
+
+/** The static fields of slot @p slot of phase @p phase's loop body. */
+SlotSpec
+deriveSlot(const PhaseSpec &ph, std::uint64_t seed, unsigned phase,
+           unsigned slot)
+{
+    SlotSpec s;
+    Instruction &ins = s.ins;
+    ins.op = slotRole(ph, seed, phase, slot);
+    ins.pc = ph.pcBase + slot;
+
+    const std::uint64_t h = hashVal(seed, phase, slot, 0x0b5);
+    switch (ins.op) {
+      case Opcode::Load:
+      case Opcode::IntAlu:
+      case Opcode::IntMul:
+        ins.dst = static_cast<std::uint8_t>(1 + (h % 15));
+        ins.src1 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
+        ins.src2 = static_cast<std::uint8_t>(1 + ((h >> 16) % 15));
+        break;
+      case Opcode::Store:
+        // Stores define no register (dst 0 = hardwired zero).
+        ins.src1 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
+        ins.src2 = static_cast<std::uint8_t>(1 + ((h >> 16) % 15));
+        break;
+      case Opcode::FpAlu:
+      case Opcode::FpMul:
+        ins.dst = static_cast<std::uint8_t>(16 + (h % 15));
+        ins.src1 = static_cast<std::uint8_t>(16 + ((h >> 8) % 15));
+        ins.src2 = static_cast<std::uint8_t>(16 + ((h >> 16) % 15));
+        break;
+      case Opcode::Bne:
+      case Opcode::Jump:
+        ins.src1 = static_cast<std::uint8_t>(1 + (h % 15));
+        ins.src2 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
+        break;
+    }
+
+    if (ins.isMem()) {
+        // Locality class is a property of the static slot; the
+        // concrete address varies per dynamic instance.
+        const double lu = hashU01(seed, phase, slot, 0x10c);
+        if (lu < ph.randomFrac) {
+            s.kind = SlotKind::RandomMem;
+            s.drawKey = hashCombine(slot, 0xadd);
+        } else if (lu < ph.randomFrac + ph.hotFrac) {
+            s.kind = SlotKind::HotMem;
+            s.drawKey = hashCombine(slot, 0x607);
+        } else {
+            s.kind = SlotKind::StridedMem;
+            s.stride = 8ull << (hashVal(seed, phase, slot, 0x57) % 4);
+        }
+    } else if (ins.op == Opcode::Bne) {
+        if (slot + 1 == ph.bodySize) {
+            s.kind = SlotKind::LoopBranch;
+            ins.target = ph.pcBase;
+        } else {
+            ins.target = ins.pc + 1 + (h % 16);
+            if (hashU01(seed, phase, slot, 0x4015e) < ph.noiseFrac) {
+                s.kind = SlotKind::NoisyBranch;
+                s.drawKey = hashCombine(slot, 0xd1ce);
+            } else {
+                s.kind = SlotKind::StableBranch;
+                ins.taken = hashU01(seed, phase, slot, 0xd12) < ph.takenBias;
+                s.drawKey = hashCombine(slot, 0xf11b);
+            }
+        }
+    }
+    return s;
 }
 
 } // namespace
@@ -104,106 +190,87 @@ chunkPhase(std::uint64_t seed, std::uint64_t chunk, std::size_t nPhases)
                                  nPhases);
 }
 
+/** Where a dynamic instruction sits: its phase and loop-body slot. */
+struct Position
+{
+    const PhaseSpec &ph;
+    InstCount chunkOff; //!< offset within the phase chunk
+    unsigned slot;
+};
+
+Position
+locate(const Program &prog, InstCount index)
+{
+    const std::uint64_t chunk = index / prog.chunkInsts;
+    // Past the program's end the schedule is not tabulated; hashing
+    // keeps fetch() a pure function of any index.
+    const PhaseSpec &ph =
+        prog.phases[chunk < prog.chunkPhases.size()
+                        ? prog.chunkPhases[chunk]
+                        : chunkPhase(prog.profile.seed, chunk,
+                                     prog.phases.size())];
+    const InstCount chunkOff = index - chunk * prog.chunkInsts;
+    return {ph, chunkOff, static_cast<unsigned>(chunkOff % ph.bodySize)};
+}
+
 } // namespace
 
 const PhaseSpec &
 Program::phaseAt(InstCount index) const
 {
-    const std::uint64_t chunk = index / chunkInsts;
-    return phases[chunkPhase(profile.seed, chunk, phases.size())];
+    return locate(*this, index).ph;
 }
 
 Instruction
 Program::fetch(InstCount index) const
 {
-    const std::uint64_t seed = profile.seed;
-    const std::uint64_t chunk = index / chunkInsts;
-    const unsigned phase = chunkPhase(seed, chunk, phases.size());
-    const PhaseSpec &ph = phases[phase];
-    const InstCount chunkOff = index % chunkInsts;
-    const unsigned slot = static_cast<unsigned>(chunkOff % ph.bodySize);
-    const std::uint64_t iter = index / ph.bodySize; // global iteration
+    const Position p = locate(*this, index);
+    const PhaseSpec &ph = p.ph;
+    const SlotSpec &s = ph.slots[p.slot];
 
-    Instruction ins;
-    ins.op = slotRole(ph, seed, phase, slot);
-    ins.pc = ph.pcBase + slot;
-
-    const std::uint64_t h = hashVal(seed, phase, slot, 0x0b5);
-    switch (ins.op) {
-      case Opcode::Load:
-      case Opcode::IntAlu:
-      case Opcode::IntMul:
-        ins.dst = static_cast<std::uint8_t>(1 + (h % 15));
-        ins.src1 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
-        ins.src2 = static_cast<std::uint8_t>(1 + ((h >> 16) % 15));
+    Instruction ins = s.ins;
+    switch (s.kind) {
+      case SlotKind::Plain:
         break;
-      case Opcode::Store:
-        // Stores define no register (dst 0 = hardwired zero).
-        ins.src1 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
-        ins.src2 = static_cast<std::uint8_t>(1 + ((h >> 16) % 15));
-        break;
-      case Opcode::FpAlu:
-      case Opcode::FpMul:
-        ins.dst = static_cast<std::uint8_t>(16 + (h % 15));
-        ins.src1 = static_cast<std::uint8_t>(16 + ((h >> 8) % 15));
-        ins.src2 = static_cast<std::uint8_t>(16 + ((h >> 16) % 15));
-        break;
-      case Opcode::Bne:
-      case Opcode::Jump:
-        ins.src1 = static_cast<std::uint8_t>(1 + (h % 15));
-        ins.src2 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
-        break;
-    }
-
-    if (ins.isMem()) {
-        // Locality class is a property of the static slot; the
-        // concrete address varies per dynamic instance.
-        const double lu = hashU01(seed, phase, slot, 0x10c);
-        std::uint64_t off;
-        if (lu < ph.randomFrac) {
-            // A drifting random neighborhood: pointer-heavy code
-            // revisits a working frontier that advances through the
-            // footprint. Reuse mass stays short-distance (as in real
-            // programs) instead of the fat uniform tail a whole-region
-            // random draw would give MRRL.
-            const std::uint64_t h2 = hashVal(seed, index, slot, 0xadd);
-            const std::uint64_t neighborhood = 32 * 1024;
-            const std::uint64_t frontier = (index / 4096) * 2048;
-            off = (frontier + (h2 % neighborhood)) % ph.regionBytes;
-        } else if (lu < ph.randomFrac + ph.hotFrac) {
-            off = hashVal(seed, index, slot, 0x607) % ph.hotBytes;
-        } else {
-            // Strided walk; stride is a property of the slot.
-            const std::uint64_t stride = 8ull
-                                         << (hashVal(seed, phase, slot,
-                                                     0x57) %
-                                             4);
-            off = (iter * stride + slot * 8) % ph.regionBytes;
-        }
+      case SlotKind::RandomMem: {
+        // A drifting random neighborhood: pointer-heavy code revisits
+        // a working frontier that advances through the footprint.
+        // Reuse mass stays short-distance (as in real programs)
+        // instead of the fat uniform tail a whole-region random draw
+        // would give MRRL.
+        const std::uint64_t neighborhood = 32 * 1024;
+        const std::uint64_t frontier = (index / 4096) * 2048;
+        const std::uint64_t draw = instanceDraw(profile.seed, index, s);
+        const std::uint64_t off =
+            (frontier + draw % neighborhood) % ph.regionBytes;
         ins.addr = ph.regionBase + (off & ~7ull);
-    }
-
-    if (ins.op == Opcode::Bne) {
-        if (slot + 1 == ph.bodySize) {
-            // Loop-back branch: taken unless this iteration ends the
-            // chunk.
-            ins.target = ph.pcBase;
-            ins.taken = (chunkOff + 1 != chunkInsts);
-        } else {
-            ins.target = ins.pc + 1 + (h % 16);
-            const bool noisy =
-                hashU01(seed, phase, slot, 0x4015e) < ph.noiseFrac;
-            if (noisy) {
-                ins.taken = hashU01(seed, index, slot, 0xd1ce) < 0.5;
-            } else {
-                // Stable per-site direction with rare flips.
-                const bool dir =
-                    hashU01(seed, phase, slot, 0xd12) < ph.takenBias;
-                const bool flip =
-                    hashU01(seed, index, slot, 0xf11b) < 0.04;
-                ins.taken = dir != flip;
-            }
-        }
+        break;
+      }
+      case SlotKind::HotMem:
+        ins.addr = ph.regionBase +
+                   ((instanceDraw(profile.seed, index, s) % ph.hotBytes) &
+                    ~7ull);
+        break;
+      case SlotKind::StridedMem: {
+        // Strided walk; the stride is a property of the slot.
+        const std::uint64_t iter = index / ph.bodySize; // global iteration
+        ins.addr = ph.regionBase +
+                   (((iter * s.stride + p.slot * 8) % ph.regionBytes) &
+                    ~7ull);
+        break;
+      }
+      case SlotKind::LoopBranch:
+        // Taken unless this iteration ends the chunk.
+        ins.taken = p.chunkOff + 1 != chunkInsts;
+        break;
+      case SlotKind::NoisyBranch:
+        ins.taken = toU01(instanceDraw(profile.seed, index, s)) < 0.5;
+        break;
+      case SlotKind::StableBranch:
+        // Stable per-site direction with rare flips.
+        ins.taken =
+            ins.taken != (toU01(instanceDraw(profile.seed, index, s)) < 0.04);
+        break;
     }
     return ins;
 }
@@ -233,14 +300,16 @@ Program::wrongPath(InstCount index, unsigned k) const
             // same 64-byte block as a nearby load/store (wrong paths
             // mostly re-reference live data, so under restricted
             // live-state only the rare cold access is unavailable).
+            // The slot table tells which instruction is one; only
+            // that one is fetched.
             const std::uint64_t back = 1 + (h >> 40) % 32;
             Addr base = ph.regionBase;
             for (unsigned s = 0; s < 12; ++s) {
                 const InstCount j =
                     index > back + s ? index - back - s : 0;
-                const Instruction recent = fetch(j);
-                if (recent.isMem()) {
-                    base = recent.addr;
+                const Position p = locate(*this, j);
+                if (p.ph.slots[p.slot].ins.isMem()) {
+                    base = fetch(j).addr;
                     break;
                 }
             }
@@ -305,12 +374,18 @@ generateProgram(const WorkloadProfile &profile)
                 hashVal(seed, p, 0, 0xb0d) %
                     std::max(1u, profile.loopBodySize),
             32, 1024));
-        prog.phases.push_back(ph);
+        ph.slots.reserve(ph.bodySize);
+        for (unsigned slot = 0; slot < ph.bodySize; ++slot)
+            ph.slots.push_back(deriveSlot(ph, seed, p, slot));
+        prog.phases.push_back(std::move(ph));
     }
 
     const InstCount chunks =
         std::max<InstCount>(profile.targetInsts / prog.chunkInsts, 1);
     prog.length = chunks * prog.chunkInsts;
+    prog.chunkPhases.reserve(chunks);
+    for (InstCount c = 0; c < chunks; ++c)
+        prog.chunkPhases.push_back(chunkPhase(seed, c, nPhases));
 
     // Initial data: a deterministic pattern over the first hot region
     // so early loads see nonzero values.

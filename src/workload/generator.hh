@@ -11,12 +11,21 @@
  * chunks. Each phase has its own loop body (static instructions with
  * stable roles, so branch predictors and caches see realistic reuse),
  * working-set region, instruction mix, and locality behaviour.
+ *
+ * Most of an instruction depends only on its static slot (phase,
+ * position in the phase's loop body). generateProgram derives those
+ * fields once per slot from that pure function and keeps them in each
+ * phase's slot table, next to a table of each chunk's phase; fetch()
+ * adds only what depends on the index. The tables cache the function,
+ * they do not redefine it: tests/test_workload.cc keeps the
+ * per-instruction derivation as the oracle and pins the stream.
  */
 
 #ifndef LP_WORKLOAD_GENERATOR_HH
 #define LP_WORKLOAD_GENERATOR_HH
 
 #include <array>
+#include <vector>
 
 #include "codec/der.hh"
 #include "mem/memport.hh"
@@ -71,6 +80,27 @@ struct ArchRegs
     static ArchRegs deserialize(DerReader &r);
 };
 
+/** What fetch() adds to a slot's static fields per dynamic instance. */
+enum class SlotKind : std::uint8_t
+{
+    Plain,        //!< ALU or FP work: nothing depends on the index
+    RandomMem,    //!< load/store in a drifting random neighborhood
+    HotMem,       //!< load/store in the phase's hot region
+    StridedMem,   //!< load/store walking the region at a slot stride
+    LoopBranch,   //!< loop-back branch: taken unless it ends the chunk
+    NoisyBranch,  //!< data-dependent direction: a coin per instance
+    StableBranch  //!< stable direction with rare per-instance flips
+};
+
+/** The static fields of one loop-body slot. */
+struct SlotSpec
+{
+    Instruction ins; //!< op, registers, pc, target; stable direction
+    SlotKind kind = SlotKind::Plain;
+    std::uint64_t stride = 0;  //!< StridedMem step in bytes
+    std::uint64_t drawKey = 0; //!< slot half of the per-instance hash
+};
+
 /** Derived, deterministic description of one program phase. */
 struct PhaseSpec
 {
@@ -88,6 +118,7 @@ struct PhaseSpec
     double noiseFrac = 0;
     double randomFrac = 0;
     double hotFrac = 0;
+    std::vector<SlotSpec> slots; //!< the loop body, bodySize entries
 };
 
 struct Program
@@ -100,6 +131,7 @@ struct Program
     Addr codeBase = 0;
     Addr dataBase = 0;
     std::vector<std::uint8_t> dataInit; //!< initial bytes at dataBase
+    std::vector<std::uint32_t> chunkPhases; //!< phase of each chunk
 
     /** The phase active at dynamic instruction @p index. */
     const PhaseSpec &phaseAt(InstCount index) const;

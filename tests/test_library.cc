@@ -104,6 +104,19 @@ main()
         CHECK(shuffled.contentHash() != lib.contentHash());
     }
 
+    // Golden pins: the content hashes of this plain build and of its
+    // predecessor-delta build, recorded from the per-instruction
+    // stream derivation. A mismatch means the simulated stream or the
+    // container bytes changed.
+    {
+        CHECK_PIN(lib.contentHash(), 0xaf60d378fab88835ull);
+        const TinyLib delta = buildTinyLibrary(
+            "libtest", 400'000, 5, 40, {cfg}, 0,
+            [](LivePointBuilderConfig &bc) { bc.deltaEncode = true; });
+        CHECK(delta.lib.deltaCount() > 0);
+        CHECK_PIN(delta.lib.contentHash(), 0x1aac5f435c16cf3eull);
+    }
+
     // Points carry consistent metadata and a usable predictor image.
     {
         const LivePoint p = lib.get(lib.size() / 2);

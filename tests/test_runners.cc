@@ -8,6 +8,7 @@
 
 #include "core/runners.hh"
 #include "core/stratified.hh"
+#include "store/result_store.hh"
 
 int
 main()
@@ -33,6 +34,12 @@ main()
     CHECK_NEAR(replay.cpi(), smarts.cpi(), 1e-9);
     CHECK_NEAR(replay.finalSnapshot.relHalfWidth,
                smarts.stat.relHalfWidth(confidenceZ(0.997)), 1e-9);
+
+    // Golden pins: the CPI bits of both estimates, recorded from the
+    // per-instruction stream derivation. The checks above compare two
+    // runs of the same binary; these catch a changed stream.
+    CHECK_PIN(doubleBits(smarts.cpi()), 0x3ff8e1f671529a4aull);
+    CHECK_PIN(doubleBits(replay.cpi()), 0x3ff8e1f671529a48ull);
 
     // The estimate is order-invariant over the full library, and
     // thread-count-invariant.

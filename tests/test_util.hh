@@ -56,6 +56,25 @@
         }                                                                 \
     } while (0)
 
+/**
+ * A golden pin: @p actual must equal the value @p pinned recorded when
+ * the pin was set. On mismatch the actual value is printed in hex, so
+ * an intended change of the simulated stream can be re-pinned.
+ */
+#define CHECK_PIN(actual, pinned)                                         \
+    do {                                                                  \
+        const std::uint64_t pa_ = (actual);                               \
+        const std::uint64_t pp_ = (pinned);                               \
+        if (pa_ != pp_) {                                                 \
+            std::fprintf(stderr,                                          \
+                         "FAIL %s:%d: %s = 0x%016llx, pinned %#llx\n",    \
+                         __FILE__, __LINE__, #actual,                     \
+                         static_cast<unsigned long long>(pa_),            \
+                         static_cast<unsigned long long>(pp_));           \
+            ++lpTestFailures;                                             \
+        }                                                                 \
+    } while (0)
+
 namespace lptest
 {
 
