@@ -11,12 +11,12 @@
  * live). Also exercises the sharded fleet store: lazy open, shard
  * replay identity, and resident accounting.
  *
- * The checkpoint-economics section builds the same design three ways
- * — plain, shared-dictionary, and dictionary+delta — and measures
- * bytes/point on disk, stored-order decode MB/s, and replays/s for
- * each, verifying every variant replays bit-identically (with and
- * without a resident budget). The dictionary+delta variant must cut
- * bytes/point by >= 2x (hard floor), and the machine-normalized
+ * The checkpoint-economics section builds the same design two ways —
+ * plain and delta-chained — and measures bytes/point on disk,
+ * stored-order decode MB/s, and replays/s for each, verifying both
+ * replay bit-identically (with and without a resident budget). The
+ * delta variant must cut bytes/point by >= 2x (hard floor), and the
+ * machine-normalized
  * metrics (bytes_per_point_cut, decode_norm, replay_norm) gate
  * against a committed baseline in the BENCH_6 style:
  *
@@ -293,20 +293,17 @@ main()
                 fmtBytes(set.mappedBytes()).c_str(),
                 fmtBytes(set.pinnedBytes()).c_str());
 
-    // --- Checkpoint economics: shared dictionary + delta chains ----
-    // The same design built three ways. Encoding may only change
-    // where bytes go, never a decoded bit — every variant must
-    // reproduce the reference estimate exactly.
-    std::printf("\ncheckpoint economics (same design, three "
+    // --- Checkpoint economics: delta chains -------------------------
+    // The same design built two ways. Encoding may only change where
+    // bytes go, never a decoded bit — both variants must reproduce the
+    // reference estimate exactly.
+    std::printf("\ncheckpoint economics (same design, two "
                 "encodings):\n");
     std::printf("%14s | %10s | %11s | %10s | %10s\n", "encoding",
                 "file B/pt", "decode MB/s", "replays/s", "delta recs");
 
-    LivePointBuilderConfig bcDict = defaultBuilderConfig();
-    bcDict.sharedDictionary = true;
-    LivePointBuilderConfig bcDelta = bcDict;
+    LivePointBuilderConfig bcDelta = defaultBuilderConfig();
     bcDelta.deltaEncode = true;
-    const LivePointLibrary dictLib = cachedLibrary(b, design, bcDict, s);
     const LivePointLibrary deltaLib =
         cachedLibrary(b, design, bcDelta, s);
 
@@ -318,9 +315,7 @@ main()
         double decodeMbps = 0.0;
         double rps = 0.0;
     };
-    Variant variants[] = {{"plain", &refLib},
-                          {"dict", &dictLib},
-                          {"dict+delta", &deltaLib}};
+    Variant variants[] = {{"plain", &refLib}, {"delta", &deltaLib}};
     for (Variant &v : variants) {
         const std::string vpath =
             s.cacheDir + "/ablation-storage-econ.lpl";
@@ -361,14 +356,13 @@ main()
     }
 
     const double bppCut =
-        variants[0].bytesPerPoint / variants[2].bytesPerPoint;
+        variants[0].bytesPerPoint / variants[1].bytesPerPoint;
     const double decodeNorm =
-        variants[2].decodeMbps / variants[0].decodeMbps;
-    const double replayNorm = variants[2].rps / variants[0].rps;
-    std::printf("dictionary %s, bytes/point cut %.2fx, decode norm "
-                "%.2f, replay norm %.2f\n",
-                fmtBytes(deltaLib.dictionary().size()).c_str(), bppCut,
-                decodeNorm, replayNorm);
+        variants[1].decodeMbps / variants[0].decodeMbps;
+    const double replayNorm = variants[1].rps / variants[0].rps;
+    std::printf("bytes/point cut %.2fx, decode norm %.2f, replay norm "
+                "%.2f\n",
+                bppCut, decodeNorm, replayNorm);
     std::printf("hugepages: requested %s, applied %s (mmap backing)\n",
                 hugepagesRequestedByEnv() ? "yes" : "no",
                 econHugepages ? "yes" : "no");
@@ -407,10 +401,8 @@ main()
         "{\n  \"bench\": \"ablation_storage_econ\",\n"
         "  \"benchmark\": \"%s\",\n  \"points\": %llu,\n"
         "  \"bytes_per_point_plain\": %.1f,\n"
-        "  \"bytes_per_point_dict\": %.1f,\n"
         "  \"bytes_per_point_delta\": %.1f,\n"
         "  \"bytes_per_point_cut\": %.3f,\n"
-        "  \"dictionary_bytes\": %zu,\n"
         "  \"delta_records\": %zu,\n"
         "  \"decode_mbps_plain\": %.2f,\n"
         "  \"decode_mbps_delta\": %.2f,\n"
@@ -422,11 +414,10 @@ main()
         "  \"hugepages_applied\": %s,\n"
         "  \"identical\": true\n}\n",
         b.profile.name.c_str(), static_cast<unsigned long long>(n),
-        variants[0].bytesPerPoint, variants[1].bytesPerPoint,
-        variants[2].bytesPerPoint, bppCut,
-        deltaLib.dictionary().size(), deltaLib.deltaCount(),
-        variants[0].decodeMbps, variants[2].decodeMbps, decodeNorm,
-        variants[0].rps, variants[2].rps, replayNorm,
+        variants[0].bytesPerPoint, variants[1].bytesPerPoint, bppCut,
+        deltaLib.deltaCount(), variants[0].decodeMbps,
+        variants[1].decodeMbps, decodeNorm, variants[0].rps,
+        variants[1].rps, replayNorm,
         hugepagesRequestedByEnv() ? "true" : "false",
         econHugepages ? "true" : "false");
     if (const char *econPath = std::getenv("LP_BENCH_ECON_JSON")) {
@@ -442,8 +433,8 @@ main()
     // --- Regression gates -------------------------------------------
     // Hard floor first: the checkpoint-economics acceptance target.
     if (bppCut < 2.0)
-        panic("ablation_storage: dictionary+delta bytes/point cut "
-              "%.2fx is below the 2x floor",
+        panic("ablation_storage: delta bytes/point cut %.2fx is "
+              "below the 2x floor",
               bppCut);
 
     const char *baseEnv = std::getenv("LP_BENCH_BASELINE");

@@ -174,13 +174,10 @@ cachedLibrary(const PreparedBench &b, const SampleDesign &design,
         shardKey = strfmt("-S%u.p%llu", cfg.buildThreads,
                           static_cast<unsigned long long>(
                               cfg.shardPrefixInsts));
-    // Encoding variants (shared dictionary, delta chains) and
-    // restricted-tier geometries store different bytes: key them
-    // apart so a bench never replays the wrong variant from cache.
+    // Delta-chain variants and restricted-tier geometries store
+    // different bytes: key them apart so a bench never replays the
+    // wrong variant from cache.
     std::string encKey;
-    if (cfg.sharedDictionary)
-        encKey += strfmt("-D%llu", static_cast<unsigned long long>(
-                                       cfg.dictionaryBytes));
     if (cfg.deltaEncode)
         encKey += strfmt("-d%u", cfg.maxDeltaChain);
     const std::string path = strfmt(

@@ -10,17 +10,18 @@
  * run it once per benchmark to grow a multi-workload set a campaign
  * can open lazily, shard by shard.
  *
- * Checkpoint-economics options: --dict trains a shared per-library
- * compression dictionary, --delta delta-encodes consecutive points
- * against their predecessor (both cut bytes/point, neither changes a
- * single decoded bit), and --restricted stores only the live state
- * the 8-way Table 1 baseline consumes (the restricted tier) instead
- * of the full 16-way maxima — smaller, but it no longer serves the
- * 16-way configuration.
+ * Checkpoint-economics options: --delta delta-encodes consecutive
+ * points against their predecessor (it cuts bytes/point without
+ * changing a single decoded bit), and --restricted stores only the
+ * live state the 8-way Table 1 baseline consumes (the restricted
+ * tier) instead of the full 16-way maxima — smaller, but it no longer
+ * serves the 16-way configuration.
+ *
+ * Unknown options, a flag missing its value, and a second output path
+ * are rejected with the usage text and exit status 1.
  *
  * Usage: create_library <benchmark> [output.lpl] [--n <windows>]
- *                       [--set <dir>] [--dict] [--delta]
- *                       [--restricted]
+ *                       [--set <dir>] [--delta] [--restricted]
  *        create_library --list
  */
 
@@ -41,15 +42,21 @@
 using namespace lp;
 
 static int
+usage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s <benchmark> [output.lpl] [--n N] "
+                 "[--set DIR] [--delta] [--restricted]\n"
+                 "       %s --list\n",
+                 argv0, argv0);
+    return 1;
+}
+
+static int
 run(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: %s <benchmark> [output.lpl] [--n N]\n"
-                     "       %s --list\n",
-                     argv[0], argv[0]);
-        return 1;
-    }
+    if (argc < 2)
+        return usage(argv[0]);
     if (std::strcmp(argv[1], "--list") == 0) {
         std::printf("available benchmarks:\n");
         for (const WorkloadProfile &p : spec2kSuite())
@@ -63,26 +70,31 @@ run(int argc, char **argv)
     }
 
     const std::string name = argv[1];
-    std::string output = name + ".lpl";
+    std::string output;
     std::string setDir;
     std::uint64_t forcedN = 0;
-    bool dict = false;
     bool delta = false;
     bool restricted = false;
     for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc)
+        const bool hasValue = i + 1 < argc;
+        if (std::strcmp(argv[i], "--n") == 0 && hasValue) {
             forcedN = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--set") == 0 && i + 1 < argc)
+        } else if (std::strcmp(argv[i], "--set") == 0 && hasValue) {
             setDir = argv[++i];
-        else if (std::strcmp(argv[i], "--dict") == 0)
-            dict = true;
-        else if (std::strcmp(argv[i], "--delta") == 0)
+        } else if (std::strcmp(argv[i], "--delta") == 0) {
             delta = true;
-        else if (std::strcmp(argv[i], "--restricted") == 0)
+        } else if (std::strcmp(argv[i], "--restricted") == 0) {
             restricted = true;
-        else
+        } else if (argv[i][0] != '-' && output.empty()) {
             output = argv[i];
+        } else {
+            std::fprintf(stderr, "%s: unexpected argument '%s'\n",
+                         argv[0], argv[i]);
+            return usage(argv[0]);
+        }
     }
+    if (output.empty())
+        output = name + ".lpl";
 
     const WorkloadProfile profile = findProfile(name);
     inform("generating synthetic benchmark '%s'...", name.c_str());
@@ -138,7 +150,6 @@ run(int argc, char **argv)
                    bc.maxL2.sizeBytes / 1024),
                bc.maxL2.assoc);
     }
-    bc.sharedDictionary = dict;
     bc.deltaEncode = delta;
     LivePointBuilder builder(bc);
     inform("step 2: creating %llu live-points (one full-warming "

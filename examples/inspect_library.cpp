@@ -78,11 +78,8 @@ run(int argc, char **argv)
                     static_cast<double>(
                         std::max<std::uint64_t>(
                             lib.totalCompressedBytes(), 1)));
-    if (!lib.dictionary().empty() || lib.deltaCount() > 0)
-        std::printf("checkpoint econ    %.1f KB shared dictionary, "
-                    "%zu/%zu delta records\n",
-                    static_cast<double>(lib.dictionary().size()) /
-                        1024.0,
+    if (lib.deltaCount() > 0)
+        std::printf("checkpoint econ    %zu/%zu delta records\n",
                     lib.deltaCount(), lib.size());
 
     if (lib.size() == 0)
@@ -186,9 +183,8 @@ run(int argc, char **argv)
                     static_cast<unsigned long long>(pt.index),
                     static_cast<unsigned long long>(pt.windowStart),
                     lib.compressedSize(i),
-                    (f & LivePointLibrary::kFlagDelta)  ? "delta"
-                    : (f & LivePointLibrary::kFlagDict) ? "dict"
-                                                        : "plain");
+                    (f & LivePointLibrary::kFlagDelta) ? "delta"
+                                                       : "plain");
     }
     return 0;
 }

@@ -333,19 +333,13 @@ compressWithDict(const std::uint8_t *raw, std::size_t n, ByteSpan dict)
 Blob
 zipCompress(const Blob &raw)
 {
-    return zipCompress(raw, ByteSpan());
-}
-
-Blob
-zipCompress(const Blob &raw, ByteSpan dict)
-{
     if (failpointsArmed()) {
         const FailpointOutcome o = failpointFire("codec.compress");
         if (o.fail)
             throw std::runtime_error(
                 "zip: injected encode fault (codec.compress)");
     }
-    return compressWithDict(raw.data(), raw.size(), dict);
+    return compressWithDict(raw.data(), raw.size(), ByteSpan());
 }
 
 Blob
@@ -553,13 +547,6 @@ void
 zipDecompressInto(const std::uint8_t *compressed, std::size_t size,
                   Blob &out)
 {
-    zipDecompressInto(compressed, size, out, ByteSpan());
-}
-
-void
-zipDecompressInto(const std::uint8_t *compressed, std::size_t size,
-                  Blob &out, ByteSpan dict)
-{
     // Fault-injection site at the record boundary (never inside the
     // token loop): an armed `codec.decompress` makes this record
     // decode fail exactly like a corrupt stream would, so the layers
@@ -578,19 +565,21 @@ zipDecompressInto(const std::uint8_t *compressed, std::size_t size,
     // per-literal push_back. On a recycled buffer only the growth
     // delta (if any) is value-initialized.
     out.resize(rawSize);
-    decodeBody(compressed, size, pos, out.data(), rawSize, dict);
+    decodeBody(compressed, size, pos, out.data(), rawSize, ByteSpan());
 }
 
-void
-zipDecompressReferenceInto(const std::uint8_t *compressed,
-                           std::size_t size, Blob &out)
+namespace
 {
-    zipDecompressReferenceInto(compressed, size, out, ByteSpan());
-}
 
+/**
+ * The reference decoder with @p dict priming its window: match offsets
+ * reaching past the produced output resolve against the dictionary's
+ * tail, one byte at a time. Plain streams pass an empty @p dict; delta
+ * chunks pass their predecessor region.
+ */
 void
-zipDecompressReferenceInto(const std::uint8_t *compressed,
-                           std::size_t size, Blob &out, ByteSpan dict)
+referenceDecode(const std::uint8_t *compressed, std::size_t size,
+                Blob &out, ByteSpan dict)
 {
     std::size_t pos = 0;
     const std::uint64_t rawSize = getLeb(compressed, size, pos);
@@ -646,6 +635,15 @@ zipDecompressReferenceInto(const std::uint8_t *compressed,
     }
     if (out.size() != rawSize)
         throw std::runtime_error("zip: size mismatch");
+}
+
+} // namespace
+
+void
+zipDecompressReferenceInto(const std::uint8_t *compressed,
+                           std::size_t size, Blob &out)
+{
+    referenceDecode(compressed, size, out, ByteSpan());
 }
 
 namespace
@@ -810,9 +808,8 @@ zipDecompressDeltaReferenceInto(const std::uint8_t *compressed,
         const std::size_t expect =
             std::min(kDeltaChunk, static_cast<std::size_t>(rawSize) -
                                       start);
-        zipDecompressReferenceInto(compressed + pos, chunkSizes[c],
-                                   chunk,
-                                   deltaDict(prevRaw, start, rawSize));
+        referenceDecode(compressed + pos, chunkSizes[c], chunk,
+                        deltaDict(prevRaw, start, rawSize));
         if (chunk.size() != expect)
             throw std::runtime_error("zip: delta chunk size mismatch");
         out.insert(out.end(), chunk.begin(), chunk.end());
@@ -820,44 +817,6 @@ zipDecompressDeltaReferenceInto(const std::uint8_t *compressed,
     }
     if (out.size() != rawSize)
         throw std::runtime_error("zip: size mismatch");
-}
-
-Blob
-zipTrainDictionary(const std::vector<ByteSpan> &samples,
-                   std::size_t dictBytes)
-{
-    Blob dict;
-    if (!dictBytes || samples.empty())
-        return dict;
-    dict.reserve(dictBytes);
-    // Evenly-strided 2KB slices from every sample: structural
-    // boilerplate (section headers, geometry prefixes, hot varint
-    // patterns) recurs at every scale, so stride sampling captures it
-    // without any frequency modelling — and deterministically.
-    constexpr std::size_t kSlice = 2048;
-    const std::size_t perSample =
-        std::max<std::size_t>(kSlice, dictBytes / samples.size());
-    for (const ByteSpan &s : samples) {
-        if (dict.size() >= dictBytes)
-            break;
-        const std::size_t want =
-            std::min(std::min(perSample, dictBytes - dict.size()),
-                     s.size);
-        if (!want)
-            continue;
-        const std::size_t slices = (want + kSlice - 1) / kSlice;
-        for (std::size_t k = 0; k < slices; ++k) {
-            const std::size_t take =
-                std::min(kSlice, want - k * kSlice);
-            // Spread slice starts across the sample; the last slice
-            // ends flush with the sample's tail.
-            const std::size_t span = s.size - take;
-            const std::size_t at =
-                slices > 1 ? (span * k) / (slices - 1) : span / 2;
-            dict.insert(dict.end(), s.data + at, s.data + at + take);
-        }
-    }
-    return dict;
 }
 
 } // namespace lp

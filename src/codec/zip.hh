@@ -8,15 +8,13 @@
  * first library release, so any decompressor reads any library.
  *
  * Cross-point redundancy is exploited through the same token format:
- * a *preset dictionary* primes the match window (matches may reach
- * back past the start of the buffer into the dictionary's tail), and
  * a *delta stream* compresses a buffer in fixed chunks, each primed
- * with the proportionally-aligned region of the predecessor buffer —
- * successive live-points share most of their warm state, and the
- * prior window turns that sharing into match tokens without any new
- * token kinds. A stream compressed with an empty dictionary is
- * byte-identical to a plain stream, so old libraries decode
- * unchanged.
+ * with the proportionally-aligned region of the predecessor buffer as
+ * a preset window (matches may reach back past the start of the chunk
+ * into that region) — successive live-points share most of their warm
+ * state, and the primed window turns that sharing into match tokens
+ * without any new token kinds. Each chunk stream is an ordinary token
+ * stream, so the plain and delta decoders share one body.
  */
 
 #ifndef LP_CODEC_ZIP_HH
@@ -31,15 +29,6 @@ namespace lp
 
 /** Compress a buffer. The result is self-describing. */
 Blob zipCompress(const Blob &raw);
-
-/**
- * Compress a buffer with a preset dictionary priming the match
- * window: matches may reach back into the last 64KB of @p dict as if
- * it preceded @p raw. The token format is unchanged — only a decoder
- * given the same dictionary can expand the result. An empty @p dict
- * produces exactly zipCompress(raw).
- */
-Blob zipCompress(const Blob &raw, ByteSpan dict);
 
 /**
  * Decompress a buffer produced by zipCompress(). Throws
@@ -62,17 +51,6 @@ void zipDecompressInto(const std::uint8_t *compressed, std::size_t size,
                        Blob &out);
 
 /**
- * As above with a preset dictionary: the decoder's window is primed
- * with @p dict, so match offsets reaching past the produced output
- * read from the dictionary's tail. Must be the dictionary the stream
- * was compressed with; a mismatched dictionary yields wrong bytes or
- * a clean throw, never out-of-bounds access (offsets are still
- * bounds-checked against produced + dict size).
- */
-void zipDecompressInto(const std::uint8_t *compressed, std::size_t size,
-                       Blob &out, ByteSpan dict);
-
-/**
  * Reference scalar decompressor: the original flag-bit/byte-at-a-time
  * loop, retained verbatim as the oracle for the differential fuzz leg
  * and for the decode-throughput speedup ratio in bench/ablation_hotpath.
@@ -82,16 +60,11 @@ void zipDecompressInto(const std::uint8_t *compressed, std::size_t size,
 void zipDecompressReferenceInto(const std::uint8_t *compressed,
                                 std::size_t size, Blob &out);
 
-/** Reference decoder with a preset dictionary (differential oracle). */
-void zipDecompressReferenceInto(const std::uint8_t *compressed,
-                                std::size_t size, Blob &out,
-                                ByteSpan dict);
-
 /**
  * Delta-compress @p raw against the predecessor buffer @p prevRaw.
  * The buffer is split into fixed 32KB chunks; each chunk is an
  * ordinary token stream primed with the proportionally-aligned
- * region of @p prevRaw as its dictionary, so shared content between
+ * region of @p prevRaw as a preset window, so shared content between
  * successive live-points becomes match tokens even when sections
  * drift by a few KB. Layout: [LEB raw size][LEB chunk count]
  * [LEB compressed size per chunk][chunk streams back-to-back]; each
@@ -115,15 +88,6 @@ void zipDecompressDeltaInto(const std::uint8_t *compressed,
 void zipDecompressDeltaReferenceInto(const std::uint8_t *compressed,
                                      std::size_t size, ByteSpan prevRaw,
                                      Blob &out);
-
-/**
- * Train a preset dictionary from sample payloads: evenly-strided
- * slices of each sample are concatenated, newest-sample slices last
- * (the tail of the dictionary is the cheapest window region).
- * Deterministic; at most @p dictBytes bytes are returned.
- */
-Blob zipTrainDictionary(const std::vector<ByteSpan> &samples,
-                        std::size_t dictBytes);
 
 } // namespace lp
 

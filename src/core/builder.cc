@@ -89,65 +89,35 @@ struct WarmingRig
     std::vector<std::unique_ptr<BranchPredictor>> preds;
 };
 
-/**
- * Deterministic sequential pre-pass for the shared dictionary: warm
- * and serialize the first few points exactly as the real build will,
- * then distill their payloads. The pre-pass re-simulates a short
- * program prefix, so training cost is a few windows of warming —
- * noise against the full build.
- */
-Blob
-trainSharedDictionary(const LivePointBuilderConfig &cfg,
-                      const Program &prog, const SampleDesign &design)
-{
-    const std::uint64_t n = std::min<std::uint64_t>(
-        design.count,
-        std::max<std::size_t>(cfg.dictionarySamples, 1));
-    WarmingRig rig(prog, cfg);
-    std::vector<Blob> payloads;
-    payloads.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        payloads.push_back(rig.capture(cfg, design, i).serialize());
-    std::vector<ByteSpan> samples;
-    samples.reserve(payloads.size());
-    for (const Blob &p : payloads)
-        samples.emplace_back(p);
-    return zipTrainDictionary(samples, cfg.dictionaryBytes);
-}
-
 /** One record's bytes plus the metadata addEncoded() wants. */
 struct EncodedRecord
 {
     Blob bytes;
+    std::uint64_t rawSize = 0;
     std::uint8_t flags = 0;
     std::uint64_t rawHash = 0;
 };
 
 /**
- * Encode one payload: compress directly (dictionary-primed when the
- * library has one) and, when @p prevRaw is given, also as a delta
- * against the predecessor — then keep whichever is smaller, so delta
- * encoding never costs bytes. Deterministic in its inputs alone; the
- * parallel build's encoder threads can run it in any order.
+ * Encode one payload: compress it plainly and, when @p prevRaw is
+ * given, also as a delta against the predecessor — then keep whichever
+ * is smaller, so delta encoding never costs bytes. Deterministic in
+ * its inputs alone; the parallel build's encoder threads can run it in
+ * any order.
  */
 EncodedRecord
-encodeRecord(const Blob &raw, const Blob *prevRaw, const Blob &dict)
+encodeRecord(const Blob &raw, const Blob *prevRaw)
 {
     EncodedRecord rec;
-    Blob direct = zipCompress(raw, ByteSpan(dict));
+    rec.rawSize = raw.size();
+    rec.bytes = zipCompress(raw);
     if (prevRaw) {
         Blob delta = zipCompressDelta(raw, ByteSpan(*prevRaw));
-        if (delta.size() < direct.size()) {
+        if (delta.size() < rec.bytes.size()) {
             rec.bytes = std::move(delta);
             rec.flags = LivePointLibrary::kFlagDelta;
             rec.rawHash = livePointRawHash(raw.data(), raw.size());
-            return rec;
         }
-    }
-    rec.bytes = std::move(direct);
-    if (!dict.empty()) {
-        rec.flags = LivePointLibrary::kFlagDict;
-        rec.rawHash = livePointRawHash(raw.data(), raw.size());
     }
     return rec;
 }
@@ -249,28 +219,18 @@ LivePointBuilder::buildSequential(const Program &prog,
                                   const SampleDesign &design)
 {
     LivePointLibrary lib(prog.name, design);
-    if (cfg_.sharedDictionary && design.count > 0)
-        lib.setDictionary(trainSharedDictionary(cfg_, prog, design));
-
     WarmingRig rig(prog, cfg_);
-    if (!cfg_.deltaEncode && !cfg_.sharedDictionary) {
-        for (std::uint64_t i = 0; i < design.count; ++i)
-            lib.add(rig.capture(cfg_, design, i));
-    } else {
-        const std::uint64_t chain = std::max(cfg_.maxDeltaChain, 1u);
-        Blob prevRaw;
-        for (std::uint64_t i = 0; i < design.count; ++i) {
-            Blob raw = rig.capture(cfg_, design, i).serialize();
-            // Keyframe every maxDeltaChain points bounds the chain a
-            // replay must rebuild (and the bytes the budget charges).
-            const bool allowDelta =
-                cfg_.deltaEncode && i > 0 && i % chain != 0;
-            const EncodedRecord rec = encodeRecord(
-                raw, allowDelta ? &prevRaw : nullptr, lib.dictionary());
-            lib.addEncoded(rec.bytes, raw.size(), i, rec.flags,
-                           rec.rawHash);
-            prevRaw = std::move(raw);
-        }
+    const std::uint64_t chain = std::max(cfg_.maxDeltaChain, 1u);
+    Blob prevRaw;
+    for (std::uint64_t i = 0; i < design.count; ++i) {
+        Blob raw = rig.capture(cfg_, design, i).serialize();
+        // Keyframe every maxDeltaChain points bounds the chain a
+        // replay must rebuild (and the bytes the budget charges).
+        const bool allowDelta = cfg_.deltaEncode && i % chain != 0;
+        const EncodedRecord rec =
+            encodeRecord(raw, allowDelta ? &prevRaw : nullptr);
+        lib.addEncoded(rec.bytes, rec.rawSize, i, rec.flags, rec.rawHash);
+        prevRaw = std::move(raw);
     }
     stats_.instsSimulated = rig.sim.regs().instIndex;
     stats_.shards = 1;
@@ -344,171 +304,43 @@ LivePointBuilder::buildParallel(const Program &prog,
                      stats_.prefixShortfallInsts));
     }
 
-    // Cross-point encodings (shared dictionary / delta) need each
-    // record's *raw* predecessor bytes, so this variant serializes on
-    // the simulating thread (publishing raws[i] before slot i is
-    // queued) and lets encoder threads compress slots in any order —
+    // Simulating shards serialize each point and hand its slot to
+    // encoder threads through a bounded queue; encoders compress
+    // slots in any order into per-slot records, so record bytes land
+    // in window order no matter which thread produced them (and
     // encodeRecord() is deterministic in its inputs, so the library
-    // bytes are schedule-independent. Delta chains restart at every
-    // shard boundary (shard-leading warm state differs under S>1
-    // anyway) and every maxDeltaChain windows within a shard.
-    if (cfg_.deltaEncode || cfg_.sharedDictionary) {
-        LivePointLibrary lib(prog.name, design);
-        if (cfg_.sharedDictionary)
-            lib.setDictionary(trainSharedDictionary(cfg_, prog, design));
-        const std::uint64_t chain = std::max(cfg_.maxDeltaChain, 1u);
+    // bytes are schedule-independent). Serializing on the simulating
+    // thread publishes raws[i] before slot i is queued, which is what
+    // lets a delta record read its predecessor's raw bytes. Delta
+    // chains restart at every shard boundary (shard-leading warm
+    // state differs under S>1 anyway) and every maxDeltaChain
+    // windows within a shard.
+    const std::uint64_t chain = std::max(cfg_.maxDeltaChain, 1u);
+    std::vector<std::uint8_t> eligible(count, 0);
+    if (cfg_.deltaEncode)
+        for (unsigned s = 0; s < S; ++s)
+            for (std::uint64_t i = lo[s] + 1; i < lo[s + 1]; ++i)
+                eligible[i] = (i - lo[s]) % chain != 0;
 
-        std::vector<std::uint8_t> eligible(count, 0);
-        if (cfg_.deltaEncode)
-            for (unsigned s = 0; s < S; ++s)
-                for (std::uint64_t i = lo[s] + 1; i < lo[s + 1]; ++i)
-                    eligible[i] = (i - lo[s]) % chain != 0;
+    // raws[i] feeds slot i's encode and, when i+1 is delta-eligible,
+    // slot i+1's; free on the last use so the resident raw payloads
+    // track the queue depth, not the count.
+    std::vector<Blob> raws(count);
+    std::vector<unsigned> rawUses(count);
+    for (std::uint64_t i = 0; i < count; ++i)
+        rawUses[i] = 1u + (i + 1 < count && eligible[i + 1] ? 1u : 0u);
 
-        // raws[i] feeds slot i's encode and, when i+1 is
-        // delta-eligible, slot i+1's; free on the last use so the
-        // resident raw payloads track the queue depth, not the count.
-        std::vector<Blob> raws(count);
-        std::vector<unsigned> rawUses(count);
-        for (std::uint64_t i = 0; i < count; ++i)
-            rawUses[i] = 1u + (i + 1 < count && eligible[i + 1] ? 1u : 0u);
-
-        const unsigned E = cfg_.encodeThreads
-                               ? cfg_.encodeThreads
-                               : std::max(1u, (S + 1) / 2);
-        std::mutex m;
-        std::condition_variable cvSpace;
-        std::condition_variable cvWork;
-        std::deque<std::uint64_t> queue;
-        const std::size_t cap = 2 * E + 2;
-        unsigned liveShards = S;
-        std::atomic<bool> failed{false};
-
-        std::vector<Blob> recs(count);
-        std::vector<std::uint64_t> rawSizes(count);
-        std::vector<std::uint64_t> indices(count);
-        std::vector<std::uint8_t> recFlags(count);
-        std::vector<std::uint64_t> recHashes(count);
-        std::atomic<InstCount> warmed{0};
-
-        auto halt = [&]() {
-            failed.store(true);
-            {
-                std::lock_guard<std::mutex> lk(m);
-            }
-            cvSpace.notify_all();
-            cvWork.notify_all();
-        };
-
-        auto shardWorker = [&](unsigned s) {
-            WarmingRig rig(prog, cfg_);
-            if (s > 0)
-                rig.sim.restore(snapRegs[s], std::move(snapMem[s]));
-            const InstCount simStart = rig.sim.regs().instIndex;
-            for (std::uint64_t i = lo[s]; i < lo[s + 1]; ++i) {
-                if (failed.load(std::memory_order_relaxed))
-                    return;
-                LivePoint point = rig.capture(cfg_, design, i);
-                raws[i] = point.serialize();
-                indices[i] = point.index;
-                std::unique_lock<std::mutex> lk(m);
-                cvSpace.wait(lk, [&]() {
-                    return failed.load() || queue.size() < cap;
-                });
-                if (failed.load())
-                    return;
-                queue.push_back(i);
-                lk.unlock();
-                cvWork.notify_one();
-            }
-            warmed.fetch_add(rig.sim.regs().instIndex - simStart,
-                             std::memory_order_relaxed);
-            std::unique_lock<std::mutex> lk(m);
-            if (--liveShards == 0) {
-                lk.unlock();
-                cvWork.notify_all();
-            }
-        };
-
-        auto encoder = [&]() {
-            while (true) {
-                std::uint64_t i = 0;
-                {
-                    std::unique_lock<std::mutex> lk(m);
-                    cvWork.wait(lk, [&]() {
-                        return failed.load() || !queue.empty() ||
-                               liveShards == 0;
-                    });
-                    if (failed.load())
-                        return;
-                    if (queue.empty())
-                        return;
-                    i = queue.front();
-                    queue.pop_front();
-                }
-                cvSpace.notify_one();
-                EncodedRecord rec = encodeRecord(
-                    raws[i], eligible[i] ? &raws[i - 1] : nullptr,
-                    lib.dictionary());
-                rawSizes[i] = raws[i].size();
-                recs[i] = std::move(rec.bytes);
-                recFlags[i] = rec.flags;
-                recHashes[i] = rec.rawHash;
-                std::lock_guard<std::mutex> lk(m);
-                if (--rawUses[i] == 0)
-                    Blob().swap(raws[i]);
-                if (eligible[i] && --rawUses[i - 1] == 0)
-                    Blob().swap(raws[i - 1]);
-            }
-        };
-
-        ThreadPool pool(S + E);
-        pool.run([&](unsigned id) {
-            try {
-                if (id < S)
-                    shardWorker(id);
-                else
-                    encoder();
-            } catch (...) {
-                halt();
-                throw;
-            }
-        });
-
-        std::uint64_t totalBytes = 0;
-        for (const Blob &r : recs)
-            totalBytes += r.size();
-        lib.reserve(totalBytes, count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            lib.addEncoded(recs[i], rawSizes[i], indices[i], recFlags[i],
-                           recHashes[i]);
-            Blob().swap(recs[i]);
-        }
-        stats_.instsSimulated = warmed.load();
-        return lib;
-    }
-
-    // Simulating shards hand finished points to encoder threads
-    // through a bounded queue; encoders serialize + compress into
-    // per-slot buffers, so record bytes land in window order no
-    // matter which thread produced them.
     const unsigned E = cfg_.encodeThreads ? cfg_.encodeThreads
                                           : std::max(1u, (S + 1) / 2);
-    struct Job
-    {
-        std::uint64_t slot = 0;
-        LivePoint point;
-    };
     std::mutex m;
     std::condition_variable cvSpace; //!< shards wait for queue room
-    std::condition_variable cvWork;  //!< encoders wait for points
-    std::deque<Job> queue;
+    std::condition_variable cvWork;  //!< encoders wait for slots
+    std::deque<std::uint64_t> queue;
     const std::size_t cap = 2 * E + 2;
     unsigned liveShards = S; //!< guarded by m
     std::atomic<bool> failed{false};
 
-    std::vector<Blob> recs(count);
-    std::vector<std::uint64_t> rawSizes(count);
-    std::vector<std::uint64_t> indices(count);
+    std::vector<EncodedRecord> recs(count);
     std::atomic<InstCount> warmed{0};
 
     auto halt = [&]() {
@@ -528,14 +360,14 @@ LivePointBuilder::buildParallel(const Program &prog,
         for (std::uint64_t i = lo[s]; i < lo[s + 1]; ++i) {
             if (failed.load(std::memory_order_relaxed))
                 return;
-            LivePoint point = rig.capture(cfg_, design, i);
+            raws[i] = rig.capture(cfg_, design, i).serialize();
             std::unique_lock<std::mutex> lk(m);
             cvSpace.wait(lk, [&]() {
                 return failed.load() || queue.size() < cap;
             });
             if (failed.load())
                 return;
-            queue.push_back(Job{i, std::move(point)});
+            queue.push_back(i);
             lk.unlock();
             cvWork.notify_one();
         }
@@ -550,7 +382,7 @@ LivePointBuilder::buildParallel(const Program &prog,
 
     auto encoder = [&]() {
         while (true) {
-            Job job;
+            std::uint64_t i = 0;
             {
                 std::unique_lock<std::mutex> lk(m);
                 cvWork.wait(lk, [&]() {
@@ -561,14 +393,17 @@ LivePointBuilder::buildParallel(const Program &prog,
                     return;
                 if (queue.empty())
                     return; // every shard done and queue drained
-                job = std::move(queue.front());
+                i = queue.front();
                 queue.pop_front();
             }
             cvSpace.notify_one();
-            const Blob raw = job.point.serialize();
-            recs[job.slot] = zipCompress(raw);
-            rawSizes[job.slot] = raw.size();
-            indices[job.slot] = job.point.index;
+            recs[i] = encodeRecord(raws[i],
+                                   eligible[i] ? &raws[i - 1] : nullptr);
+            std::lock_guard<std::mutex> lk(m);
+            if (--rawUses[i] == 0)
+                Blob().swap(raws[i]);
+            if (eligible[i] && --rawUses[i - 1] == 0)
+                Blob().swap(raws[i - 1]);
         }
     };
 
@@ -587,12 +422,13 @@ LivePointBuilder::buildParallel(const Program &prog,
 
     LivePointLibrary lib(prog.name, design);
     std::uint64_t totalBytes = 0;
-    for (const Blob &r : recs)
-        totalBytes += r.size();
+    for (const EncodedRecord &r : recs)
+        totalBytes += r.bytes.size();
     lib.reserve(totalBytes, count);
     for (std::uint64_t i = 0; i < count; ++i) {
-        lib.addCompressed(recs[i], rawSizes[i], indices[i]);
-        Blob().swap(recs[i]); // keep peak memory at ~one library
+        const EncodedRecord &r = recs[i];
+        lib.addEncoded(r.bytes, r.rawSize, i, r.flags, r.rawHash);
+        Blob().swap(recs[i].bytes); // keep peak memory at ~one library
     }
     stats_.instsSimulated = warmed.load();
     return lib;

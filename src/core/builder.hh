@@ -15,10 +15,11 @@
  * architectural content of every point (registers, live-state image)
  * is *exact* regardless of sharding — execution is deterministic from
  * the snapshots — and the MRRL result (Figs 4-5) bounds the warm-state
- * bias at each shard's leading windows. Point serialization and
- * compression are pipelined onto encoder threads, so even the S=1
- * build overlaps simulation with encoding while staying bit-identical
- * to the sequential reference.
+ * bias at each shard's leading windows. Each point is serialized on
+ * its simulating thread and compressed on encoder threads — plain
+ * LZSS, or a delta against its predecessor's raw bytes when that is
+ * smaller — so even the S=1 build overlaps simulation with encoding
+ * while staying bit-identical to the sequential reference.
  */
 
 #ifndef LP_CORE_BUILDER_HH
@@ -67,24 +68,11 @@ struct LivePointBuilderConfig
     InstCount shardPrefixInsts = 0;
 
     /**
-     * Offload point serialization + compression from the simulating
-     * threads. Off = the PR-2 sequential reference path (only
+     * Offload point compression from the simulating threads to
+     * encoder threads. Off = the sequential reference path (only
      * meaningful with buildThreads == 1).
      */
     bool pipelineEncode = true;
-
-    /**
-     * Train a shared preset dictionary from the first few points'
-     * payloads (a deterministic sequential pre-pass) and prime every
-     * non-delta record with it. Saves as LPLIB4.
-     */
-    bool sharedDictionary = false;
-
-    /** Dictionary size; the codec window caps the useful reach at 64KB. */
-    std::size_t dictionaryBytes = 32 * 1024;
-
-    /** Points sampled (and pre-warmed) for dictionary training. */
-    std::size_t dictionarySamples = 4;
 
     /**
      * Delta-encode each point against its predecessor's raw payload

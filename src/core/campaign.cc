@@ -40,9 +40,7 @@ constexpr std::uint64_t kManifestVersion = 1;
 // The manifest ledger: a 16-byte header, then self-delimited
 // checksummed records, each holding one complete DER manifest image.
 // Barriers append; recovery scans forward and truncates at the first
-// invalid record. The first byte on disk is 'L' (0x4C); a legacy
-// single-image DER manifest starts with the SEQUENCE tag 0x30, so
-// the two formats are distinguished by one byte.
+// invalid record.
 constexpr std::uint64_t kLedgerMagic = 0x000a'3152'474c'504cull;  // "LPLGR1\n\0"
 constexpr std::uint64_t kLedgerVersion = 1;
 constexpr std::uint64_t kRecordMagic = 0x000a'3143'4552'504cull;  // "LPREC1\n\0"
@@ -441,64 +439,60 @@ CampaignEngine::loadManifest() const
     if (data.empty())
         return m; // empty ledger: nothing checkpointed yet
 
-    // Extract the newest durable manifest image. A ledger is scanned
+    // Extract the newest durable manifest image. The ledger is scanned
     // record by record; the scan stops at the first invalid record
     // (torn tail, flipped byte, truncation) and the file is cut back
-    // to the last valid boundary. A legacy single-image DER manifest
-    // (first byte = SEQUENCE tag 0x30) is accepted whole and
-    // converted to a ledger below.
-    Blob image;
-    bool isLedger = false;
-    std::uint64_t records = 0;
-    if (data[0] == 0x30) {
-        image = data;
-    } else {
-        if (data.size() < kLedgerHeaderBytes) {
-            // Torn before the header finished: an empty ledger.
-            truncateFile(opt_.manifestPath, 0);
-            return m;
-        }
-        if (getU64(data.data()) != kLedgerMagic)
-            throw std::runtime_error(
-                strfmt("campaign: '%s' is not a campaign manifest "
-                       "(bad ledger magic)",
-                       opt_.manifestPath.c_str()));
-        if (getU64(data.data() + 8) != kLedgerVersion)
-            throw std::runtime_error(
-                strfmt("campaign: manifest ledger '%s' has an "
-                       "unsupported version",
-                       opt_.manifestPath.c_str()));
-        isLedger = true;
-        std::size_t offset = kLedgerHeaderBytes;
-        std::size_t valid = offset;
-        while (offset + kRecordHeaderBytes <= data.size()) {
-            const std::uint8_t *rec = data.data() + offset;
-            if (getU64(rec) != kRecordMagic)
-                break;
-            const std::uint64_t len = getU64(rec + 8);
-            if (len == 0 ||
-                len > data.size() - offset - kRecordHeaderBytes)
-                break;
-            const std::uint8_t *payload = rec + kRecordHeaderBytes;
-            if (fnv1a(payload, static_cast<std::size_t>(len)) !=
-                getU64(rec + 16))
-                break;
-            image.assign(payload, payload + len);
-            offset += kRecordHeaderBytes +
-                      static_cast<std::size_t>(len);
-            valid = offset;
-            ++records;
-        }
-        if (valid < data.size()) {
-            warn("campaign: manifest ledger '%s' has a torn tail "
-                 "(%zu of %zu bytes valid), truncating",
-                 opt_.manifestPath.c_str(), valid, data.size());
-            truncateFile(opt_.manifestPath, valid);
-        }
-        ledgerRecords_ = records;
-        if (image.empty())
-            return m; // header only: nothing checkpointed yet
+    // to the last valid boundary. Only a file whose bytes are a
+    // prefix of the ledger header counts as a header torn mid-write;
+    // anything else is not ours to truncate.
+    std::uint8_t header[kLedgerHeaderBytes];
+    putU64(header, kLedgerMagic);
+    putU64(header + 8, kLedgerVersion);
+    if (data.size() < kLedgerHeaderBytes &&
+        std::memcmp(data.data(), header, data.size()) == 0) {
+        truncateFile(opt_.manifestPath, 0);
+        return m;
     }
+    if (data.size() < kLedgerHeaderBytes ||
+        getU64(data.data()) != kLedgerMagic)
+        throw std::runtime_error(
+            strfmt("campaign: '%s' is not a campaign manifest "
+                   "(bad ledger magic)",
+                   opt_.manifestPath.c_str()));
+    if (getU64(data.data() + 8) != kLedgerVersion)
+        throw std::runtime_error(
+            strfmt("campaign: manifest ledger '%s' has an "
+                   "unsupported version",
+                   opt_.manifestPath.c_str()));
+    Blob image;
+    std::uint64_t records = 0;
+    std::size_t offset = kLedgerHeaderBytes;
+    std::size_t valid = offset;
+    while (offset + kRecordHeaderBytes <= data.size()) {
+        const std::uint8_t *rec = data.data() + offset;
+        if (getU64(rec) != kRecordMagic)
+            break;
+        const std::uint64_t len = getU64(rec + 8);
+        if (len == 0 || len > data.size() - offset - kRecordHeaderBytes)
+            break;
+        const std::uint8_t *payload = rec + kRecordHeaderBytes;
+        if (fnv1a(payload, static_cast<std::size_t>(len)) !=
+            getU64(rec + 16))
+            break;
+        image.assign(payload, payload + len);
+        offset += kRecordHeaderBytes + static_cast<std::size_t>(len);
+        valid = offset;
+        ++records;
+    }
+    if (valid < data.size()) {
+        warn("campaign: manifest ledger '%s' has a torn tail "
+             "(%zu of %zu bytes valid), truncating",
+             opt_.manifestPath.c_str(), valid, data.size());
+        truncateFile(opt_.manifestPath, valid);
+    }
+    ledgerRecords_ = records;
+    if (image.empty())
+        return m; // header only: nothing checkpointed yet
 
     auto mismatch = [this](const char *what) {
         return std::runtime_error(
@@ -559,9 +553,9 @@ CampaignEngine::loadManifest() const
     }
     m.restored = true;
 
-    // Modernize a legacy single-image manifest, and bound a ledger
-    // that grew long across runs: republish as header + one record.
-    if (!isLedger || records > kCompactRecords) {
+    // Bound a ledger that grew long across runs: republish as
+    // header + one record.
+    if (records > kCompactRecords) {
         ledgerRecords_ = kCompactRecords; // force the compact path
         appendLedgerRecord(image);
     }

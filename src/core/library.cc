@@ -16,28 +16,25 @@ namespace lp
 namespace
 {
 
-// LPLIB2: the whole library is one DER sequence starting with this
-// magic integer. LPLIB3: the file starts with the 8-byte tag below
-// (first byte 'L' can never open a DER sequence, so the two formats
-// dispatch on the first bytes alone).
-constexpr std::uint64_t kFileMagic2 = 0x4c50'4c49'4232ull; // "LPLIB2"
+// LPLIB3: the file starts with the 8-byte tag below.
 constexpr std::uint8_t kMagic3[8] = {'L', 'P', 'L', 'I',
                                      'B', '3', '\n', '\0'};
 constexpr std::uint64_t kLpl3Version = 1;
 constexpr std::size_t kLpl3HeaderBytes = 64;
 constexpr std::size_t kLpl3TableEntryBytes = 32;
 
-// LPLIB4: LPLIB3 plus a shared-dictionary section between meta and
-// table, and a wider table row carrying per-record encoding flags,
-// the delta base's position, and a raw-payload checksum.
+// LPLIB4: LPLIB3 with a wider table row carrying per-record encoding
+// flags, the delta base's position, and a raw-payload checksum. The
+// header keeps the reserved (always empty) section between meta and
+// table that held the retired shared dictionary, so delta libraries
+// written without one still load.
 constexpr std::uint8_t kMagic4[8] = {'L', 'P', 'L', 'I',
                                      'B', '4', '\n', '\0'};
 constexpr std::uint64_t kLpl4Version = 1;
 constexpr std::size_t kLpl4HeaderBytes = 80;
 constexpr std::size_t kLpl4TableEntryBytes = 56;
 constexpr std::uint64_t kNoBase = ~std::uint64_t(0);
-constexpr std::uint8_t kAllFlags = LivePointLibrary::kFlagDict |
-                                   LivePointLibrary::kFlagDelta;
+constexpr std::uint8_t kAllFlags = LivePointLibrary::kFlagDelta;
 
 void
 putU64le(std::uint8_t *out, std::uint64_t v)
@@ -283,15 +280,12 @@ LivePointLibrary::decodeOne(std::size_t filePos, Blob &out,
     const ByteSpan rec = recordAt(filePos);
     if (r.flags & kFlagDelta)
         zipDecompressDeltaInto(rec.data, rec.size, prev, out);
-    else if (r.flags & kFlagDict)
-        zipDecompressInto(rec.data, rec.size, out, ByteSpan(dict_));
     else
         zipDecompressInto(rec.data, rec.size, out);
     // Cross-check the decoded bytes against the index table's
     // accounting: rawSize catches torn records through every path,
-    // and the raw checksum makes dictionary/delta corruption — a
-    // flipped dictionary byte, a broken chain — fail loudly instead
-    // of deserializing garbage.
+    // and the raw checksum makes delta corruption — a broken chain, a
+    // wrong base — fail loudly instead of deserializing garbage.
     if (out.size() != r.rawSize)
         throw std::runtime_error(
             strfmt("live-point %zu: record size mismatch", filePos));
@@ -305,9 +299,14 @@ void
 LivePointLibrary::materializeRaw(std::size_t filePos,
                                  LivePointDecodeScratch &scratch) const
 {
+    // cachedPos names the record whose verified raw bytes payload
+    // holds; it must never outlive them — a failed decode straight
+    // into payload leaves it unset.
     const RecordRef &r0 = refs_[filePos];
     if (!(r0.flags & kFlagDelta)) {
+        scratch.resetCache();
         decodeOne(filePos, scratch.payload, ByteSpan());
+        scratch.cachedPos = filePos;
         return;
     }
     // Collect the chain top-down, stopping at a keyframe or at the
@@ -350,6 +349,7 @@ LivePointLibrary::materializeRaw(std::size_t filePos,
     }
     if (cur != &scratch.payload)
         std::swap(scratch.payload, *cur);
+    scratch.cachedPos = filePos;
 }
 
 void
@@ -364,13 +364,6 @@ LivePointLibrary::decodeInto(std::size_t i,
     if (out.index != ref.index)
         throw std::runtime_error(
             strfmt("live-point %zu: window index mismatch", i));
-    if (anyDelta_) {
-        // payload now holds this record's raw bytes — which is
-        // exactly the chain cache the next stored-order decode needs
-        // (its base is this record). Plain libraries skip the
-        // bookkeeping; their payload is never read as a base.
-        scratch.cachedPos = p;
-    }
 }
 
 void
@@ -381,30 +374,6 @@ LivePointLibrary::decodeInto(std::size_t i, Blob &scratch,
     s.payload.swap(scratch);
     decodeInto(i, s, out);
     s.payload.swap(scratch);
-}
-
-void
-LivePointLibrary::add(const LivePoint &point)
-{
-    const Blob raw = point.serialize();
-    if (dict_.empty()) {
-        addCompressed(zipCompress(raw), raw.size(), point.index);
-        return;
-    }
-    addEncoded(zipCompress(raw, ByteSpan(dict_)), raw.size(),
-               point.index, kFlagDict,
-               livePointRawHash(raw.data(), raw.size()));
-}
-
-void
-LivePointLibrary::setDictionary(Blob dict)
-{
-    for (const RecordRef &r : refs_)
-        if (r.flags & kFlagDict)
-            throw std::runtime_error(
-                "library: dictionary change after dictionary-primed "
-                "records were added");
-    dict_ = std::move(dict);
 }
 
 std::size_t
@@ -424,14 +393,6 @@ LivePointLibrary::reserve(std::uint64_t recordBytes, std::size_t count)
 }
 
 void
-LivePointLibrary::addCompressed(const Blob &compressed,
-                                std::uint64_t rawSize,
-                                std::uint64_t windowIndex)
-{
-    addEncoded(compressed, rawSize, windowIndex, 0, 0);
-}
-
-void
 LivePointLibrary::addEncoded(const Blob &compressed,
                              std::uint64_t rawSize,
                              std::uint64_t windowIndex,
@@ -439,9 +400,6 @@ LivePointLibrary::addEncoded(const Blob &compressed,
 {
     if (flags & ~kAllFlags)
         throw std::runtime_error("library: unknown record flags");
-    if ((flags & kFlagDict) && dict_.empty())
-        throw std::runtime_error(
-            "library: dictionary-primed record without a dictionary");
     if ((flags & kFlagDelta) && refs_.empty())
         throw std::runtime_error(
             "library: delta record without a predecessor");
@@ -496,12 +454,6 @@ LivePointLibrary::contentHash() const
     h = hashCombine(h, design_.count);
     h = hashCombine(h, design_.measureLen);
     h = hashCombine(h, design_.warmLen);
-    if (!dict_.empty()) {
-        std::uint64_t f = 0xcbf29ce484222325ull;
-        for (const std::uint8_t b : dict_)
-            f = (f ^ b) * 0x100000001b3ull;
-        h = hashCombine(h, f);
-    }
     std::vector<std::uint32_t> inv;
     for (std::size_t i = 0; i < refs_.size(); ++i) {
         const RecordRef &r = refs_[pos(i)];
@@ -514,18 +466,15 @@ LivePointLibrary::contentHash() const
         for (std::size_t j = 0; j < rec.size; ++j)
             f = (f ^ rec.data[j]) * 0x100000001b3ull;
         h = hashCombine(h, f);
-        // Encoding metadata is load-bearing for dict/delta records
-        // (the delta base in *stored* order, so the hash survives a
-        // save/load round-trip of a shuffled library). Plain records
-        // fold nothing extra — their hash matches older releases.
-        if (r.flags) {
+        // Encoding metadata is load-bearing for delta records (the
+        // base in *stored* order, so the hash survives a save/load
+        // round-trip of a shuffled library). Plain records fold
+        // nothing extra — their hash matches older releases.
+        if (r.flags & kFlagDelta) {
+            if (inv.empty())
+                inv = inverseOrder();
             h = hashCombine(h, r.flags);
-            if (r.flags & kFlagDelta) {
-                if (inv.empty())
-                    inv = inverseOrder();
-                h = hashCombine(h, inv[static_cast<std::size_t>(
-                                       r.basePos)]);
-            }
+            h = hashCombine(h, inv[static_cast<std::size_t>(r.basePos)]);
         }
     }
     return h;
@@ -555,28 +504,10 @@ LivePointLibrary::shuffle(Rng &rng)
     }
 }
 
-bool
-LivePointLibrary::usesCrossPointFeatures() const
-{
-    if (!dict_.empty())
-        return true;
-    for (const RecordRef &r : refs_)
-        if (r.flags)
-            return true;
-    return false;
-}
-
 void
-LivePointLibrary::save(const std::string &path, Format format) const
+LivePointLibrary::save(const std::string &path) const
 {
-    if (format == Format::autoSelect)
-        format = usesCrossPointFeatures() ? Format::lpl4 : Format::lpl3;
-    if (format != Format::lpl4 && usesCrossPointFeatures())
-        throw std::runtime_error(
-            "library: dictionary/delta records need the LPLIB4 format");
-    if (format == Format::lpl2)
-        saveLpl2(path);
-    else if (format == Format::lpl4)
+    if (anyDelta_)
         saveLpl4(path);
     else
         saveLpl3(path);
@@ -657,8 +588,7 @@ LivePointLibrary::saveLpl4(const std::string &path) const
 
     const std::uint64_t count = refs_.size();
     const std::uint64_t metaOffset = kLpl4HeaderBytes;
-    const std::uint64_t dictOffset = metaOffset + meta.size();
-    const std::uint64_t tableOffset = dictOffset + dict_.size();
+    const std::uint64_t tableOffset = metaOffset + meta.size();
     const std::uint64_t dataOffset =
         tableOffset + count * kLpl4TableEntryBytes;
     const std::uint64_t fileSize =
@@ -672,14 +602,13 @@ LivePointLibrary::saveLpl4(const std::string &path) const
     putU64le(header + 16, count);
     putU64le(header + 24, metaOffset);
     putU64le(header + 32, meta.size());
-    putU64le(header + 40, dictOffset);
-    putU64le(header + 48, dict_.size());
+    putU64le(header + 40, tableOffset); // reserved section: empty
+    putU64le(header + 48, 0);
     putU64le(header + 56, tableOffset);
     putU64le(header + 64, dataOffset);
     putU64le(header + 72, fileSize);
     f.write(header, sizeof(header));
     f.write(meta.data(), meta.size());
-    f.write(dict_.data(), dict_.size());
 
     // Records land in stored (view) order; a delta base's table field
     // is therefore remapped to the base's stored position, so the
@@ -709,31 +638,6 @@ LivePointLibrary::saveLpl4(const std::string &path) const
     f.commit();
 }
 
-void
-LivePointLibrary::saveLpl2(const std::string &path) const
-{
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("library.save");
-        if (o.fail)
-            throwIoError("save", "library", path, o.err);
-    }
-    DerWriter w;
-    w.beginSequence();
-    w.putUint(kFileMagic2);
-    w.putString(benchmark_);
-    serializeDesign(w, design_);
-    w.putUint(refs_.size());
-    for (std::size_t i = 0; i < refs_.size(); ++i) {
-        const ByteSpan rec = record(i);
-        w.putUint(rawSize(i));
-        w.putUint(windowIndex(i));
-        w.putBytes(rec.data, rec.size);
-    }
-    w.endSequence();
-    const Blob data = w.finish();
-    writeFileAtomic(path, data.data(), data.size(), "library");
-}
-
 LivePointLibrary
 LivePointLibrary::load(const std::string &path, StorageBackend backend)
 {
@@ -750,7 +654,9 @@ LivePointLibrary::load(const std::string &path, StorageBackend backend)
     if (source->size() >= sizeof(kMagic3) &&
         std::memcmp(source->data(), kMagic3, sizeof(kMagic3)) == 0)
         return loadLpl3(std::move(source), path);
-    return loadLpl2(std::move(source), path);
+    throw std::runtime_error(strfmt(
+        "'%s' is not a live-point library (no LPLIB3/LPLIB4 magic)",
+        path.c_str()));
 }
 
 void
@@ -812,13 +718,13 @@ LivePointLibrary::loadLpl4(std::shared_ptr<const LibrarySource> source,
     const std::uint64_t tableOffset = getU64le(h + 56);
     const std::uint64_t dataOffset = getU64le(h + 64);
     const std::uint64_t fileSize = getU64le(h + 72);
-    // Overflow-safe layout checks, section by section.
+    // Overflow-safe layout checks, section by section. The reserved
+    // section (the retired shared dictionary) must be empty.
     if (version != kLpl4Version || fileSize != source->size() ||
         metaOffset != kLpl4HeaderBytes ||
         metaSize > fileSize - metaOffset ||
-        dictOffset != metaOffset + metaSize ||
-        dictSize > fileSize - dictOffset ||
-        tableOffset != dictOffset + dictSize ||
+        dictOffset != metaOffset + metaSize || dictSize != 0 ||
+        tableOffset != dictOffset ||
         count > (fileSize - tableOffset) / kLpl4TableEntryBytes ||
         dataOffset != tableOffset + count * kLpl4TableEntryBytes)
         throw malformed();
@@ -830,7 +736,6 @@ LivePointLibrary::loadLpl4(std::shared_ptr<const LibrarySource> source,
         lib.benchmark_ = mr.getString();
         lib.design_ = deserializeDesign(mr);
     }
-    lib.dict_.assign(h + dictOffset, h + dictOffset + dictSize);
     lib.refs_.reserve(count);
     const std::uint64_t dataBytes = fileSize - dataOffset;
     std::uint64_t running = 0;
@@ -850,8 +755,6 @@ LivePointLibrary::loadLpl4(std::shared_ptr<const LibrarySource> source,
         if (flags & ~static_cast<std::uint64_t>(kAllFlags))
             throw malformed();
         r.flags = static_cast<std::uint8_t>(flags);
-        if ((r.flags & kFlagDict) && !dictSize)
-            throw malformed();
         if (r.flags & kFlagDelta) {
             if (r.basePos >= count || r.basePos == i)
                 throw malformed();
@@ -943,8 +846,6 @@ identicalRecords(const LivePointLibrary &a, const LivePointLibrary &b)
 {
     if (a.size() != b.size())
         return false;
-    if (a.dict_ != b.dict_)
-        return false;
     std::vector<std::uint32_t> invA;
     std::vector<std::uint32_t> invB;
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -971,39 +872,6 @@ identicalRecords(const LivePointLibrary &a, const LivePointLibrary &b)
             return false;
     }
     return true;
-}
-
-LivePointLibrary
-LivePointLibrary::loadLpl2(std::shared_ptr<const LibrarySource> source,
-                           const std::string &path)
-{
-    DerReader top(ByteSpan(source->data(), source->size()));
-    DerReader seq = top.getSequence();
-    if (seq.getUint() != kFileMagic2)
-        throw std::runtime_error(
-            strfmt("'%s' is not a live-point library", path.c_str()));
-    LivePointLibrary lib;
-    lib.benchmark_ = seq.getString();
-    lib.design_ = deserializeDesign(seq);
-    const std::uint64_t count = seq.getUint();
-    lib.refs_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        RecordRef r;
-        r.rawSize = seq.getUint();
-        r.index = seq.getUint();
-        // The record's content bytes sit inside the DER stream; keep
-        // the source as the backing storage and reference them in
-        // place.
-        const ByteSpan rec = seq.getBytesSpan();
-        r.offset =
-            static_cast<std::uint64_t>(rec.data - source->data());
-        r.size = rec.size;
-        r.chainBytes = r.size + r.rawSize;
-        r.inArena = false;
-        lib.refs_.push_back(r);
-    }
-    lib.source_ = std::move(source);
-    return lib;
 }
 
 } // namespace lp

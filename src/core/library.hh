@@ -15,20 +15,19 @@
  * back-to-back. Written streaming — no whole-library staging buffer —
  * and loaded through a pluggable LibrarySource backend (io/source.hh):
  * an owned heap buffer or a read-only mmap, with records exposed as
- * zero-copy spans into either. Older DER-blob libraries (LPLIB2) are
- * detected by magic and load through the same backends.
+ * zero-copy spans into either.
  *
  * Cross-point compression (LPLIB4): successive live-points share most
- * of their warm state, so the container can optionally carry a shared
- * preset dictionary (trained from sampled payloads, priming every
- * keyframe record) and per-record *delta* encoding (a record's
- * serialized state compressed against its predecessor's raw bytes).
- * Each record carries flags, the file position of its delta base, and
- * a checksum of its raw bytes — decode verifies the checksum for
- * dictionary/delta records, so a corrupt dictionary or a broken chain
- * fails loudly instead of yielding a silently wrong point. Plain
- * libraries keep saving as LPLIB3 bit-identically; all three formats
- * load through the same backends.
+ * of their warm state, so a record may be *delta* encoded — its
+ * serialized state compressed against its predecessor's raw bytes.
+ * Every record is either plain LZSS or such a delta. LPLIB4 widens
+ * each table row with flags, the file position of the delta base, and
+ * a checksum of the raw bytes; decode verifies the checksum of every
+ * delta record, so a broken chain fails loudly instead of yielding a
+ * silently wrong point. The container follows from the records: a
+ * library with any delta record saves as LPLIB4, any other as LPLIB3
+ * (bit-identical to earlier releases), and both load through the same
+ * backends.
  */
 
 #ifndef LP_CORE_LIBRARY_HH
@@ -100,7 +99,9 @@ struct LivePoint
  * the record just decoded (@c cachedPos), so replaying records in
  * stored order rebuilds each delta from its already-materialized base
  * instead of re-walking the whole chain. Plain libraries use only
- * @c payload; the work buffers stay empty.
+ * @c payload; the work buffers stay empty. A scratch caches by file
+ * position, so it serves one library: call resetCache() before
+ * pointing it at another.
  */
 struct LivePointDecodeScratch
 {
@@ -120,17 +121,11 @@ struct LivePointDecodeScratch
 class LivePointLibrary
 {
   public:
-    /** On-disk container format. */
-    enum class Format
-    {
-        autoSelect, //!< lpl4 when dict/delta features are used, else lpl3
-        lpl4,       //!< indexed + shared dictionary + delta records
-        lpl3,       //!< indexed, streaming, zero-copy load
-        lpl2        //!< legacy single-DER-blob container
-    };
-
-    /** Record encoding flags (table metadata, kept per record). */
-    static constexpr std::uint8_t kFlagDict = 1;  //!< preset dictionary
+    /**
+     * Record encoding flag (table metadata, kept per record). Bit 0
+     * marked the retired shared-dictionary encoding; loaders reject
+     * it.
+     */
     static constexpr std::uint8_t kFlagDelta = 2; //!< delta vs base record
 
     LivePointLibrary() = default;
@@ -154,8 +149,8 @@ class LivePointLibrary
      * concurrent calls with distinct buffers. For a delta record the
      * chain is rebuilt from its nearest keyframe (or from the scratch
      * cache when the caller last decoded the base — the stored-order
-     * replay pattern), and dictionary/delta records are verified
-     * against their stored raw checksum before deserializing.
+     * replay pattern), and delta records are verified against their
+     * stored raw checksum before deserializing.
      */
     void decodeInto(std::size_t i, LivePointDecodeScratch &scratch,
                     LivePoint &out) const;
@@ -167,38 +162,19 @@ class LivePointLibrary
      */
     void decodeInto(std::size_t i, Blob &scratch, LivePoint &out) const;
 
-    /** Compress and append a point (primed with the dictionary, if set). */
-    void add(const LivePoint &point);
-
     /**
-     * Append an already-compressed record (the parallel builder's
-     * encoder threads compress off the simulating thread and hand the
+     * Append an already-compressed record (the builder's encoder
+     * threads compress off the simulating thread and hand the
      * finished bytes over). @p rawSize is the uncompressed size,
-     * @p windowIndex the point's window number.
-     */
-    void addCompressed(const Blob &compressed, std::uint64_t rawSize,
-                       std::uint64_t windowIndex);
-
-    /**
-     * Append a record with explicit encoding metadata: @p flags marks
-     * dictionary priming and/or delta encoding (a delta record's base
-     * is the previously appended record — builders emit chains in
-     * append order), @p rawHash is the checksum of the uncompressed
-     * payload (0: absent; decode then skips verification).
+     * @p windowIndex the point's window number, @p flags 0 or
+     * kFlagDelta (a delta record's base is the previously appended
+     * record — builders emit chains in append order), and @p rawHash
+     * the checksum of the uncompressed payload (0: absent; decode then
+     * skips verification).
      */
     void addEncoded(const Blob &compressed, std::uint64_t rawSize,
                     std::uint64_t windowIndex, std::uint8_t flags,
                     std::uint64_t rawHash);
-
-    /**
-     * Install the shared preset dictionary. Must be set before any
-     * dictionary-flagged record is appended and never changed after —
-     * records compressed against it are unreadable with any other.
-     */
-    void setDictionary(Blob dict);
-
-    /** The shared preset dictionary (empty when the library has none). */
-    const Blob &dictionary() const { return dict_; }
 
     /** Encoding flags of the @p i-th stored point. */
     std::uint8_t recordFlags(std::size_t i) const
@@ -230,7 +206,7 @@ class LivePointLibrary
     /**
      * Borrowed view of the @p i-th compressed record — points into
      * the library's backing buffer. Valid until the next
-     * add()/addCompressed() (appends may reallocate the arena) or
+     * addEncoded() (appends may reallocate the arena) or
      * the library's destruction, whichever comes first.
      */
     ByteSpan record(std::size_t i) const;
@@ -323,21 +299,17 @@ class LivePointLibrary
     void shuffle(Rng &rng);
 
     /**
-     * Write the container. The default picks the format from the
-     * library's features: LPLIB3 (bit-identical to previous releases)
-     * when no dictionary/delta encoding is present, LPLIB4 otherwise.
-     * Records stream to the file — peak memory stays at the library's
-     * resident size, not double it. Requesting lpl3/lpl2 for a
-     * dictionary/delta library throws (those formats cannot represent
-     * it). The legacy format is kept for compatibility tests and
-     * older readers.
+     * Write the container: LPLIB4 when any record is a delta, LPLIB3
+     * (bit-identical to previous releases) otherwise. Records stream
+     * to the file — peak memory stays at the library's resident size,
+     * not double it.
      */
-    void save(const std::string &path,
-              Format format = Format::autoSelect) const;
+    void save(const std::string &path) const;
 
     /**
-     * Load either container format (dispatched on the file magic)
-     * through the chosen storage backend. The default (autoSelect)
+     * Load an LPLIB3 or LPLIB4 container (dispatched on the file
+     * magic; anything else throws naming the file) through the chosen
+     * storage backend. The default (autoSelect)
      * maps the file when the platform allows and LP_NO_MMAP is
      * unset, and falls back to one owned heap buffer otherwise —
      * record parsing, decoding, content hashing, and the corruption
@@ -358,7 +330,7 @@ class LivePointLibrary
         std::uint64_t basePos = ~std::uint64_t(0); //!< delta base (file pos)
         std::uint64_t rawHash = 0;   //!< checksum of raw bytes (0: absent)
         std::uint64_t chainBytes = 0; //!< size+rawSize summed over chain
-        std::uint8_t flags = 0;      //!< kFlagDict | kFlagDelta
+        std::uint8_t flags = 0;      //!< 0 or kFlagDelta
         bool inArena = false;        //!< offset is into arena_
     };
 
@@ -376,7 +348,6 @@ class LivePointLibrary
                         LivePointDecodeScratch &scratch) const;
     void decodeOne(std::size_t filePos, Blob &out, ByteSpan prev) const;
     void validateChains();
-    bool usesCrossPointFeatures() const;
 
     static LivePointLibrary
     loadLpl4(std::shared_ptr<const LibrarySource> source,
@@ -384,19 +355,14 @@ class LivePointLibrary
     static LivePointLibrary
     loadLpl3(std::shared_ptr<const LibrarySource> source,
              const std::string &path);
-    static LivePointLibrary
-    loadLpl2(std::shared_ptr<const LibrarySource> source,
-             const std::string &path);
     void saveLpl4(const std::string &path) const;
     void saveLpl3(const std::string &path) const;
-    void saveLpl2(const std::string &path) const;
 
     std::string benchmark_;
     SampleDesign design_;
     /** Backend holding the loaded container file (shared on copy). */
     std::shared_ptr<const LibrarySource> source_;
     Blob arena_; //!< appended compressed records, back-to-back
-    Blob dict_;  //!< shared preset dictionary ("" = none)
     std::vector<RecordRef> refs_; //!< file order, never permuted
     /** Stored-order view: order_[i] = file position (empty: identity). */
     std::vector<std::uint32_t> order_;

@@ -166,20 +166,18 @@ main()
         CHECK(identicalRecords(l1, l2));
     }
 
-    // --- Checkpoint economics: the dictionary+delta build obeys the
+    // --- Checkpoint economics: the delta-chained build obeys the
     // same contracts — S=1 pipelined bit-identical to sequential
     // (including on disk), and a sharded build stores different bytes
     // but decodes to exactly the points of the plain build at the
     // same shard count. ---
     {
         LivePointBuilderConfig bcCross = bcSeq;
-        bcCross.sharedDictionary = true;
         bcCross.deltaEncode = true;
         bcCross.pipelineEncode = false;
         LivePointBuilder crossSeq(bcCross);
         const LivePointLibrary crossSeqLib = crossSeq.build(prog, design);
         CHECK(crossSeqLib.deltaCount() > 0);
-        CHECK(!crossSeqLib.dictionary().empty());
         CHECK(crossSeqLib.totalCompressedBytes() <
               seqLib.totalCompressedBytes());
 
@@ -216,7 +214,6 @@ main()
             bcShard.buildThreads = 3;
             LivePointBuilder plain3(bcShard);
             const LivePointLibrary plainLib3 = plain3.build(prog, design);
-            bcShard.sharedDictionary = true;
             bcShard.deltaEncode = true;
             LivePointBuilder cross3a(bcShard);
             LivePointBuilder cross3b(bcShard);

@@ -132,46 +132,6 @@ main()
         CHECK(ratio <= 0.66);
     }
 
-    // zip+dict: a dictionary sharing content with the buffer turns
-    // that content into matches — smaller than plain compression —
-    // and round-trips through both decoders. An empty dictionary is
-    // byte-identical to plain compression (back-compat contract).
-    {
-        Rng rng(8, "zip-dict");
-        Blob dict(24 * 1024);
-        for (auto &b : dict)
-            b = static_cast<std::uint8_t>(rng.next());
-        Blob data;
-        // Recurring slices of the dictionary with incompressible glue.
-        for (int rep = 0; rep < 40; ++rep) {
-            const std::size_t at = rng.nextBounded(dict.size() - 512);
-            data.insert(data.end(), dict.begin() + at,
-                        dict.begin() + at + 512);
-            for (int j = 0; j < 40; ++j)
-                data.push_back(static_cast<std::uint8_t>(rng.next()));
-        }
-        const Blob plain = zipCompress(data);
-        const Blob primed = zipCompress(data, ByteSpan(dict));
-        CHECK(primed.size() < plain.size());
-        Blob out;
-        zipDecompressInto(primed.data(), primed.size(), out,
-                          ByteSpan(dict));
-        CHECK(out == data);
-        zipDecompressReferenceInto(primed.data(), primed.size(), out,
-                                   ByteSpan(dict));
-        CHECK(out == data);
-        CHECK(zipCompress(data, ByteSpan()) == plain);
-        // Determinism with a dictionary, and oversized-dictionary
-        // clamping: only the window-reachable tail can matter.
-        CHECK(zipCompress(data, ByteSpan(dict)) == primed);
-        Blob big(100 * 1024);
-        for (auto &b : big)
-            b = static_cast<std::uint8_t>(rng.next());
-        const Blob z2 = zipCompress(data, ByteSpan(big));
-        zipDecompressInto(z2.data(), z2.size(), out, ByteSpan(big));
-        CHECK(out == data);
-    }
-
     // zip+delta: a buffer delta-compressed against a near-identical
     // predecessor collapses to a fraction of its plain size — the
     // cross-point redundancy the live-point library exploits — and
@@ -212,31 +172,6 @@ main()
         zipDecompressDeltaInto(e2.data(), e2.size(),
                                ByteSpan(shortPrev), out);
         CHECK(out == data);
-    }
-
-    // zipTrainDictionary: deterministic, size-capped, and effective —
-    // a dictionary trained on sibling payloads beats plain
-    // compression on a payload they resemble.
-    {
-        const TinyLib t = buildTinyLibrary("codec-dict", 120'000, 3, 8);
-        std::vector<Blob> raws;
-        for (std::size_t i = 0; i + 1 < t.lib.size(); ++i)
-            raws.push_back(t.lib.get(i).serialize());
-        std::vector<ByteSpan> samples;
-        for (const Blob &r : raws)
-            samples.emplace_back(r);
-        const Blob dict = zipTrainDictionary(samples, 32 * 1024);
-        CHECK(dict.size() <= 32 * 1024);
-        CHECK(!dict.empty());
-        CHECK(zipTrainDictionary(samples, 32 * 1024) == dict);
-        const Blob target = t.lib.get(t.lib.size() - 1).serialize();
-        const Blob plain = zipCompress(target);
-        const Blob primed = zipCompress(target, ByteSpan(dict));
-        CHECK(primed.size() < plain.size());
-        Blob out;
-        zipDecompressInto(primed.data(), primed.size(), out,
-                          ByteSpan(dict));
-        CHECK(out == target);
     }
 
     // der: nested sequences with every value type.

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "codec/der.hh"
 #include "core/campaign.hh"
 #include "core/library_set.hh"
 #include "core/runners.hh"
@@ -459,7 +460,7 @@ main()
         checkSameGrid(first, baseline);
         const Blob ledger = readBytes(ledgerPath);
         CHECK(ledger.size() > 16u);
-        CHECK_EQ(ledger[0], 'L'); // ledger, not legacy DER
+        CHECK_EQ(ledger[0], 'L'); // the ledger magic
 
         // A completed ledger resumes to the identical grid without
         // replaying anything.
@@ -500,6 +501,33 @@ main()
             }
             if (lpTestFailures)
                 break;
+        }
+
+        // A file that is not a ledger — short text that is no prefix
+        // of the ledger header, or a DER SEQUENCE — is rejected as
+        // such and left byte-for-byte alone, never truncated into a
+        // fresh ledger.
+        {
+            const std::string text = "manifest\n"; // 9 bytes
+            DerWriter w;
+            w.beginSequence();
+            w.putUint(7);
+            w.putString("some other file");
+            w.endSequence();
+            const Blob der = w.finish();
+            const Blob inputs[] = {Blob(text.begin(), text.end()), der};
+            for (const Blob &foreign : inputs) {
+                writeBytes(ledgerPath, foreign.data(), foreign.size());
+                try {
+                    (void)runWithManifest();
+                    CHECK(false);
+                } catch (const std::exception &e) {
+                    CHECK(std::string(e.what()).find(
+                              "not a campaign manifest") !=
+                          std::string::npos);
+                }
+                CHECK(readBytes(ledgerPath) == foreign);
+            }
         }
         std::filesystem::remove(ledgerPath);
     }

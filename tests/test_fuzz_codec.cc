@@ -98,28 +98,6 @@ checkAgainstReference(const std::uint8_t *data, std::size_t size,
         CHECK(fast == ref);
 }
 
-/** Differential check of the dictionary-primed decoders. */
-void
-checkDictAgainstReference(const std::uint8_t *data, std::size_t size,
-                          ByteSpan dict, Blob &fast, Blob &ref)
-{
-    bool fastOk = true;
-    bool refOk = true;
-    try {
-        zipDecompressInto(data, size, fast, dict);
-    } catch (const std::exception &) {
-        fastOk = false;
-    }
-    try {
-        zipDecompressReferenceInto(data, size, ref, dict);
-    } catch (const std::exception &) {
-        refOk = false;
-    }
-    CHECK_EQ(static_cast<int>(fastOk), static_cast<int>(refOk));
-    if (fastOk && refOk)
-        CHECK(fast == ref);
-}
-
 /** Differential check of the delta-stream decoders. */
 void
 checkDeltaAgainstReference(const std::uint8_t *data, std::size_t size,
@@ -252,30 +230,16 @@ main()
         CHECK_THROWS(zipDecompressInto(bomb, scratch));
     }
 
-    // zip+dict: dictionary-primed round-trips through both decoders,
-    // over every fuzz shape, with a trained dictionary from sibling
-    // shapes. An empty dictionary must reproduce the plain stream
-    // byte-for-byte (the back-compat contract).
-    for (std::uint64_t i = 0; i < 36; ++i) {
-        const Blob data = fuzzBuffer(i);
-        const Blob sib1 = fuzzBuffer(i + 3);
-        const Blob sib2 = mutateBuffer(data, i);
-        const Blob dict = zipTrainDictionary(
-            {ByteSpan(sib1), ByteSpan(sib2)}, 32 * 1024);
-        const Blob z = zipCompress(data, ByteSpan(dict));
-        zipDecompressInto(z.data(), z.size(), scratch, ByteSpan(dict));
-        CHECK(scratch == data);
-        zipDecompressReferenceInto(z.data(), z.size(), refScratch,
-                                   ByteSpan(dict));
-        CHECK(refScratch == data);
-        CHECK(zipCompress(data, ByteSpan()) == zipCompress(data));
-        // A mismatched dictionary may decode to wrong bytes or throw;
-        // both decoders must agree and neither may misbehave.
-        const Blob other = zipTrainDictionary({ByteSpan(sib1)}, 4096);
-        checkDictAgainstReference(z.data(), z.size(), ByteSpan(other),
-                                  scratch, refScratch);
-        checkDictAgainstReference(z.data(), z.size(), ByteSpan(),
-                                  scratch, refScratch);
+    // zip: a match token with offset 0 (a self-reference no encoder
+    // emits) must be rejected by both decoders — here in the strict
+    // per-token tail, where a short stream always decodes.
+    {
+        const Blob zeroOff{5,    // raw size
+                           0x02, // flags: literal, then a match
+                           'a',  0x00, 0x00, 0x00};
+        CHECK_THROWS(zipDecompressInto(zeroOff, scratch));
+        CHECK_THROWS(zipDecompressReferenceInto(
+            zeroOff.data(), zeroOff.size(), refScratch));
     }
 
     // zip+delta: delta streams against a drifted predecessor
@@ -299,19 +263,11 @@ main()
                                    scratch, refScratch);
     }
 
-    // zip+dict/delta: truncation at every byte must raise in both
+    // zip+delta: truncation at every byte must raise in both
     // decoders — a cut stream never silently "succeeds".
     {
         const Blob data = fuzzBuffer(30); // structured, 4096 bytes
         const Blob prev = mutateBuffer(data, 5);
-        const Blob dict = zipTrainDictionary({ByteSpan(prev)}, 8192);
-        const Blob zd = zipCompress(data, ByteSpan(dict));
-        for (std::size_t cut = 0; cut < zd.size(); ++cut) {
-            CHECK_THROWS(zipDecompressInto(zd.data(), cut, scratch,
-                                           ByteSpan(dict)));
-            CHECK_THROWS(zipDecompressReferenceInto(
-                zd.data(), cut, refScratch, ByteSpan(dict)));
-        }
         const Blob zt = zipCompressDelta(data, ByteSpan(prev));
         for (std::size_t cut = 0; cut < zt.size(); ++cut) {
             CHECK_THROWS(zipDecompressDeltaInto(
@@ -321,25 +277,17 @@ main()
         }
     }
 
-    // zip+dict/delta: byte-flip sweep. A flip may legally change
-    // decoded content or trip a bounds check; it must never crash,
-    // over-read, or split the decoders' verdicts. (The library layer
-    // adds a raw checksum on top, so a flipped dict/delta record
-    // fails loudly there — test_library covers that strictness.)
+    // zip+delta: byte-flip sweep. A flip may legally change decoded
+    // content or trip a bounds check; it must never crash, over-read,
+    // or split the decoders' verdicts. (The library layer adds a raw
+    // checksum on top, so a flipped delta record fails loudly there —
+    // test_library covers that strictness.)
     {
         const Blob data = fuzzBuffer(18); // mixed runs, 4096
         const Blob prev = mutateBuffer(data, 9);
-        const Blob dict = zipTrainDictionary({ByteSpan(prev)}, 8192);
-        const Blob zd = zipCompress(data, ByteSpan(dict));
         const Blob zt = zipCompressDelta(data, ByteSpan(prev));
         Rng rng(99, "fuzz-corrupt-dict");
         for (std::size_t f = 0; f < 400; ++f) {
-            Blob bad = zd;
-            bad[rng.nextBounded(bad.size())] ^=
-                static_cast<std::uint8_t>(1 + rng.nextBounded(255));
-            checkDictAgainstReference(bad.data(), bad.size(),
-                                      ByteSpan(dict), scratch,
-                                      refScratch);
             Blob badDelta = zt;
             badDelta[rng.nextBounded(badDelta.size())] ^=
                 static_cast<std::uint8_t>(1 + rng.nextBounded(255));
@@ -347,15 +295,9 @@ main()
                                        ByteSpan(prev), scratch,
                                        refScratch);
         }
-        // Flipping *dictionary* or *predecessor* bytes (the other
-        // corruption surface) must be just as contained.
+        // Flipping *predecessor* bytes (the other corruption surface)
+        // must be just as contained.
         for (std::size_t f = 0; f < 200; ++f) {
-            Blob badDict = dict;
-            badDict[rng.nextBounded(badDict.size())] ^=
-                static_cast<std::uint8_t>(1 + rng.nextBounded(255));
-            checkDictAgainstReference(zd.data(), zd.size(),
-                                      ByteSpan(badDict), scratch,
-                                      refScratch);
             Blob badPrev = prev;
             badPrev[rng.nextBounded(badPrev.size())] ^=
                 static_cast<std::uint8_t>(1 + rng.nextBounded(255));

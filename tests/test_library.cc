@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "codec/der.hh"
 #include "core/builder.hh"
 #include "core/library.hh"
 #include "core/library_set.hh"
@@ -150,77 +151,43 @@ main()
         CHECK(loaded.get(i).serialize() == lib.get(i).serialize());
     }
 
-    // Backend matrix: the same container through every backend (and
-    // both formats) must be record-identical, hash-identical, and
-    // decode-identical — only the self-description differs.
+    // Backend matrix: the same container through every backend must
+    // be record-identical, hash-identical, and decode-identical —
+    // only the self-description differs.
     {
-        const std::string p2fmt = "libtest-backends.lpl2";
-        lib.save(p2fmt, LivePointLibrary::Format::lpl2);
         for (const StorageBackend backend : backends) {
-            for (const std::string &file : {path, p2fmt}) {
-                const LivePointLibrary b =
-                    LivePointLibrary::load(file, backend);
-                CHECK(b.storageKind() ==
-                      storageBackendName(backend));
-                CHECK_EQ(b.mappedBacking(),
-                         backend == StorageBackend::mapped);
-                CHECK_EQ(b.backingBytes(),
-                         std::filesystem::file_size(file));
-                // A mapped library pins no heap for its records; a
-                // buffered one pins the whole file.
-                CHECK_EQ(b.pinnedBytes(),
-                         backend == StorageBackend::mapped
-                             ? 0u
-                             : b.backingBytes());
-                CHECK(identicalRecords(b, loaded));
-                CHECK_EQ(b.contentHash(), lib.contentHash());
-                for (std::size_t i = 0; i < lib.size(); ++i)
-                    CHECK_EQ(b.rawSize(i), lib.rawSize(i));
-                Blob scratch;
-                LivePoint pt;
-                for (const std::size_t i :
-                     {std::size_t{0}, lib.size() / 2,
-                      lib.size() - 1}) {
-                    // Prefetch/release hints around a decode must
-                    // never change its result.
-                    b.prefetchRecord(i);
-                    b.decodeInto(i, scratch, pt);
-                    b.releaseRecord(i);
-                    CHECK(pt.serialize() == lib.get(i).serialize());
-                }
+            const LivePointLibrary b =
+                LivePointLibrary::load(path, backend);
+            CHECK(b.storageKind() == storageBackendName(backend));
+            CHECK_EQ(b.mappedBacking(), backend == StorageBackend::mapped);
+            CHECK_EQ(b.backingBytes(), std::filesystem::file_size(path));
+            // A mapped library pins no heap for its records; a
+            // buffered one pins the whole file.
+            CHECK_EQ(b.pinnedBytes(), backend == StorageBackend::mapped
+                                          ? 0u
+                                          : b.backingBytes());
+            CHECK(identicalRecords(b, loaded));
+            CHECK_EQ(b.contentHash(), lib.contentHash());
+            for (std::size_t i = 0; i < lib.size(); ++i)
+                CHECK_EQ(b.rawSize(i), lib.rawSize(i));
+            Blob scratch;
+            LivePoint pt;
+            for (const std::size_t i :
+                 {std::size_t{0}, lib.size() / 2, lib.size() - 1}) {
+                // Prefetch/release hints around a decode must never
+                // change its result.
+                b.prefetchRecord(i);
+                b.decodeInto(i, scratch, pt);
+                b.releaseRecord(i);
+                CHECK(pt.serialize() == lib.get(i).serialize());
             }
         }
         // autoSelect picks mmap exactly when available and enabled.
         const LivePointLibrary a = LivePointLibrary::load(path);
         CHECK_EQ(a.mappedBacking(),
                  mmapSupported() && !mmapDisabledByEnv());
-        std::remove(p2fmt.c_str());
     }
     std::remove(path.c_str());
-
-    // Format compatibility: a library written by the legacy LPLIB2
-    // writer loads through the same magic-dispatched load() with
-    // point-for-point equality.
-    {
-        const std::string p2 = "libtest-lpl2.lpl";
-        lib.save(p2, LivePointLibrary::Format::lpl2);
-        const LivePointLibrary old = LivePointLibrary::load(p2);
-        CHECK(old.design() == lib.design());
-        CHECK(old.benchmark() == lib.benchmark());
-        CHECK_EQ(old.size(), lib.size());
-        CHECK_EQ(old.totalCompressedBytes(),
-                 lib.totalCompressedBytes());
-        Blob scratchA, scratchB;
-        LivePoint pa, pb;
-        for (std::size_t i = 0; i < lib.size(); ++i) {
-            CHECK_EQ(old.compressedSize(i), lib.compressedSize(i));
-            CHECK_EQ(old.windowIndex(i), lib.windowIndex(i));
-            old.decodeInto(i, scratchA, pa);
-            lib.decodeInto(i, scratchB, pb);
-            CHECK(pa.serialize() == pb.serialize());
-        }
-        std::remove(p2.c_str());
-    }
 
     // Zero-copy spans: a loaded library's records point into one
     // backing buffer, in stored order, and survive a library move.
@@ -277,13 +244,46 @@ main()
                 CHECK_THROWS(LivePointLibrary::load(pbad, backend));
             }
         }
-        // Magic corruption falls through to the LPLIB2 parser, which
-        // must reject it too.
+        // Magic corruption: no container load() accepts, and the
+        // error names the file.
+        auto rejectedNamingFile = [&](const Blob &bad) {
+            spewFile(pbad, bad);
+            try {
+                (void)LivePointLibrary::load(pbad, backend);
+                CHECK(false);
+            } catch (const std::exception &e) {
+                CHECK(std::string(e.what()).find(pbad) !=
+                      std::string::npos);
+            }
+        };
         {
             Blob bad = good;
             bad[0] ^= 0xff;
-            spewFile(pbad, bad);
-            CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+            rejectedNamingFile(bad);
+        }
+        // The retired LPLIB2 layout — the whole library as one DER
+        // sequence opening with the "LPLIB2" magic integer — is no
+        // longer a container either.
+        {
+            DerWriter w;
+            w.beginSequence();
+            w.putUint(0x4c50'4c49'4232ull); // "LPLIB2"
+            w.putString(lib.benchmark());
+            w.beginSequence();
+            w.putUint(design.benchLength);
+            w.putUint(design.count);
+            w.putUint(design.measureLen);
+            w.putUint(design.warmLen);
+            w.endSequence();
+            w.putUint(lib.size());
+            for (std::size_t i = 0; i < lib.size(); ++i) {
+                const ByteSpan rec = lib.record(i);
+                w.putUint(lib.rawSize(i));
+                w.putUint(lib.windowIndex(i));
+                w.putBytes(rec.data, rec.size);
+            }
+            w.endSequence();
+            rejectedNamingFile(w.finish());
         }
 
         // Record-table fields: offset / size / rawSize / index of the
@@ -353,42 +353,15 @@ main()
         std::remove(pbad.c_str());
     }
 
-    // LPLIB2 robustness: magic corruption and truncation at every
-    // record boundary must raise cleanly through the DER layer, via
-    // every backend.
-    for (const StorageBackend backend : backends) {
-        const std::string pbad = "libtest-corrupt2.lpl";
-        lib.save(pbad, LivePointLibrary::Format::lpl2);
-        const Blob good = slurpFile(pbad);
-        {
-            Blob bad = good;
-            bad[4] ^= 0xff; // inside the magic's LEB content
-            spewFile(pbad, bad);
-            CHECK_THROWS(LivePointLibrary::load(pbad, backend));
-        }
-        for (std::size_t cut = 0; cut < good.size();
-             cut += 1 + good.size() / 64) {
-            Blob bad(good.begin(),
-                     good.begin() + static_cast<std::ptrdiff_t>(cut));
-            spewFile(pbad, bad);
-            CHECK_THROWS(LivePointLibrary::load(pbad, backend));
-        }
-        std::remove(pbad.c_str());
-    }
-
-    // Checkpoint economics: a shared-dictionary + delta library
-    // (LPLIB4) decodes point-for-point identically to the plain
-    // build, stores fewer bytes, and survives save/load/shuffle
-    // through every backend with strict corruption detection.
+    // Checkpoint economics: a delta-chained library (LPLIB4) decodes
+    // point-for-point identically to the plain build, stores fewer
+    // bytes, and survives save/load/shuffle through every backend
+    // with strict corruption detection.
     {
         TinyLib tc = buildTinyLibrary(
             "libtest", 400'000, 5, 40, {cfg}, 0,
-            [](LivePointBuilderConfig &bc) {
-                bc.sharedDictionary = true;
-                bc.deltaEncode = true;
-            });
+            [](LivePointBuilderConfig &bc) { bc.deltaEncode = true; });
         LivePointLibrary &clib = tc.lib;
-        CHECK(!clib.dictionary().empty());
         CHECK(clib.deltaCount() > 0);
         CHECK(clib.deltaCount() < clib.size()); // keyframes remain
         CHECK(clib.totalCompressedBytes() < lib.totalCompressedBytes());
@@ -418,8 +391,8 @@ main()
             }
         }
 
-        // autoSelect writes LPLIB4 (a plain library stays LPLIB3);
-        // the legacy formats cannot represent dictionary/delta.
+        // A library with delta records saves as LPLIB4; a plain one
+        // stays LPLIB3.
         const std::string p4 = "libtest-lpl4.lpl";
         clib.save(p4);
         {
@@ -432,10 +405,6 @@ main()
             CHECK(std::memcmp(plainHead.data(), "LPLIB3\n", 7) == 0);
             std::remove(p3.c_str());
         }
-        CHECK_THROWS(clib.save("libtest-nope.lpl",
-                               LivePointLibrary::Format::lpl3));
-        CHECK_THROWS(clib.save("libtest-nope.lpl",
-                               LivePointLibrary::Format::lpl2));
 
         for (const StorageBackend backend : backends) {
             const LivePointLibrary b =
@@ -443,7 +412,6 @@ main()
             CHECK(identicalRecords(b, clib));
             CHECK_EQ(b.contentHash(), clib.contentHash());
             CHECK_EQ(b.deltaCount(), clib.deltaCount());
-            CHECK(b.dictionary() == clib.dictionary());
             LivePointDecodeScratch scratch;
             LivePoint p;
             for (std::size_t i = 0; i < b.size(); ++i) {
@@ -483,10 +451,11 @@ main()
             std::remove(psh.c_str());
         }
 
-        // Corruption strictness: a flipped byte in the dictionary, a
-        // delta record's stream, or a record's table metadata must be
-        // rejected at load or at decode — never a silently different
-        // point (every dict/delta record carries a raw checksum).
+        // Corruption strictness: a flipped byte in a delta record's
+        // stream or in a record's table metadata must be rejected at
+        // load or at decode — never a silently different point (every
+        // delta record carries a raw checksum) — and the retired
+        // dictionary encoding must be rejected at load.
         {
             const Blob good = slurpFile(p4);
             auto u64At = [&good](std::size_t off) {
@@ -497,11 +466,12 @@ main()
                 return v;
             };
             const std::size_t count = u64At(16);
+            const std::size_t metaSize = u64At(32);
             const std::size_t dictAt = u64At(40);
-            const std::size_t dictSize = u64At(48);
             const std::size_t tableAt = u64At(56);
             const std::size_t dataAt = u64At(64);
-            CHECK(dictSize > 0);
+            CHECK_EQ(u64At(48), 0u); // the reserved section is empty
+            CHECK_EQ(dictAt, tableAt);
             CHECK_EQ(count, clib.size());
             const std::string pbad = "libtest-lpl4-bad.lpl";
 
@@ -537,15 +507,42 @@ main()
                 }
             };
 
-            // The dictionary section (a single flipped byte is only
-            // detectable if some record's match reads it, so corrupt
-            // all of it — any dictionary-primed record then fails its
-            // raw checksum).
+            // Load itself must refuse the file, through every backend.
+            auto mustReject = [&](const Blob &bad) {
+                spewFile(pbad, bad);
+                for (const StorageBackend backend : backends)
+                    CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+            };
+            auto putU64At = [](Blob &b, std::size_t off, std::uint64_t v) {
+                for (unsigned j = 0; j < 8; ++j)
+                    b[off + j] = static_cast<std::uint8_t>(v >> (8 * j));
+            };
+
+            // The layout the retired --dict option wrote: a
+            // well-formed LPLIB4 whose reserved section between meta
+            // and table holds a shared dictionary.
             {
+                const std::size_t dictBytes = 4096;
+                Blob bad(good.begin(),
+                         good.begin() +
+                             static_cast<std::ptrdiff_t>(80 + metaSize));
+                bad.insert(bad.end(), dictBytes, 0x5a);
+                bad.insert(bad.end(),
+                           good.begin() +
+                               static_cast<std::ptrdiff_t>(tableAt),
+                           good.end());
+                putU64At(bad, 48, dictBytes);
+                putU64At(bad, 56, tableAt + dictBytes);
+                putU64At(bad, 64, dataAt + dictBytes);
+                putU64At(bad, 72, good.size() + dictBytes);
+                mustReject(bad);
+            }
+            // A row carrying the retired dictionary flag (value 1), on
+            // a keyframe row and on a delta row.
+            for (const std::size_t row : {std::size_t{0}, std::size_t{1}}) {
                 Blob bad = good;
-                for (std::size_t j = 0; j < dictSize; ++j)
-                    bad[dictAt + j] ^= 0x5a;
-                mustFail(bad);
+                bad[tableAt + row * 56 + 32] |= 0x01;
+                mustReject(bad);
             }
             // A delta record's compressed stream.
             {
@@ -575,16 +572,41 @@ main()
                 bad[tableAt + deltaRow * 56 + 32] |= 0x80;
                 mustFail(bad);
             }
+            // A flipped window index on delta record 1 fails that
+            // record's decode alone. Decoding in stored order through
+            // one scratch (the inspect_library --verify walk) must not
+            // let the failed decode poison the chain cache: every
+            // other record still equals the plain build.
+            {
+                CHECK(clib.recordFlags(1) & LivePointLibrary::kFlagDelta);
+                Blob bad = good;
+                bad[tableAt + 1 * 56 + 24] ^= 0x01;
+                spewFile(pbad, bad);
+                for (const StorageBackend backend : backends) {
+                    const LivePointLibrary damaged =
+                        LivePointLibrary::load(pbad, backend);
+                    LivePointDecodeScratch scratch;
+                    LivePoint p;
+                    std::size_t failures = 0;
+                    for (std::size_t i = 0; i < damaged.size(); ++i) {
+                        try {
+                            damaged.decodeInto(i, scratch, p);
+                            CHECK(p.serialize() == lib.get(i).serialize());
+                        } catch (const std::exception &) {
+                            ++failures;
+                            CHECK_EQ(i, 1u);
+                        }
+                    }
+                    CHECK_EQ(failures, 1u);
+                }
+            }
             // Truncation at the section boundaries.
             for (const std::size_t cut :
                  {std::size_t{40}, dictAt, tableAt, dataAt,
                   good.size() - 1}) {
-                const Blob bad(
+                mustReject(Blob(
                     good.begin(),
-                    good.begin() + static_cast<std::ptrdiff_t>(cut));
-                spewFile(pbad, bad);
-                for (const StorageBackend backend : backends)
-                    CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+                    good.begin() + static_cast<std::ptrdiff_t>(cut)));
             }
             // Pristine bytes still load and decode (harness sanity).
             spewFile(pbad, good);
@@ -597,18 +619,23 @@ main()
         }
         std::remove(p4.c_str());
 
-        // Dictionary-only and delta-only variants round-trip too.
-        for (const int mode : {0, 1}) {
+        // Chain-length variants round-trip too. With a chain of one
+        // every record is a keyframe, so the container follows the
+        // records and stays LPLIB3; one chain across the whole
+        // library is the deepest walk a decode can face.
+        for (const unsigned chain : {1u, 40u}) {
             TinyLib tv = buildTinyLibrary(
                 "libtest", 400'000, 5, 40, {cfg}, 0,
-                [mode](LivePointBuilderConfig &bc) {
-                    bc.sharedDictionary = mode == 0;
-                    bc.deltaEncode = mode == 1;
+                [chain](LivePointBuilderConfig &bc) {
+                    bc.deltaEncode = true;
+                    bc.maxDeltaChain = chain;
                 });
-            CHECK_EQ(tv.lib.dictionary().empty(), mode == 1);
-            CHECK_EQ(tv.lib.deltaCount() > 0, mode == 1);
+            CHECK_EQ(tv.lib.deltaCount() > 0, chain > 1);
             const std::string pv = "libtest-lpl4-variant.lpl";
             tv.lib.save(pv);
+            CHECK(std::memcmp(slurpFile(pv).data(),
+                              chain > 1 ? "LPLIB4\n" : "LPLIB3\n",
+                              7) == 0);
             const LivePointLibrary b = LivePointLibrary::load(pv);
             CHECK(identicalRecords(b, tv.lib));
             LivePointDecodeScratch scratch;
@@ -773,20 +800,17 @@ main()
             CHECK((LibrarySet::open(dir), true));
         }
 
-        // An LPLIB4 (dictionary+delta) shard flows through the fleet
-        // store unchanged: save picks the format, open dispatches on
-        // the magic, the index hash still matches, and the decoded
-        // points equal the plain build of the same benchmark.
+        // An LPLIB4 (delta) shard flows through the fleet store
+        // unchanged: save picks the format, open dispatches on the
+        // magic, the index hash still matches, and the decoded points
+        // equal the plain build of the same benchmark.
         {
             const std::string dir4 = "libtest-set-lpl4";
             std::filesystem::remove_all(dir4);
             const TinyLib cross = buildTinyLibrary(
                 "libtest-b", 300'000, 9, 24,
                 {CoreConfig::eightWay()}, 0,
-                [](LivePointBuilderConfig &bc) {
-                    bc.sharedDictionary = true;
-                    bc.deltaEncode = true;
-                });
+                [](LivePointBuilderConfig &bc) { bc.deltaEncode = true; });
             CHECK(cross.lib.deltaCount() > 0);
             {
                 LibrarySetWriter writer(dir4);

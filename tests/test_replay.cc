@@ -224,7 +224,7 @@ main()
         std::remove(path.c_str());
     }
 
-    // Checkpoint economics: a dictionary+delta library must replay
+    // Checkpoint economics: a delta-chained library must replay
     // bit-identically to the plain library — same program, same
     // design, same shuffle — through every backend, at threads 1/2/4,
     // with and without a resident budget. Delta records charge their
@@ -233,10 +233,7 @@ main()
     {
         TinyLib tc = buildTinyLibrary(
             "replaytest", 500'000, 17, 64, {cfg}, 11,
-            [](LivePointBuilderConfig &bc) {
-                bc.sharedDictionary = true;
-                bc.deltaEncode = true;
-            });
+            [](LivePointBuilderConfig &bc) { bc.deltaEncode = true; });
         const LivePointLibrary &clib = tc.lib;
         CHECK(clib.deltaCount() > 0);
         CHECK_EQ(clib.size(), lib.size());

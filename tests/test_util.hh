@@ -125,7 +125,7 @@ struct TinyLib
  * detailed-warming length of cfgs[0], which sizes the windows).
  * @p shuffleSeed != 0 also shuffles the library. @p tweak (optional)
  * edits the builder configuration before the build — the hook the
- * dictionary/delta and threading variants use.
+ * delta-chain and threading variants use.
  */
 inline TinyLib
 buildTinyLibrary(
