@@ -13,8 +13,9 @@
  *
  * The checkpoint-economics section builds the same design two ways —
  * plain and delta-chained — and measures bytes/point on disk,
- * stored-order decode MB/s, and replays/s for each, verifying both
- * replay bit-identically (with and without a resident budget). The
+ * stored-order decode MB/s, replays/s and records decoded per point
+ * (informational) for each, verifying both replay bit-identically
+ * (with and without a resident budget). The
  * delta variant must cut bytes/point by >= 2x (hard floor), and the
  * machine-normalized
  * metrics (bytes_per_point_cut, decode_norm, replay_norm) gate
@@ -104,11 +105,16 @@ decodePassMBps(const LivePointLibrary &lib)
     return best;
 }
 
-/** Best replays/s over a few runs (damps scheduler noise). */
+/**
+ * Best replays/s over a few runs (damps scheduler noise). With
+ * @p recordsPerPoint, also the records the engine materialized per
+ * decoded point — keyframes and chain links included.
+ */
 double
 bestReplaysPerSec(const Program &prog, const LivePointLibrary &lib,
                   const CoreConfig &cfg, const LivePointRunOptions &opt,
-                  const LivePointRunResult &ref)
+                  const LivePointRunResult &ref,
+                  double *recordsPerPoint = nullptr)
 {
     double best = 0.0;
     for (int pass = 0; pass < 2; ++pass) {
@@ -118,6 +124,11 @@ bestReplaysPerSec(const Program &prog, const LivePointLibrary &lib,
                   "the estimate");
         best = std::max(best, static_cast<double>(r.processed) /
                                   r.wallSeconds);
+        if (recordsPerPoint)
+            *recordsPerPoint =
+                static_cast<double>(r.recordsDecoded) /
+                static_cast<double>(std::max<std::uint64_t>(
+                    r.pointsDecoded, 1));
     }
     return best;
 }
@@ -299,8 +310,9 @@ main()
     // reference estimate exactly.
     std::printf("\ncheckpoint economics (same design, two "
                 "encodings):\n");
-    std::printf("%14s | %10s | %11s | %10s | %10s\n", "encoding",
-                "file B/pt", "decode MB/s", "replays/s", "delta recs");
+    std::printf("%14s | %10s | %11s | %10s | %10s | %9s\n", "encoding",
+                "file B/pt", "decode MB/s", "replays/s", "delta recs",
+                "recs/pt");
 
     LivePointBuilderConfig bcDelta = defaultBuilderConfig();
     bcDelta.deltaEncode = true;
@@ -314,6 +326,7 @@ main()
         double bytesPerPoint = 0.0;
         double decodeMbps = 0.0;
         double rps = 0.0;
+        double recordsPerPoint = 0.0; //!< decode work per visit
     };
     Variant variants[] = {{"plain", &refLib}, {"delta", &deltaLib}};
     for (Variant &v : variants) {
@@ -324,10 +337,11 @@ main()
             static_cast<double>(std::filesystem::file_size(vpath)) /
             static_cast<double>(n);
         v.decodeMbps = decodePassMBps(*v.lib);
-        v.rps = bestReplaysPerSec(b.prog, *v.lib, cfg, ropt, ref);
-        std::printf("%14s | %10.0f | %11.1f | %10.1f | %10zu\n",
+        v.rps = bestReplaysPerSec(b.prog, *v.lib, cfg, ropt, ref,
+                                  &v.recordsPerPoint);
+        std::printf("%14s | %10.0f | %11.1f | %10.1f | %10zu | %9.2f\n",
                     v.name, v.bytesPerPoint, v.decodeMbps, v.rps,
-                    v.lib->deltaCount());
+                    v.lib->deltaCount(), v.recordsPerPoint);
         std::filesystem::remove(vpath);
     }
 
@@ -410,6 +424,8 @@ main()
         "  \"replays_per_sec_plain\": %.2f,\n"
         "  \"replays_per_sec_delta\": %.2f,\n"
         "  \"replay_norm\": %.4f,\n"
+        "  \"records_per_point_plain\": %.3f,\n"
+        "  \"records_per_point_delta\": %.3f,\n"
         "  \"hugepages_requested\": %s,\n"
         "  \"hugepages_applied\": %s,\n"
         "  \"identical\": true\n}\n",
@@ -417,7 +433,8 @@ main()
         variants[0].bytesPerPoint, variants[1].bytesPerPoint, bppCut,
         deltaLib.deltaCount(), variants[0].decodeMbps,
         variants[1].decodeMbps, decodeNorm, variants[0].rps,
-        variants[1].rps, replayNorm,
+        variants[1].rps, replayNorm, variants[0].recordsPerPoint,
+        variants[1].recordsPerPoint,
         hugepagesRequestedByEnv() ? "true" : "false",
         econHugepages ? "true" : "false");
     if (const char *econPath = std::getenv("LP_BENCH_ECON_JSON")) {

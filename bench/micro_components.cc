@@ -92,22 +92,63 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
-void
-BM_CsrReconstruct(benchmark::State &state)
+/** A 4 MB/8-way L2 record (the library maximum) of a random stream. */
+CacheSetRecord
+maxL2Record()
 {
     CacheModel maxCache({4 * 1024 * 1024, 8, 128}, "max");
     Rng rng(9);
     for (int i = 0; i < 200000; ++i)
         maxCache.access(rng.nextBounded(64 << 20), rng.nextBool(0.3));
-    const CacheSetRecord csr(maxCache);
-    CacheModel target({1024 * 1024, 4, 128}, "tgt");
-    for (auto _ : state)
+    return CacheSetRecord(maxCache);
+}
+
+/**
+ * Installing the maximum L2 record into each L2 geometry a dse-cold
+ * grid reconstructs: arg 0 = 1 MB/4-way, 1 = 4 MB/8-way (the
+ * maximum itself), 2 = 1 MB/8-way.
+ */
+void
+BM_CsrReconstruct(benchmark::State &state)
+{
+    static const CacheGeometry targets[] = {
+        {1024 * 1024, 4, 128},
+        {4 * 1024 * 1024, 8, 128},
+        {1024 * 1024, 8, 128},
+    };
+    const CacheSetRecord csr = maxL2Record();
+    CacheModel target(targets[state.range(0)], "tgt");
+    for (auto _ : state) {
         csr.reconstruct(target);
+        benchmark::DoNotOptimize(target.accessClock());
+        benchmark::ClobberMemory();
+    }
     state.SetItemsProcessed(
         state.iterations() *
         static_cast<std::int64_t>(csr.entryCount()));
 }
-BENCHMARK(BM_CsrReconstruct);
+BENCHMARK(BM_CsrReconstruct)->ArgName("l2")->Arg(0)->Arg(1)->Arg(2);
+
+/**
+ * The producer side of the same record: decoding its wire form into
+ * a recycled record, as the replay decode ring does per point.
+ */
+void
+BM_CsrDeserialize(benchmark::State &state)
+{
+    const Blob bytes = maxL2Record().serialize();
+    CacheSetRecord rec;
+    for (auto _ : state) {
+        DerReader r(bytes);
+        CacheSetRecord::deserializeInto(r, rec);
+        benchmark::DoNotOptimize(rec.entryCount());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(rec.entryCount()));
+}
+BENCHMARK(BM_CsrDeserialize);
 
 void
 BM_BpredWarm(benchmark::State &state)

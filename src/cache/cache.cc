@@ -130,6 +130,38 @@ CacheModel::reset()
     clock_ = 0;
 }
 
+void
+CacheModel::installLines(const std::uint64_t *packed, std::size_t n)
+{
+    reset();
+    nextWay_.assign(nsets_, 0);
+    const std::uint64_t lineBytes = geom_.lineBytes;
+    // Line numbers up to this bound have an address that fits 64
+    // bits; past it, access() would see the wrapped address, so the
+    // rare slow path derives set and tag from that address the same
+    // way.
+    const std::uint64_t noWrap = ~std::uint64_t(0) / lineBytes;
+    const bool pow2Sets = (nsets_ & (nsets_ - 1)) == 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t line = packed[i] >> 1;
+        Addr tag = line * lineBytes;
+        std::uint64_t set;
+        if (line <= noWrap) {
+            set = pow2Sets ? line & (nsets_ - 1) : line % nsets_;
+        } else {
+            set = setOf(tag);
+            tag -= tag % lineBytes;
+        }
+        unsigned &next = nextWay_[set];
+        const std::size_t idx = set * assoc_ + next;
+        next = next + 1 == assoc_ ? 0 : next + 1;
+        tags_[idx] = tag;
+        stamps_[idx] = i + 1;
+        dirty_[idx] = static_cast<std::uint8_t>(packed[i] & 1);
+    }
+    clock_ = n;
+}
+
 std::vector<CacheLine>
 CacheModel::linesOfSet(std::uint64_t set) const
 {

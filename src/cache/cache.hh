@@ -85,6 +85,19 @@ class CacheModel
     /** Drop all contents and reset the access clock. */
     void reset();
 
+    /**
+     * Install @p n distinct lines, oldest first, each given as
+     * (line number << 1) | dirty in this cache's line size: exactly
+     * the state reset() followed by one access() per line reaches,
+     * way positions and stamps included. Such a replay never hits,
+     * so every set fills its ways in index order and then evicts
+     * them round-robin; the install writes each line straight into
+     * that way instead of scanning for it. Lines must be distinct —
+     * a duplicate lands in a second way instead of hitting, which is
+     * memory-safe but not what a replay would reach.
+     */
+    void installLines(const std::uint64_t *packed, std::size_t n);
+
     /** Resident lines of one set, unordered. */
     std::vector<CacheLine> linesOfSet(std::uint64_t set) const;
 
@@ -117,6 +130,8 @@ class CacheModel
     std::vector<std::uint64_t> stamps_;
     std::vector<std::uint8_t> dirty_;
     std::uint64_t clock_ = 0;
+    /** installLines(): next way to fill per set (storage reused). */
+    std::vector<unsigned> nextWay_;
 };
 
 } // namespace lp

@@ -1,6 +1,9 @@
 #include "cache/warmstate.hh"
 
 #include <algorithm>
+#include <stdexcept>
+
+#include "util/log.hh"
 
 namespace lp
 {
@@ -8,25 +11,32 @@ namespace lp
 CacheSetRecord::CacheSetRecord(const CacheModel &cache)
     : geom_(cache.geometry())
 {
-    entries_.reserve(cache.residentLines());
+    // Order by last access (stamps are unique); only the order is
+    // kept, so the stamps need not be stored.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> byStamp;
+    byStamp.reserve(cache.residentLines());
     for (std::uint64_t s = 0; s < cache.numSets(); ++s)
         for (const CacheLine &line : cache.linesOfSet(s))
-            entries_.push_back(
-                Entry{line.tag, line.lastAccess, line.dirty});
-    std::sort(entries_.begin(), entries_.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.lastAccess != b.lastAccess)
-                      return a.lastAccess < b.lastAccess;
-                  return a.lineAddr < b.lineAddr;
-              });
+            byStamp.emplace_back(line.lastAccess,
+                                 (line.tag / geom_.lineBytes) * 2 +
+                                     (line.dirty ? 1 : 0));
+    std::sort(byStamp.begin(), byStamp.end());
+    lines_.reserve(byStamp.size());
+    for (const auto &sl : byStamp)
+        lines_.push_back(sl.second);
 }
 
 void
 CacheSetRecord::reconstruct(CacheModel &target) const
 {
-    target.reset();
-    for (const Entry &e : entries_)
-        target.access(e.lineAddr, e.dirty);
+    if (target.geometry().lineBytes != geom_.lineBytes)
+        throw std::invalid_argument(strfmt(
+            "cache set record: target %s has %llu-byte lines, the "
+            "record %llu-byte lines",
+            target.name().c_str(),
+            static_cast<unsigned long long>(target.geometry().lineBytes),
+            static_cast<unsigned long long>(geom_.lineBytes)));
+    target.installLines(lines_.data(), lines_.size());
 }
 
 void
@@ -36,14 +46,12 @@ CacheSetRecord::serialize(DerWriter &w) const
     w.putUint(geom_.sizeBytes);
     w.putUint(geom_.assoc);
     w.putUint(geom_.lineBytes);
-    w.putUint(entries_.size());
-    // Only the recency *order* matters for LRU reconstruction, and
-    // entries_ is already sorted by it — the stamps themselves need
-    // not be stored. Line addresses are divided by the line size with
-    // the dirty bit packed into the low bit to shorten the varints.
-    for (const Entry &e : entries_)
-        w.putUint((e.lineAddr / geom_.lineBytes) * 2 +
-                  (e.dirty ? 1 : 0));
+    w.putUint(lines_.size());
+    // Line addresses are divided by the line size with the dirty bit
+    // packed into the low bit to shorten the varints; lines_ already
+    // holds exactly that form.
+    for (const std::uint64_t v : lines_)
+        w.putUint(v);
     w.endSequence();
 }
 
@@ -71,17 +79,14 @@ CacheSetRecord::deserializeInto(DerReader &r, CacheSetRecord &out)
     out.geom_.assoc = static_cast<unsigned>(seq.getUint());
     out.geom_.lineBytes = seq.getUint();
     const std::uint64_t count = seq.getUint();
-    out.entries_.clear();
-    out.entries_.reserve(count);
-    std::uint64_t stamp = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Entry e;
-        const std::uint64_t packed = seq.getUint();
-        e.lineAddr = (packed / 2) * out.geom_.lineBytes;
-        e.dirty = (packed & 1) != 0;
-        e.lastAccess = ++stamp; // synthetic stamps keep the order
-        out.entries_.push_back(e);
-    }
+    // The smallest encoded integer is 3 bytes (tag, length, one
+    // content byte): a count the record cannot hold is corrupt, and
+    // must not size the line vector.
+    if (count > seq.remaining() / 3)
+        throw std::runtime_error(
+            "cache set record: line count exceeds the record");
+    out.lines_.resize(static_cast<std::size_t>(count));
+    seq.getUints(out.lines_.data(), out.lines_.size());
 }
 
 MemoryTimestampRecord::MemoryTimestampRecord(std::uint64_t lineBytes)

@@ -3,13 +3,18 @@
  * Checkpointable cache warm state, the heart of a live-point.
  *
  * CacheSetRecord (CSR): a snapshot of a cache warmed at the library's
- * *maximum* geometry — each resident line's address, last-access
- * stamp, and dirty bit. Replaying the lines in stamp order into a
- * target cache reproduces, exactly, the LRU state the target would
- * have reached through direct warming, for any geometry whose sets
- * and associativity divide the maximum's (power-of-two geometries no
- * larger than the maximum, same line size). Storage is bounded by the
- * maximum tag array, independent of workload footprint.
+ * *maximum* geometry — each resident line's number and dirty bit, in
+ * recency order. Replaying the lines oldest first into a target cache
+ * reproduces, exactly, the LRU state the target would have reached
+ * through direct warming, for any geometry whose sets and
+ * associativity divide the maximum's (power-of-two geometries no
+ * larger than the maximum, same line size). reconstruct() does not
+ * replay, though: the lines are distinct, so the replay never hits
+ * and every target set behaves as a FIFO, and CacheModel::
+ * installLines() writes each line straight into its final way. The
+ * record keeps each line in its wire form, (line number << 1) |
+ * dirty, so decoding is one bulk integer read. Storage is bounded by
+ * the maximum tag array, independent of workload footprint.
  *
  * MemoryTimestampRecord (MTR, Barr et al.): last-access timestamps of
  * every touched memory line. Reconstructs arbitrary geometries, but
@@ -40,13 +45,16 @@ class CacheSetRecord
     const CacheGeometry &maxGeometry() const { return geom_; }
 
     /** Number of recorded lines. */
-    std::uint64_t entryCount() const { return entries_.size(); }
+    std::uint64_t entryCount() const { return lines_.size(); }
 
     /**
      * Install the recorded warm state into @p target (which is reset
-     * first). Lines are replayed in last-access order, so the target's
-     * LRU state matches direct warming whenever the target geometry is
-     * contained in the maximum.
+     * first): exactly the state a replay of the lines in last-access
+     * order reaches, so the target's LRU state matches direct warming
+     * whenever the target geometry is contained in the maximum.
+     * Throws std::invalid_argument when the target's line size
+     * differs from the record's — line numbers would not map onto
+     * its lines.
      */
     void reconstruct(CacheModel &target) const;
 
@@ -55,21 +63,17 @@ class CacheSetRecord
     static CacheSetRecord deserialize(DerReader &r);
 
     /**
-     * Deserialize into @p out, reusing its entry storage — the decode
+     * Deserialize into @p out, reusing its line storage — the decode
      * ring recycles one record per slot so replay allocates nothing.
+     * A line count the remaining bytes cannot hold is rejected before
+     * anything is sized from it.
      */
     static void deserializeInto(DerReader &r, CacheSetRecord &out);
 
   private:
-    struct Entry
-    {
-        Addr lineAddr = 0;
-        std::uint64_t lastAccess = 0;
-        bool dirty = false;
-    };
-
     CacheGeometry geom_;
-    std::vector<Entry> entries_; //!< sorted by lastAccess, ascending
+    /** (line number << 1) | dirty per line, oldest access first. */
+    std::vector<std::uint64_t> lines_;
 };
 
 class MemoryTimestampRecord

@@ -178,11 +178,16 @@ DerReader::expect(std::uint8_t tag, std::size_t &len)
     return content;
 }
 
-std::uint64_t
-DerReader::getUint()
+namespace
 {
-    std::size_t len = 0;
-    const std::uint8_t *p = expect(kTagUint, len);
+
+/**
+ * The one integer decoder: LEB128 content of @p len bytes. Shared by
+ * getUint() and getUints() so both apply exactly the same checks.
+ */
+inline std::uint64_t
+decodeUint(const std::uint8_t *p, std::size_t len)
+{
     std::uint64_t v = 0;
     unsigned shift = 0;
     for (std::size_t i = 0; i < len; ++i) {
@@ -200,6 +205,26 @@ DerReader::getUint()
         }
     }
     throw std::runtime_error("der: unterminated uint");
+}
+
+} // namespace
+
+std::uint64_t
+DerReader::getUint()
+{
+    std::size_t len = 0;
+    const std::uint8_t *p = expect(kTagUint, len);
+    return decodeUint(p, len);
+}
+
+void
+DerReader::getUints(std::uint64_t *out, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        std::size_t len = 0;
+        const std::uint8_t *p = expect(kTagUint, len);
+        out[i] = decodeUint(p, len);
+    }
 }
 
 double

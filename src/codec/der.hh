@@ -72,8 +72,18 @@ class DerReader
     /** True when no values remain at this nesting level. */
     bool atEnd() const { return pos_ >= size_; }
 
+    /** Encoded bytes not yet read at this nesting level. */
+    std::size_t remaining() const { return size_ - pos_; }
+
     /** Read the next value as an unsigned integer. */
     std::uint64_t getUint();
+
+    /**
+     * Read the next @p n values as unsigned integers into @p out —
+     * exactly what n getUint() calls would return (or throw), in one
+     * pass with the per-call overhead hoisted out of the loop.
+     */
+    void getUints(std::uint64_t *out, std::size_t n);
 
     /** Read the next value as a double. */
     double getDouble();

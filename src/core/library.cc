@@ -1,5 +1,6 @@
 #include "core/library.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -296,28 +297,70 @@ LivePointLibrary::decodeOne(std::size_t filePos, Blob &out,
 }
 
 void
+LivePointLibrary::noteRequest(std::size_t filePos,
+                              LivePointDecodeScratch &scratch) const
+{
+    if (scratch.pending.empty()) {
+        // Every record starts pending: a subtree's count is its own
+        // record plus its delta children's counts, summed deepest
+        // first.
+        const std::size_t n = refs_.size();
+        scratch.pending.assign(n, 1);
+        scratch.requested.assign(n, 0);
+        scratch.kept.reserve(scratch.keepChains);
+        std::vector<std::uint32_t> deepestFirst(n);
+        for (std::size_t p = 0; p < n; ++p)
+            deepestFirst[p] = static_cast<std::uint32_t>(p);
+        std::sort(deepestFirst.begin(), deepestFirst.end(),
+                  [this](std::uint32_t a, std::uint32_t b) {
+                      return refs_[a].depth > refs_[b].depth;
+                  });
+        for (const std::uint32_t p : deepestFirst)
+            if (refs_[p].flags & kFlagDelta)
+                scratch.pending[static_cast<std::size_t>(
+                    refs_[p].basePos)] += scratch.pending[p];
+    }
+    if (scratch.requested[filePos])
+        return;
+    scratch.requested[filePos] = 1;
+    for (std::size_t p = filePos;;) {
+        --scratch.pending[p];
+        const RecordRef &r = refs_[p];
+        if (!(r.flags & kFlagDelta))
+            break;
+        p = static_cast<std::size_t>(r.basePos);
+    }
+}
+
+void
 LivePointLibrary::materializeRaw(std::size_t filePos,
                                  LivePointDecodeScratch &scratch) const
 {
-    // cachedPos names the record whose verified raw bytes payload
-    // holds; it must never outlive them — a failed decode straight
-    // into payload leaves it unset.
-    const RecordRef &r0 = refs_[filePos];
-    if (!(r0.flags & kFlagDelta)) {
-        scratch.resetCache();
-        decodeOne(filePos, scratch.payload, ByteSpan());
-        scratch.cachedPos = filePos;
-        return;
+    using KeptRaw = LivePointDecodeScratch::KeptRaw;
+    constexpr std::uint64_t kNone = ~std::uint64_t(0);
+    const std::uint64_t keyframe = refs_[filePos].keyframe;
+    KeptRaw *entry = nullptr;
+    if (scratch.keepChains) {
+        noteRequest(filePos, scratch);
+        for (KeptRaw &e : scratch.kept)
+            if (e.pos != kNone && e.keyframe == keyframe) {
+                entry = &e;
+                break;
+            }
     }
-    // Collect the chain top-down, stopping at a keyframe or at the
-    // scratch cache (stored-order replay hits the cache every time —
-    // the previous point is this one's base).
+
+    // Collect the records to decode top-down, stopping at a keyframe,
+    // at payload (stored-order replay hits it every time — the
+    // previous point is this one's base) or at the chain's kept raw.
     scratch.chain.clear();
-    std::size_t p = filePos;
-    bool fromCache = false;
-    while (true) {
+    Blob *cur = nullptr;
+    for (std::size_t p = filePos;;) {
         if (p == scratch.cachedPos) {
-            fromCache = true;
+            cur = &scratch.payload;
+            break;
+        }
+        if (entry && p == entry->pos) {
+            cur = &entry->raw;
             break;
         }
         scratch.chain.push_back(p);
@@ -326,31 +369,101 @@ LivePointLibrary::materializeRaw(std::size_t filePos,
             break;
         p = static_cast<std::size_t>(r.basePos);
     }
+
+    // Which raw of this chain to keep: a kept raw at depth x saves
+    // each pending record below it x + 1 links (it needs e - x
+    // instead of e + 1), so keep the candidate — a raw this decode
+    // materializes, or the one already kept — with the largest
+    // (x + 1) * pending. Nothing pending: the chain's entry goes.
+    std::size_t keepAt = kNone; // index into chain
+    KeptRaw *slot = entry;
+    bool dropEntry = false;
+    if (scratch.keepChains) {
+        auto saving = [&](std::uint64_t p) {
+            return (refs_[p].depth + std::uint64_t{1}) *
+                   scratch.pending[p];
+        };
+        std::uint64_t best = entry ? saving(entry->pos) : 0;
+        for (std::size_t j = 0; j < scratch.chain.size(); ++j) {
+            const std::uint64_t s = saving(scratch.chain[j]);
+            if (s > best) {
+                best = s;
+                keepAt = j;
+            }
+        }
+        dropEntry = entry && best == 0;
+        if (keepAt != kNone && !slot) {
+            // A free entry, a new one, or the least recently used
+            // chain's (kept was reserved, so entries never move).
+            for (KeptRaw &e : scratch.kept)
+                if (e.pos == kNone) {
+                    slot = &e;
+                    break;
+                }
+            if (!slot && scratch.kept.size() < scratch.keepChains)
+                slot = &scratch.kept.emplace_back();
+            if (!slot) {
+                slot = &scratch.kept.front();
+                for (KeptRaw &e : scratch.kept)
+                    if (e.lastUse < slot->lastUse)
+                        slot = &e;
+            }
+        }
+    }
+
     // Decode bottom-up, ping-ponging between the two work buffers.
-    // The cache lives in payload and is only ever *read* (as the
-    // first delta's base); the finished record is swapped into
-    // payload at the end, becoming the next call's cache.
-    std::size_t k = scratch.chain.size();
-    Blob *cur;
-    if (fromCache) {
-        cur = &scratch.payload;
-    } else {
-        --k;
-        decodeOne(static_cast<std::size_t>(scratch.chain[k]),
-                  scratch.tmp, ByteSpan());
-        cur = &scratch.tmp;
-    }
-    while (k--) {
-        Blob *dst =
-            cur == &scratch.tmp ? &scratch.prevRaw : &scratch.tmp;
-        decodeOne(static_cast<std::size_t>(scratch.chain[k]), *dst,
-                  ByteSpan(*cur));
+    // The cached and kept raws are only ever *read* as the first
+    // delta's base. A raw chosen for keeping is swapped into its
+    // entry straight after its own checks pass, so an entry only
+    // ever holds verified bytes; the finished record lands in
+    // payload, becoming the next call's cache. A plain record with
+    // nothing to keep decodes straight into payload: cachedPos must
+    // never outlive payload's bytes, so that unsets it first.
+    for (std::size_t k = scratch.chain.size(); k--;) {
+        const std::size_t p = static_cast<std::size_t>(scratch.chain[k]);
+        Blob *dst = cur == &scratch.tmp ? &scratch.prevRaw : &scratch.tmp;
+        if (!cur && keepAt != 0) {
+            scratch.cachedPos = kNone;
+            dst = &scratch.payload;
+        }
+        decodeOne(p, *dst, cur ? ByteSpan(*cur) : ByteSpan());
         cur = dst;
+        if (k == keepAt) {
+            std::swap(slot->raw, *dst);
+            slot->keyframe = keyframe;
+            slot->pos = p;
+            cur = &slot->raw;
+        }
     }
-    if (cur != &scratch.payload)
+    if (cur == &scratch.tmp || cur == &scratch.prevRaw)
         std::swap(scratch.payload, *cur);
+    else if (cur != &scratch.payload)
+        scratch.payload.assign(cur->begin(), cur->end());
     scratch.cachedPos = filePos;
+
+    if (dropEntry) {
+        entry->pos = kNone;
+        entry->keyframe = kNone;
+    } else if (slot) {
+        slot->lastUse = ++scratch.useClock;
+    }
 }
+
+namespace
+{
+
+/** Deserialize a verified raw record of stored point @p i. */
+void
+deserializeRecord(const Blob &raw, std::size_t i, std::uint64_t index,
+                  LivePoint &out)
+{
+    LivePoint::deserializeInto(raw, out);
+    if (out.index != index)
+        throw std::runtime_error(
+            strfmt("live-point %zu: window index mismatch", i));
+}
+
+} // namespace
 
 void
 LivePointLibrary::decodeInto(std::size_t i,
@@ -358,18 +471,22 @@ LivePointLibrary::decodeInto(std::size_t i,
                              LivePoint &out) const
 {
     const std::size_t p = pos(i);
-    const RecordRef &ref = refs_[p];
     materializeRaw(p, scratch);
-    LivePoint::deserializeInto(scratch.payload, out);
-    if (out.index != ref.index)
-        throw std::runtime_error(
-            strfmt("live-point %zu: window index mismatch", i));
+    deserializeRecord(scratch.payload, i, refs_[p].index, out);
 }
 
 void
 LivePointLibrary::decodeInto(std::size_t i, Blob &scratch,
                              LivePoint &out) const
 {
+    // A plain record decodes straight into the caller's buffer, so
+    // only a delta record pays for a walk's scratch.
+    const std::size_t p = pos(i);
+    if (!(refs_[p].flags & kFlagDelta)) {
+        decodeOne(p, scratch, ByteSpan());
+        deserializeRecord(scratch, i, refs_[p].index, out);
+        return;
+    }
     LivePointDecodeScratch s;
     s.payload.swap(scratch);
     decodeInto(i, s, out);
@@ -418,9 +535,12 @@ LivePointLibrary::addEncoded(const Blob &compressed,
     if (flags & kFlagDelta) {
         r.basePos = refs_.size() - 1;
         r.chainBytes = refs_.back().chainBytes + r.size + r.rawSize;
+        r.keyframe = refs_.back().keyframe;
+        r.depth = refs_.back().depth + 1;
         anyDelta_ = true;
     } else {
         r.chainBytes = r.size + r.rawSize;
+        r.keyframe = refs_.size();
     }
     arena_.insert(arena_.end(), compressed.begin(), compressed.end());
     refs_.push_back(r);
@@ -665,7 +785,8 @@ LivePointLibrary::validateChains()
     // Every delta chain must bottom out at a keyframe — a cycle (only
     // possible through table corruption) would hang decode. The walk
     // also precomputes each record's chain charge for the replay
-    // engine's resident budget. Memoized: linear in the point count.
+    // engine's resident budget, and its keyframe and depth for the
+    // decode chain cache. Memoized: linear in the point count.
     std::vector<std::uint8_t> state(refs_.size(), 0);
     std::vector<std::size_t> chainStack;
     for (std::size_t i = 0; i < refs_.size(); ++i) {
@@ -674,9 +795,13 @@ LivePointLibrary::validateChains()
         chainStack.clear();
         std::size_t p = i;
         std::uint64_t below = 0;
+        std::uint64_t keyframe = 0;
+        std::uint32_t depth = 0; // of the first record popped below
         while (true) {
             if (state[p] == 2) {
                 below = refs_[p].chainBytes;
+                keyframe = refs_[p].keyframe;
+                depth = refs_[p].depth + 1;
                 break;
             }
             if (state[p] == 1)
@@ -684,8 +809,10 @@ LivePointLibrary::validateChains()
                     "library: delta chain cycle");
             state[p] = 1;
             chainStack.push_back(p);
-            if (!(refs_[p].flags & kFlagDelta))
+            if (!(refs_[p].flags & kFlagDelta)) {
+                keyframe = p;
                 break;
+            }
             p = static_cast<std::size_t>(refs_[p].basePos);
         }
         for (auto it = chainStack.rbegin(); it != chainStack.rend();
@@ -693,6 +820,8 @@ LivePointLibrary::validateChains()
             RecordRef &r = refs_[*it];
             below += r.size + r.rawSize;
             r.chainBytes = below;
+            r.keyframe = keyframe;
+            r.depth = depth++;
             state[*it] = 2;
         }
     }
@@ -829,6 +958,7 @@ LivePointLibrary::loadLpl3(std::shared_ptr<const LibrarySource> source,
         running = rel + r.size;
         r.offset = dataOffset + rel;
         r.chainBytes = r.size + r.rawSize;
+        r.keyframe = i;
         r.inArena = false;
         lib.refs_.push_back(r);
     }

@@ -99,9 +99,19 @@ struct LivePoint
  * the record just decoded (@c cachedPos), so replaying records in
  * stored order rebuilds each delta from its already-materialized base
  * instead of re-walking the whole chain. Plain libraries use only
- * @c payload; the work buffers stay empty. A scratch caches by file
- * position, so it serves one library: call resetCache() before
- * pointing it at another.
+ * @c payload; the work buffers stay empty.
+ *
+ * A scratch may also keep verified raw records from earlier decodes
+ * (@c keepChains > 0, what each replay decode producer uses): at most
+ * one per delta chain, keyed by the chain's keyframe, and at most
+ * keepChains in all, the least recently used chain going first. A
+ * walk stops at a kept raw that is an ancestor of the requested
+ * record, so a shuffled visit resumes partway down its chain. After
+ * each decode the scratch keeps the one raw of that chain — among the
+ * raws the decode materialized and the one already kept — that
+ * minimizes the links the chain's not-yet-requested records would
+ * need. A scratch caches by file position, so it serves one library:
+ * call resetCache() before pointing it at another.
  */
 struct LivePointDecodeScratch
 {
@@ -109,13 +119,45 @@ struct LivePointDecodeScratch
     Blob prevRaw; //!< chain-walk work buffer
     Blob tmp;     //!< chain-walk work buffer
 
-    /** Chain-walk scratch (reused so delta decode allocates nothing). */
+    /**
+     * File positions the last call decoded, the requested record
+     * first (empty when it was already cached). Reused so delta
+     * decode allocates nothing.
+     */
     std::vector<std::uint64_t> chain;
 
     /** File position whose raw bytes payload holds (~0: none). */
     std::uint64_t cachedPos = ~std::uint64_t(0);
 
-    void resetCache() { cachedPos = ~std::uint64_t(0); }
+    /** Chains whose raws may be kept; 0 keeps only payload. */
+    std::size_t keepChains = 0;
+
+    /** One kept raw record (pos ~0: the entry is free). */
+    struct KeptRaw
+    {
+        std::uint64_t keyframe = ~std::uint64_t(0);
+        std::uint64_t pos = ~std::uint64_t(0);
+        std::uint64_t lastUse = 0;
+        Blob raw;
+    };
+    std::vector<KeptRaw> kept;
+
+    /**
+     * Per file position: records in its delta subtree (itself
+     * included) not yet requested through this scratch. Sized on
+     * first use when keepChains > 0.
+     */
+    std::vector<std::uint32_t> pending;
+    std::vector<std::uint8_t> requested; //!< per file position
+    std::uint64_t useClock = 0;
+
+    void resetCache()
+    {
+        cachedPos = ~std::uint64_t(0);
+        kept.clear();
+        pending.clear();
+        requested.clear();
+    }
 };
 
 class LivePointLibrary
@@ -184,6 +226,16 @@ class LivePointLibrary
 
     /** Stored points that are delta-encoded. */
     std::size_t deltaCount() const;
+
+    /**
+     * Delta links between the @p i-th stored point and its chain's
+     * keyframe (0 for a plain record): a cold decode of the point
+     * materializes depth + 1 records.
+     */
+    std::size_t chainDepth(std::size_t i) const
+    {
+        return refs_[pos(i)].depth;
+    }
 
     /**
      * Resident-budget charge of the @p i-th stored point: compressed
@@ -330,6 +382,8 @@ class LivePointLibrary
         std::uint64_t basePos = ~std::uint64_t(0); //!< delta base (file pos)
         std::uint64_t rawHash = 0;   //!< checksum of raw bytes (0: absent)
         std::uint64_t chainBytes = 0; //!< size+rawSize summed over chain
+        std::uint64_t keyframe = 0;   //!< file pos of the chain's keyframe
+        std::uint32_t depth = 0;      //!< delta links above the keyframe
         std::uint8_t flags = 0;      //!< 0 or kFlagDelta
         bool inArena = false;        //!< offset is into arena_
     };
@@ -346,6 +400,8 @@ class LivePointLibrary
     ByteSpan recordAt(std::size_t filePos) const;
     void materializeRaw(std::size_t filePos,
                         LivePointDecodeScratch &scratch) const;
+    void noteRequest(std::size_t filePos,
+                     LivePointDecodeScratch &scratch) const;
     void decodeOne(std::size_t filePos, Blob &out, ByteSpan prev) const;
     void validateChains();
 

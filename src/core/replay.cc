@@ -314,6 +314,8 @@ ReplayEngine::simulateOne(const LivePointLibrary &lib, std::size_t pos,
     bytesDecoded_.fetch_add(callerScratch_.payload.size(),
                             std::memory_order_relaxed);
     pointsDecoded_.fetch_add(1, std::memory_order_relaxed);
+    recordsDecoded_.fetch_add(callerScratch_.chain.size(),
+                              std::memory_order_relaxed);
     replaysExecuted_.fetch_add(1, std::memory_order_relaxed);
     return callerCtx_[cfgIdx]->simulate(callerPoint_, approxWrongPath_);
 }
@@ -343,11 +345,11 @@ ReplayEngine::run(
 
     // The bounded decode ring. Slot j cycles through points first+j,
     // first+j+S, ...; nextFill sequences the producers, holds tells a
-    // waiting worker its point has arrived.
+    // waiting worker its point has arrived. A decoded point holds
+    // copies of everything it needs, so a slot keeps only the point.
     struct Slot
     {
         LivePoint point;
-        LivePointDecodeScratch scratch;
         std::size_t holds = 0;
         std::size_t nextFill = 0;
         bool full = false;
@@ -355,6 +357,13 @@ ReplayEngine::run(
     std::vector<Slot> slots(S);
     for (std::size_t j = 0; j < S; ++j)
         slots[(first + j) % S].nextFill = first + j;
+
+    // One decode scratch per producer. Their chain caches together
+    // keep at most 2 * S raw records; a resident budget keeps only
+    // each scratch's last record, the bytes chargeBytes accounts for.
+    std::vector<LivePointDecodeScratch> scratches(producers_);
+    for (LivePointDecodeScratch &sc : scratches)
+        sc.keepChains = residentBudget_ ? 0 : 2 * S / producers_;
 
     std::mutex ringM;
     std::condition_variable cvFill;  //!< producers wait for a free slot
@@ -424,7 +433,8 @@ ReplayEngine::run(
         cvAdmit.notify_all();
     };
 
-    auto producer = [&]() {
+    auto producer = [&](unsigned id) {
+        LivePointDecodeScratch &scratch = scratches[id];
         while (!stop.load(std::memory_order_relaxed)) {
             const std::size_t k = decodeNext.fetch_add(1);
             if (k >= n)
@@ -472,10 +482,12 @@ ReplayEngine::run(
                     return;
             }
             // The slot is exclusively ours until marked full.
-            lib.decodeInto(order[k], s.scratch, s.point);
-            bytesDecoded_.fetch_add(s.scratch.payload.size(),
+            lib.decodeInto(order[k], scratch, s.point);
+            bytesDecoded_.fetch_add(scratch.payload.size(),
                                     std::memory_order_relaxed);
             pointsDecoded_.fetch_add(1, std::memory_order_relaxed);
+            recordsDecoded_.fetch_add(scratch.chain.size(),
+                                      std::memory_order_relaxed);
             {
                 std::lock_guard<std::mutex> lk(ringM);
                 s.full = true;
@@ -594,7 +606,7 @@ ReplayEngine::run(
     const std::function<void(unsigned)> job = [&](unsigned id) {
         try {
             if (id < producers_)
-                producer();
+                producer(id);
             else if (id < producers_ + threads_)
                 worker(id - producers_);
             // A shared pool may be wider than this run needs; the

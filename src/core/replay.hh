@@ -16,7 +16,11 @@
  *    paid once per point, not once per configuration.
  *  - **Decode pipeline.** Dedicated producer threads decompress and
  *    deserialize points into a bounded ring of reusable slot buffers,
- *    so simulation workers never block on the library codec.
+ *    so simulation workers never block on the library codec. Each
+ *    producer owns one decode scratch whose chain cache keeps
+ *    verified raw records of delta chains — together at most twice
+ *    the ring depth — so a shuffled visit resumes partway down its
+ *    chain instead of walking from the keyframe.
  *  - **Work stealing.** Points are claimed from an atomic counter, so
  *    a straggling point never serializes the tail the way static
  *    striding does.
@@ -74,7 +78,11 @@ struct ReplayEngineOptions
     unsigned threads = 1;       //!< simulation workers
     unsigned decodeThreads = 0; //!< decode producers; 0 = auto
     bool approxWrongPath = false;
-    std::size_t ringSlots = 0;  //!< decode ring depth; 0 = auto
+    /**
+     * Decode ring depth; 0 = auto. Also bounds the producers' chain
+     * caches: together they keep at most 2 * ringSlots raw records.
+     */
+    std::size_t ringSlots = 0;
 
     /**
      * Resident-budget streaming mode (0 = off). A nonzero budget
@@ -266,6 +274,16 @@ class ReplayEngine
         return pointsDecoded_.load(std::memory_order_relaxed);
     }
 
+    /**
+     * Records materialized so far — keyframes and delta-chain links
+     * included — across all calls. Divided by pointsDecoded(), the
+     * decode work one visit costs (1 for a plain library).
+     */
+    std::uint64_t recordsDecoded() const
+    {
+        return recordsDecoded_.load(std::memory_order_relaxed);
+    }
+
     /** (point, config) replays executed so far, across all calls. */
     std::uint64_t replaysExecuted() const
     {
@@ -356,6 +374,7 @@ class ReplayEngine
     std::uint64_t residentBudget_;
     std::atomic<std::uint64_t> bytesDecoded_{0};
     std::atomic<std::uint64_t> pointsDecoded_{0};
+    std::atomic<std::uint64_t> recordsDecoded_{0};
     std::atomic<std::uint64_t> replaysExecuted_{0};
     std::atomic<std::uint64_t> peakResidentBytes_{0};
     std::unique_ptr<ThreadPool> ownedPool_;

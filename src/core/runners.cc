@@ -216,6 +216,8 @@ runLivePoints(const Program &prog, const LivePointLibrary &lib,
                            : replayMaskAll(1);
             });
         res.bytesDecoded = engine.bytesDecoded();
+        res.pointsDecoded = engine.pointsDecoded();
+        res.recordsDecoded = engine.recordsDecoded();
         res.peakResidentBytes = engine.peakResidentBytes();
     }
     res.finalSnapshot = estimator.snapshot();

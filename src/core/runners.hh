@@ -94,6 +94,9 @@ struct LivePointRunResult
     double wallSeconds = 0.0;
     std::uint64_t unavailableLoads = 0;
     std::uint64_t bytesDecoded = 0; //!< raw live-point bytes decoded
+    std::uint64_t pointsDecoded = 0;  //!< points the producers decoded
+    /** Records those decodes materialized, chain links included. */
+    std::uint64_t recordsDecoded = 0;
     /** Peak budget-window bytes (0 unless residentBudgetBytes set). */
     std::uint64_t peakResidentBytes = 0;
     std::vector<OnlineSnapshot> trajectory;

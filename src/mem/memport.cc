@@ -308,13 +308,24 @@ void
 MemoryImage::deserializeInto(DerReader &r, MemoryImage &out)
 {
     DerReader seq = r.getSequence();
-    out.blockBytes_ = static_cast<unsigned>(seq.getUint());
+    const std::uint64_t blockBytes = seq.getUint();
+    if (blockBytes > 0xffffffffull)
+        throw std::runtime_error(
+            "memory image: block size exceeds 32 bits");
+    out.blockBytes_ = static_cast<unsigned>(blockBytes);
     // Replay-path storage: one sorted address array plus a contiguous
     // payload buffer, both recycled point to point (the previous
     // decode-once design rebuilt a map node per block per point).
     out.flat_ = true;
     out.blocks_.clear();
     const std::uint64_t count = seq.getUint();
+    // Each block encodes as at least an address integer (3 bytes) and
+    // an octet string (2 bytes of header plus the block). Bounding the
+    // count by that before sizing anything also keeps count *
+    // blockBytes below the record size, so it cannot wrap.
+    if (count > seq.remaining() / (5 + blockBytes))
+        throw std::runtime_error(
+            "memory image: block count exceeds the record");
     out.flatAddrs_.clear();
     out.flatAddrs_.reserve(count);
     out.flatPayload_.resize(count * out.blockBytes_);

@@ -6,13 +6,17 @@
  * sizes), then attacks the decoders: truncation at every byte must
  * raise a clean error, byte corruption must never crash or over-read
  * (the sanitizer CI job watches the memory side), and crafted
- * oversized varints must be rejected.
+ * oversized varints must be rejected. The bulk integer read must
+ * accept exactly what per-integer reads accept, and the cache set
+ * record it feeds must reject impossible line counts and install
+ * duplicate lines without a memory error.
  */
 
 #include "test_util.hh"
 
 #include <cstring>
 
+#include "cache/warmstate.hh"
 #include "codec/der.hh"
 #include "codec/zip.hh"
 
@@ -153,6 +157,106 @@ mutateBuffer(const Blob &data, std::uint64_t seed)
         }
     }
     return prev;
+}
+
+/**
+ * One bulk read of @p n integers against n getUint() calls over the
+ * same bytes: the same values and the same bytes left, or both throw
+ * std::runtime_error. Any other exception fails the check.
+ */
+void
+checkBulkUints(const Blob &bytes, std::size_t n)
+{
+    enum Outcome { ok, runtimeError, otherError };
+    std::vector<std::uint64_t> bulk(n);
+    std::vector<std::uint64_t> single(n);
+    Outcome bulkOutcome = ok;
+    Outcome singleOutcome = ok;
+    std::size_t bulkLeft = 0;
+    std::size_t singleLeft = 0;
+    try {
+        DerReader r(bytes);
+        r.getUints(bulk.data(), n);
+        bulkLeft = r.remaining();
+    } catch (const std::runtime_error &) {
+        bulkOutcome = runtimeError;
+    } catch (...) {
+        bulkOutcome = otherError;
+    }
+    try {
+        DerReader r(bytes);
+        for (std::size_t i = 0; i < n; ++i)
+            single[i] = r.getUint();
+        singleLeft = r.remaining();
+    } catch (const std::runtime_error &) {
+        singleOutcome = runtimeError;
+    } catch (...) {
+        singleOutcome = otherError;
+    }
+    CHECK(bulkOutcome != otherError && singleOutcome != otherError);
+    CHECK_EQ(bulkOutcome, singleOutcome);
+    if (bulkOutcome == ok && singleOutcome == ok) {
+        CHECK(bulk == single);
+        CHECK_EQ(bulkLeft, singleLeft);
+    }
+}
+
+/**
+ * Append one integer-tagged value of @p rng's choosing: mostly valid
+ * (canonical, or content under a long-form length), sometimes one of
+ * the malformed shapes — an 11-group varint, a terminator before the
+ * last content byte, no terminator, a bad length, or a wrong tag.
+ */
+void
+putFuzzUint(Blob &out, Rng &rng)
+{
+    std::uint64_t v = rng.next() >> rng.nextBounded(64);
+    Blob content;
+    do {
+        content.push_back(static_cast<std::uint8_t>(
+            (v & 0x7f) | (v >= 0x80 ? 0x80 : 0)));
+        v >>= 7;
+    } while (!content.empty() && (content.back() & 0x80));
+    std::uint8_t tag = 0x02;
+    unsigned longForm = 0; // bytes of a long-form length, 0 = short
+    const std::uint64_t shape = rng.nextBounded(24);
+    switch (shape) {
+      case 0: // 11 groups: past 64 bits
+        content.assign(10, 0x81);
+        content.push_back(0x01);
+        break;
+      case 1: // a terminator before the last content byte
+        content.insert(content.begin(), 0x05);
+        break;
+      case 2: // no terminator at all
+        content.back() |= 0x80;
+        break;
+      case 3: // wrong tag
+        tag = rng.nextBool(0.5) ? 0x04 : 0x30;
+        break;
+      case 4: // long form with no length bytes, or more than 8
+        out.push_back(0x02);
+        out.push_back(rng.nextBool(0.5) ? 0x80 : 0x89);
+        out.insert(out.end(), content.begin(), content.end());
+        return;
+      case 5:
+      case 6:
+      case 7: // valid content under a long-form length
+        longForm = 1 + static_cast<unsigned>(rng.nextBounded(8));
+        break;
+      default:
+        break;
+    }
+    out.push_back(tag);
+    if (longForm == 0) {
+        out.push_back(static_cast<std::uint8_t>(content.size()));
+    } else {
+        out.push_back(static_cast<std::uint8_t>(0x80 | longForm));
+        for (unsigned b = longForm; b--;)
+            out.push_back(static_cast<std::uint8_t>(
+                b < 8 ? content.size() >> (8 * b) : 0));
+    }
+    out.insert(out.end(), content.begin(), content.end());
 }
 
 } // namespace
@@ -426,6 +530,103 @@ main()
         crafted.push_back(0x01);
         DerReader r(crafted);
         CHECK_THROWS(r.getUint());
+    }
+
+    // der: the bulk integer read against n getUint() calls, over
+    // seeded sequences of valid and malformed integers, every
+    // truncation of each, single-byte flips, and reads past the end.
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        Rng rng(i, "fuzz-der-bulk");
+        const std::size_t n = 1 + rng.nextBounded(24);
+        Blob bytes;
+        for (std::size_t j = 0; j < n; ++j)
+            putFuzzUint(bytes, rng);
+        for (const std::size_t m : {std::size_t{0}, n / 2, n, n + 1})
+            checkBulkUints(bytes, m);
+        for (std::size_t cut = 0; cut < bytes.size(); ++cut)
+            checkBulkUints(Blob(bytes.begin(),
+                                bytes.begin() +
+                                    static_cast<std::ptrdiff_t>(cut)),
+                           n);
+        for (int f = 0; f < 16; ++f) {
+            Blob bad = bytes;
+            bad[rng.nextBounded(bad.size())] ^=
+                static_cast<std::uint8_t>(1 + rng.nextBounded(255));
+            checkBulkUints(bad, n);
+        }
+    }
+
+    // warm state: a cache set record whose line count exceeds what
+    // its bytes can hold (3 per integer at the least) is corrupt. It
+    // must be rejected by name before anything is sized from the
+    // count — a 2^40 count would otherwise be a 8 TiB vector.
+    {
+        auto csrBytes = [](std::uint64_t count, std::size_t lines) {
+            DerWriter w;
+            w.beginSequence();
+            w.putUint(4 * 1024 * 1024);
+            w.putUint(8);
+            w.putUint(128);
+            w.putUint(count);
+            for (std::size_t j = 0; j < lines; ++j)
+                w.putUint(2 * j); // one content byte each
+            w.endSequence();
+            return w.finish();
+        };
+        const std::size_t lines = 40;
+        for (const std::uint64_t count :
+             {std::uint64_t{lines + 1}, std::uint64_t{1} << 40,
+              ~std::uint64_t(0)}) {
+            const Blob bytes = csrBytes(count, lines);
+            DerReader r(bytes);
+            CacheSetRecord rec;
+            bool named = false;
+            try {
+                CacheSetRecord::deserializeInto(r, rec);
+            } catch (const std::runtime_error &e) {
+                named = std::strstr(e.what(), "cache set record") !=
+                        nullptr;
+            }
+            CHECK(named);
+        }
+        // The exact count still decodes and re-serializes verbatim.
+        const Blob good = csrBytes(lines, lines);
+        DerReader r(good);
+        const CacheSetRecord rec = CacheSetRecord::deserialize(r);
+        CHECK_EQ(rec.entryCount(), lines);
+        CHECK(rec.serialize() == good);
+    }
+
+    // warm state: a record with duplicate lines (no builder writes
+    // one) must still install without a memory error into every
+    // target shape, and never hold more lines than the target has.
+    for (std::uint64_t i = 0; i < 20; ++i) {
+        Rng rng(i, "fuzz-csr-dups");
+        DerWriter w;
+        const std::size_t n = 1 + rng.nextBounded(4000);
+        w.beginSequence();
+        w.putUint(4 * 1024 * 1024);
+        w.putUint(8);
+        w.putUint(128);
+        w.putUint(n);
+        const std::uint64_t pool = 1 + rng.nextBounded(64);
+        for (std::size_t j = 0; j < n; ++j)
+            w.putUint(rng.nextBounded(pool) * 2 + rng.nextBounded(2));
+        w.endSequence();
+        const Blob bytes = w.finish();
+        DerReader r(bytes);
+        const CacheSetRecord rec = CacheSetRecord::deserialize(r);
+        for (const CacheGeometry &g :
+             {CacheGeometry{4 * 1024 * 1024, 8, 128},
+              CacheGeometry{1024 * 1024, 4, 128},
+              CacheGeometry{3 * 100 * 128, 3, 128},
+              CacheGeometry{64 * 128, 1, 128}}) {
+            CacheModel target(g, "dup-target");
+            rec.reconstruct(target);
+            CHECK(target.residentLines() <= g.numLines());
+            CHECK_EQ(target.accessClock(), n);
+            target.access(rng.nextBounded(pool) * 128, true);
+        }
     }
 
     return TEST_MAIN_RESULT();

@@ -3,8 +3,11 @@
  * records, deterministic shuffling, breakdown accounting — and
  * container robustness: every header and record-table field of a
  * saved library corrupted in place, and the file truncated at every
- * section boundary, must produce a clean load error, never a crash.
- * Every load-facing check runs through each storage backend (owned
+ * section boundary, must produce a clean load error, never a crash;
+ * crafted record counts must fail by name before they size a buffer;
+ * and a replay producer's chain-cache scratch must decode, and fail,
+ * exactly as a default scratch does. Every load-facing check runs
+ * through each storage backend (owned
  * buffer and mmap): the backends must be indistinguishable except in
  * how the bytes are held. Also the sharded fleet store (LibrarySet):
  * streaming writes, lazy opens, index metadata, and integrity
@@ -19,9 +22,11 @@
 #include <vector>
 
 #include "codec/der.hh"
+#include "codec/zip.hh"
 #include "core/builder.hh"
 #include "core/library.hh"
 #include "core/library_set.hh"
+#include "core/replay.hh"
 #include "uarch/config.hh"
 
 namespace
@@ -353,6 +358,92 @@ main()
         std::remove(pbad.c_str());
     }
 
+    // Crafted plain records (LPLIB3 carries no raw checksum, so a
+    // library file reaches the record parsers as is): wire counts
+    // that would size a buffer far past the record, and a block count
+    // whose product with the block size wraps 64 bits. Each must be
+    // rejected with a runtime_error naming its section, through every
+    // backend — never an allocation failure or a write past a buffer.
+    {
+        const LivePoint p0 = lib.get(0);
+        enum class Craft { csrCount, imageCount, imageWrap, imageBlock };
+        auto craftRecord = [&p0](Craft c) {
+            DerWriter w;
+            w.beginSequence();
+            w.putUint(p0.index);
+            w.putUint(p0.windowStart);
+            w.putUint(p0.warmLen);
+            w.putUint(p0.measureLen);
+            p0.regs.serialize(w);
+            if (c == Craft::csrCount) {
+                p0.memImage.serialize(w);
+            } else {
+                const std::uint64_t blockBytes =
+                    c == Craft::imageWrap    ? std::uint64_t{1} << 31
+                    : c == Craft::imageBlock ? (std::uint64_t{1} << 32) + 64
+                                             : 64;
+                const std::uint64_t count =
+                    c == Craft::imageWrap ? std::uint64_t{1} << 33
+                    : c == Craft::imageBlock ? 1
+                                             : std::uint64_t{1} << 40;
+                w.beginSequence();
+                w.putUint(blockBytes);
+                w.putUint(count);
+                w.putUint(0);
+                w.putBytes(Blob(64, 0xab));
+                w.endSequence();
+            }
+            if (c == Craft::csrCount) {
+                w.beginSequence();
+                w.putUint(32 * 1024);
+                w.putUint(2);
+                w.putUint(64);
+                w.putUint(std::uint64_t{1} << 40);
+                for (std::uint64_t j = 0; j < 8; ++j)
+                    w.putUint(j * 2);
+                w.endSequence();
+            } else {
+                p0.l1i.serialize(w);
+            }
+            p0.l1d.serialize(w);
+            p0.l2.serialize(w);
+            p0.itlb.serialize(w);
+            p0.dtlb.serialize(w);
+            w.putUint(p0.bpredImages.size());
+            for (const auto &kv : p0.bpredImages) {
+                w.putString(kv.first);
+                w.putBytes(kv.second);
+            }
+            w.endSequence();
+            return w.finish();
+        };
+        const std::string pcraft = "libtest-crafted.lpl";
+        for (const Craft c : {Craft::csrCount, Craft::imageCount,
+                              Craft::imageWrap, Craft::imageBlock}) {
+            const Blob raw = craftRecord(c);
+            LivePointLibrary crafted(lib.benchmark(), lib.design());
+            crafted.addEncoded(zipCompress(raw), raw.size(), p0.index, 0,
+                               0);
+            crafted.save(pcraft);
+            const char *section = c == Craft::csrCount
+                                      ? "cache set record"
+                                      : "memory image";
+            for (const StorageBackend backend : backends) {
+                const LivePointLibrary loaded =
+                    LivePointLibrary::load(pcraft, backend);
+                bool named = false;
+                try {
+                    loaded.get(0);
+                } catch (const std::runtime_error &e) {
+                    named = std::string(e.what()).find(section) !=
+                            std::string::npos;
+                }
+                CHECK(named);
+            }
+        }
+        std::remove(pcraft.c_str());
+    }
+
     // Checkpoint economics: a delta-chained library (LPLIB4) decodes
     // point-for-point identically to the plain build, stores fewer
     // bytes, and survives save/load/shuffle through every backend
@@ -443,10 +534,34 @@ main()
                 LivePoint p;
                 for (std::size_t i = 0; i < b.size(); ++i) {
                     CHECK_EQ(b.windowIndex(i), sh.windowIndex(i));
+                    CHECK_EQ(b.chainDepth(i), sh.chainDepth(i));
+                    CHECK_EQ(b.chainDepth(i) == 0,
+                             !(b.recordFlags(i) &
+                               LivePointLibrary::kFlagDelta));
                     b.decodeInto(i, scratch, p);
                     CHECK(p.serialize() ==
                           lib.get(b.windowIndex(i)).serialize());
                 }
+
+                // A replay producer's scratch (a chain cache of 16)
+                // visiting in shuffled order decodes every record
+                // exactly as a fresh scratch does, while walking
+                // fewer records than cold walks (depth + 1 each).
+                LivePointDecodeScratch cached;
+                cached.keepChains = 16;
+                std::size_t walked = 0;
+                std::size_t cold = 0;
+                for (const std::size_t i : replayOrder(b.size(), 41)) {
+                    LivePointDecodeScratch fresh;
+                    LivePoint q;
+                    b.decodeInto(i, cached, p);
+                    b.decodeInto(i, fresh, q);
+                    CHECK(p.serialize() == q.serialize());
+                    CHECK(cached.payload == fresh.payload);
+                    walked += cached.chain.size();
+                    cold += b.chainDepth(i) + 1;
+                }
+                CHECK(walked < cold);
             }
             std::remove(psh.c_str());
         }
@@ -475,6 +590,47 @@ main()
             CHECK_EQ(count, clib.size());
             const std::string pbad = "libtest-lpl4-bad.lpl";
 
+            // The plain build's raw bytes per position: what every
+            // successful decode, and every raw a chain cache keeps,
+            // must hold.
+            std::vector<Blob> plainRaw;
+            for (std::size_t i = 0; i < lib.size(); ++i)
+                plainRaw.push_back(lib.get(i).serialize());
+
+            // The damaged file through a replay producer's scratch (a
+            // 16-chain cache) in shuffled order: each record fails or
+            // succeeds exactly as through a default scratch, each
+            // success equals the plain build, and after every decode
+            // each kept raw is its record's verified raw — a failed
+            // decode never leaves an entry behind.
+            auto sameThroughChainCache = [&](const LivePointLibrary &d) {
+                std::vector<bool> decodes(d.size());
+                LivePoint p;
+                for (std::size_t i = 0; i < d.size(); ++i) {
+                    LivePointDecodeScratch fresh;
+                    try {
+                        d.decodeInto(i, fresh, p);
+                        decodes[i] = true;
+                    } catch (const std::exception &) {
+                    }
+                }
+                LivePointDecodeScratch cached;
+                cached.keepChains = 16;
+                for (const std::size_t i : replayOrder(d.size(), 31)) {
+                    bool ok = true;
+                    try {
+                        d.decodeInto(i, cached, p);
+                        CHECK(p.serialize() == plainRaw[i]);
+                    } catch (const std::exception &) {
+                        ok = false;
+                    }
+                    CHECK_EQ(ok, decodes[i]);
+                    for (const auto &e : cached.kept)
+                        if (e.pos != ~std::uint64_t(0))
+                            CHECK(e.raw == plainRaw[e.pos]);
+                }
+            };
+
             // The file must fail loudly: load throws, or at least one
             // decode throws — and no decode may return wrong bytes.
             auto mustFail = [&](const Blob &bad) {
@@ -499,6 +655,7 @@ main()
                                 anyThrew = true;
                             }
                         }
+                        sameThroughChainCache(damaged);
                     } catch (const std::exception &) {
                         anyThrew = true;
                     }
@@ -572,6 +729,42 @@ main()
                 bad[tableAt + deltaRow * 56 + 32] |= 0x80;
                 mustFail(bad);
             }
+            // A decode that fails straight into payload must not leave
+            // the previous record named as cached: decode keyframe a,
+            // then keyframe b whose table rawSize is off by one (its
+            // bytes land in payload before the size check fails), then
+            // a's first delta, which must still decode from a's bytes.
+            {
+                std::vector<std::size_t> keys; // keyframes with a child
+                for (std::size_t i = 0; i + 1 < count; ++i)
+                    if (clib.chainDepth(i) == 0 &&
+                        clib.chainDepth(i + 1) == 1)
+                        keys.push_back(i);
+                CHECK(keys.size() >= 2);
+                if (keys.size() >= 2) {
+                    const std::size_t a = keys[0];
+                    const std::size_t b = keys[1];
+                    Blob bad = good;
+                    bad[tableAt + b * 56 + 16] ^= 0x01;
+                    spewFile(pbad, bad);
+                    for (const StorageBackend backend : backends) {
+                        const LivePointLibrary damaged =
+                            LivePointLibrary::load(pbad, backend);
+                        LivePointDecodeScratch scratch;
+                        LivePoint p;
+                        damaged.decodeInto(a, scratch, p);
+                        CHECK_THROWS(damaged.decodeInto(b, scratch, p));
+                        bool ok = true;
+                        try {
+                            damaged.decodeInto(a + 1, scratch, p);
+                        } catch (const std::exception &) {
+                            ok = false;
+                        }
+                        CHECK(ok && p.serialize() == plainRaw[a + 1]);
+                        sameThroughChainCache(damaged);
+                    }
+                }
+            }
             // A flipped window index on delta record 1 fails that
             // record's decode alone. Decoding in stored order through
             // one scratch (the inspect_library --verify walk) must not
@@ -598,6 +791,7 @@ main()
                         }
                     }
                     CHECK_EQ(failures, 1u);
+                    sameThroughChainCache(damaged);
                 }
             }
             // Truncation at the section boundaries.
@@ -608,12 +802,20 @@ main()
                     good.begin(),
                     good.begin() + static_cast<std::ptrdiff_t>(cut)));
             }
-            // Pristine bytes still load and decode (harness sanity).
+            // Pristine bytes still load and decode (harness sanity),
+            // and each record's raw bytes are the plain build's.
             spewFile(pbad, good);
             {
                 const LivePointLibrary ok =
                     LivePointLibrary::load(pbad);
                 CHECK(ok.get(0).serialize() == lib.get(0).serialize());
+                LivePointDecodeScratch scratch;
+                LivePoint p;
+                for (std::size_t i = 0; i < ok.size(); ++i) {
+                    ok.decodeInto(i, scratch, p);
+                    CHECK(scratch.payload == plainRaw[i]);
+                }
+                sameThroughChainCache(ok);
             }
             std::remove(pbad.c_str());
         }

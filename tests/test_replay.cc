@@ -6,7 +6,8 @@
  * everywhere. The storage matrix: every backend (in-memory arena,
  * owned-buffer load, mmap load) and the resident-budget streaming
  * mode must reproduce the same bits at threads 1/2/4, stopping
- * included.
+ * included. At one decode producer, the engine's count of records
+ * decoded repeats exactly and beats cache-less chain walks.
  */
 
 #include "test_util.hh"
@@ -287,7 +288,46 @@ main()
                                   (budget ? budget : window));
                     }
                 }
+                // Several producers, each with its own chain cache,
+                // decode the same points.
+                LivePointRunOptions opt = ref;
+                opt.threads = 4;
+                opt.decodeThreads = 3;
+                const LivePointRunResult r =
+                    runLivePoints(prog, loaded, cfg, opt);
+                CHECK_EQ(r.processed, base.processed);
+                CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
+                CHECK_EQ(r.unavailableLoads, base.unavailableLoads);
             }
+        }
+
+        // Decode work inside the engine. At one producer a shuffled
+        // visit materializes an exactly repeatable number of records
+        // (keyframes and chain links), fewer than cache-less walks —
+        // chain depth + 1 per point — would.
+        {
+            const LivePointLibrary loaded = LivePointLibrary::load(path);
+            const std::vector<std::size_t> order =
+                replayOrder(loaded.size(), 5);
+            std::uint64_t cold = 0;
+            for (const std::size_t k : order)
+                cold += loaded.chainDepth(k) + 1;
+            std::uint64_t records[2] = {0, 0};
+            for (std::uint64_t &count : records) {
+                ReplayEngineOptions ro;
+                ro.threads = 1;
+                ro.decodeThreads = 1;
+                ReplayEngine eng(prog, {cfg}, ro);
+                eng.run(
+                    loaded, order, 8, false,
+                    [](std::size_t, const WindowResult *) {},
+                    [](std::size_t) { return ~std::uint64_t(0); });
+                CHECK_EQ(eng.pointsDecoded(), loaded.size());
+                count = eng.recordsDecoded();
+            }
+            CHECK_EQ(records[0], records[1]);
+            CHECK(records[0] >= loaded.size());
+            CHECK(records[0] < cold);
         }
         std::remove(path.c_str());
     }

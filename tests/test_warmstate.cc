@@ -1,12 +1,17 @@
 /**
  * The exactness property live-points rely on: a CacheSetRecord taken
  * at a maximum geometry reconstructs a smaller target cache to
- * exactly the state direct warming would have produced.
+ * exactly the state direct warming would have produced. And the
+ * install that reconstruct() performs equals, bit for bit, replaying
+ * the record's lines through access() — the original reconstruct,
+ * kept here as the oracle — at every target geometry with the
+ * record's line size.
  */
 
 #include "harness.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "cache/cache.hh"
 #include "cache/warmstate.hh"
@@ -18,9 +23,13 @@ namespace
 
 using namespace lp;
 
-/** Compare full contents + LRU behaviour of two caches. */
+/**
+ * Compare full contents + LRU behaviour of two caches: the same tags
+ * in the same recency order per set, and with @p dirty the same dirty
+ * bits too.
+ */
 bool
-sameState(const CacheModel &a, const CacheModel &b)
+sameState(const CacheModel &a, const CacheModel &b, bool dirty = false)
 {
     if (a.numSets() != b.numSets())
         return false;
@@ -30,19 +39,101 @@ sameState(const CacheModel &a, const CacheModel &b)
         if (sa.size() != sb.size())
             return false;
         // Same tags, and same recency ordering.
-        std::vector<std::pair<std::uint64_t, Addr>> oa;
-        std::vector<std::pair<std::uint64_t, Addr>> ob;
+        std::vector<std::pair<std::uint64_t, CacheLine>> oa;
+        std::vector<std::pair<std::uint64_t, CacheLine>> ob;
         for (const CacheLine &l : sa)
-            oa.emplace_back(l.lastAccess, l.tag);
+            oa.emplace_back(l.lastAccess, l);
         for (const CacheLine &l : sb)
-            ob.emplace_back(l.lastAccess, l.tag);
-        std::sort(oa.begin(), oa.end());
-        std::sort(ob.begin(), ob.end());
-        for (std::size_t i = 0; i < oa.size(); ++i)
-            if (oa[i].second != ob[i].second)
+            ob.emplace_back(l.lastAccess, l);
+        auto byStamp = [](const auto &x, const auto &y) {
+            return x.first < y.first;
+        };
+        std::sort(oa.begin(), oa.end(), byStamp);
+        std::sort(ob.begin(), ob.end(), byStamp);
+        for (std::size_t i = 0; i < oa.size(); ++i) {
+            if (oa[i].second.tag != ob[i].second.tag)
+                return false;
+            if (dirty && oa[i].second.dirty != ob[i].second.dirty)
+                return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * Way-exact equality: per set, the same (tag, stamp, dirty) in every
+ * way, in way order, and the same access clock.
+ */
+bool
+sameWays(const CacheModel &a, const CacheModel &b)
+{
+    if (a.numSets() != b.numSets() || a.accessClock() != b.accessClock())
+        return false;
+    for (std::uint64_t s = 0; s < a.numSets(); ++s) {
+        const std::vector<CacheLine> la = a.linesOfSet(s);
+        const std::vector<CacheLine> lb = b.linesOfSet(s);
+        if (la.size() != lb.size())
+            return false;
+        for (std::size_t w = 0; w < la.size(); ++w)
+            if (la[w].tag != lb[w].tag ||
+                la[w].lastAccess != lb[w].lastAccess ||
+                la[w].dirty != lb[w].dirty)
                 return false;
     }
     return true;
+}
+
+/**
+ * The oracle: reset, then one access() per recorded line, oldest
+ * first — the lines read back from the record's wire form.
+ */
+void
+replayRecord(const CacheSetRecord &csr, CacheModel &target)
+{
+    const Blob bytes = csr.serialize();
+    DerReader r(bytes);
+    DerReader seq = r.getSequence();
+    seq.getUint(); // size
+    seq.getUint(); // assoc
+    const std::uint64_t lineBytes = seq.getUint();
+    const std::uint64_t n = seq.getUint();
+    target.reset();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t v = seq.getUint();
+        target.access((v >> 1) * lineBytes, (v & 1) != 0);
+    }
+}
+
+/**
+ * Install vs replay of @p csr into @p geom: the same ways, stamps,
+ * dirty bits and clock, and then the same hit and writeback on every
+ * access of one 10^5-access stream.
+ */
+void
+checkInstallEqualsReplay(const CacheSetRecord &csr,
+                         const CacheGeometry &geom, std::uint64_t seed)
+{
+    CacheModel installed(geom, "installed");
+    CacheModel replayed(geom, "replayed");
+    // Dirty the target first: the install must not depend on what
+    // the cache held before.
+    Rng pre(seed, "pre-state");
+    for (int i = 0; i < 5'000; ++i)
+        installed.access(pre.nextBounded(64ull << 20), true);
+    csr.reconstruct(installed);
+    replayRecord(csr, replayed);
+    CHECK(sameWays(installed, replayed));
+    Rng rng(seed, "after-install");
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < 100'000; ++i) {
+        const Addr a = rng.nextBounded(96ull << 20) & ~7ull;
+        const bool write = rng.nextBool(0.3);
+        const AccessResult x = installed.access(a, write);
+        const AccessResult y = replayed.access(a, write);
+        mismatches += x.hit != y.hit || x.writeback != y.writeback;
+    }
+    CHECK_EQ(mismatches, 0u);
+    CHECK(sameWays(installed, replayed));
 }
 
 } // namespace
@@ -75,10 +166,11 @@ main()
         csr.reconstruct(rebuilt);
         CHECK(sameState(direct, rebuilt));
 
-        // Same-geometry reconstruction is exact too.
+        // Same-geometry reconstruction is exact too, dirty bits
+        // included.
         CacheModel same(maxGeom, "same");
         csr.reconstruct(same);
-        CHECK(sameState(maxCache, same));
+        CHECK(sameState(maxCache, same, true));
 
         // CSR round-trips through serialization byte-exactly.
         const Blob bytes = csr.serialize();
@@ -88,6 +180,50 @@ main()
         CacheModel rebuilt2(smallGeom, "rebuilt2");
         back.reconstruct(rebuilt2);
         CHECK(sameState(direct, rebuilt2));
+
+        // The install equals the replay, bit for bit: at the maximum,
+        // a smaller power-of-two geometry, a 3-way cache with a
+        // non-power-of-two set count (1000 sets), 1-way, and a target
+        // larger than the maximum.
+        const CacheGeometry targets[] = {
+            maxGeom,
+            smallGeom,
+            {3 * 1000 * 128, 3, 128},
+            {256 * 1024, 1, 128},
+            {8 * 1024 * 1024, 16, 128},
+        };
+        std::uint64_t seed = 100;
+        for (const CacheGeometry &g : targets)
+            checkInstallEqualsReplay(csr, g, seed++);
+
+        // A target with another line size cannot take the record's
+        // line numbers: it throws, naming both sizes.
+        CacheModel wrongLine({1024 * 1024, 4, 64}, "l2-64b");
+        bool threw = false;
+        try {
+            csr.reconstruct(wrongLine);
+        } catch (const std::invalid_argument &e) {
+            threw = std::string(e.what()).find("64") !=
+                        std::string::npos &&
+                    std::string(e.what()).find("128") !=
+                        std::string::npos;
+        }
+        CHECK(threw);
+    }
+
+    // The same for a TLB (4 KB pages): a record at the maximum TLB
+    // geometry installs into smaller and odd TLBs exactly as a replay.
+    {
+        const CacheGeometry maxTlb{256 * 4096, 4, 4096};
+        CacheModel tlb(maxTlb, "dtlb-max");
+        Rng rng(24, "tlb");
+        for (int i = 0; i < 50'000; ++i)
+            tlb.access(rng.nextBounded(64ull << 20), rng.nextBool(0.2));
+        const CacheSetRecord csr(tlb);
+        CHECK(csr.entryCount() > 0);
+        checkInstallEqualsReplay(csr, maxTlb, 200);
+        checkInstallEqualsReplay(csr, {64 * 4096, 4, 4096}, 201);
+        checkInstallEqualsReplay(csr, {48 * 4096, 3, 4096}, 202);
     }
 
     // MTR reconstructs the same warm state as direct warming (it has
