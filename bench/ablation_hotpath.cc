@@ -99,35 +99,6 @@ decodeMBps(const LivePointLibrary &lib,
     return best;
 }
 
-/** Pull `"key": <number>` out of a JSON blob; nan when absent. */
-double
-jsonNumber(const std::string &json, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\"";
-    const std::size_t at = json.find(needle);
-    if (at == std::string::npos)
-        return std::nan("");
-    std::size_t p = at + needle.size();
-    while (p < json.size() && (json[p] == ':' || json[p] == ' '))
-        ++p;
-    return std::strtod(json.c_str() + p, nullptr);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return "";
-    std::string out;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return out;
-}
-
 } // namespace
 
 int
@@ -239,54 +210,10 @@ main()
               "1.5x floor",
               speedup);
 
-    const char *baseEnv = std::getenv("LP_BENCH_BASELINE");
-    const std::string basePath =
-        baseEnv ? baseEnv : "bench/BENCH_6.baseline.json";
-    if (basePath == "none") {
-        std::printf("baseline gate skipped (LP_BENCH_BASELINE=none)\n");
-        return 0;
-    }
-    const std::string baseline = readFile(basePath);
-    if (baseline.empty()) {
-        std::printf("baseline gate skipped: '%s' not found (set "
-                    "LP_BENCH_BASELINE, or run from the repo root)\n",
-                    basePath.c_str());
-        return 0;
-    }
-    // Only the machine-normalized metrics gate — absolute MB/s and
-    // points/s track runner speed, the two ratios track the code.
-    struct Gate
-    {
-        const char *key;
-        double now;
-    };
-    const Gate gates[] = {
-        {"decode_speedup", speedup},
-        {"points_per_norm", pointsPerNorm},
-    };
-    bool failed = false;
-    for (const Gate &g : gates) {
-        const double base = jsonNumber(baseline, g.key);
-        if (std::isnan(base) || base <= 0) {
-            std::printf("baseline gate: '%s' missing from %s, "
-                        "skipped\n",
-                        g.key, basePath.c_str());
-            continue;
-        }
-        const double rel = g.now / base;
-        const bool ok = rel >= 0.9;
-        std::printf("baseline gate: %-16s %8.3f vs %8.3f baseline "
-                    "(%+.1f%%)%s\n",
-                    g.key, g.now, base, (rel - 1.0) * 100.0,
-                    ok ? "" : "  ** REGRESSION **");
-        failed = failed || !ok;
-    }
-    if (failed) {
-        std::fprintf(stderr,
-                     "ablation_hotpath: >10%% regression against %s\n",
-                     basePath.c_str());
+    if (!baselineGate("ablation_hotpath", "bench/BENCH_6.baseline.json",
+                      {{"decode_speedup", speedup},
+                       {"points_per_norm", pointsPerNorm}}))
         return 1;
-    }
     std::printf("\nbatched decode reproduced the reference bytes on "
                 "every record; normalized metrics within 10%% of "
                 "baseline.\n");

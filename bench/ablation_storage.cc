@@ -26,8 +26,6 @@
  *   LP_BENCH_BASELINE=path  baseline JSON (default
  *                           bench/BENCH_10.baseline.json); "none"
  *                           skips the gate
- *   LP_HUGEPAGES=1          request MADV_HUGEPAGE on mmap backings;
- *                           whether it was applied is reported
  *
  * With LP_BENCH_JSON set, emits BENCH_5-style machine-readable
  * numbers (load ms, replays/s, peak RSS, budget gate) so CI tracks
@@ -131,35 +129,6 @@ bestReplaysPerSec(const Program &prog, const LivePointLibrary &lib,
                     r.pointsDecoded, 1));
     }
     return best;
-}
-
-/** Pull `"key": <number>` out of a JSON blob; nan when absent. */
-double
-jsonNumber(const std::string &json, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\"";
-    const std::size_t at = json.find(needle);
-    if (at == std::string::npos)
-        return std::nan("");
-    std::size_t p = at + needle.size();
-    while (p < json.size() && (json[p] == ':' || json[p] == ' '))
-        ++p;
-    return std::strtod(json.c_str() + p, nullptr);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return "";
-    std::string out;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return out;
 }
 
 } // namespace
@@ -347,13 +316,11 @@ main()
 
     // Budgeted, loaded replay of the delta variant: chains charge
     // their whole length, and the bits still match.
-    bool econHugepages = false;
     {
         const std::string dpath =
             s.cacheDir + "/ablation-storage-delta.lpl";
         deltaLib.save(dpath);
         const LivePointLibrary loaded = LivePointLibrary::load(dpath);
-        econHugepages = loaded.hugepagesApplied();
         std::uint64_t charge = 0;
         for (std::size_t i = 0; i < loaded.size(); ++i)
             charge += loaded.chargeBytes(i);
@@ -377,9 +344,6 @@ main()
     std::printf("bytes/point cut %.2fx, decode norm %.2f, replay norm "
                 "%.2f\n",
                 bppCut, decodeNorm, replayNorm);
-    std::printf("hugepages: requested %s, applied %s (mmap backing)\n",
-                hugepagesRequestedByEnv() ? "yes" : "no",
-                econHugepages ? "yes" : "no");
 
     const std::string json = strfmt(
         "{\n  \"bench\": \"ablation_storage\",\n"
@@ -426,17 +390,13 @@ main()
         "  \"replay_norm\": %.4f,\n"
         "  \"records_per_point_plain\": %.3f,\n"
         "  \"records_per_point_delta\": %.3f,\n"
-        "  \"hugepages_requested\": %s,\n"
-        "  \"hugepages_applied\": %s,\n"
         "  \"identical\": true\n}\n",
         b.profile.name.c_str(), static_cast<unsigned long long>(n),
         variants[0].bytesPerPoint, variants[1].bytesPerPoint, bppCut,
         deltaLib.deltaCount(), variants[0].decodeMbps,
         variants[1].decodeMbps, decodeNorm, variants[0].rps,
         variants[1].rps, replayNorm, variants[0].recordsPerPoint,
-        variants[1].recordsPerPoint,
-        hugepagesRequestedByEnv() ? "true" : "false",
-        econHugepages ? "true" : "false");
+        variants[1].recordsPerPoint);
     if (const char *econPath = std::getenv("LP_BENCH_ECON_JSON")) {
         BenchSettings es = s;
         es.jsonPath = econPath;
@@ -454,58 +414,11 @@ main()
               "below the 2x floor",
               bppCut);
 
-    const char *baseEnv = std::getenv("LP_BENCH_BASELINE");
-    const std::string basePath =
-        baseEnv ? baseEnv : "bench/BENCH_10.baseline.json";
-    if (basePath != "none") {
-        const std::string baseline = readFile(basePath);
-        if (baseline.empty()) {
-            std::printf("baseline gate skipped: '%s' not found (set "
-                        "LP_BENCH_BASELINE, or run from the repo "
-                        "root)\n",
-                        basePath.c_str());
-        } else {
-            // Only machine-normalized ratios gate — absolute MB/s
-            // and replays/s track runner speed, the ratios track the
-            // code.
-            struct Gate
-            {
-                const char *key;
-                double now;
-            };
-            const Gate gates[] = {
-                {"bytes_per_point_cut", bppCut},
-                {"decode_norm", decodeNorm},
-                {"replay_norm", replayNorm},
-            };
-            bool failed = false;
-            for (const Gate &g : gates) {
-                const double base = jsonNumber(baseline, g.key);
-                if (std::isnan(base) || base <= 0) {
-                    std::printf("baseline gate: '%s' missing from "
-                                "%s, skipped\n",
-                                g.key, basePath.c_str());
-                    continue;
-                }
-                const double rel = g.now / base;
-                const bool ok = rel >= 0.9;
-                std::printf("baseline gate: %-20s %8.3f vs %8.3f "
-                            "baseline (%+.1f%%)%s\n",
-                            g.key, g.now, base, (rel - 1.0) * 100.0,
-                            ok ? "" : "  ** REGRESSION **");
-                failed = failed || !ok;
-            }
-            if (failed) {
-                std::fprintf(stderr,
-                             "ablation_storage: >10%% regression "
-                             "against %s\n",
-                             basePath.c_str());
-                return 1;
-            }
-        }
-    } else {
-        std::printf("baseline gate skipped (LP_BENCH_BASELINE=none)\n");
-    }
+    if (!baselineGate("ablation_storage", "bench/BENCH_10.baseline.json",
+                      {{"bytes_per_point_cut", bppCut},
+                       {"decode_norm", decodeNorm},
+                       {"replay_norm", replayNorm}}))
+        return 1;
 
     std::printf("\nevery backend, budget setting, and encoding "
                 "variant reproduced the owned-buffer estimate to the "

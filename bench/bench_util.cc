@@ -1,6 +1,7 @@
 #include "bench_util.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -312,6 +313,80 @@ printHeader(const std::string &title)
     std::printf("  %s\n", title.c_str());
     std::printf("==========================================================="
                 "=====================\n");
+}
+
+namespace
+{
+
+/** Pull `"key": <number>` out of a JSON blob; nan when absent. */
+double
+jsonNumber(const std::string &json, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\"";
+    const std::size_t at = json.find(needle);
+    if (at == std::string::npos)
+        return std::nan("");
+    std::size_t p = at + needle.size();
+    while (p < json.size() && (json[p] == ':' || json[p] == ' '))
+        ++p;
+    return std::strtod(json.c_str() + p, nullptr);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return "";
+    std::string out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        out.append(buf, n);
+    std::fclose(f);
+    return out;
+}
+
+} // namespace
+
+bool
+baselineGate(const char *bench, const char *defaultPath,
+             std::initializer_list<GateMetric> metrics)
+{
+    const char *baseEnv = std::getenv("LP_BENCH_BASELINE");
+    const std::string basePath = baseEnv ? baseEnv : defaultPath;
+    if (basePath == "none") {
+        std::printf("baseline gate skipped (LP_BENCH_BASELINE=none)\n");
+        return true;
+    }
+    const std::string baseline = readFile(basePath);
+    if (baseline.empty()) {
+        std::printf("baseline gate skipped: '%s' not found (set "
+                    "LP_BENCH_BASELINE, or run from the repo root)\n",
+                    basePath.c_str());
+        return true;
+    }
+    bool failed = false;
+    for (const GateMetric &g : metrics) {
+        const double base = jsonNumber(baseline, g.key);
+        if (std::isnan(base) || base <= 0) {
+            std::printf("baseline gate: '%s' missing from %s, "
+                        "skipped\n",
+                        g.key, basePath.c_str());
+            continue;
+        }
+        const double rel = g.now / base;
+        const bool ok = rel >= 0.9;
+        std::printf("baseline gate: %-20s %8.3f vs %8.3f baseline "
+                    "(%+.1f%%)%s\n",
+                    g.key, g.now, base, (rel - 1.0) * 100.0,
+                    ok ? "" : "  ** REGRESSION **");
+        failed = failed || !ok;
+    }
+    if (failed)
+        std::fprintf(stderr, "%s: >10%% regression against %s\n", bench,
+                     basePath.c_str());
+    return !failed;
 }
 
 } // namespace lpbench

@@ -24,10 +24,6 @@
  *                      (benches that replay honor it; 0 = off)
  *   LP_NO_MMAP=1       force the owned-buffer storage backend (read
  *                      by the io layer itself; affects every binary)
- *   LP_HUGEPAGES=1     request MADV_HUGEPAGE on mmap'ed library
- *                      backings (read by the io layer; benches that
- *                      replay mapped libraries report whether the
- *                      hint was applied)
  *   LP_BENCH_ECON_JSON=path  checkpoint-economics numbers from
  *                      ablation_storage (CI publishes BENCH_10.json)
  *   LP_BENCH_BASELINE=path  committed baseline JSON for the benches
@@ -39,6 +35,7 @@
 #define LP_BENCH_BENCH_UTIL_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -139,6 +136,26 @@ std::uint64_t currentRssBytes();
  * deltas need currentRssBytes().
  */
 std::uint64_t peakRssBytes();
+
+/** One machine-normalized metric a baseline gate checks. */
+struct GateMetric
+{
+    const char *key; //!< the metric's key in the baseline JSON
+    double now;      //!< this run's value
+};
+
+/**
+ * The committed-baseline regression gate shared by the gated benches
+ * (ablation_hotpath: BENCH_6, ablation_storage: BENCH_10). Reads the
+ * baseline from LP_BENCH_BASELINE, else @p defaultPath; "none", a
+ * missing file or a missing key skips (with a note). Every metric
+ * must stay at least 0.9x its baseline. Only machine-normalized
+ * ratios gate: absolute throughput tracks the runner, the ratios
+ * track the code. Returns false, after naming @p bench on stderr,
+ * when any metric regressed.
+ */
+bool baselineGate(const char *bench, const char *defaultPath,
+                  std::initializer_list<GateMetric> metrics);
 
 /** Format seconds as the paper does (s / m / h / d). */
 std::string fmtTime(double seconds);

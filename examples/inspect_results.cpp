@@ -10,10 +10,11 @@
  *                      a fleet set index (metadata only; no shard is
  *                      opened, nothing is simulated)
  *   --workload <name>  only cells of this shard (needs --set) or of
- *                      a 16-digit hex content hash
+ *                      a hex content hash
  *   --config <hex>     only cells/pairs touching this config digest
- *   --json             machine-readable output (same escaping rules
- *                      as the campaign report)
+ *                      (1-16 hex digits; anything else exits 1)
+ *   --json             machine-readable output: the same document the
+ *                      service daemon's `query` request returns
  *   --compact          rewrite the store dropping superseded
  *                      duplicate-key records, then report as usual
  *
@@ -25,13 +26,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
 #include "core/library_set.hh"
-#include "core/sample.hh"
 #include "store/result_store.hh"
 #include "util/log.hh"
 
@@ -111,144 +110,73 @@ main(int argc, char **argv)
 
         // Resolve the workload filter: a shard name through --set,
         // else a literal hex content hash.
-        std::uint64_t libFilter = 0;
+        StoreQuery q;
         if (!workload.empty()) {
             for (const auto &kv : names) {
                 if (kv.second == workload) {
-                    libFilter = kv.first;
+                    q.libHash = kv.first;
                     break;
                 }
             }
-            if (libFilter == 0)
-                libFilter =
-                    std::strtoull(workload.c_str(), nullptr, 16);
-            if (libFilter == 0)
-                panic("workload '%s' matches no shard and is not a "
-                      "hex hash",
-                      workload.c_str());
+            if (q.libHash == 0)
+                parseHexDigest(workload, &q.libHash);
+            if (q.libHash == 0)
+                throw std::runtime_error(
+                    strfmt("workload '%s' matches no shard and is not "
+                           "a hex hash",
+                           workload.c_str()));
         }
-        const std::uint64_t digestFilter =
-            configHex.empty()
-                ? 0
-                : std::strtoull(configHex.c_str(), nullptr, 16);
+        if (!configHex.empty() &&
+            !parseHexDigest(configHex, &q.configDigest))
+            throw std::runtime_error(
+                strfmt("--config '%s' is not a hex config digest",
+                       configHex.c_str()));
+
+        if (json) {
+            std::fputs(storeQueryJson(store, q, names, superseded).c_str(),
+                       stdout);
+            return 0;
+        }
 
         std::size_t nCells = 0, nPairs = 0;
-        std::string cellsJson, pairsJson;
-        if (!json)
-            std::printf("%-20s %-16s %9s %9s %12s %9s %s\n", "workload",
-                        "config", "points", "folded", "cpi",
-                        "rel-hw", "state");
+        std::printf("%-20s %-16s %9s %9s %12s %9s %s\n", "workload",
+                    "config", "points", "folded", "cpi", "rel-hw",
+                    "state");
         for (const CellRecord &c : store.cells()) {
-            if (libFilter && c.key.libHash != libFilter)
+            if (!q.matches(c))
                 continue;
-            if (digestFilter && c.key.configDigest != digestFilter)
-                continue;
-            ConfidenceSpec spec;
-            if (c.key.stopAtConfidence) {
-                spec.level = bitsFromDouble(c.key.levelBits);
-                spec.relativeError = bitsFromDouble(c.key.relErrBits);
-            }
-            OnlineEstimator est(spec);
-            est.fold(RunningStat::fromState(c.stat));
-            const OnlineSnapshot snap = est.snapshot();
-            const std::string label = libLabel(names, c.key.libHash);
-            if (json) {
-                cellsJson += nCells ? ",\n    " : "\n    ";
-                cellsJson += strfmt(
-                    "{\"workload\": \"%s\", \"config_digest\": "
-                    "\"%016llx\", \"lib_points\": %llu, "
-                    "\"processed\": %llu, \"cpi\": %.17g, "
-                    "\"cpi_bits\": \"%016llx\", "
-                    "\"rel_half_width\": %.6g, \"level\": %.6g, "
-                    "\"converged\": %s, \"stop_at_confidence\": %s, "
-                    "\"approx_wrong_path\": %s, \"shuffle_seed\": "
-                    "%llu, \"block_size\": %llu, "
-                    "\"unavailable_loads\": %llu}",
-                    jsonEscape(label).c_str(),
-                    static_cast<unsigned long long>(
-                        c.key.configDigest),
-                    static_cast<unsigned long long>(c.libPoints),
-                    static_cast<unsigned long long>(c.processed),
-                    bitsFromDouble(c.cpiBits),
-                    static_cast<unsigned long long>(c.cpiBits),
-                    snap.relHalfWidth, spec.level,
-                    c.converged ? "true" : "false",
-                    c.key.stopAtConfidence ? "true" : "false",
-                    c.key.approxWrongPath ? "true" : "false",
-                    static_cast<unsigned long long>(
-                        c.key.shuffleSeed),
-                    static_cast<unsigned long long>(c.key.blockSize),
-                    static_cast<unsigned long long>(
-                        c.unavailableLoads));
-            } else {
-                std::printf(
-                    "%-20s %-16llx %9llu %9llu %12.6f %8.4f%% %s\n",
-                    label.c_str(),
-                    static_cast<unsigned long long>(
-                        c.key.configDigest),
-                    static_cast<unsigned long long>(c.libPoints),
-                    static_cast<unsigned long long>(c.processed),
-                    bitsFromDouble(c.cpiBits),
-                    snap.relHalfWidth * 100.0,
-                    c.converged ? "converged" : "complete");
-            }
+            std::printf("%-20s %-16llx %9llu %9llu %12.6f %8.4f%% %s\n",
+                        libLabel(names, c.key.libHash).c_str(),
+                        static_cast<unsigned long long>(c.key.configDigest),
+                        static_cast<unsigned long long>(c.libPoints),
+                        static_cast<unsigned long long>(c.processed),
+                        bitsFromDouble(c.cpiBits),
+                        recordedRelHalfWidth(c) * 100.0,
+                        c.converged ? "converged" : "complete");
             ++nCells;
         }
 
-        if (!json)
-            std::printf("\n%-20s %-16s %-16s %9s %14s\n", "workload",
-                        "base", "test", "pairs", "mean-delta");
+        std::printf("\n%-20s %-16s %-16s %9s %14s\n", "workload", "base",
+                    "test", "pairs", "mean-delta");
         for (const PairRecord &p : store.pairs()) {
-            if (libFilter && p.libHash != libFilter)
-                continue;
-            if (digestFilter && p.baseDigest != digestFilter &&
-                p.testDigest != digestFilter)
+            if (!q.matches(p))
                 continue;
             const RunningStat delta = RunningStat::fromState(p.delta);
-            const std::string label = libLabel(names, p.libHash);
-            if (json) {
-                pairsJson += nPairs ? ",\n    " : "\n    ";
-                pairsJson += strfmt(
-                    "{\"workload\": \"%s\", \"base_digest\": "
-                    "\"%016llx\", \"test_digest\": \"%016llx\", "
-                    "\"n\": %llu, \"mean_delta\": %.17g}",
-                    jsonEscape(label).c_str(),
-                    static_cast<unsigned long long>(p.baseDigest),
-                    static_cast<unsigned long long>(p.testDigest),
-                    static_cast<unsigned long long>(delta.count()),
-                    delta.count() ? delta.mean() : 0.0);
-            } else {
-                std::printf("%-20s %-16llx %-16llx %9llu %14.6g\n",
-                            label.c_str(),
-                            static_cast<unsigned long long>(
-                                p.baseDigest),
-                            static_cast<unsigned long long>(
-                                p.testDigest),
-                            static_cast<unsigned long long>(
-                                delta.count()),
-                            delta.count() ? delta.mean() : 0.0);
-            }
+            std::printf("%-20s %-16llx %-16llx %9llu %14.6g\n",
+                        libLabel(names, p.key.base.libHash).c_str(),
+                        static_cast<unsigned long long>(
+                            p.key.base.configDigest),
+                        static_cast<unsigned long long>(p.key.testDigest),
+                        static_cast<unsigned long long>(delta.count()),
+                        delta.count() ? delta.mean() : 0.0);
             ++nPairs;
         }
 
-        if (json) {
-            std::printf("{\n  \"store\": \"%s\",\n"
-                        "  \"superseded_records\": %zu,\n"
-                        "  \"cells\": [%s%s],\n"
-                        "  \"pairs\": [%s%s],\n"
-                        "  \"cell_count\": %zu,\n"
-                        "  \"pair_count\": %zu\n}\n",
-                        jsonEscape(storePath).c_str(), superseded,
-                        cellsJson.c_str(), nCells ? "\n  " : "",
-                        pairsJson.c_str(), nPairs ? "\n  " : "",
-                        nCells, nPairs);
-        } else {
-            std::printf("\n%zu cells, %zu pairs", nCells, nPairs);
-            if (superseded > 0)
-                std::printf(" (%zu superseded records%s)", superseded,
-                            compact ? ", compacted" : "");
-            std::printf("\n");
-        }
+        std::printf("\n%zu cells, %zu pairs", nCells, nPairs);
+        if (superseded > 0)
+            std::printf(" (%zu superseded records%s)", superseded,
+                        compact ? ", compacted" : "");
+        std::printf("\n");
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "inspect_results: %s\n", e.what());

@@ -22,7 +22,8 @@
  *   query [WORKLOAD] [DIGEST]
  *                      list the daemon's result store (zero
  *                      simulation), optionally filtered by workload
- *                      shard name and/or hex config digest
+ *                      shard name and/or config digest (1-16 hex
+ *                      digits; anything else exits 2)
  *   drain              run the daemon's queue dry and stop it
  *
  * The socket defaults to LP_SVC_SOCKET.
@@ -36,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "store/result_store.hh"
 #include "svc/client.hh"
 #include "util/log.hh"
 
@@ -246,8 +248,14 @@ main(int argc, char **argv)
 
         if (cmd == "query") {
             const std::string workload = i < argc ? argv[i++] : "";
-            const std::uint64_t digest =
-                i < argc ? std::strtoull(argv[i], nullptr, 16) : 0;
+            std::uint64_t digest = 0;
+            if (i < argc && !parseHexDigest(argv[i], &digest)) {
+                std::fprintf(stderr,
+                             "lpsubmit: '%s' is not a hex config "
+                             "digest\n",
+                             argv[i]);
+                return 2;
+            }
             const SvcReply r = client.query(workload, digest);
             if (!r.ok) {
                 std::fprintf(stderr, "lpsubmit: %s\n",

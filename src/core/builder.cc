@@ -76,7 +76,7 @@ struct WarmingRig
 
         // Capture the window's restricted live-state while warming
         // continues through it.
-        MemoryImage image(cfg.imageBlockBytes);
+        MemoryImage image;
         sim.setCaptureImage(&image);
         sim.run(design.windowLen());
         sim.setCaptureImage(nullptr);
@@ -330,8 +330,7 @@ LivePointBuilder::buildParallel(const Program &prog,
     for (std::uint64_t i = 0; i < count; ++i)
         rawUses[i] = 1u + (i + 1 < count && eligible[i + 1] ? 1u : 0u);
 
-    const unsigned E = cfg_.encodeThreads ? cfg_.encodeThreads
-                                          : std::max(1u, (S + 1) / 2);
+    const unsigned E = std::max(1u, (S + 1) / 2); // encoder threads
     std::mutex m;
     std::condition_variable cvSpace; //!< shards wait for queue room
     std::condition_variable cvWork;  //!< encoders wait for slots

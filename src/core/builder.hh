@@ -46,18 +46,12 @@ struct LivePointBuilderConfig
     CacheGeometry maxDtlb{256 * 4096, 4, 4096};
     std::vector<BpredConfig> bpredConfigs{BpredConfig{}};
 
-    /** Block size of the restricted live-state image. */
-    unsigned imageBlockBytes = 64;
-
     /**
      * Warming shards (S). 1 = the whole sample on one simulating
      * thread (exact full warming); S>1 splits the sample into S
      * contiguous shards warmed concurrently.
      */
     unsigned buildThreads = 1;
-
-    /** Serialize+compress threads; 0 = derived from buildThreads. */
-    unsigned encodeThreads = 0;
 
     /**
      * Functional-warming prefix ahead of each shard's first window.

@@ -8,15 +8,16 @@
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
-#include <thread>
 
 #include "core/replay.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
 #include "io/source.hh"
 #include "store/result_store.hh"
+#include "util/bytes.hh"
 #include "util/failpoint.hh"
 #include "util/log.hh"
+#include "util/retry.hh"
 #include "util/threadpool.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -47,7 +48,9 @@ constexpr std::uint64_t kRecordMagic = 0x000a'3143'4552'504cull;  // "LPREC1\n\0
 constexpr std::size_t kLedgerHeaderBytes = 16;
 constexpr std::size_t kRecordHeaderBytes = 24; // magic, length, fnv1a
 constexpr std::uint64_t kCompactRecords = 512; //!< compact beyond this
-constexpr int kManifestAttempts = 3; //!< tries for transient errors
+/** Transient ledger-append and shard-open errors: three tries, 1 ms
+ *  then 2 ms apart (jittered). */
+constexpr RetryPolicy kTransientRetry{2, 1000, 2000, 0};
 
 /**
  * A manifest append failure. Distinct from replay faults so run()'s
@@ -58,22 +61,6 @@ struct ManifestWriteError : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
-
-void
-putU64(std::uint8_t *p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint64_t
-getU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
 
 void
 truncateFile(const std::string &path, std::uint64_t size)
@@ -303,8 +290,8 @@ appendLedgerOnce(const std::string &path, const Blob &image)
 
     if (start == 0) {
         std::uint8_t hdr[kLedgerHeaderBytes];
-        putU64(hdr, kLedgerMagic);
-        putU64(hdr + 8, kLedgerVersion);
+        putU64le(hdr, kLedgerMagic);
+        putU64le(hdr + 8, kLedgerVersion);
         if (std::fwrite(hdr, 1, sizeof(hdr), f) != sizeof(hdr))
             fail("write header to", errno ? errno : EIO);
     }
@@ -316,9 +303,9 @@ appendLedgerOnce(const std::string &path, const Blob &image)
             fail("write record frame to", o.err);
     }
     std::uint8_t frame[kRecordHeaderBytes];
-    putU64(frame, kRecordMagic);
-    putU64(frame + 8, image.size());
-    putU64(frame + 16, fnv1a(image.data(), image.size()));
+    putU64le(frame, kRecordMagic);
+    putU64le(frame + 8, image.size());
+    putU64le(frame + 16, fnv1a(image.data(), image.size()));
     if (std::fwrite(frame, 1, sizeof(frame), f) != sizeof(frame))
         fail("write record frame to", errno ? errno : EIO);
     std::fflush(f);
@@ -375,12 +362,12 @@ CampaignEngine::appendLedgerRecord(const Blob &image) const
     if (ledgerRecords_ >= kCompactRecords) {
         Blob out(kLedgerHeaderBytes + kRecordHeaderBytes +
                  image.size());
-        putU64(out.data(), kLedgerMagic);
-        putU64(out.data() + 8, kLedgerVersion);
-        putU64(out.data() + kLedgerHeaderBytes, kRecordMagic);
-        putU64(out.data() + kLedgerHeaderBytes + 8, image.size());
-        putU64(out.data() + kLedgerHeaderBytes + 16,
-               fnv1a(image.data(), image.size()));
+        putU64le(out.data(), kLedgerMagic);
+        putU64le(out.data() + 8, kLedgerVersion);
+        putU64le(out.data() + kLedgerHeaderBytes, kRecordMagic);
+        putU64le(out.data() + kLedgerHeaderBytes + 8, image.size());
+        putU64le(out.data() + kLedgerHeaderBytes + 16,
+                 fnv1a(image.data(), image.size()));
         std::memcpy(out.data() + kLedgerHeaderBytes +
                         kRecordHeaderBytes,
                     image.data(), image.size());
@@ -394,18 +381,15 @@ CampaignEngine::appendLedgerRecord(const Blob &image) const
         return;
     }
 
-    for (int attempt = 0;; ++attempt) {
+    TransientRetry retry(kTransientRetry);
+    for (;;) {
         try {
             appendLedgerOnce(path, image);
             ++ledgerRecords_;
             return;
         } catch (const IoError &e) {
-            if (e.transient() && attempt + 1 < kManifestAttempts) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1 << attempt));
-                continue;
-            }
-            throw ManifestWriteError(e.what());
+            if (!retry.shouldRetry(e.errnum()))
+                throw ManifestWriteError(e.what());
         }
     }
 }
@@ -446,20 +430,20 @@ CampaignEngine::loadManifest() const
     // prefix of the ledger header counts as a header torn mid-write;
     // anything else is not ours to truncate.
     std::uint8_t header[kLedgerHeaderBytes];
-    putU64(header, kLedgerMagic);
-    putU64(header + 8, kLedgerVersion);
+    putU64le(header, kLedgerMagic);
+    putU64le(header + 8, kLedgerVersion);
     if (data.size() < kLedgerHeaderBytes &&
         std::memcmp(data.data(), header, data.size()) == 0) {
         truncateFile(opt_.manifestPath, 0);
         return m;
     }
     if (data.size() < kLedgerHeaderBytes ||
-        getU64(data.data()) != kLedgerMagic)
+        getU64le(data.data()) != kLedgerMagic)
         throw std::runtime_error(
             strfmt("campaign: '%s' is not a campaign manifest "
                    "(bad ledger magic)",
                    opt_.manifestPath.c_str()));
-    if (getU64(data.data() + 8) != kLedgerVersion)
+    if (getU64le(data.data() + 8) != kLedgerVersion)
         throw std::runtime_error(
             strfmt("campaign: manifest ledger '%s' has an "
                    "unsupported version",
@@ -470,14 +454,14 @@ CampaignEngine::loadManifest() const
     std::size_t valid = offset;
     while (offset + kRecordHeaderBytes <= data.size()) {
         const std::uint8_t *rec = data.data() + offset;
-        if (getU64(rec) != kRecordMagic)
+        if (getU64le(rec) != kRecordMagic)
             break;
-        const std::uint64_t len = getU64(rec + 8);
+        const std::uint64_t len = getU64le(rec + 8);
         if (len == 0 || len > data.size() - offset - kRecordHeaderBytes)
             break;
         const std::uint8_t *payload = rec + kRecordHeaderBytes;
         if (fnv1a(payload, static_cast<std::size_t>(len)) !=
-            getU64(rec + 16))
+            getU64le(rec + 16))
             break;
         image.assign(payload, payload + len);
         offset += kRecordHeaderBytes + static_cast<std::size_t>(len);
@@ -588,37 +572,16 @@ CampaignEngine::run()
             if (libHashes_[w] == 0)
                 continue; // recovered shard: hash untrusted
             for (std::size_t c = 0; c < nc; ++c) {
-                const ResultKey key = ResultKey::make(
-                    libHashes_[w], digests_[c], opt_.shuffleSeed,
-                    blockSize_, opt_.stopAtConfidence,
-                    opt_.approxWrongPath, opt_.spec);
                 CellRecord rec;
-                if (!opt_.resultStore->find(key, &rec))
+                if (!opt_.resultStore->find(cellKey(w, c), &rec))
                     continue;
                 if (rec.libPoints != libSizes_[w])
-                    continue; // key-hash collision or stale record
+                    continue; // stale record
                 memoHit[w * nc + c] = 1;
                 memoRec[w * nc + c] = rec;
             }
         }
     }
-    auto pairProbeFor = [this](std::size_t w, std::size_t a,
-                               std::size_t b) {
-        const ResultKey k = ResultKey::make(
-            libHashes_[w], digests_[a], opt_.shuffleSeed, blockSize_,
-            opt_.stopAtConfidence, opt_.approxWrongPath, opt_.spec);
-        PairRecord p;
-        p.libHash = libHashes_[w];
-        p.baseDigest = digests_[a];
-        p.testDigest = digests_[b];
-        p.shuffleSeed = opt_.shuffleSeed;
-        p.blockSize = blockSize_;
-        p.stopAtConfidence = opt_.stopAtConfidence;
-        p.approxWrongPath = opt_.approxWrongPath;
-        p.levelBits = k.levelBits;
-        p.relErrBits = k.relErrBits;
-        return p;
-    };
 
     CampaignResult res;
     res.cells.resize(workloads_.size() * nc);
@@ -741,16 +704,13 @@ CampaignEngine::run()
             const bool lazyShard =
                 !wk.lib && !wk.set->isLoaded(wk.shard);
             const LivePointLibrary *lib = wk.lib;
-            for (int attempt = 0; !lib; ++attempt) {
+            TransientRetry retry(kTransientRetry);
+            while (!lib) {
                 try {
                     lib = &wk.set->shard(wk.shard);
                 } catch (const IoError &e) {
-                    if (e.transient() &&
-                        attempt + 1 < kManifestAttempts) {
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(1 << attempt));
+                    if (retry.shouldRetry(e.errnum()))
                         continue;
-                    }
                     failReason = e.what();
                     failKind = CellFailReason::shardUnavailable;
                     break;
@@ -971,7 +931,7 @@ CampaignEngine::run()
                     memoHit[w * nc + a] && memoHit[w * nc + b]) {
                     PairRecord rec;
                     if (opt_.resultStore->findPair(
-                            pairProbeFor(w, a, b), &rec))
+                            PairKey{cellKey(w, a), digests_[b]}, &rec))
                         p.delta = RunningStat::fromState(rec.delta);
                 }
                 res.pairs.push_back(std::move(p));
@@ -981,6 +941,14 @@ CampaignEngine::run()
     res.foldedReplays = folded;
     res.wallSeconds = seconds(t0);
     return res;
+}
+
+ResultKey
+CampaignEngine::cellKey(std::size_t w, std::size_t c) const
+{
+    return ResultKey::make(libHashes_[w], digests_[c], opt_.shuffleSeed,
+                           blockSize_, opt_.stopAtConfidence,
+                           opt_.approxWrongPath, opt_.spec);
 }
 
 std::size_t
@@ -1007,10 +975,7 @@ CampaignEngine::publish(const CampaignResult &r,
             continue;
         ok[i] = 1;
         CellRecord rec;
-        rec.key = ResultKey::make(
-            libHashes_[w], digests_[cell.config], opt_.shuffleSeed,
-            blockSize_, opt_.stopAtConfidence, opt_.approxWrongPath,
-            opt_.spec);
+        rec.key = cellKey(w, cell.config);
         rec.libPoints = libSizes_[w];
         rec.processed = cell.processed;
         rec.unavailableLoads = cell.unavailableLoads;
@@ -1026,21 +991,8 @@ CampaignEngine::publish(const CampaignResult &r,
         if (!ok[p.workload * nc + p.base] ||
             !ok[p.workload * nc + p.test])
             continue;
-        const std::size_t w = p.workload;
-        const ResultKey k = ResultKey::make(
-            libHashes_[w], digests_[p.base], opt_.shuffleSeed,
-            blockSize_, opt_.stopAtConfidence, opt_.approxWrongPath,
-            opt_.spec);
         PairRecord rec;
-        rec.libHash = libHashes_[w];
-        rec.baseDigest = digests_[p.base];
-        rec.testDigest = digests_[p.test];
-        rec.shuffleSeed = opt_.shuffleSeed;
-        rec.blockSize = blockSize_;
-        rec.stopAtConfidence = opt_.stopAtConfidence;
-        rec.approxWrongPath = opt_.approxWrongPath;
-        rec.levelBits = k.levelBits;
-        rec.relErrBits = k.relErrBits;
+        rec.key = PairKey{cellKey(p.workload, p.base), digests_[p.test]};
         rec.delta = p.delta.state();
         store.putPair(rec);
         ++written;

@@ -62,6 +62,7 @@ namespace lp
 
 class ResultStore;
 struct CellRecord;
+struct ResultKey;
 
 /**
  * One row of the campaign grid. The library comes from exactly one of
@@ -317,6 +318,8 @@ class CampaignEngine
     Manifest loadManifest() const;
     void saveManifest(const Manifest &m) const;
     void appendLedgerRecord(const Blob &image) const;
+    /** Result-store identity of cell (workload @p w, config @p c). */
+    ResultKey cellKey(std::size_t w, std::size_t c) const;
 
     std::vector<CampaignWorkload> workloads_;
     std::vector<CoreConfig> configs_;

@@ -8,6 +8,7 @@
 #include "codec/zip.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
+#include "util/bytes.hh"
 #include "util/failpoint.hh"
 #include "util/log.hh"
 
@@ -17,41 +18,39 @@ namespace lp
 namespace
 {
 
-// LPLIB3: the file starts with the 8-byte tag below.
-constexpr std::uint8_t kMagic3[8] = {'L', 'P', 'L', 'I',
-                                     'B', '3', '\n', '\0'};
-constexpr std::uint64_t kLpl3Version = 1;
-constexpr std::size_t kLpl3HeaderBytes = 64;
-constexpr std::size_t kLpl3TableEntryBytes = 32;
+/**
+ * One container format's layout. Both formats are: an 8-byte magic,
+ * a header of little-endian u64 fields (version, count, meta offset
+ * and size, [reserved offset and size,] table offset, data offset,
+ * file size), the DER meta blob, a table of fixed-width rows (record
+ * offset relative to the data section, compressed size, raw size,
+ * window index[, flags, delta base, raw checksum]), then the records
+ * back-to-back in table order.
+ */
+struct ContainerFormat
+{
+    const char *name;
+    std::uint8_t magic[8];
+    std::size_t headerBytes;
+    std::size_t rowBytes;
+    /** The header holds the reserved (always empty) section between
+     *  meta and table that held the retired shared dictionary. */
+    bool reservedSection;
+    /** Rows carry encoding flags, the delta base's stored position
+     *  and the raw-payload checksum. */
+    bool encodedRows;
+};
 
-// LPLIB4: LPLIB3 with a wider table row carrying per-record encoding
-// flags, the delta base's position, and a raw-payload checksum. The
-// header keeps the reserved (always empty) section between meta and
-// table that held the retired shared dictionary, so delta libraries
-// written without one still load.
-constexpr std::uint8_t kMagic4[8] = {'L', 'P', 'L', 'I',
-                                     'B', '4', '\n', '\0'};
-constexpr std::uint64_t kLpl4Version = 1;
-constexpr std::size_t kLpl4HeaderBytes = 80;
-constexpr std::size_t kLpl4TableEntryBytes = 56;
+// LPLIB3 holds plain libraries; LPLIB4 adds what delta chains need.
+constexpr ContainerFormat kLpl3{
+    "LPLIB3", {'L', 'P', 'L', 'I', 'B', '3', '\n', '\0'}, 64, 32,
+    false, false};
+constexpr ContainerFormat kLpl4{
+    "LPLIB4", {'L', 'P', 'L', 'I', 'B', '4', '\n', '\0'}, 80, 56,
+    true, true};
+constexpr std::uint64_t kFormatVersion = 1;
 constexpr std::uint64_t kNoBase = ~std::uint64_t(0);
 constexpr std::uint8_t kAllFlags = LivePointLibrary::kFlagDelta;
-
-void
-putU64le(std::uint8_t *out, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint64_t
-getU64le(const std::uint8_t *in)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-    return v;
-}
 
 void
 serializeDesign(DerWriter &w, const SampleDesign &d)
@@ -582,10 +581,7 @@ LivePointLibrary::contentHash() const
         // FNV-1a over the record, folded in; cheap relative to one
         // decompression and touching every byte keeps corruption and
         // reorders distinguishable.
-        std::uint64_t f = 0xcbf29ce484222325ull;
-        for (std::size_t j = 0; j < rec.size; ++j)
-            f = (f ^ rec.data[j]) * 0x100000001b3ull;
-        h = hashCombine(h, f);
+        h = hashCombine(h, fnv1a(rec.data, rec.size));
         // Encoding metadata is load-bearing for delta records (the
         // base in *stored* order, so the hash survives a save/load
         // round-trip of a shuffled library). Plain records fold
@@ -627,63 +623,74 @@ LivePointLibrary::shuffle(Rng &rng)
 void
 LivePointLibrary::save(const std::string &path) const
 {
-    if (anyDelta_)
-        saveLpl4(path);
-    else
-        saveLpl3(path);
-}
-
-void
-LivePointLibrary::saveLpl3(const std::string &path) const
-{
     if (failpointsArmed()) {
         const FailpointOutcome o = failpointFire("library.save");
         if (o.fail)
             throwIoError("save", "library", path, o.err);
     }
-    // Meta blob: benchmark name + design.
+    const ContainerFormat &fmt = anyDelta_ ? kLpl4 : kLpl3;
     DerWriter mw;
     mw.putString(benchmark_);
     serializeDesign(mw, design_);
     const Blob meta = mw.finish();
 
     const std::uint64_t count = refs_.size();
-    const std::uint64_t metaOffset = kLpl3HeaderBytes;
+    const std::uint64_t metaOffset = fmt.headerBytes;
     const std::uint64_t tableOffset = metaOffset + meta.size();
-    const std::uint64_t dataOffset =
-        tableOffset + count * kLpl3TableEntryBytes;
-    const std::uint64_t fileSize =
-        dataOffset + totalCompressedBytes();
+    const std::uint64_t dataOffset = tableOffset + count * fmt.rowBytes;
+    const std::uint64_t fileSize = dataOffset + totalCompressedBytes();
 
     // Staged through the atomic writer: a crash or error mid-save
     // leaves the previous file (if any) untouched, and the temp is
     // removed on every error path.
     AtomicFileWriter f(path, "library");
 
-    std::uint8_t header[kLpl3HeaderBytes] = {};
-    std::memcpy(header, kMagic3, sizeof(kMagic3));
-    putU64le(header + 8, kLpl3Version);
-    putU64le(header + 16, count);
-    putU64le(header + 24, metaOffset);
-    putU64le(header + 32, meta.size());
-    putU64le(header + 40, tableOffset);
-    putU64le(header + 48, dataOffset);
-    putU64le(header + 56, fileSize);
-    f.write(header, sizeof(header));
+    std::uint8_t header[kLpl4.headerBytes] = {}; // the wider format
+    std::memcpy(header, fmt.magic, sizeof(fmt.magic));
+    std::uint8_t *field = header + sizeof(fmt.magic);
+    auto put = [&field](std::uint64_t v) {
+        putU64le(field, v);
+        field += 8;
+    };
+    put(kFormatVersion);
+    put(count);
+    put(metaOffset);
+    put(meta.size());
+    if (fmt.reservedSection) {
+        put(tableOffset); // reserved section: empty
+        put(0);
+    }
+    put(tableOffset);
+    put(dataOffset);
+    put(fileSize);
+    f.write(header, fmt.headerBytes);
     f.write(meta.data(), meta.size());
 
     // Index table, then the records, streamed straight from their
     // resident storage in stored (view) order — the save never stages
-    // the library twice.
+    // the library twice. A delta base's table field is remapped to
+    // the base's stored position, so the loaded file reproduces the
+    // chains regardless of any shuffle.
+    std::vector<std::uint32_t> inv;
+    if (fmt.encodedRows)
+        inv = inverseOrder();
     std::uint64_t rel = 0;
     for (std::size_t i = 0; i < refs_.size(); ++i) {
         const RecordRef &r = refs_[pos(i)];
-        std::uint8_t row[kLpl3TableEntryBytes];
+        std::uint8_t row[kLpl4.rowBytes];
         putU64le(row + 0, rel);
         putU64le(row + 8, r.size);
         putU64le(row + 16, r.rawSize);
         putU64le(row + 24, r.index);
-        f.write(row, sizeof(row));
+        if (fmt.encodedRows) {
+            putU64le(row + 32, r.flags);
+            putU64le(row + 40,
+                     (r.flags & kFlagDelta)
+                         ? inv[static_cast<std::size_t>(r.basePos)]
+                         : kNoBase);
+            putU64le(row + 48, r.rawHash);
+        }
+        f.write(row, fmt.rowBytes);
         rel += r.size;
     }
     for (std::size_t i = 0; i < refs_.size(); ++i) {
@@ -691,92 +698,6 @@ LivePointLibrary::saveLpl3(const std::string &path) const
         f.write(rec.data, rec.size);
     }
     f.commit();
-}
-
-void
-LivePointLibrary::saveLpl4(const std::string &path) const
-{
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("library.save");
-        if (o.fail)
-            throwIoError("save", "library", path, o.err);
-    }
-    DerWriter mw;
-    mw.putString(benchmark_);
-    serializeDesign(mw, design_);
-    const Blob meta = mw.finish();
-
-    const std::uint64_t count = refs_.size();
-    const std::uint64_t metaOffset = kLpl4HeaderBytes;
-    const std::uint64_t tableOffset = metaOffset + meta.size();
-    const std::uint64_t dataOffset =
-        tableOffset + count * kLpl4TableEntryBytes;
-    const std::uint64_t fileSize =
-        dataOffset + totalCompressedBytes();
-
-    AtomicFileWriter f(path, "library");
-
-    std::uint8_t header[kLpl4HeaderBytes] = {};
-    std::memcpy(header, kMagic4, sizeof(kMagic4));
-    putU64le(header + 8, kLpl4Version);
-    putU64le(header + 16, count);
-    putU64le(header + 24, metaOffset);
-    putU64le(header + 32, meta.size());
-    putU64le(header + 40, tableOffset); // reserved section: empty
-    putU64le(header + 48, 0);
-    putU64le(header + 56, tableOffset);
-    putU64le(header + 64, dataOffset);
-    putU64le(header + 72, fileSize);
-    f.write(header, sizeof(header));
-    f.write(meta.data(), meta.size());
-
-    // Records land in stored (view) order; a delta base's table field
-    // is therefore remapped to the base's stored position, so the
-    // loaded file reproduces the chains regardless of any shuffle.
-    const std::vector<std::uint32_t> inv = inverseOrder();
-    std::uint64_t rel = 0;
-    for (std::size_t i = 0; i < refs_.size(); ++i) {
-        const RecordRef &r = refs_[pos(i)];
-        std::uint8_t row[kLpl4TableEntryBytes];
-        putU64le(row + 0, rel);
-        putU64le(row + 8, r.size);
-        putU64le(row + 16, r.rawSize);
-        putU64le(row + 24, r.index);
-        putU64le(row + 32, r.flags);
-        putU64le(row + 40,
-                 (r.flags & kFlagDelta)
-                     ? inv[static_cast<std::size_t>(r.basePos)]
-                     : kNoBase);
-        putU64le(row + 48, r.rawHash);
-        f.write(row, sizeof(row));
-        rel += r.size;
-    }
-    for (std::size_t i = 0; i < refs_.size(); ++i) {
-        const ByteSpan rec = record(i);
-        f.write(rec.data, rec.size);
-    }
-    f.commit();
-}
-
-LivePointLibrary
-LivePointLibrary::load(const std::string &path, StorageBackend backend)
-{
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("library.load");
-        if (o.fail)
-            throwIoError("load", "library", path, o.err);
-    }
-    std::shared_ptr<const LibrarySource> source =
-        openLibrarySource(path, backend);
-    if (source->size() >= sizeof(kMagic4) &&
-        std::memcmp(source->data(), kMagic4, sizeof(kMagic4)) == 0)
-        return loadLpl4(std::move(source), path);
-    if (source->size() >= sizeof(kMagic3) &&
-        std::memcmp(source->data(), kMagic3, sizeof(kMagic3)) == 0)
-        return loadLpl3(std::move(source), path);
-    throw std::runtime_error(strfmt(
-        "'%s' is not a live-point library (no LPLIB3/LPLIB4 magic)",
-        path.c_str()));
 }
 
 void
@@ -828,34 +749,63 @@ LivePointLibrary::validateChains()
 }
 
 LivePointLibrary
-LivePointLibrary::loadLpl4(std::shared_ptr<const LibrarySource> source,
-                           const std::string &path)
+LivePointLibrary::load(const std::string &path, StorageBackend backend)
 {
-    auto malformed = [&path]() {
-        return std::runtime_error(
-            strfmt("'%s' is not a valid LPLIB4 library", path.c_str()));
+    if (failpointsArmed()) {
+        const FailpointOutcome o = failpointFire("library.load");
+        if (o.fail)
+            throwIoError("load", "library", path, o.err);
+    }
+    std::shared_ptr<const LibrarySource> source =
+        openLibrarySource(path, backend);
+    const ContainerFormat *format = nullptr;
+    for (const ContainerFormat *f : {&kLpl4, &kLpl3})
+        if (source->size() >= sizeof(f->magic) &&
+            std::memcmp(source->data(), f->magic, sizeof(f->magic)) == 0)
+            format = f;
+    if (!format)
+        throw std::runtime_error(strfmt(
+            "'%s' is not a live-point library (no LPLIB3/LPLIB4 magic)",
+            path.c_str()));
+    const ContainerFormat &fmt = *format;
+    auto malformed = [&path, &fmt]() {
+        return std::runtime_error(strfmt("'%s' is not a valid %s library",
+                                         path.c_str(), fmt.name));
     };
-    if (source->size() < kLpl4HeaderBytes)
+    if (source->size() < fmt.headerBytes)
         throw malformed();
     const std::uint8_t *h = source->data();
-    const std::uint64_t version = getU64le(h + 8);
-    const std::uint64_t count = getU64le(h + 16);
-    const std::uint64_t metaOffset = getU64le(h + 24);
-    const std::uint64_t metaSize = getU64le(h + 32);
-    const std::uint64_t dictOffset = getU64le(h + 40);
-    const std::uint64_t dictSize = getU64le(h + 48);
-    const std::uint64_t tableOffset = getU64le(h + 56);
-    const std::uint64_t dataOffset = getU64le(h + 64);
-    const std::uint64_t fileSize = getU64le(h + 72);
-    // Overflow-safe layout checks, section by section. The reserved
-    // section (the retired shared dictionary) must be empty.
-    if (version != kLpl4Version || fileSize != source->size() ||
-        metaOffset != kLpl4HeaderBytes ||
+    const std::uint8_t *field = h + sizeof(fmt.magic);
+    auto next = [&field]() {
+        const std::uint64_t v = getU64le(field);
+        field += 8;
+        return v;
+    };
+    const std::uint64_t version = next();
+    const std::uint64_t count = next();
+    const std::uint64_t metaOffset = next();
+    const std::uint64_t metaSize = next();
+    std::uint64_t reservedOffset = 0;
+    std::uint64_t reservedSize = 0;
+    if (fmt.reservedSection) {
+        reservedOffset = next();
+        reservedSize = next();
+    }
+    const std::uint64_t tableOffset = next();
+    const std::uint64_t dataOffset = next();
+    const std::uint64_t fileSize = next();
+    // Overflow-safe layout checks, section by section: every field is
+    // validated against the real file size before it is used as an
+    // offset. The reserved section must be empty.
+    const std::uint64_t metaEnd = metaOffset + metaSize;
+    if (version != kFormatVersion || fileSize != source->size() ||
+        metaOffset != fmt.headerBytes ||
         metaSize > fileSize - metaOffset ||
-        dictOffset != metaOffset + metaSize || dictSize != 0 ||
-        tableOffset != dictOffset ||
-        count > (fileSize - tableOffset) / kLpl4TableEntryBytes ||
-        dataOffset != tableOffset + count * kLpl4TableEntryBytes)
+        (fmt.reservedSection &&
+         (reservedOffset != metaEnd || reservedSize != 0)) ||
+        tableOffset != metaEnd ||
+        count > (fileSize - tableOffset) / fmt.rowBytes ||
+        dataOffset != tableOffset + count * fmt.rowBytes)
         throw malformed();
 
     LivePointLibrary lib;
@@ -869,81 +819,7 @@ LivePointLibrary::loadLpl4(std::shared_ptr<const LibrarySource> source,
     const std::uint64_t dataBytes = fileSize - dataOffset;
     std::uint64_t running = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint8_t *row =
-            h + tableOffset + i * kLpl4TableEntryBytes;
-        RecordRef r;
-        const std::uint64_t rel = getU64le(row + 0);
-        r.size = getU64le(row + 8);
-        r.rawSize = getU64le(row + 16);
-        r.index = getU64le(row + 24);
-        const std::uint64_t flags = getU64le(row + 32);
-        r.basePos = getU64le(row + 40);
-        r.rawHash = getU64le(row + 48);
-        if (rel != running || r.size > dataBytes - rel)
-            throw malformed();
-        if (flags & ~static_cast<std::uint64_t>(kAllFlags))
-            throw malformed();
-        r.flags = static_cast<std::uint8_t>(flags);
-        if (r.flags & kFlagDelta) {
-            if (r.basePos >= count || r.basePos == i)
-                throw malformed();
-            lib.anyDelta_ = true;
-        } else if (r.basePos != kNoBase) {
-            throw malformed();
-        }
-        running = rel + r.size;
-        r.offset = dataOffset + rel;
-        r.inArena = false;
-        lib.refs_.push_back(r);
-    }
-    if (running != dataBytes)
-        throw malformed();
-    lib.validateChains();
-    lib.source_ = std::move(source);
-    return lib;
-}
-
-LivePointLibrary
-LivePointLibrary::loadLpl3(std::shared_ptr<const LibrarySource> source,
-                           const std::string &path)
-{
-    auto malformed = [&path]() {
-        return std::runtime_error(
-            strfmt("'%s' is not a valid LPLIB3 library", path.c_str()));
-    };
-    if (source->size() < kLpl3HeaderBytes)
-        throw malformed();
-    const std::uint8_t *h = source->data();
-    const std::uint64_t version = getU64le(h + 8);
-    const std::uint64_t count = getU64le(h + 16);
-    const std::uint64_t metaOffset = getU64le(h + 24);
-    const std::uint64_t metaSize = getU64le(h + 32);
-    const std::uint64_t tableOffset = getU64le(h + 40);
-    const std::uint64_t dataOffset = getU64le(h + 48);
-    const std::uint64_t fileSize = getU64le(h + 56);
-    // Overflow-safe layout checks: every field is validated against
-    // the real file size before it is used as an offset.
-    if (version != kLpl3Version || fileSize != source->size() ||
-        metaOffset != kLpl3HeaderBytes ||
-        metaSize > fileSize - metaOffset ||
-        tableOffset != metaOffset + metaSize ||
-        count > (fileSize - tableOffset) / kLpl3TableEntryBytes ||
-        dataOffset != tableOffset + count * kLpl3TableEntryBytes)
-        throw malformed();
-
-    LivePointLibrary lib;
-    {
-        DerReader mr(ByteSpan(h + metaOffset,
-                              static_cast<std::size_t>(metaSize)));
-        lib.benchmark_ = mr.getString();
-        lib.design_ = deserializeDesign(mr);
-    }
-    lib.refs_.reserve(count);
-    const std::uint64_t dataBytes = fileSize - dataOffset;
-    std::uint64_t running = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint8_t *row =
-            h + tableOffset + i * kLpl3TableEntryBytes;
+        const std::uint8_t *row = h + tableOffset + i * fmt.rowBytes;
         RecordRef r;
         const std::uint64_t rel = getU64le(row + 0);
         r.size = getU64le(row + 8);
@@ -955,15 +831,29 @@ LivePointLibrary::loadLpl3(std::shared_ptr<const LibrarySource> source,
         // a detectable error.
         if (rel != running || r.size > dataBytes - rel)
             throw malformed();
+        if (fmt.encodedRows) {
+            const std::uint64_t flags = getU64le(row + 32);
+            r.basePos = getU64le(row + 40);
+            r.rawHash = getU64le(row + 48);
+            if (flags & ~static_cast<std::uint64_t>(kAllFlags))
+                throw malformed();
+            r.flags = static_cast<std::uint8_t>(flags);
+            if (r.flags & kFlagDelta) {
+                if (r.basePos >= count || r.basePos == i)
+                    throw malformed();
+                lib.anyDelta_ = true;
+            } else if (r.basePos != kNoBase) {
+                throw malformed();
+            }
+        }
         running = rel + r.size;
         r.offset = dataOffset + rel;
-        r.chainBytes = r.size + r.rawSize;
-        r.keyframe = i;
         r.inArena = false;
         lib.refs_.push_back(r);
     }
     if (running != dataBytes)
         throw malformed();
+    lib.validateChains();
     // The source backend keeps holding the file; records are spans
     // into it — the load allocates nothing beyond the index, and a
     // mapped backend does not even pin the file bytes.

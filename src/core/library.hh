@@ -298,15 +298,6 @@ class LivePointLibrary
         return source_ && source_->mapped();
     }
 
-    /**
-     * True when the LP_HUGEPAGES hint was requested and applied to
-     * the backing mapping (always false for heap-backed storage).
-     */
-    bool hugepagesApplied() const
-    {
-        return source_ && source_->hugepagesApplied();
-    }
-
     /** Bytes of the loaded container file (0 for in-memory builds). */
     std::uint64_t backingBytes() const
     {
@@ -404,15 +395,6 @@ class LivePointLibrary
                      LivePointDecodeScratch &scratch) const;
     void decodeOne(std::size_t filePos, Blob &out, ByteSpan prev) const;
     void validateChains();
-
-    static LivePointLibrary
-    loadLpl4(std::shared_ptr<const LibrarySource> source,
-             const std::string &path);
-    static LivePointLibrary
-    loadLpl3(std::shared_ptr<const LibrarySource> source,
-             const std::string &path);
-    void saveLpl4(const std::string &path) const;
-    void saveLpl3(const std::string &path) const;
 
     std::string benchmark_;
     SampleDesign design_;

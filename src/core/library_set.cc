@@ -135,22 +135,15 @@ LibrarySet::openImpl(const std::string &dir, StorageBackend backend,
     };
 
     // The integrity footer makes a torn index write detectable
-    // before parsing. A footer whose MAGIC is present but whose
-    // checksum fails is corruption — never parsed. Footer-less
-    // indexes (written before the footer existed) still parse, but
-    // must then be consumed byte-exactly: trailing garbage (a
-    // partially-truncated footer) is rejected, not ignored.
-    std::size_t payloadSize = data.size();
-    const bool hasFooter =
+    // before parsing: an index without an intact footer (torn,
+    // truncated or corrupt) is never parsed.
+    std::size_t payloadSize = 0;
+    const bool intact =
         checksummedPayload(data.data(), data.size(), &payloadSize);
-
     try {
-        if (!hasFooter &&
-            checksumFooterPresent(data.data(), data.size()))
-            throw malformed("checksum mismatch");
-        DerReader top(
-            ByteSpan(data.data(), hasFooter ? payloadSize
-                                            : data.size()));
+        if (!intact)
+            throw malformed("torn or corrupt");
+        DerReader top(ByteSpan(data.data(), payloadSize));
         DerReader seq = top.getSequence();
         if (seq.getUint() != kSetMagic ||
             seq.getUint() != kSetVersion)
@@ -177,12 +170,10 @@ LibrarySet::openImpl(const std::string &dir, StorageBackend backend,
         }
         if (!seq.atEnd())
             throw malformed("trailing bytes");
-        if (!hasFooter && !top.atEnd())
-            throw malformed("trailing bytes");
     } catch (const std::exception &e) {
         if (!recover)
-            throw malformed(hasFooter ? "malformed entries"
-                                      : "torn or corrupt");
+            throw malformed(intact ? "malformed entries"
+                                   : "torn or corrupt");
         set.entries_.clear();
         set.rescanShards(
             strfmt("index '%s' is torn or corrupt (%s)",

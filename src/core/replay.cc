@@ -251,10 +251,8 @@ ReplayEngine::ReplayEngine(const Program &prog,
       threads_(std::max(opt.threads, 1u)),
       producers_(opt.decodeThreads ? opt.decodeThreads
                                    : autoProducers(threads_)),
-      ringSlots_(opt.ringSlots
-                     ? opt.ringSlots
-                     : std::clamp<std::size_t>(
-                           2 * (threads_ + producers_), 8, 64)),
+      ringSlots_(std::clamp<std::size_t>(2 * (threads_ + producers_), 8,
+                                         64)),
       residentBudget_(opt.residentBudgetBytes),
       control_(opt.control)
 {

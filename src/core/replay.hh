@@ -78,11 +78,6 @@ struct ReplayEngineOptions
     unsigned threads = 1;       //!< simulation workers
     unsigned decodeThreads = 0; //!< decode producers; 0 = auto
     bool approxWrongPath = false;
-    /**
-     * Decode ring depth; 0 = auto. Also bounds the producers' chain
-     * caches: together they keep at most 2 * ringSlots raw records.
-     */
-    std::size_t ringSlots = 0;
 
     /**
      * Resident-budget streaming mode (0 = off). A nonzero budget
@@ -366,6 +361,9 @@ class ReplayEngine
     bool approxWrongPath_;
     unsigned threads_;
     unsigned producers_;
+    /** Decode ring depth: two slots per worker and producer, clamped
+     *  to [8, 64]. Also bounds the producers' chain caches, which
+     *  together keep at most 2 * ringSlots_ raw records. */
     std::size_t ringSlots_;
     std::vector<std::unique_ptr<ReplayContext>> ctx_; //!< one per worker
     std::vector<std::unique_ptr<ReplayContext>> callerCtx_;

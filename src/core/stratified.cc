@@ -8,6 +8,14 @@
 namespace lp
 {
 
+namespace
+{
+
+constexpr std::size_t kMinPerStratum = 4; //!< pilot points per stratum
+constexpr std::uint64_t kShuffleSeed = 29; //!< within-stratum order
+
+} // namespace
+
 StratifiedResult
 runStratified(const Program &prog, const LivePointLibrary &lib,
               const CoreConfig &cfg, const StratifiedOptions &opt)
@@ -17,10 +25,8 @@ runStratified(const Program &prog, const LivePointLibrary &lib,
     if (n == 0)
         return res;
 
-    const unsigned k = opt.strata
-                           ? opt.strata
-                           : static_cast<unsigned>(std::clamp<std::size_t>(
-                                 n / 25, 2, 12));
+    const unsigned k =
+        static_cast<unsigned>(std::clamp<std::size_t>(n / 25, 2, 12));
     res.strata = k;
 
     // Assign each stored record to a stratum by its window index
@@ -35,7 +41,7 @@ runStratified(const Program &prog, const LivePointLibrary &lib,
             static_cast<std::size_t>(idx * k / span), k - 1);
         queues[h].push_back(pos);
     }
-    Rng rng(opt.shuffleSeed, "stratified");
+    Rng rng(kShuffleSeed, "stratified");
     std::vector<double> weight(k, 0.0);
     for (unsigned h = 0; h < k; ++h) {
         auto &q = queues[h];
@@ -50,8 +56,6 @@ runStratified(const Program &prog, const LivePointLibrary &lib,
 
     ReplayEngineOptions ropt;
     ropt.threads = opt.threads;
-    ropt.decodeThreads = opt.decodeThreads;
-    ropt.approxWrongPath = opt.approxWrongPath;
     ReplayEngine engine(prog, {cfg}, ropt);
 
     auto measureFrom = [&](unsigned h) {
@@ -75,18 +79,17 @@ runStratified(const Program &prog, const LivePointLibrary &lib,
         se = std::sqrt(var);
     };
 
-    // Pilot: a minimum per stratum (at least one, or the allocation
-    // loop below would have no variance estimate to work from). The
+    // Pilot: kMinPerStratum points per stratum, so the allocation
+    // loop below has a variance estimate to work from. The
     // pilot set is fixed up front, so it runs on the engine pool;
     // folding in the same stratum-major order a sequential pilot
     // would use keeps the statistics — and thus every later greedy
     // decision — identical at any thread count.
-    const std::size_t minPer =
-        std::max<std::size_t>(opt.minPerStratum, 1);
     std::vector<std::size_t> pilotOrder;
     std::vector<unsigned> pilotStratum;
     for (unsigned h = 0; h < k; ++h) {
-        for (std::size_t i = 0; i < minPer && !queues[h].empty(); ++i) {
+        for (std::size_t i = 0; i < kMinPerStratum && !queues[h].empty();
+             ++i) {
             pilotOrder.push_back(queues[h].back());
             queues[h].pop_back();
             pilotStratum.push_back(h);

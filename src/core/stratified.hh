@@ -19,12 +19,7 @@ namespace lp
 struct StratifiedOptions
 {
     ConfidenceSpec spec{};
-    unsigned strata = 0; //!< 0: choose from the library size
-    std::size_t minPerStratum = 4;
-    std::uint64_t shuffleSeed = 29;
-    bool approxWrongPath = false;
-    unsigned threads = 1;       //!< workers for the pilot batch
-    unsigned decodeThreads = 0; //!< decode producers; 0 = auto
+    unsigned threads = 1; //!< workers for the pilot batch
 };
 
 struct StratifiedResult

@@ -24,32 +24,7 @@ namespace
 // "LPFOOT1\n" little-endian: identifies the 16-byte integrity footer.
 constexpr std::uint64_t kFooterMagic = 0x0a31'544f'4f46'504cull;
 
-void
-putU64le(std::uint8_t *out, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint64_t
-getU64le(const std::uint8_t *in)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-    return v;
-}
-
 } // namespace
-
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < size; ++i)
-        h = (h ^ data[i]) * 0x100000001b3ull;
-    return h;
-}
 
 void
 appendChecksumFooter(Blob &payload)
@@ -74,14 +49,6 @@ checksummedPayload(const std::uint8_t *data, std::size_t size,
         return false;
     *payloadSize = n;
     return true;
-}
-
-bool
-checksumFooterPresent(const std::uint8_t *data, std::size_t size)
-{
-    return size >= checksumFooterBytes &&
-           getU64le(data + size - checksumFooterBytes) ==
-               kFooterMagic;
 }
 
 AtomicFileWriter::AtomicFileWriter(std::string path, const char *what)

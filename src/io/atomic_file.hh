@@ -30,13 +30,11 @@
 #include <cstdio>
 #include <string>
 
+#include "util/bytes.hh"
 #include "util/types.hh"
 
 namespace lp
 {
-
-/** FNV-1a over a byte range (the footer and ledger checksum). */
-std::uint64_t fnv1a(const std::uint8_t *data, std::size_t size);
 
 /** Bytes appendChecksumFooter() adds (footer magic + checksum). */
 constexpr std::size_t checksumFooterBytes = 16;
@@ -47,18 +45,10 @@ void appendChecksumFooter(Blob &payload);
 /**
  * If @p data ends in a valid checksum footer, set @p payloadSize to
  * the payload length (footer stripped) and return true. False means
- * there is no (intact) footer: a torn write, corruption, or a legacy
- * footer-less file.
+ * there is no (intact) footer: a torn write or corruption.
  */
 bool checksummedPayload(const std::uint8_t *data, std::size_t size,
                         std::size_t *payloadSize);
-
-/**
- * True when @p data ends in the footer MAGIC (whether or not the
- * checksum verifies). Distinguishes "corrupt footer — reject" from
- * "no footer at all — a legacy footer-less file".
- */
-bool checksumFooterPresent(const std::uint8_t *data, std::size_t size);
 
 class AtomicFileWriter
 {

@@ -35,13 +35,6 @@ mmapDisabledByEnv()
     return v && v[0] != '\0' && v[0] != '0';
 }
 
-bool
-hugepagesRequestedByEnv()
-{
-    const char *v = std::getenv("LP_HUGEPAGES");
-    return v && v[0] != '\0' && v[0] != '0';
-}
-
 #if LP_HAVE_MMAP
 
 namespace
@@ -130,18 +123,6 @@ MappedFile::adviseSequential() const
 #endif
 }
 
-bool
-MappedFile::adviseHugepage() const
-{
-#if defined(MADV_HUGEPAGE)
-    // MADV_HUGEPAGE is a Linux madvise() extension, not in the
-    // posix_madvise() namespace.
-    return data_ && ::madvise(data_, size_, MADV_HUGEPAGE) == 0;
-#else
-    return false;
-#endif
-}
-
 void
 MappedFile::willNeed(std::size_t offset, std::size_t len) const
 {
@@ -201,12 +182,6 @@ MappedFile::unmap() noexcept
 void
 MappedFile::adviseSequential() const
 {
-}
-
-bool
-MappedFile::adviseHugepage() const
-{
-    return false;
 }
 
 void

@@ -38,14 +38,6 @@ bool mmapSupported();
 /** True when the environment (LP_NO_MMAP=1) disables mapping. */
 bool mmapDisabledByEnv();
 
-/**
- * True when the environment (LP_HUGEPAGES=1) asks for transparent
- * hugepage backing on mapped library files. Off by default: THP
- * trades page-fault count for fault latency and hurts sparse access
- * patterns, so it is an explicit knob, measured in ablation_storage.
- */
-bool hugepagesRequestedByEnv();
-
 class MappedFile
 {
   public:
@@ -73,15 +65,6 @@ class MappedFile
 
     /** Hint: the whole file will be read front to back. */
     void adviseSequential() const;
-
-    /**
-     * Ask the kernel to back the mapping with transparent hugepages
-     * (MADV_HUGEPAGE), cutting TLB pressure and fault count on the
-     * big sequential scans a replay run makes over a library file.
-     * Returns true when the hint was applied, false where the
-     * platform lacks it — purely advisory either way.
-     */
-    bool adviseHugepage() const;
 
     /** Hint: [offset, offset+len) is needed soon — start paging in. */
     void willNeed(std::size_t offset, std::size_t len) const;

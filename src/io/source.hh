@@ -57,9 +57,6 @@ class LibrarySource
     /** True when the bytes are a file mapping, not heap storage. */
     virtual bool mapped() const { return false; }
 
-    /** True when the LP_HUGEPAGES hint was requested and applied. */
-    virtual bool hugepagesApplied() const { return false; }
-
     /**
      * Heap bytes this source pins regardless of access pattern. A
      * mapping pins none (the kernel pages on demand); an owned buffer
@@ -103,12 +100,7 @@ class MappedFileSource final : public LibrarySource
     explicit MappedFileSource(MappedFile file) : file_(std::move(file))
     {
         file_.adviseSequential();
-        if (hugepagesRequestedByEnv())
-            hugepages_ = file_.adviseHugepage();
     }
-
-    /** True when the LP_HUGEPAGES hint was requested and applied. */
-    bool hugepagesApplied() const override { return hugepages_; }
 
     const std::uint8_t *data() const override { return file_.data(); }
     std::size_t size() const override { return file_.size(); }
@@ -128,7 +120,6 @@ class MappedFileSource final : public LibrarySource
 
   private:
     MappedFile file_;
-    bool hugepages_ = false;
 };
 
 /**

@@ -2,9 +2,11 @@
 
 #include <filesystem>
 
+#include "codec/der.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
-#include "codec/der.hh"
+#include "util/bytes.hh"
+#include "util/log.hh"
 
 namespace lp
 {
@@ -26,37 +28,11 @@ constexpr std::uint64_t kFlagStop = 1u << 0;
 constexpr std::uint64_t kFlagWrongPath = 1u << 1;
 constexpr std::uint64_t kFlagConverged = 1u << 2;
 
-void
-putU64(std::uint8_t *p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint64_t
-getU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 [[noreturn]] void
 badStore(const std::string &path, const char *why)
 {
     throw IoError(
         ioErrorMsg("parse", "result store", path, 0) + ": " + why, 0);
-}
-
-/** FNV-1a over @p n little-endian words. */
-std::uint64_t
-wordsFnv(const std::uint64_t *words, std::size_t n)
-{
-    Blob buf(n * 8);
-    for (std::size_t i = 0; i < n; ++i)
-        putU64(buf.data() + i * 8, words[i]);
-    return fnv1a(buf.data(), buf.size());
 }
 
 void
@@ -79,99 +55,149 @@ encodeCell(std::uint8_t *p, const CellRecord &r)
         doubleBits(r.stat.mean), doubleBits(r.stat.m2),
         doubleBits(r.stat.min),  doubleBits(r.stat.max)};
     for (std::size_t i = 0; i < kCellWords - 1; ++i)
-        putU64(p + i * 8, w[i]);
-    putU64(p + (kCellWords - 1) * 8, fnv1a(p, (kCellWords - 1) * 8));
+        putU64le(p + i * 8, w[i]);
+    putU64le(p + (kCellWords - 1) * 8, fnv1a(p, (kCellWords - 1) * 8));
 }
 
 CellRecord
 decodeCell(const std::uint8_t *p, const std::string &path)
 {
-    if (getU64(p + (kCellWords - 1) * 8) !=
+    if (getU64le(p + (kCellWords - 1) * 8) !=
         fnv1a(p, (kCellWords - 1) * 8))
         badStore(path, "cell record checksum mismatch");
     CellRecord r;
-    r.key.libHash = getU64(p);
-    r.key.configDigest = getU64(p + 8);
-    r.key.shuffleSeed = getU64(p + 16);
-    r.key.blockSize = getU64(p + 24);
-    const std::uint64_t flags = getU64(p + 32);
+    r.key.libHash = getU64le(p);
+    r.key.configDigest = getU64le(p + 8);
+    r.key.shuffleSeed = getU64le(p + 16);
+    r.key.blockSize = getU64le(p + 24);
+    const std::uint64_t flags = getU64le(p + 32);
     if (flags & ~(kFlagStop | kFlagWrongPath | kFlagConverged))
         badStore(path, "cell record has unknown flag bits");
     r.key.stopAtConfidence = (flags & kFlagStop) != 0;
     r.key.approxWrongPath = (flags & kFlagWrongPath) != 0;
     r.converged = (flags & kFlagConverged) != 0;
-    r.key.levelBits = getU64(p + 40);
-    r.key.relErrBits = getU64(p + 48);
-    r.libPoints = getU64(p + 56);
-    r.processed = getU64(p + 64);
-    r.unavailableLoads = getU64(p + 72);
-    r.cpiBits = getU64(p + 80);
-    r.stat.n = getU64(p + 88);
-    r.stat.mean = bitsFromDouble(getU64(p + 96));
-    r.stat.m2 = bitsFromDouble(getU64(p + 104));
-    r.stat.min = bitsFromDouble(getU64(p + 112));
-    r.stat.max = bitsFromDouble(getU64(p + 120));
+    r.key.levelBits = getU64le(p + 40);
+    r.key.relErrBits = getU64le(p + 48);
+    r.libPoints = getU64le(p + 56);
+    r.processed = getU64le(p + 64);
+    r.unavailableLoads = getU64le(p + 72);
+    r.cpiBits = getU64le(p + 80);
+    r.stat.n = getU64le(p + 88);
+    r.stat.mean = bitsFromDouble(getU64le(p + 96));
+    r.stat.m2 = bitsFromDouble(getU64le(p + 104));
+    r.stat.min = bitsFromDouble(getU64le(p + 112));
+    r.stat.max = bitsFromDouble(getU64le(p + 120));
     return r;
 }
 
 void
 encodePair(std::uint8_t *p, const PairRecord &r)
 {
+    const ResultKey &k = r.key.base;
     std::uint64_t flags = 0;
-    if (r.stopAtConfidence)
+    if (k.stopAtConfidence)
         flags |= kFlagStop;
-    if (r.approxWrongPath)
+    if (k.approxWrongPath)
         flags |= kFlagWrongPath;
     const std::uint64_t w[kPairWords - 1] = {
-        r.libHash,          r.baseDigest,
-        r.testDigest,       r.shuffleSeed,
-        r.blockSize,        flags,
-        r.levelBits,        r.relErrBits,
+        k.libHash,          k.configDigest,
+        r.key.testDigest,   k.shuffleSeed,
+        k.blockSize,        flags,
+        k.levelBits,        k.relErrBits,
         r.delta.n,          doubleBits(r.delta.mean),
         doubleBits(r.delta.m2), doubleBits(r.delta.min),
         doubleBits(r.delta.max)};
     for (std::size_t i = 0; i < kPairWords - 1; ++i)
-        putU64(p + i * 8, w[i]);
-    putU64(p + (kPairWords - 1) * 8, fnv1a(p, (kPairWords - 1) * 8));
+        putU64le(p + i * 8, w[i]);
+    putU64le(p + (kPairWords - 1) * 8, fnv1a(p, (kPairWords - 1) * 8));
 }
 
 PairRecord
 decodePair(const std::uint8_t *p, const std::string &path)
 {
-    if (getU64(p + (kPairWords - 1) * 8) !=
+    if (getU64le(p + (kPairWords - 1) * 8) !=
         fnv1a(p, (kPairWords - 1) * 8))
         badStore(path, "pair record checksum mismatch");
     PairRecord r;
-    r.libHash = getU64(p);
-    r.baseDigest = getU64(p + 8);
-    r.testDigest = getU64(p + 16);
-    r.shuffleSeed = getU64(p + 24);
-    r.blockSize = getU64(p + 32);
-    const std::uint64_t flags = getU64(p + 40);
+    ResultKey &k = r.key.base;
+    k.libHash = getU64le(p);
+    k.configDigest = getU64le(p + 8);
+    r.key.testDigest = getU64le(p + 16);
+    k.shuffleSeed = getU64le(p + 24);
+    k.blockSize = getU64le(p + 32);
+    const std::uint64_t flags = getU64le(p + 40);
     if (flags & ~(kFlagStop | kFlagWrongPath))
         badStore(path, "pair record has unknown flag bits");
-    r.stopAtConfidence = (flags & kFlagStop) != 0;
-    r.approxWrongPath = (flags & kFlagWrongPath) != 0;
-    r.levelBits = getU64(p + 48);
-    r.relErrBits = getU64(p + 56);
-    r.delta.n = getU64(p + 64);
-    r.delta.mean = bitsFromDouble(getU64(p + 72));
-    r.delta.m2 = bitsFromDouble(getU64(p + 80));
-    r.delta.min = bitsFromDouble(getU64(p + 88));
-    r.delta.max = bitsFromDouble(getU64(p + 96));
+    k.stopAtConfidence = (flags & kFlagStop) != 0;
+    k.approxWrongPath = (flags & kFlagWrongPath) != 0;
+    k.levelBits = getU64le(p + 48);
+    k.relErrBits = getU64le(p + 56);
+    r.delta.n = getU64le(p + 64);
+    r.delta.mean = bitsFromDouble(getU64le(p + 72));
+    r.delta.m2 = bitsFromDouble(getU64le(p + 80));
+    r.delta.min = bitsFromDouble(getU64le(p + 88));
+    r.delta.max = bitsFromDouble(getU64le(p + 96));
     return r;
 }
 
-bool
-pairIdentityEquals(const PairRecord &a, const PairRecord &b)
+/**
+ * Index @p recs by key, front to back with overwrite: last writer
+ * wins for duplicate keys, matching the container's append
+ * semantics. Returns the number of records shadowed.
+ */
+template <typename Index, typename Record>
+std::size_t
+indexRecords(Index &idx, const std::vector<Record> &recs)
 {
-    return a.libHash == b.libHash && a.baseDigest == b.baseDigest &&
-           a.testDigest == b.testDigest &&
-           a.shuffleSeed == b.shuffleSeed &&
-           a.blockSize == b.blockSize &&
-           a.stopAtConfidence == b.stopAtConfidence &&
-           a.approxWrongPath == b.approxWrongPath &&
-           a.levelBits == b.levelBits && a.relErrBits == b.relErrBits;
+    idx.clear();
+    std::size_t shadowed = 0;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        const auto [it, fresh] = idx.try_emplace(recs[i].key, i);
+        if (!fresh) {
+            it->second = i;
+            ++shadowed;
+        }
+    }
+    return shadowed;
+}
+
+/** Insert @p rec, or overwrite the record stored under its key. */
+template <typename Index, typename Record>
+void
+upsert(Index &idx, std::vector<Record> &recs, const Record &rec)
+{
+    const auto [it, fresh] = idx.try_emplace(rec.key, recs.size());
+    if (fresh)
+        recs.push_back(rec);
+    else
+        recs[it->second] = rec;
+}
+
+/** Copy the record stored under @p key to @p out (when non-null). */
+template <typename Index, typename Record, typename Key>
+bool
+lookup(const Index &idx, const std::vector<Record> &recs, const Key &key,
+       Record *out)
+{
+    const auto it = idx.find(key);
+    if (it == idx.end())
+        return false;
+    if (out)
+        *out = recs[it->second];
+    return true;
+}
+
+/** The records the index still maps to, in file order. */
+template <typename Index, typename Record>
+std::vector<Record>
+survivors(const Index &idx, const std::vector<Record> &recs)
+{
+    std::vector<Record> out;
+    out.reserve(idx.size());
+    for (std::size_t i = 0; i < recs.size(); ++i)
+        if (idx.at(recs[i].key) == i)
+            out.push_back(recs[i]);
+    return out;
 }
 
 } // namespace
@@ -211,24 +237,10 @@ ResultKey::hash() const
                                 levelBits,
                                 relErrBits,
                                 0};
-    return wordsFnv(w, 8);
-}
-
-std::uint64_t
-PairRecord::hash() const
-{
-    const std::uint64_t w[9] = {libHash,
-                                baseDigest,
-                                testDigest,
-                                shuffleSeed,
-                                blockSize,
-                                (stopAtConfidence ? kFlagStop : 0u) |
-                                    (approxWrongPath ? kFlagWrongPath
-                                                     : 0u),
-                                levelBits,
-                                relErrBits,
-                                1};
-    return wordsFnv(w, 9);
+    std::uint8_t buf[sizeof(w)];
+    for (std::size_t i = 0; i < 8; ++i)
+        putU64le(buf + i * 8, w[i]);
+    return fnv1a(buf, sizeof(buf));
 }
 
 void
@@ -269,13 +281,13 @@ ResultStore::parseLocked(const std::uint8_t *data, std::size_t size,
         badStore(path, "truncated or missing checksum footer");
     if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
         badStore(path, "bad magic");
-    if (getU64(data + 8) != kVersion)
+    if (getU64le(data + 8) != kVersion)
         badStore(path, "unsupported version");
-    if (getU64(data + 40) != fnv1a(data, 40))
+    if (getU64le(data + 40) != fnv1a(data, 40))
         badStore(path, "header checksum mismatch");
-    const std::uint64_t metaSize = getU64(data + 16);
-    const std::uint64_t nCells = getU64(data + 24);
-    const std::uint64_t nPairs = getU64(data + 32);
+    const std::uint64_t metaSize = getU64le(data + 16);
+    const std::uint64_t nCells = getU64le(data + 24);
+    const std::uint64_t nPairs = getU64le(data + 32);
     // Bound each section by the payload before multiplying, so a
     // corrupt count can never overflow the size arithmetic.
     if (metaSize > payloadSize || nCells > payloadSize ||
@@ -313,7 +325,7 @@ ResultStore::parseLocked(const std::uint8_t *data, std::size_t size,
     for (std::uint64_t i = 0; i < nCells; ++i) {
         CellRecord rec =
             decodeCell(cellBase + i * kCellBytes, path);
-        if (getU64(index + i * 8) != rec.key.hash())
+        if (getU64le(index + i * 8) != rec.key.hash())
             badStore(path, "index entry disagrees with its record");
         cells.push_back(rec);
     }
@@ -328,47 +340,8 @@ ResultStore::parseLocked(const std::uint8_t *data, std::size_t size,
 void
 ResultStore::rebuildIndexLocked()
 {
-    cellIdx_.clear();
-    pairIdx_.clear();
-    superseded_ = 0;
-    // Front-to-back insert with overwrite = last writer wins for
-    // duplicate keys, matching the container's append semantics.
-    // Distinct keys that collide on the 64-bit hash are rehashed into
-    // the next probe slot, so equality is always on the full key.
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        std::uint64_t h = cells_[i].key.hash();
-        for (;;) {
-            auto it = cellIdx_.find(h);
-            if (it == cellIdx_.end()) {
-                cellIdx_.emplace(h, i);
-                break;
-            }
-            if (cells_[it->second].key == cells_[i].key) {
-                it->second = i;
-                ++superseded_;
-                break;
-            }
-            h = fnv1a(reinterpret_cast<const std::uint8_t *>(&h),
-                      sizeof(h));
-        }
-    }
-    for (std::size_t i = 0; i < pairs_.size(); ++i) {
-        std::uint64_t h = pairs_[i].hash();
-        for (;;) {
-            auto it = pairIdx_.find(h);
-            if (it == pairIdx_.end()) {
-                pairIdx_.emplace(h, i);
-                break;
-            }
-            if (pairIdentityEquals(pairs_[it->second], pairs_[i])) {
-                it->second = i;
-                ++superseded_;
-                break;
-            }
-            h = fnv1a(reinterpret_cast<const std::uint8_t *>(&h),
-                      sizeof(h));
-        }
-    }
+    superseded_ = indexRecords(cellIdx_, cells_) +
+                  indexRecords(pairIdx_, pairs_);
 }
 
 Blob
@@ -387,17 +360,17 @@ ResultStore::serializeLocked() const
              cells_.size() * kCellBytes + pairs_.size() * kPairBytes);
     std::uint8_t *p = out.data();
     std::memcpy(p, kMagic, sizeof(kMagic));
-    putU64(p + 8, kVersion);
-    putU64(p + 16, meta.size());
-    putU64(p + 24, cells_.size());
-    putU64(p + 32, pairs_.size());
-    putU64(p + 40, fnv1a(p, 40));
+    putU64le(p + 8, kVersion);
+    putU64le(p + 16, meta.size());
+    putU64le(p + 24, cells_.size());
+    putU64le(p + 32, pairs_.size());
+    putU64le(p + 40, fnv1a(p, 40));
     std::memcpy(p + kHeaderBytes, meta.data(), meta.size());
     std::uint8_t *index = p + kHeaderBytes + meta.size();
     std::uint8_t *cellBase = index + cells_.size() * 8;
     std::uint8_t *pairBase = cellBase + cells_.size() * kCellBytes;
     for (std::size_t i = 0; i < cells_.size(); ++i) {
-        putU64(index + i * 8, cells_[i].key.hash());
+        putU64le(index + i * 8, cells_[i].key.hash());
         encodeCell(cellBase + i * kCellBytes, cells_[i]);
     }
     for (std::size_t i = 0; i < pairs_.size(); ++i)
@@ -438,80 +411,28 @@ void
 ResultStore::put(const CellRecord &rec)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t h = rec.key.hash();
-    for (;;) {
-        auto it = cellIdx_.find(h);
-        if (it == cellIdx_.end()) {
-            cellIdx_.emplace(h, cells_.size());
-            cells_.push_back(rec);
-            return;
-        }
-        if (cells_[it->second].key == rec.key) {
-            cells_[it->second] = rec;
-            return;
-        }
-        h = fnv1a(reinterpret_cast<const std::uint8_t *>(&h),
-                  sizeof(h));
-    }
+    upsert(cellIdx_, cells_, rec);
 }
 
 void
 ResultStore::putPair(const PairRecord &rec)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t h = rec.hash();
-    for (;;) {
-        auto it = pairIdx_.find(h);
-        if (it == pairIdx_.end()) {
-            pairIdx_.emplace(h, pairs_.size());
-            pairs_.push_back(rec);
-            return;
-        }
-        if (pairIdentityEquals(pairs_[it->second], rec)) {
-            pairs_[it->second] = rec;
-            return;
-        }
-        h = fnv1a(reinterpret_cast<const std::uint8_t *>(&h),
-                  sizeof(h));
-    }
+    upsert(pairIdx_, pairs_, rec);
 }
 
 bool
 ResultStore::find(const ResultKey &key, CellRecord *out) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t h = key.hash();
-    for (;;) {
-        auto it = cellIdx_.find(h);
-        if (it == cellIdx_.end())
-            return false;
-        if (cells_[it->second].key == key) {
-            if (out)
-                *out = cells_[it->second];
-            return true;
-        }
-        h = fnv1a(reinterpret_cast<const std::uint8_t *>(&h),
-                  sizeof(h));
-    }
+    return lookup(cellIdx_, cells_, key, out);
 }
 
 bool
-ResultStore::findPair(const PairRecord &probe, PairRecord *out) const
+ResultStore::findPair(const PairKey &key, PairRecord *out) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t h = probe.hash();
-    for (;;) {
-        auto it = pairIdx_.find(h);
-        if (it == pairIdx_.end())
-            return false;
-        if (pairIdentityEquals(pairs_[it->second], probe)) {
-            if (out)
-                *out = pairs_[it->second];
-            return true;
-        }
-        h = fnv1a(reinterpret_cast<const std::uint8_t *>(&h),
-                  sizeof(h));
-    }
+    return lookup(pairIdx_, pairs_, key, out);
 }
 
 std::vector<CellRecord>
@@ -553,46 +474,8 @@ std::size_t
 ResultStore::compact()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<CellRecord> cells;
-    std::vector<PairRecord> pairs;
-    cells.reserve(cells_.size());
-    pairs.reserve(pairs_.size());
-    // Keep file order, dropping every record a later one shadows:
-    // a slot survives iff the index still points at it.
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        bool survives = false;
-        std::uint64_t h = cells_[i].key.hash();
-        for (;;) {
-            auto it = cellIdx_.find(h);
-            if (it == cellIdx_.end())
-                break;
-            if (cells_[it->second].key == cells_[i].key) {
-                survives = it->second == i;
-                break;
-            }
-            h = fnv1a(reinterpret_cast<const std::uint8_t *>(&h),
-                      sizeof(h));
-        }
-        if (survives)
-            cells.push_back(cells_[i]);
-    }
-    for (std::size_t i = 0; i < pairs_.size(); ++i) {
-        bool survives = false;
-        std::uint64_t h = pairs_[i].hash();
-        for (;;) {
-            auto it = pairIdx_.find(h);
-            if (it == pairIdx_.end())
-                break;
-            if (pairIdentityEquals(pairs_[it->second], pairs_[i])) {
-                survives = it->second == i;
-                break;
-            }
-            h = fnv1a(reinterpret_cast<const std::uint8_t *>(&h),
-                      sizeof(h));
-        }
-        if (survives)
-            pairs.push_back(pairs_[i]);
-    }
+    std::vector<CellRecord> cells = survivors(cellIdx_, cells_);
+    std::vector<PairRecord> pairs = survivors(pairIdx_, pairs_);
     const std::size_t removed = (cells_.size() - cells.size()) +
                                 (pairs_.size() - pairs.size());
     cells_ = std::move(cells);
@@ -606,6 +489,133 @@ ResultStore::path() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return path_;
+}
+
+bool
+parseHexDigest(const std::string &text, std::uint64_t *out)
+{
+    if (text.empty() || text.size() > 16)
+        return false;
+    std::uint64_t v = 0;
+    for (const char ch : text) {
+        unsigned d;
+        if (ch >= '0' && ch <= '9')
+            d = static_cast<unsigned>(ch - '0');
+        else if (ch >= 'a' && ch <= 'f')
+            d = static_cast<unsigned>(ch - 'a' + 10);
+        else if (ch >= 'A' && ch <= 'F')
+            d = static_cast<unsigned>(ch - 'A' + 10);
+        else
+            return false;
+        v = v << 4 | d;
+    }
+    *out = v;
+    return true;
+}
+
+namespace
+{
+
+ConfidenceSpec
+recordedSpec(const ResultKey &k)
+{
+    ConfidenceSpec spec;
+    if (k.stopAtConfidence) {
+        spec.level = bitsFromDouble(k.levelBits);
+        spec.relativeError = bitsFromDouble(k.relErrBits);
+    }
+    return spec;
+}
+
+} // namespace
+
+double
+recordedRelHalfWidth(const CellRecord &c)
+{
+    OnlineEstimator est(recordedSpec(c.key));
+    est.fold(RunningStat::fromState(c.stat));
+    return est.snapshot().relHalfWidth;
+}
+
+bool
+StoreQuery::matches(const CellRecord &c) const
+{
+    return (!libHash || c.key.libHash == libHash) &&
+           (!configDigest || c.key.configDigest == configDigest);
+}
+
+bool
+StoreQuery::matches(const PairRecord &p) const
+{
+    return (!libHash || p.key.base.libHash == libHash) &&
+           (!configDigest || p.key.base.configDigest == configDigest ||
+            p.key.testDigest == configDigest);
+}
+
+std::string
+storeQueryJson(const ResultStore &store, const StoreQuery &q,
+               const std::unordered_map<std::uint64_t, std::string> &names,
+               std::size_t superseded)
+{
+    auto libLabel = [&names](std::uint64_t h) {
+        const auto it = names.find(h);
+        if (it != names.end())
+            return jsonEscape(it->second);
+        return strfmt("lib-%016llx", static_cast<unsigned long long>(h));
+    };
+    // "key": value spacing throughout: CI and perfbench grep the
+    // cell_count and cpi_bits fields as written.
+    std::string out = strfmt("{\n  \"store\": \"%s\",\n"
+                             "  \"superseded_records\": %zu,\n"
+                             "  \"cells\": [",
+                             jsonEscape(store.path()).c_str(), superseded);
+    std::size_t nCells = 0;
+    for (const CellRecord &c : store.cells()) {
+        if (!q.matches(c))
+            continue;
+        out += nCells++ ? ",\n    " : "\n    ";
+        out += strfmt(
+            "{\"workload\": \"%s\", \"config_digest\": \"%016llx\", "
+            "\"shuffle_seed\": %llu, \"block_size\": %llu, "
+            "\"stop_at_confidence\": %s, \"approx_wrong_path\": %s, "
+            "\"lib_points\": %llu, \"processed\": %llu, "
+            "\"unavailable_loads\": %llu, \"converged\": %s, "
+            "\"cpi\": %.17g, \"cpi_bits\": \"%016llx\", "
+            "\"rel_half_width\": %.6g, \"level\": %.6g}",
+            libLabel(c.key.libHash).c_str(),
+            static_cast<unsigned long long>(c.key.configDigest),
+            static_cast<unsigned long long>(c.key.shuffleSeed),
+            static_cast<unsigned long long>(c.key.blockSize),
+            c.key.stopAtConfidence ? "true" : "false",
+            c.key.approxWrongPath ? "true" : "false",
+            static_cast<unsigned long long>(c.libPoints),
+            static_cast<unsigned long long>(c.processed),
+            static_cast<unsigned long long>(c.unavailableLoads),
+            c.converged ? "true" : "false", bitsFromDouble(c.cpiBits),
+            static_cast<unsigned long long>(c.cpiBits),
+            recordedRelHalfWidth(c), recordedSpec(c.key).level);
+    }
+    out += nCells ? "\n  ],\n" : "],\n";
+    out += "  \"pairs\": [";
+    std::size_t nPairs = 0;
+    for (const PairRecord &p : store.pairs()) {
+        if (!q.matches(p))
+            continue;
+        out += nPairs++ ? ",\n    " : "\n    ";
+        out += strfmt(
+            "{\"workload\": \"%s\", \"base_digest\": \"%016llx\", "
+            "\"test_digest\": \"%016llx\", \"n\": %llu, "
+            "\"mean_delta\": %.17g}",
+            libLabel(p.key.base.libHash).c_str(),
+            static_cast<unsigned long long>(p.key.base.configDigest),
+            static_cast<unsigned long long>(p.key.testDigest),
+            static_cast<unsigned long long>(p.delta.n),
+            p.delta.n ? p.delta.mean : 0.0);
+    }
+    out += nPairs ? "\n  ],\n" : "],\n";
+    out += strfmt("  \"cell_count\": %zu,\n  \"pair_count\": %zu\n}\n",
+                  nCells, nPairs);
+    return out;
 }
 
 } // namespace lp

@@ -13,8 +13,8 @@
  * two runs with the same key fold the same observations in the same
  * order and stop at the same point, so the stored RunningStat::State
  * and CPI bits ARE the result a fresh replay would produce, bit for
- * bit. Matched-pair deltas are stored under the analogous
- * (libHash, baseDigest, testDigest, ...) key.
+ * bit. A matched-pair delta's identity is its base cell's key plus
+ * the test config's digest.
  *
  * On-disk container (`LPRES1`, one file, written atomically):
  *
@@ -37,7 +37,9 @@
  * IoError; there is no partial or best-effort load. Duplicate keys
  * (an append-style producer, or a crashed compaction) are legal in
  * the container and resolve last-writer-wins at load; compact()
- * rewrites the file with the survivors only.
+ * rewrites the file with the survivors only. In memory, cells and
+ * pairs are indexed by their full identity, so two keys whose
+ * 64-bit hashes collide are still two entries.
  *
  * The in-memory store is internally synchronized: concurrent service
  * workers may publish() while the daemon answers queries.
@@ -55,6 +57,7 @@
 #include "core/sample.hh"
 #include "io/source.hh"
 #include "stats/running_stat.hh"
+#include "util/rng.hh"
 #include "util/types.hh"
 
 namespace lp
@@ -122,6 +125,15 @@ struct ResultKey
     }
 };
 
+/** Hasher for indexing by ResultKey: its on-disk index entry. */
+struct ResultKeyHash
+{
+    std::size_t operator()(const ResultKey &k) const
+    {
+        return static_cast<std::size_t>(k.hash());
+    }
+};
+
 /** One memoized cell: its key plus everything needed to restore it. */
 struct CellRecord
 {
@@ -134,22 +146,35 @@ struct CellRecord
     RunningStat::State stat;   //!< the complete fold state
 };
 
+/**
+ * The identity of a matched pair: the base cell's full key (its
+ * configDigest is the base config) plus the test config's digest.
+ */
+struct PairKey
+{
+    ResultKey base;
+    std::uint64_t testDigest = 0;
+
+    bool operator==(const PairKey &o) const
+    {
+        return base == o.base && testDigest == o.testDigest;
+    }
+};
+
+struct PairKeyHash
+{
+    std::size_t operator()(const PairKey &k) const
+    {
+        return static_cast<std::size_t>(
+            hashCombine(k.base.hash(), k.testDigest));
+    }
+};
+
 /** One memoized matched-pair delta between two configs. */
 struct PairRecord
 {
-    std::uint64_t libHash = 0;
-    std::uint64_t baseDigest = 0;
-    std::uint64_t testDigest = 0;
-    std::uint64_t shuffleSeed = 0;
-    std::uint64_t blockSize = 0;
-    bool stopAtConfidence = false;
-    bool approxWrongPath = false;
-    std::uint64_t levelBits = 0;
-    std::uint64_t relErrBits = 0;
+    PairKey key;
     RunningStat::State delta;
-
-    /** FNV-1a over the 9 identity words. */
-    std::uint64_t hash() const;
 };
 
 class ResultStore
@@ -199,8 +224,8 @@ class ResultStore
      */
     bool find(const ResultKey &key, CellRecord *out) const;
 
-    /** The pair delta for (libHash, base, test) under the run key. */
-    bool findPair(const PairRecord &probe, PairRecord *out) const;
+    /** The pair record stored under exactly @p key, if any. */
+    bool findPair(const PairKey &key, PairRecord *out) const;
 
     /** Snapshot of all cell records, file order. */
     std::vector<CellRecord> cells() const;
@@ -215,10 +240,10 @@ class ResultStore
     std::size_t supersededRecords() const;
 
     /**
-     * Drop superseded duplicates from the in-memory store (the loaded
-     * maps already resolved them; this rewrites the record vectors so
-     * a subsequent save() emits each key once). Returns the number of
-     * records removed.
+     * Drop superseded duplicates from the in-memory store: record i
+     * stays exactly when the index maps its key to i, so a
+     * subsequent save() emits each key once, in file order. Returns
+     * the number of records removed.
      */
     std::size_t compact();
 
@@ -236,10 +261,49 @@ class ResultStore
     std::string path_;
     std::vector<CellRecord> cells_;
     std::vector<PairRecord> pairs_;
-    std::unordered_map<std::uint64_t, std::size_t> cellIdx_;
-    std::unordered_map<std::uint64_t, std::size_t> pairIdx_;
+    std::unordered_map<ResultKey, std::size_t, ResultKeyHash> cellIdx_;
+    std::unordered_map<PairKey, std::size_t, PairKeyHash> pairIdx_;
     std::size_t superseded_ = 0;
 };
+
+/**
+ * Parse a config digest or library content hash as typed on a
+ * command line: 1-16 hex digits and nothing else (no sign, prefix or
+ * whitespace). Returns false, leaving @p out untouched, otherwise.
+ */
+bool parseHexDigest(const std::string &text, std::uint64_t *out);
+
+/**
+ * The relative confidence half-width a cell's stored fold state
+ * yields under its own recorded spec (the default spec for a
+ * full-library cell, whose key carries none).
+ */
+double recordedRelHalfWidth(const CellRecord &c);
+
+/** Which records a store query selects (0: no filter). */
+struct StoreQuery
+{
+    std::uint64_t libHash = 0;      //!< one library's records
+    std::uint64_t configDigest = 0; //!< cells of, pairs touching, a config
+
+    bool matches(const CellRecord &c) const;
+    bool matches(const PairRecord &p) const;
+};
+
+/**
+ * The JSON answer to @p q over @p store, printed by both the service
+ * daemon's query request and `inspect_results --json`. Top level:
+ * `store` (its path), `superseded_records` (@p superseded), `cells`,
+ * `pairs`, `cell_count` and `pair_count`. A cell carries its key
+ * fields, fold outcome, `cpi`/`cpi_bits`, and `rel_half_width` at
+ * `level` (recordedRelHalfWidth()); a pair its two digests, `n` and
+ * `mean_delta`. @p names maps library content hashes to shard names;
+ * any other library prints as `lib-<hash>`.
+ */
+std::string
+storeQueryJson(const ResultStore &store, const StoreQuery &q,
+               const std::unordered_map<std::uint64_t, std::string> &names,
+               std::size_t superseded);
 
 } // namespace lp
 

@@ -149,20 +149,15 @@ SvcReply
 SvcClient::submitWithRetry(const JobSpec &spec,
                            const RetryPolicy &policy)
 {
-    // Same backoff shape and jitter stream as TransientRetry, but the
-    // "transient" signal is the daemon's retry-later reply and the
-    // daemon's own retryAfterMs hint is the delay floor.
+    // TransientRetry's backoff and jitter stream, but the "transient"
+    // signal is the daemon's retry-later reply and the daemon's own
+    // retryAfterMs hint is the delay floor.
     Rng rng(policy.seed, "lp-retry-jitter");
     SvcReply rep = submit(spec);
     for (int used = 0; rep.retry && used < policy.attempts; ++used) {
-        std::uint64_t delayUs = policy.baseDelayUs;
-        for (int i = 0; i < used && delayUs < policy.maxDelayUs; ++i)
-            delayUs *= 2;
-        if (delayUs > policy.maxDelayUs)
-            delayUs = policy.maxDelayUs;
-        const std::uint64_t half = delayUs / 2;
-        delayUs = delayUs - delayUs / 4 + rng.nextBounded(half ? half : 1);
-        delayUs = std::max(delayUs, rep.retryAfterMs * 1000);
+        const std::uint64_t delayUs =
+            std::max(retryBackoffUs(policy, used, rng),
+                     rep.retryAfterMs * 1000);
         std::this_thread::sleep_for(std::chrono::microseconds(delayUs));
         rep = submit(spec);
     }

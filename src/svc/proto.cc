@@ -6,6 +6,7 @@
 #include "codec/der.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
+#include "util/bytes.hh"
 #include "util/failpoint.hh"
 #include "util/log.hh"
 #include "util/retry.hh"
@@ -24,22 +25,6 @@ namespace
 {
 
 constexpr std::size_t kFrameHeaderBytes = 32;
-
-void
-putU64le(std::uint8_t *out, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint64_t
-getU64le(const std::uint8_t *in)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-    return v;
-}
 
 #if LP_HAVE_SOCKETS
 

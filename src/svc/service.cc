@@ -521,68 +521,8 @@ CampaignService::queryResults(const std::string &workload,
     std::unordered_map<std::uint64_t, std::string> names;
     for (std::size_t i = 0; i < set_.size(); ++i)
         names.emplace(set_.contentHash(i), set_.name(i));
-    auto libLabel = [&](std::uint64_t h) {
-        auto it = names.find(h);
-        if (it != names.end())
-            return jsonEscape(it->second);
-        return strfmt("lib-%016llx",
-                      static_cast<unsigned long long>(h));
-    };
-
-    std::string out = "{\n  \"cells\": [";
-    std::size_t nCells = 0;
-    for (const CellRecord &c : store_->cells()) {
-        if (libFilter && c.key.libHash != libFilter)
-            continue;
-        if (configDigest && c.key.configDigest != configDigest)
-            continue;
-        out += nCells ? ",\n    " : "\n    ";
-        out += strfmt(
-            "{\"workload\": \"%s\", \"config_digest\": \"%016llx\", "
-            "\"shuffle_seed\": %llu, \"block_size\": %llu, "
-            "\"stop_at_confidence\": %s, \"approx_wrong_path\": %s, "
-            "\"lib_points\": %llu, \"processed\": %llu, "
-            "\"unavailable_loads\": %llu, \"converged\": %s, "
-            "\"cpi\": %.17g, \"cpi_bits\": \"%016llx\"}",
-            libLabel(c.key.libHash).c_str(),
-            static_cast<unsigned long long>(c.key.configDigest),
-            static_cast<unsigned long long>(c.key.shuffleSeed),
-            static_cast<unsigned long long>(c.key.blockSize),
-            c.key.stopAtConfidence ? "true" : "false",
-            c.key.approxWrongPath ? "true" : "false",
-            static_cast<unsigned long long>(c.libPoints),
-            static_cast<unsigned long long>(c.processed),
-            static_cast<unsigned long long>(c.unavailableLoads),
-            c.converged ? "true" : "false",
-            bitsFromDouble(c.cpiBits),
-            static_cast<unsigned long long>(c.cpiBits));
-        ++nCells;
-    }
-    out += nCells ? "\n  ],\n" : "],\n";
-    out += "  \"pairs\": [";
-    std::size_t nPairs = 0;
-    for (const PairRecord &p : store_->pairs()) {
-        if (libFilter && p.libHash != libFilter)
-            continue;
-        if (configDigest && p.baseDigest != configDigest &&
-            p.testDigest != configDigest)
-            continue;
-        out += nPairs ? ",\n    " : "\n    ";
-        out += strfmt(
-            "{\"workload\": \"%s\", \"base_digest\": \"%016llx\", "
-            "\"test_digest\": \"%016llx\", \"n\": %llu, "
-            "\"mean_delta\": %.17g}",
-            libLabel(p.libHash).c_str(),
-            static_cast<unsigned long long>(p.baseDigest),
-            static_cast<unsigned long long>(p.testDigest),
-            static_cast<unsigned long long>(p.delta.n),
-            p.delta.n ? p.delta.mean : 0.0);
-        ++nPairs;
-    }
-    out += nPairs ? "\n  ],\n" : "],\n";
-    out += strfmt("  \"cell_count\": %zu,\n  \"pair_count\": %zu\n}\n",
-                  nCells, nPairs);
-    return out;
+    return storeQueryJson(*store_, StoreQuery{libFilter, configDigest},
+                          names, store_->supersededRecords());
 }
 
 std::vector<std::uint64_t>

@@ -45,6 +45,26 @@ struct RetryPolicy
     std::uint64_t seed = 0;
 };
 
+/**
+ * The backoff before retry number @p retry (0-based) under @p p:
+ * baseDelayUs doubled per retry up to maxDelayUs, with +-25%
+ * deterministic jitter drawn from @p rng. Every retry loop — errno
+ * transients here, the service client's retry-later replies — sleeps
+ * this delay.
+ */
+inline std::uint64_t
+retryBackoffUs(const RetryPolicy &p, int retry, Rng &rng)
+{
+    std::uint64_t delay = p.baseDelayUs;
+    for (int i = 0; i < retry && delay < p.maxDelayUs; ++i)
+        delay *= 2;
+    if (delay > p.maxDelayUs)
+        delay = p.maxDelayUs;
+    // +-25% jitter, never rounding a nonzero delay to zero.
+    const std::uint64_t half = delay / 2;
+    return delay - delay / 4 + rng.nextBounded(half ? half : 1);
+}
+
 class TransientRetry
 {
   public:
@@ -65,7 +85,8 @@ class TransientRetry
             return false;
         ++used_;
         if (err != EINTR && p_.baseDelayUs > 0)
-            backoff();
+            std::this_thread::sleep_for(std::chrono::microseconds(
+                retryBackoffUs(p_, used_ - 1, rng_)));
         return true;
     }
 
@@ -76,19 +97,6 @@ class TransientRetry
     int remaining() const { return p_.attempts - used_; }
 
   private:
-    void backoff()
-    {
-        std::uint64_t delay = p_.baseDelayUs;
-        for (int i = 1; i < used_ && delay < p_.maxDelayUs; ++i)
-            delay *= 2;
-        if (delay > p_.maxDelayUs)
-            delay = p_.maxDelayUs;
-        // +-25% deterministic jitter, never rounding to zero.
-        const std::uint64_t half = delay / 2;
-        delay = delay - delay / 4 + rng_.nextBounded(half ? half : 1);
-        std::this_thread::sleep_for(std::chrono::microseconds(delay));
-    }
-
     RetryPolicy p_;
     int used_ = 0;
     Rng rng_;

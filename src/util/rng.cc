@@ -1,27 +1,14 @@
 #include "util/rng.hh"
 
+#include "util/bytes.hh"
+
 namespace lp
 {
 
-namespace
-{
-
-std::uint64_t
-hashString(const std::string &s)
-{
-    // FNV-1a, 64-bit.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed, const std::string &stream)
-    : state_(hashCombine(seed, hashString(stream)))
+    : state_(hashCombine(
+          seed, fnv1a(reinterpret_cast<const std::uint8_t *>(stream.data()),
+                      stream.size())))
 {
 }
 

@@ -329,27 +329,15 @@ main()
         CHECK_EQ(healthy.size(), 2u);
         CHECK(!healthy.recovery().degraded);
 
-        // Truncation at EVERY byte: strict open rejects cleanly —
-        // except the one cut that removes exactly the 16-byte footer,
-        // which leaves a byte-complete legacy (footer-less) index
-        // whose content is still correct. openRecover always yields
-        // the full entry table, rebuilt from the shards when the
-        // index was unreadable.
+        // Truncation at EVERY byte, the footer-less cut included:
+        // strict open rejects cleanly, and openRecover rebuilds the
+        // full entry table from the shards.
         for (std::size_t cut = 0; cut < idxBytes.size(); ++cut) {
             writeBytes(idxPath, idxBytes.data(), cut);
-            const bool legacyOk =
-                cut + checksumFooterBytes == idxBytes.size();
-            bool strictOk = true;
-            try {
-                const LibrarySet s = LibrarySet::open(setDir);
-                CHECK_EQ(s.size(), 2u);
-            } catch (const std::exception &) {
-                strictOk = false;
-            }
-            CHECK_EQ(strictOk, legacyOk);
+            CHECK_THROWS(LibrarySet::open(setDir));
             const LibrarySet rec = LibrarySet::openRecover(setDir);
-            CHECK_EQ(rec.recovery().degraded, !legacyOk);
-            CHECK_EQ(rec.recovery().indexRebuilt, !legacyOk);
+            CHECK(rec.recovery().degraded);
+            CHECK(rec.recovery().indexRebuilt);
             CHECK_EQ(rec.size(), 2u);
             const std::size_t a = rec.find("flt-a");
             const std::size_t b = rec.find("flt-b");

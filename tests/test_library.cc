@@ -28,6 +28,7 @@
 #include "core/library_set.hh"
 #include "core/replay.hh"
 #include "uarch/config.hh"
+#include "util/bytes.hh"
 
 namespace
 {
@@ -121,6 +122,20 @@ main()
             [](LivePointBuilderConfig &bc) { bc.deltaEncode = true; });
         CHECK(delta.lib.deltaCount() > 0);
         CHECK_PIN(delta.lib.contentHash(), 0x1aac5f435c16cf3eull);
+
+        // Container pins: the saved file bytes of both builds (LPLIB3
+        // and LPLIB4), so every header and table byte the writer lays
+        // down stays fixed, not only what a load accepts.
+        const std::string pinPath = "libtest-pin.lpl";
+        lib.save(pinPath);
+        const Blob plainFile = slurpFile(pinPath);
+        CHECK_PIN(fnv1a(plainFile.data(), plainFile.size()),
+                  0x787c2c8c7251e627ull);
+        delta.lib.save(pinPath);
+        const Blob deltaFile = slurpFile(pinPath);
+        CHECK_PIN(fnv1a(deltaFile.data(), deltaFile.size()),
+                  0xdb8eb807fdabd753ull);
+        std::remove(pinPath.c_str());
     }
 
     // Points carry consistent metadata and a usable predictor image.

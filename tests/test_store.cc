@@ -11,9 +11,12 @@
 
 #include "test_util.hh"
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <unordered_map>
 
 #include <unistd.h>
 
@@ -21,7 +24,9 @@
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
 #include "store/result_store.hh"
+#include "util/bytes.hh"
 #include "util/log.hh"
+#include "util/rng.hh"
 
 namespace
 {
@@ -53,22 +58,6 @@ writeAll(const std::string &path, const std::uint8_t *data,
     }
 }
 
-std::uint64_t
-leU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-void
-putLeU64(std::uint8_t *p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
 lp::CellRecord
 sampleCell(std::uint64_t salt)
 {
@@ -96,6 +85,29 @@ sampleCell(std::uint64_t salt)
     return r;
 }
 
+/** A key's identity words, in a std::map-orderable form. */
+std::array<std::uint64_t, 9>
+identity(const lp::ResultKey &k, std::uint64_t testDigest = 0)
+{
+    return {k.libHash,    k.configDigest,
+            k.shuffleSeed, k.blockSize,
+            std::uint64_t{k.stopAtConfidence},
+            std::uint64_t{k.approxWrongPath},
+            k.levelBits,  k.relErrBits,
+            testDigest};
+}
+
+bool
+statBitEqual(const lp::RunningStat::State &a,
+             const lp::RunningStat::State &b)
+{
+    using lp::doubleBits;
+    return a.n == b.n && doubleBits(a.mean) == doubleBits(b.mean) &&
+           doubleBits(a.m2) == doubleBits(b.m2) &&
+           doubleBits(a.min) == doubleBits(b.min) &&
+           doubleBits(a.max) == doubleBits(b.max);
+}
+
 bool
 cellsBitEqual(const lp::CellRecord &a, const lp::CellRecord &b)
 {
@@ -104,11 +116,13 @@ cellsBitEqual(const lp::CellRecord &a, const lp::CellRecord &b)
            a.processed == b.processed &&
            a.unavailableLoads == b.unavailableLoads &&
            a.converged == b.converged && a.cpiBits == b.cpiBits &&
-           a.stat.n == b.stat.n &&
-           doubleBits(a.stat.mean) == doubleBits(b.stat.mean) &&
-           doubleBits(a.stat.m2) == doubleBits(b.stat.m2) &&
-           doubleBits(a.stat.min) == doubleBits(b.stat.min) &&
-           doubleBits(a.stat.max) == doubleBits(b.stat.max);
+           statBitEqual(a.stat, b.stat);
+}
+
+bool
+pairsBitEqual(const lp::PairRecord &a, const lp::PairRecord &b)
+{
+    return a.key == b.key && statBitEqual(a.delta, b.delta);
 }
 
 } // namespace
@@ -161,11 +175,11 @@ main()
         for (std::uint64_t i = 0; i < 5; ++i)
             store.put(sampleCell(i));
         PairRecord p;
-        p.libHash = 0x1111;
-        p.baseDigest = 0x2222;
-        p.testDigest = 0x2223;
-        p.shuffleSeed = 5;
-        p.blockSize = 8;
+        p.key.base.libHash = 0x1111;
+        p.key.base.configDigest = 0x2222;
+        p.key.testDigest = 0x2223;
+        p.key.base.shuffleSeed = 5;
+        p.key.base.blockSize = 8;
         p.delta.n = 90;
         p.delta.mean = -0.001;
         p.delta.m2 = 0.002;
@@ -187,10 +201,10 @@ main()
         CellRecord miss;
         CHECK(!loaded.find(sampleCell(17).key, &miss));
         PairRecord gotPair;
-        CHECK(loaded.findPair(p, &gotPair));
+        CHECK(loaded.findPair(p.key, &gotPair));
         CHECK_EQ(doubleBits(gotPair.delta.mean),
                  doubleBits(p.delta.mean));
-        PairRecord wrongPair = p;
+        PairKey wrongPair = p.key;
         wrongPair.testDigest = 0x9999;
         CHECK(!loaded.findPair(wrongPair, nullptr));
 
@@ -211,9 +225,9 @@ main()
         small.put(sampleCell(0));
         small.put(sampleCell(1));
         PairRecord p;
-        p.libHash = 1;
-        p.baseDigest = 2;
-        p.testDigest = 3;
+        p.key.base.libHash = 1;
+        p.key.base.configDigest = 2;
+        p.key.testDigest = 3;
         p.delta.n = 4;
         small.putPair(p);
         small.save(storePath);
@@ -249,7 +263,7 @@ main()
         std::vector<std::uint8_t> image = readAll(storePath);
 
         const std::size_t metaSize =
-            static_cast<std::size_t>(leU64(image.data() + 16));
+            static_cast<std::size_t>(getU64le(image.data() + 16));
         const std::size_t indexOff = 48 + metaSize;
         const std::size_t cellBase = indexOff + 2 * 8;
         constexpr std::size_t kCellBytes = 17 * 8;
@@ -258,9 +272,9 @@ main()
         std::uint8_t *rec0 = image.data() + cellBase;
         std::uint8_t *rec1 = rec0 + kCellBytes;
         std::memcpy(rec1, rec0, kCellBytes);
-        putLeU64(rec1 + 80, doubleBits(2.5)); // cpiBits
-        putLeU64(rec1 + 96, doubleBits(2.5)); // stat mean bits
-        putLeU64(rec1 + 16 * 8, fnv1a(rec1, 16 * 8));
+        putU64le(rec1 + 80, doubleBits(2.5)); // cpiBits
+        putU64le(rec1 + 96, doubleBits(2.5)); // stat mean bits
+        putU64le(rec1 + 16 * 8, fnv1a(rec1, 16 * 8));
         // Index entry 1 now carries record 0's key hash.
         std::memcpy(image.data() + indexOff + 8,
                     image.data() + indexOff, 8);
@@ -286,6 +300,196 @@ main()
         clean.load(storePath);
         CHECK_EQ(clean.cellCount(), 1u);
         CHECK_EQ(clean.supersededRecords(), 0u);
+    }
+
+    // --- Container pin: a fixed store's file bytes, so every header,
+    // meta, index and record byte the writer lays down stays fixed,
+    // not only what a load accepts.
+    {
+        ResultStore pinned;
+        for (std::uint64_t i = 0; i < 3; ++i)
+            pinned.put(sampleCell(i));
+        PairRecord p;
+        p.key.base = sampleCell(1).key;
+        p.key.testDigest = 0x3333;
+        p.delta.n = 91;
+        p.delta.mean = -0.25;
+        p.delta.m2 = 0.5;
+        p.delta.min = -1.0;
+        p.delta.max = 0.75;
+        pinned.putPair(p);
+        pinned.save(storePath);
+        const std::vector<std::uint8_t> image = readAll(storePath);
+        CHECK_PIN(fnv1a(image.data(), image.size()),
+                  0x437ed1fe538a5afaull);
+    }
+
+    // --- Differential: seeded random put/putPair/find/findPair/
+    // compact steps over a small key pool, so keys repeat, with a
+    // save/load round trip every 500 steps. Every step is checked
+    // against std::map oracles keyed by the full identity, last
+    // writer wins.
+    {
+        Rng rng(17, "store-differential");
+        const ConfidenceSpec specs[] = {{0.997, 0.03}, {0.95, 0.10}};
+        auto randomKey = [&]() {
+            return ResultKey::make(
+                1 + rng.nextBounded(3), 10 + rng.nextBounded(3),
+                5 + rng.nextBounded(2), 8, rng.nextBounded(2) != 0,
+                rng.nextBounded(2) != 0, specs[rng.nextBounded(2)]);
+        };
+        auto randomStat = [&]() {
+            RunningStat::State st;
+            st.n = rng.nextBounded(1000);
+            st.mean = bitsFromDouble(rng.next() >> 2);
+            st.m2 = rng.nextDouble();
+            st.min = -rng.nextDouble();
+            st.max = rng.nextDouble();
+            return st;
+        };
+        std::map<std::array<std::uint64_t, 9>, CellRecord> cellOracle;
+        std::map<std::array<std::uint64_t, 9>, PairRecord> pairOracle;
+        ResultStore store;
+        auto agrees = [&]() {
+            bool ok = store.cellCount() == cellOracle.size() &&
+                      store.pairCount() == pairOracle.size();
+            for (const auto &kv : cellOracle) {
+                CellRecord got;
+                ok = ok && store.find(kv.second.key, &got) &&
+                     cellsBitEqual(got, kv.second);
+            }
+            for (const auto &kv : pairOracle) {
+                PairRecord got;
+                ok = ok && store.findPair(kv.second.key, &got) &&
+                     pairsBitEqual(got, kv.second);
+            }
+            return ok;
+        };
+        for (int step = 1; step <= 4000; ++step) {
+            const std::uint64_t op = rng.nextBounded(100);
+            if (op < 30) {
+                CellRecord rec;
+                rec.key = randomKey();
+                rec.libPoints = rng.nextBounded(200);
+                rec.processed = rng.nextBounded(200);
+                rec.unavailableLoads = rng.nextBounded(5);
+                rec.converged = rng.nextBounded(2) != 0;
+                rec.cpiBits = rng.next();
+                rec.stat = randomStat();
+                store.put(rec);
+                cellOracle[identity(rec.key)] = rec;
+            } else if (op < 50) {
+                PairRecord rec;
+                rec.key = PairKey{randomKey(), 10 + rng.nextBounded(3)};
+                rec.delta = randomStat();
+                store.putPair(rec);
+                pairOracle[identity(rec.key.base, rec.key.testDigest)] =
+                    rec;
+            } else if (op < 75) {
+                const ResultKey k = randomKey();
+                CellRecord got;
+                const auto it = cellOracle.find(identity(k));
+                const bool hit = store.find(k, &got);
+                CHECK_EQ(hit, it != cellOracle.end());
+                if (hit && it != cellOracle.end())
+                    CHECK(cellsBitEqual(got, it->second));
+            } else if (op < 98) {
+                const PairKey k{randomKey(), 10 + rng.nextBounded(3)};
+                PairRecord got;
+                const auto it =
+                    pairOracle.find(identity(k.base, k.testDigest));
+                const bool hit = store.findPair(k, &got);
+                CHECK_EQ(hit, it != pairOracle.end());
+                if (hit && it != pairOracle.end())
+                    CHECK(pairsBitEqual(got, it->second));
+            } else {
+                // put() overwrites in place, so nothing is shadowed.
+                CHECK_EQ(store.compact(), 0u);
+            }
+            CHECK_EQ(store.cellCount(), cellOracle.size());
+            CHECK_EQ(store.pairCount(), pairOracle.size());
+            if (step % 500 == 0) {
+                CHECK(agrees());
+                store.save(storePath);
+                const std::vector<CellRecord> before = store.cells();
+                store.load(storePath);
+                CHECK_EQ(store.supersededRecords(), 0u);
+                CHECK(agrees());
+                // File order survives the round trip.
+                const std::vector<CellRecord> after = store.cells();
+                CHECK_EQ(after.size(), before.size());
+                for (std::size_t i = 0;
+                     i < after.size() && i < before.size(); ++i)
+                    CHECK(cellsBitEqual(after[i], before[i]));
+            }
+            if (lpTestFailures)
+                break; // one detailed failure is enough
+        }
+        CHECK(cellOracle.size() > 50);
+        CHECK(pairOracle.size() > 50);
+    }
+
+    // --- Digest parsing: 1-16 hex digits, nothing else.
+    {
+        std::uint64_t d = 0;
+        CHECK(parseHexDigest("0", &d));
+        CHECK_EQ(d, 0u);
+        CHECK(parseHexDigest("ffffffffffffffff", &d));
+        CHECK_EQ(d, ~std::uint64_t{0});
+        CHECK(parseHexDigest("00AbCdEf", &d));
+        CHECK_EQ(d, 0xabcdefu);
+        d = 7;
+        for (const char *bad :
+             {"", "zz", "0x12", "12 ", " 12", "-1", "+1", "12g",
+              "1ffffffffffffffff", "00000000000000001"})
+            CHECK(!parseHexDigest(bad, &d));
+        CHECK_EQ(d, 7u);
+    }
+
+    // --- The shared query renderer: strict JSON, named libraries,
+    // and each filter selecting exactly its records.
+    {
+        ResultStore store;
+        store.open(storePath + ".query");
+        for (std::uint64_t i = 0; i < 4; ++i)
+            store.put(sampleCell(i));
+        PairRecord p;
+        p.key = PairKey{sampleCell(0).key, 0x2223};
+        p.delta.n = 3;
+        p.delta.mean = 0.5;
+        store.putPair(p);
+        const std::unordered_map<std::uint64_t, std::string> names{
+            {0x1111, "named \"w\""}};
+        const std::string all = storeQueryJson(store, {}, names, 2);
+        CHECK(jsonValidate(all));
+        CHECK(all.find("\"cell_count\": 4") != std::string::npos);
+        CHECK(all.find("\"pair_count\": 1") != std::string::npos);
+        CHECK(all.find("\"superseded_records\": 2") != std::string::npos);
+        CHECK(all.find("\"workload\": \"named \\\"w\\\"\"") !=
+              std::string::npos);
+        CHECK(all.find("\"workload\": \"lib-0000000000001112\"") !=
+              std::string::npos);
+        CHECK(all.find(strfmt("\"cpi_bits\": \"%016llx\"",
+                              static_cast<unsigned long long>(
+                                  sampleCell(3).cpiBits))) !=
+              std::string::npos);
+        CHECK(all.find("\"rel_half_width\": ") != std::string::npos);
+        CHECK(all.find("\"level\": 0.997") != std::string::npos);
+        // A config filter keeps that config's cell and every pair
+        // touching it; a library filter keeps one library's records.
+        const std::string byConfig = storeQueryJson(
+            store, StoreQuery{0, 0x2223}, names, 0);
+        CHECK(jsonValidate(byConfig));
+        CHECK(byConfig.find("\"cell_count\": 1") != std::string::npos);
+        CHECK(byConfig.find("\"pair_count\": 1") != std::string::npos);
+        const std::string byLib = storeQueryJson(
+            store, StoreQuery{0x1113, 0}, names, 0);
+        CHECK(byLib.find("\"cell_count\": 1") != std::string::npos);
+        CHECK(byLib.find("\"pair_count\": 0") != std::string::npos);
+        const std::string none = storeQueryJson(
+            store, StoreQuery{0x9999, 0}, names, 0);
+        CHECK(jsonValidate(none));
+        CHECK(none.find("\"cells\": [],") != std::string::npos);
     }
 
     // --- save() without open() must refuse (no remembered path).
