@@ -34,6 +34,7 @@
  * for the default.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -74,61 +75,20 @@ sameResult(const LivePointRunResult &a, const LivePointRunResult &b)
 }
 
 /**
- * Stored-order decode throughput (MB of raw bytes per second) through
- * the replay-facing decodeInto path — the chain cache makes this the
- * pattern a streaming replay pays. Best of repeated passes.
+ * Seconds of one stored-order decode pass through the replay-facing
+ * decodeInto path — the chain cache makes this the pattern a
+ * streaming replay pays.
  */
 double
-decodePassMBps(const LivePointLibrary &lib)
+decodePassSeconds(const LivePointLibrary &lib,
+                  LivePointDecodeScratch &scratch, LivePoint &pt)
 {
-    std::uint64_t rawBytes = 0;
+    const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < lib.size(); ++i)
-        rawBytes += lib.rawSize(i);
-    LivePointDecodeScratch scratch;
-    LivePoint pt;
-    double best = 0.0;
-    double elapsed = 0.0;
-    int passes = 0;
-    while (elapsed < 0.25 || passes < 3) {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < lib.size(); ++i)
-            lib.decodeInto(i, scratch, pt);
-        const double dt = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        best = std::max(best, static_cast<double>(rawBytes) / dt / 1e6);
-        elapsed += dt;
-        ++passes;
-    }
-    return best;
-}
-
-/**
- * Best replays/s over a few runs (damps scheduler noise). With
- * @p recordsPerPoint, also the records the engine materialized per
- * decoded point — keyframes and chain links included.
- */
-double
-bestReplaysPerSec(const Program &prog, const LivePointLibrary &lib,
-                  const CoreConfig &cfg, const LivePointRunOptions &opt,
-                  const LivePointRunResult &ref,
-                  double *recordsPerPoint = nullptr)
-{
-    double best = 0.0;
-    for (int pass = 0; pass < 2; ++pass) {
-        const LivePointRunResult r = runLivePoints(prog, lib, cfg, opt);
-        if (!sameResult(r, ref))
-            panic("ablation_storage: encoded-library replay changed "
-                  "the estimate");
-        best = std::max(best, static_cast<double>(r.processed) /
-                                  r.wallSeconds);
-        if (recordsPerPoint)
-            *recordsPerPoint =
-                static_cast<double>(r.recordsDecoded) /
-                static_cast<double>(std::max<std::uint64_t>(
-                    r.pointsDecoded, 1));
-    }
-    return best;
+        lib.decodeInto(i, scratch, pt);
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
 }
 
 } // namespace
@@ -305,14 +265,61 @@ main()
         v.bytesPerPoint =
             static_cast<double>(std::filesystem::file_size(vpath)) /
             static_cast<double>(n);
-        v.decodeMbps = decodePassMBps(*v.lib);
-        v.rps = bestReplaysPerSec(b.prog, *v.lib, cfg, ropt, ref,
-                                  &v.recordsPerPoint);
+        std::filesystem::remove(vpath);
+    }
+
+    // The two legs run interleaved, pass by pass, so a swing in host
+    // speed hits both. Decode MB/s is the best pass of each leg, which
+    // runs until it has at least 3 passes and 0.25 s; replays/s is the
+    // best of 2 runs (damping scheduler noise), and records decoded
+    // per point counts keyframes and chain links.
+    struct DecodeLeg
+    {
+        LivePointDecodeScratch scratch;
+        LivePoint pt;
+        std::uint64_t rawBytes = 0;
+        double elapsed = 0.0;
+        int passes = 0;
+    };
+    DecodeLeg legs[2];
+    for (std::size_t i = 0; i < 2; ++i)
+        for (std::size_t r = 0; r < variants[i].lib->size(); ++r)
+            legs[i].rawBytes += variants[i].lib->rawSize(r);
+    for (bool more = true; more;) {
+        more = false;
+        for (std::size_t i = 0; i < 2; ++i) {
+            DecodeLeg &d = legs[i];
+            if (d.elapsed >= 0.25 && d.passes >= 3)
+                continue;
+            const double dt =
+                decodePassSeconds(*variants[i].lib, d.scratch, d.pt);
+            variants[i].decodeMbps =
+                std::max(variants[i].decodeMbps,
+                         static_cast<double>(d.rawBytes) / dt / 1e6);
+            d.elapsed += dt;
+            ++d.passes;
+            more = true;
+        }
+    }
+    for (int pass = 0; pass < 2; ++pass) {
+        for (Variant &v : variants) {
+            const LivePointRunResult r =
+                runLivePoints(b.prog, *v.lib, cfg, ropt);
+            if (!sameResult(r, ref))
+                panic("ablation_storage: encoded-library replay "
+                      "changed the estimate");
+            v.rps = std::max(v.rps, static_cast<double>(r.processed) /
+                                        r.wallSeconds);
+            v.recordsPerPoint =
+                static_cast<double>(r.recordsDecoded) /
+                static_cast<double>(
+                    std::max<std::uint64_t>(r.pointsDecoded, 1));
+        }
+    }
+    for (const Variant &v : variants)
         std::printf("%14s | %10.0f | %11.1f | %10.1f | %10zu | %9.2f\n",
                     v.name, v.bytesPerPoint, v.decodeMbps, v.rps,
                     v.lib->deltaCount(), v.recordsPerPoint);
-        std::filesystem::remove(vpath);
-    }
 
     // Budgeted, loaded replay of the delta variant: chains charge
     // their whole length, and the bits still match.

@@ -3,9 +3,10 @@
  * google-benchmark microbenchmarks of the framework's hot components:
  * the codecs (DER + zlib) that bound live-point load time, the cache
  * and branch-predictor models that bound warming speed, the functional
- * simulator, and the detailed core (the floor of all sampled
+ * simulator, the detailed core (the floor of all sampled
  * simulation, per the paper's conclusion: "live-points reduce
- * simulation time to the limit imposed by detailed simulation").
+ * simulation time to the limit imposed by detailed simulation"), and
+ * one point's replay fanned out to a design-space grid.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,8 @@
 #include "cache/warmstate.hh"
 #include "codec/der.hh"
 #include "codec/zip.hh"
+#include "core/builder.hh"
+#include "core/replay.hh"
 #include "func/functional.hh"
 #include "func/warming.hh"
 #include "mem/memport.hh"
@@ -243,34 +246,97 @@ BM_FunctionalWarming(benchmark::State &state)
 }
 BENCHMARK(BM_FunctionalWarming);
 
+/**
+ * The detailed core alone: fetch a chunk of a long program and time
+ * it on one 8-way core (nothing is executed; the core times what it
+ * is handed).
+ */
 void
 BM_DetailedCore(benchmark::State &state)
 {
     const Program prog = generateProgram(tinyProfile(10'000'000, 3));
     const CoreConfig cfg = CoreConfig::eightWay();
-    SparseMemory mem;
-    mem.writeBytes(prog.dataBase, prog.dataInit.data(),
-                   prog.dataInit.size());
-    DirectMemPort port(mem);
     MemHierarchy hier(cfg.mem);
     BranchPredictor bp(cfg.bpred);
     CoreBindings b;
     b.prog = &prog;
-    b.mem = &port;
     b.hier = &hier;
     b.bp = &bp;
-    auto core = std::make_unique<OoOCore>(cfg, b);
+    OoOCore core(cfg, b);
+    InstChunk chunk;
+    InstCount next = 0;
     for (auto _ : state) {
-        if (core->programEnded()) {
+        if (next + InstChunk::capacity > prog.length) {
             state.PauseTiming();
-            core = std::make_unique<OoOCore>(cfg, b);
+            hier.reset();
+            bp.reset();
+            core.rebind(b);
+            next = 0;
             state.ResumeTiming();
         }
-        core->commitRun(5000);
+        chunk.fetch(prog, next, InstChunk::capacity);
+        core.time(chunk);
+        next += InstChunk::capacity;
     }
-    state.SetItemsProcessed(state.iterations() * 5000);
+    benchmark::DoNotOptimize(core.lastCommit());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(
+                                InstChunk::capacity));
 }
 BENCHMARK(BM_DetailedCore);
+
+/** The dse-cold grid: eight, sixteen, eight-mem300, sixteen-l2-1m. */
+std::vector<CoreConfig>
+dseColdConfigs()
+{
+    CoreConfig mem300 = CoreConfig::eightWay();
+    mem300.name = "eight-mem300";
+    mem300.mem.memLatency = 300;
+    CoreConfig l2small = CoreConfig::sixteenWay();
+    l2small.name = "sixteen-l2-1m";
+    l2small.mem.l2.sizeBytes = 1ull << 20;
+    return {CoreConfig::eightWay(), CoreConfig::sixteenWay(), mem300,
+            l2small};
+}
+
+/**
+ * One gcc-2 live-point replayed under the four dse-cold
+ * configurations through a pooled ReplayContext: arg lockstep=1 is
+ * the engine's one lockstep pass (fetch once, time four times),
+ * lockstep=0 four one-configuration replays of the same
+ * load. Items are replays.
+ */
+void
+BM_ReplayFanout(benchmark::State &state)
+{
+    static const Program prog = generateProgram(findProfile("gcc-2"));
+    static const LivePoint point = [] {
+        const CoreConfig e8 = CoreConfig::eightWay();
+        const CoreConfig s16 = CoreConfig::sixteenWay();
+        LivePointBuilderConfig bc;
+        bc.bpredConfigs = {e8.bpred, s16.bpred};
+        const SampleDesign design = SampleDesign::systematic(
+            measureProgramLength(prog), 4, 1000, s16.detailedWarming);
+        return LivePointBuilder(bc).build(prog, design).get(1);
+    }();
+    const std::vector<CoreConfig> cfgs = dseColdConfigs();
+    ReplayContext ctx(prog, cfgs);
+    WindowResult res[4];
+    const bool lockstep = state.range(0) != 0;
+    for (auto _ : state) {
+        ctx.loadPoint(point);
+        if (lockstep) {
+            ctx.replayMask(replayMaskAll(cfgs.size()), res);
+        } else {
+            for (std::size_t c = 0; c < cfgs.size(); ++c)
+                res[c] = ctx.replay(c);
+        }
+        benchmark::DoNotOptimize(res[3].cycles);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(cfgs.size()));
+}
+BENCHMARK(BM_ReplayFanout)->ArgName("lockstep")->Arg(1)->Arg(0);
 
 } // namespace
 

@@ -14,8 +14,8 @@
 
 #include "core/builder.hh"
 #include "core/library.hh"
+#include "core/replay.hh"
 #include "core/runners.hh"
-#include "mem/memport.hh"
 #include "uarch/config.hh"
 #include "util/log.hh"
 #include "util/rng.hh"
@@ -63,28 +63,10 @@ main(int argc, char **argv)
                 "conf. interval", "status");
     Blob scratch;
     LivePoint lp;
+    ReplayContext ctx(prog, cfg);
     for (std::size_t i = 0; i < lib.size(); ++i) {
         lib.decodeInto(i, scratch, lp);
-        SparseMemory mem;
-        lp.memImage.applyTo(mem);
-        DirectMemPort port(mem);
-        MemHierarchy hier(cfg.mem);
-        lp.l1i.reconstruct(hier.l1i());
-        lp.l1d.reconstruct(hier.l1d());
-        lp.l2.reconstruct(hier.l2());
-        lp.itlb.reconstruct(hier.itlb());
-        lp.dtlb.reconstruct(hier.dtlb());
-        BranchPredictor bp(cfg.bpred);
-        bp.deserialize(*lp.findBpredImage(cfg.bpred.key()));
-        CoreBindings b;
-        b.prog = &prog;
-        b.initialRegs = lp.regs;
-        b.mem = &port;
-        b.hier = &hier;
-        b.bp = &bp;
-        b.availability = &lp.memImage;
-        OoOCore core(cfg, b);
-        const WindowResult w = core.measure(lp.warmLen, lp.measureLen);
+        const WindowResult w = ctx.simulate(lp);
 
         const OnlineSnapshot snap = estimator.add(w.cpi);
         const bool milestone =

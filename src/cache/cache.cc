@@ -63,22 +63,38 @@ CacheModel::CacheModel(const CacheGeometry &geom, std::string name)
 {
     nsets_ = std::max<std::uint64_t>(geom_.numSets(), 1);
     assoc_ = std::max(geom_.assoc, 1u);
+    const std::uint64_t line = geom_.lineBytes;
+    pow2_ = line != 0 && (line & (line - 1)) == 0 &&
+            (nsets_ & (nsets_ - 1)) == 0;
+    if (pow2_) {
+        while ((std::uint64_t(1) << lineShift_) != line)
+            ++lineShift_;
+        setMask_ = nsets_ - 1;
+    }
     const std::size_t ways = nsets_ * assoc_;
     tags_.resize(ways, 0);
     stamps_.resize(ways, 0);
     dirty_.resize(ways, 0);
 }
 
-std::uint64_t
+inline std::uint64_t
 CacheModel::setOf(Addr a) const
 {
-    return (a / geom_.lineBytes) % nsets_;
+    return pow2_ ? (a >> lineShift_) & setMask_
+                 : (a / geom_.lineBytes) % nsets_;
+}
+
+inline Addr
+CacheModel::tagOf(Addr a) const
+{
+    return pow2_ ? a >> lineShift_ << lineShift_
+                 : a - a % geom_.lineBytes;
 }
 
 AccessResult
 CacheModel::access(Addr a, bool write)
 {
-    const Addr tag = a - (a % geom_.lineBytes);
+    const Addr tag = tagOf(a);
     const std::size_t base = setOf(a) * assoc_;
     Addr *tags = tags_.data() + base;
     std::uint64_t *stamps = stamps_.data() + base;
@@ -115,7 +131,7 @@ CacheModel::access(Addr a, bool write)
 bool
 CacheModel::probe(Addr a) const
 {
-    const Addr tag = a - (a % geom_.lineBytes);
+    const Addr tag = tagOf(a);
     const std::size_t base = setOf(a) * assoc_;
     return findHitWay(tags_.data() + base, stamps_.data() + base, assoc_,
                       tag) >= 0;

@@ -119,11 +119,20 @@ class CacheModel
 
   private:
     std::uint64_t setOf(Addr a) const;
+    Addr tagOf(Addr a) const;
 
     CacheGeometry geom_;
     std::string name_;
     std::uint64_t nsets_ = 1;
     unsigned assoc_ = 1;
+    /**
+     * Power-of-two line size and set count (every Table-1 geometry):
+     * setOf/tagOf shift and mask instead of dividing. Other
+     * geometries keep the divisions.
+     */
+    bool pow2_ = false;
+    unsigned lineShift_ = 0;
+    std::uint64_t setMask_ = 0;
     // SoA planes, indexed set * assoc_ + way. stamps_[i] == 0 means
     // the way is empty; tags_/dirty_ of empty ways are meaningless.
     std::vector<Addr> tags_;

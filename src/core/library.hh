@@ -238,6 +238,16 @@ class LivePointLibrary
     }
 
     /**
+     * File position of the @p i-th stored point's chain keyframe (its
+     * own file position for a plain record): points with the same
+     * keyframe share a delta chain.
+     */
+    std::uint64_t chainKeyframe(std::size_t i) const
+    {
+        return refs_[pos(i)].keyframe;
+    }
+
+    /**
      * Resident-budget charge of the @p i-th stored point: compressed
      * plus decoded bytes of the record *and every record on its delta
      * chain* — admitting a delta point pins its bases, and the budget

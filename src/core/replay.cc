@@ -18,12 +18,11 @@ namespace
 {
 
 CoreBindings
-contextBindings(const Program &prog, MemPort &port, MemHierarchy &hier,
+contextBindings(const Program &prog, MemHierarchy &hier,
                 BranchPredictor &bp)
 {
     CoreBindings b;
     b.prog = &prog;
-    b.mem = &port;
     b.hier = &hier;
     b.bp = &bp;
     return b;
@@ -32,10 +31,11 @@ contextBindings(const Program &prog, MemPort &port, MemHierarchy &hier,
 unsigned
 autoProducers(unsigned workers)
 {
-    // Decoding one point is a fraction of simulating it, so a few
-    // producers keep many workers fed; one is enough to pipeline a
-    // single worker.
-    return std::max(1u, (workers + 2) / 3);
+    // A few producers keep many workers fed. At least two: a delta
+    // point walks part of its chain, so decoding it can take longer
+    // than replaying it under one configuration, and chain-affine
+    // decode lets a second producer halve that work, not repeat it.
+    return std::max(2u, (workers + 2) / 3);
 }
 
 } // namespace
@@ -61,10 +61,9 @@ replayDecodeThreads(const ReplayEngineOptions &opt)
                              : autoProducers(std::max(opt.threads, 1u));
 }
 
-ReplayContext::Unit::Unit(const Program &prog, const CoreConfig &config,
-                          MemPort &port)
+ReplayContext::Unit::Unit(const Program &prog, const CoreConfig &config)
     : cfg(config), bpredKey(cfg.bpred.key()), hier(cfg.mem),
-      bp(cfg.bpred), core(cfg, contextBindings(prog, port, hier, bp))
+      bp(cfg.bpred), core(cfg, contextBindings(prog, hier, bp))
 {
 }
 
@@ -87,13 +86,18 @@ sameCacheGeometry(const MemHierarchyConfig &a, const MemHierarchyConfig &b)
 
 ReplayContext::ReplayContext(const Program &prog,
                              const std::vector<CoreConfig> &cfgs)
-    : prog_(prog), direct_(mem_), overlay_(mem_)
+    : prog_(prog)
 {
     if (cfgs.empty())
         throw std::invalid_argument("ReplayContext: no configurations");
+    if (cfgs.size() > maxReplayConfigs)
+        throw std::invalid_argument(
+            "ReplayContext: too many configurations");
     units_.reserve(cfgs.size());
     for (const CoreConfig &c : cfgs)
-        units_.push_back(std::make_unique<Unit>(prog_, c, direct_));
+        units_.push_back(std::make_unique<Unit>(prog_, c));
+    active_.resize(units_.size());
+    results_.resize(units_.size());
     bpredImage_.assign(units_.size(), nullptr);
 
     // Group units by reconstruction identity: configurations sharing
@@ -139,10 +143,10 @@ ReplayContext::config(std::size_t i) const
     return units_[i]->cfg;
 }
 
-WindowResult
-ReplayContext::runUnit(std::size_t unitIdx, const LivePoint &point,
-                       MemPort &port, bool approxWrongPath)
+void
+ReplayContext::prepareUnit(std::size_t unitIdx, bool approxWrongPath)
 {
+    const LivePoint &point = *loaded_;
     Unit &u = *units_[unitIdx];
 
     // Warm caches: reconstruct from the record once per distinct
@@ -190,33 +194,22 @@ ReplayContext::runUnit(std::size_t unitIdx, const LivePoint &point,
         }
     }
 
-    CoreBindings b;
-    b.prog = &prog_;
-    b.initialRegs = point.regs;
-    b.mem = &port;
-    b.hier = &u.hier;
-    b.bp = &u.bp;
+    CoreBindings b = contextBindings(prog_, u.hier, u.bp);
     b.availability = &point.memImage;
     u.core.rebind(b);
     u.core.setApproxWrongPath(approxWrongPath);
-    return u.core.measure(point.warmLen, point.measureLen);
 }
 
 WindowResult
 ReplayContext::simulate(const LivePoint &point, bool approxWrongPath)
 {
     loadPoint(point);
-    // The single-configuration path stores straight into the pooled
-    // memory (no overlay indirection on the hot path); the next
-    // loadPoint() resets it anyway.
-    return runUnit(0, point, direct_, approxWrongPath);
+    return replay(0, approxWrongPath);
 }
 
 void
 ReplayContext::loadPoint(const LivePoint &point)
 {
-    mem_.reset();
-    point.memImage.applyTo(mem_);
     loaded_ = &point;
     ++pointEpoch_;
     // Resolve each unit's predictor image once per point instead of a
@@ -231,16 +224,42 @@ ReplayContext::loadPoint(const LivePoint &point)
     }
 }
 
-WindowResult
-ReplayContext::replay(std::size_t cfgIdx, bool approxWrongPath)
+void
+ReplayContext::runPass(std::uint64_t mask, bool approxWrongPath)
 {
     if (!loaded_)
         throw std::logic_error("ReplayContext: replay before loadPoint");
-    // Each configuration replays over a write-private overlay of the
-    // point's memory image, so the image is applied once per point
-    // while every configuration still sees pristine live state.
-    overlay_.clear();
-    return runUnit(cfgIdx, *loaded_, overlay_, approxWrongPath);
+    std::size_t n = 0;
+    for (std::size_t c = 0; c < units_.size(); ++c) {
+        if (!((mask >> c) & 1))
+            continue;
+        prepareUnit(c, approxWrongPath);
+        active_[n++] = &units_[c]->core;
+    }
+    if (n == 0)
+        return;
+    runWindow(prog_, chunk_, loaded_->regs.instIndex, loaded_->warmLen,
+              loaded_->measureLen, active_.data(), n, results_.data());
+}
+
+void
+ReplayContext::replayMask(std::uint64_t mask, WindowResult *out,
+                          bool approxWrongPath)
+{
+    runPass(mask, approxWrongPath);
+    std::size_t j = 0;
+    for (std::size_t c = 0; c < units_.size(); ++c)
+        if ((mask >> c) & 1)
+            out[c] = results_[j++];
+}
+
+WindowResult
+ReplayContext::replay(std::size_t cfgIdx, bool approxWrongPath)
+{
+    if (cfgIdx >= units_.size())
+        throw std::out_of_range("ReplayContext: no such configuration");
+    runPass(1ull << cfgIdx, approxWrongPath);
+    return results_[0];
 }
 
 ReplayEngine::ReplayEngine(const Program &prog,
@@ -363,6 +382,31 @@ ReplayEngine::run(
     for (LivePointDecodeScratch &sc : scratches)
         sc.keepChains = residentBudget_ ? 0 : 2 * S / producers_;
 
+    // Chain-affine decode: the run's chains (a plain record is a
+    // one-record chain), in file order, are dealt round-robin to the
+    // producers, and each producer decodes the points of its own
+    // chains in visit order. Every walk down a chain then goes
+    // through one scratch's chain cache, so more producers split the
+    // decode work instead of multiplying it, and what each producer
+    // decodes does not depend on thread timing.
+    std::vector<std::uint32_t> owner;
+    if (producers_ > 1) {
+        std::vector<std::uint64_t> keyframes(n - first);
+        for (std::size_t k = first; k < n; ++k)
+            keyframes[k - first] = lib.chainKeyframe(order[k]);
+        std::vector<std::uint64_t> chains = keyframes;
+        std::sort(chains.begin(), chains.end());
+        chains.erase(std::unique(chains.begin(), chains.end()),
+                     chains.end());
+        owner.resize(n - first);
+        for (std::size_t j = 0; j < owner.size(); ++j)
+            owner[j] = static_cast<std::uint32_t>(
+                (std::lower_bound(chains.begin(), chains.end(),
+                                  keyframes[j]) -
+                 chains.begin()) %
+                producers_);
+    }
+
     std::mutex ringM;
     std::condition_variable cvFill;  //!< producers wait for a free slot
     std::condition_variable cvReady; //!< workers wait for their point
@@ -391,7 +435,6 @@ ReplayEngine::run(
         return lib.chargeBytes(order[k]);
     };
 
-    std::atomic<std::size_t> decodeNext{first};
     std::atomic<std::size_t> simNext{first};
     std::atomic<bool> stop{false};
     // Configurations workers still replay. The fold barrier retires
@@ -433,10 +476,11 @@ ReplayEngine::run(
 
     auto producer = [&](unsigned id) {
         LivePointDecodeScratch &scratch = scratches[id];
-        while (!stop.load(std::memory_order_relaxed)) {
-            const std::size_t k = decodeNext.fetch_add(1);
-            if (k >= n)
+        for (std::size_t k = first; k < n; ++k) {
+            if (stop.load(std::memory_order_relaxed))
                 return;
+            if (!owner.empty() && owner[k - first] != id)
+                continue;
             if (budget) {
                 const std::uint64_t b = pointBytes(k);
                 {
@@ -558,29 +602,23 @@ ReplayEngine::run(
                 if (stop.load())
                     return;
             }
-            WindowResult *out = resultRow(k);
-            if (nc == 1) {
-                if (!cellGate(k, 0)) {
-                    out[0] = ctx.simulate(s.point, approxWrongPath_);
-                    replaysExecuted_.fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-            } else {
-                // Decode-once fan-out: the point's live state is
-                // loaded once, every still-active configuration
-                // replays from it.
-                const std::uint64_t m =
-                    activeMask.load(std::memory_order_acquire);
+            // Decode-once fan-out: every still-active configuration
+            // passes its cell gate first, in configuration order;
+            // then the point is loaded once and all of them replay it
+            // in one lockstep pass.
+            const std::uint64_t m =
+                activeMask.load(std::memory_order_acquire);
+            std::uint64_t run = 0;
+            std::uint64_t ran = 0;
+            for (std::size_t c = 0; c < nc; ++c) {
+                if (!((m >> c) & 1) || cellGate(k, c))
+                    continue;
+                run |= 1ull << c;
+                ++ran;
+            }
+            if (run) {
                 ctx.loadPoint(s.point);
-                std::uint64_t ran = 0;
-                for (std::size_t c = 0; c < nc; ++c) {
-                    if (!((m >> c) & 1))
-                        continue;
-                    if (cellGate(k, c))
-                        continue;
-                    out[c] = ctx.replay(c, approxWrongPath_);
-                    ++ran;
-                }
+                ctx.replayMask(run, resultRow(k), approxWrongPath_);
                 replaysExecuted_.fetch_add(ran,
                                            std::memory_order_relaxed);
             }

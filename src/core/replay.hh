@@ -5,14 +5,15 @@
  * every per-point cost the naive loop pays:
  *
  *  - **Pooled contexts.** Each worker owns one ReplayContext whose
- *    SparseMemory, MemHierarchy, BranchPredictor, and OoOCore are
- *    reset and reused across points (zero-realloc reconstruction)
- *    instead of heap-constructed per point.
+ *    MemHierarchy, BranchPredictor, and OoOCore are reset and reused
+ *    across points (zero-realloc reconstruction) instead of
+ *    heap-constructed per point.
  *  - **Decode-once fan-out.** A context binds every configuration of
- *    the run at once: the worker decodes a live-point and applies its
- *    memory image a single time, then replays it through each active
- *    configuration over a write-private overlay — the decode and
- *    live-state cost Figure 7 shows dominating per-point replay is
+ *    the run at once: the worker decodes a live-point a single time,
+ *    then replays it through every active configuration in one
+ *    lockstep pass — each chunk of the window is fetched once, then
+ *    timed by each configuration's core. The decode cost Figure 7
+ *    shows dominating per-point replay, and the window's fetch, are
  *    paid once per point, not once per configuration.
  *  - **Decode pipeline.** Dedicated producer threads decompress and
  *    deserialize points into a bounded ring of reusable slot buffers,
@@ -20,7 +21,9 @@
  *    producer owns one decode scratch whose chain cache keeps
  *    verified raw records of delta chains — together at most twice
  *    the ring depth — so a shuffled visit resumes partway down its
- *    chain instead of walking from the keyframe.
+ *    chain instead of walking from the keyframe. Chains are dealt
+ *    round-robin to the producers, each decoding its own chains'
+ *    points, so a chain is only ever walked through one cache.
  *  - **Work stealing.** Points are claimed from an atomic counter, so
  *    a straggling point never serializes the tail the way static
  *    striding does.
@@ -148,13 +151,12 @@ struct ReplayPlan
 /**
  * One worker's reusable replay state for a fixed set of core
  * configurations. All owned structures are reset in place per point;
- * nothing is reallocated between points. The single-configuration
- * form replays directly against the pooled memory; the
- * multi-configuration form loads a point's live state once and
- * replays each configuration over a write-private overlay, so the
- * per-point state cost is paid once, not once per configuration —
- * with results bit-identical to single-configuration replay (the
- * overlay is exact for the core's 8-aligned 8-byte accesses).
+ * nothing is reallocated between points. A point is loaded once; a
+ * replay then installs each requested configuration's warm state
+ * from the point, walks the window in InstChunk-sized chunks,
+ * fetching each once, and advances every requested configuration's
+ * core through it. Every replay starts from the point's warm state,
+ * whatever was replayed since the load.
  */
 class ReplayContext
 {
@@ -170,32 +172,35 @@ class ReplayContext
     const CoreConfig &config(std::size_t i = 0) const;
 
     /**
-     * Reconstruct @p point into the pooled state and replay it under
-     * configuration 0 — the single-configuration hot path.
+     * Load @p point and replay it under configuration 0 — the
+     * single-configuration hot path.
      */
     WindowResult simulate(const LivePoint &point,
                           bool approxWrongPath = false);
 
     /**
-     * Load @p point's live state (memory image) into the pooled
-     * memory once, for any number of replay() calls. @p point must
-     * stay alive until the last of them.
+     * Load @p point once for any number of replays (resolving its
+     * predictor images). @p point must stay alive until the last of
+     * them.
      */
     void loadPoint(const LivePoint &point);
 
     /**
-     * Replay the loaded point under configuration @p cfgIdx on the
-     * write-private overlay. Callable in any order and for any subset
-     * of configurations after one loadPoint().
+     * Replay the loaded point under every configuration whose bit is
+     * set in @p mask, in one lockstep pass; out[c] receives
+     * configuration c's timing (other entries are left alone).
      */
+    void replayMask(std::uint64_t mask, WindowResult *out,
+                    bool approxWrongPath = false);
+
+    /** replayMask() of configuration @p cfgIdx alone. */
     WindowResult replay(std::size_t cfgIdx, bool approxWrongPath = false);
 
   private:
     /** Per-configuration rebindable microarchitectural state. */
     struct Unit
     {
-        Unit(const Program &prog, const CoreConfig &config,
-             MemPort &port);
+        Unit(const Program &prog, const CoreConfig &config);
 
         CoreConfig cfg;
         std::string bpredKey;
@@ -204,8 +209,14 @@ class ReplayContext
         OoOCore core;
     };
 
-    WindowResult runUnit(std::size_t unitIdx, const LivePoint &point,
-                         MemPort &port, bool approxWrongPath);
+    /** Install the loaded point's warm state into unit @p unitIdx. */
+    void prepareUnit(std::size_t unitIdx, bool approxWrongPath);
+
+    /**
+     * Replay the loaded point under the configurations in @p mask;
+     * results_[j] receives the j-th one's timing.
+     */
+    void runPass(std::uint64_t mask, bool approxWrongPath);
 
     /**
      * Pristine reconstructed warm state shared by every unit of one
@@ -227,11 +238,11 @@ class ReplayContext
     };
 
     const Program &prog_;
-    SparseMemory mem_;
-    DirectMemPort direct_;
-    OverlayMemPort overlay_;
+    InstChunk chunk_;
     const LivePoint *loaded_ = nullptr;
     std::vector<std::unique_ptr<Unit>> units_;
+    std::vector<OoOCore *> active_;     //!< cores of the current pass
+    std::vector<WindowResult> results_; //!< their results, same order
     std::uint64_t pointEpoch_ = 0;
     std::vector<const Blob *> bpredImage_; //!< per unit, per point
     std::vector<int> cacheStashOf_;        //!< unit -> stash, -1 = none
@@ -247,8 +258,9 @@ class ReplayEngine
      * Build an engine simulating every point under each of @p cfgs
      * (one config for absolute estimation, two for matched pairs, a
      * whole campaign's design space for decode-once fan-out — all
-     * configs of a point run back-to-back on the same worker from one
-     * decode, so common-random-numbers pairing stays exact).
+     * configs of a point replay in one lockstep pass on the same
+     * worker from one decode, so common-random-numbers pairing stays
+     * exact).
      */
     ReplayEngine(const Program &prog, std::vector<CoreConfig> cfgs,
                  const ReplayEngineOptions &opt);

@@ -39,22 +39,19 @@ runCompleteDetailed(const Program &prog, const CoreConfig &cfg,
                     InstCount maxInsts)
 {
     const auto t0 = Clock::now();
-    SparseMemory mem;
-    if (!prog.dataInit.empty())
-        mem.writeBytes(prog.dataBase, prog.dataInit.data(),
-                       prog.dataInit.size());
-    DirectMemPort port(mem);
     MemHierarchy hier(cfg.mem);
     BranchPredictor bp(cfg.bpred);
     CoreBindings b;
     b.prog = &prog;
-    b.mem = &port;
     b.hier = &hier;
     b.bp = &bp;
     OoOCore core(cfg, b);
+    OoOCore *const cores[] = {&core};
     const InstCount limit = maxInsts ? std::min(maxInsts, prog.length)
                                      : prog.length;
-    const WindowResult w = core.commitRun(limit);
+    InstChunk chunk;
+    WindowResult w;
+    runWindow(prog, chunk, 0, 0, limit, cores, 1, &w);
     CompleteSimResult res;
     res.cpi = w.cpi;
     res.insts = w.insts;
@@ -74,28 +71,25 @@ runSmarts(const Program &prog, const CoreConfig &cfg,
     sim.addPredictor(&bp);
 
     SampledEstimate est;
-    OverlayMemPort over(sim.memory());
+    InstChunk chunk;
     for (std::uint64_t i = 0; i < design.count; ++i) {
         const InstCount start = design.windowStart(i);
         sim.run(start - sim.regs().instIndex);
 
-        // Measure the window on clones of the warm state and a
-        // write-private memory view; functional warming then proceeds
-        // through the window on the originals, exactly as the
-        // live-point builder does. The one overlay is recycled across
-        // windows.
+        // Time the window on clones of the warm state; functional
+        // warming then executes it on the originals, exactly as the
+        // live-point builder does.
         MemHierarchy hierClone = hier;
         BranchPredictor bpClone = bp;
-        over.clear();
         CoreBindings b;
         b.prog = &prog;
-        b.initialRegs = sim.regs();
-        b.mem = &over;
         b.hier = &hierClone;
         b.bp = &bpClone;
         OoOCore core(cfg, b);
-        const WindowResult w =
-            core.measure(design.warmLen, design.measureLen);
+        OoOCore *const cores[] = {&core};
+        WindowResult w;
+        runWindow(prog, chunk, sim.regs().instIndex, design.warmLen,
+                  design.measureLen, cores, 1, &w);
         est.stat.add(w.cpi);
 
         sim.run(design.windowLen());
@@ -123,7 +117,7 @@ runAdaptiveWarming(const Program &prog, const CoreConfig &cfg,
     BranchPredictor bp(cfg.bpred);
 
     SampledEstimate est;
-    OverlayMemPort over(sim.memory());
+    InstChunk chunk;
     for (std::uint64_t i = 0; i < design.count; ++i) {
         const InstCount start = design.windowStart(i);
         // Clamp the MRRL request to the gap, the program start, and
@@ -149,16 +143,15 @@ runAdaptiveWarming(const Program &prog, const CoreConfig &cfg,
 
         MemHierarchy hierClone = hier;
         BranchPredictor bpClone = bp;
-        over.clear();
         CoreBindings b;
         b.prog = &prog;
-        b.initialRegs = sim.regs();
-        b.mem = &over;
         b.hier = &hierClone;
         b.bp = &bpClone;
         OoOCore core(cfg, b);
-        const WindowResult w =
-            core.measure(design.warmLen, design.measureLen);
+        OoOCore *const cores[] = {&core};
+        WindowResult w;
+        runWindow(prog, chunk, sim.regs().instIndex, design.warmLen,
+                  design.measureLen, cores, 1, &w);
         est.stat.add(w.cpi);
 
         // Warm through the window itself (its references are known).

@@ -66,7 +66,6 @@ class FunctionalSimulator
     const Program &prog_;
     ArchRegs regs_;
     SparseMemory mem_;
-    DirectMemPort port_;
     MemHierarchy *hier_ = nullptr;
     std::vector<BranchPredictor *> preds_;
     MemoryTimestampRecord *mtr_ = nullptr;

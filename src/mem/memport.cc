@@ -12,17 +12,9 @@ SparseMemory::page(Addr a)
 {
     const std::uint64_t idx = a / pageBytes;
     auto it = pages_.find(idx);
-    if (it == pages_.end()) {
+    if (it == pages_.end())
         it = pages_.emplace(idx, std::make_unique<Page>()).first;
-        it->second->epoch = epoch_;
-    }
-    Page &p = *it->second;
-    if (p.epoch != epoch_) {
-        // First touch since a reset(): zero the recycled page.
-        std::memset(p.data, 0, pageBytes);
-        p.epoch = epoch_;
-    }
-    return p;
+    return *it->second;
 }
 
 std::uint64_t
@@ -82,12 +74,6 @@ SparseMemory::writeBytes(Addr a, const std::uint8_t *data, std::size_t n)
     }
 }
 
-void
-SparseMemory::reset()
-{
-    ++epoch_;
-}
-
 std::uint64_t
 SparseMemory::footprintBytes() const
 {
@@ -100,104 +86,11 @@ SparseMemory::clone() const
     SparseMemory out;
     out.pages_.reserve(pages_.size());
     for (const auto &kv : pages_) {
-        if (kv.second->epoch != epoch_)
-            continue; // logically zero: first touch re-creates it
         auto p = std::make_unique<Page>();
         std::memcpy(p->data, kv.second->data, pageBytes);
         out.pages_.emplace(kv.first, std::move(p));
     }
     return out;
-}
-
-namespace
-{
-
-/** Mix an (8-aligned) word address into a table hash. */
-inline std::size_t
-overlayHash(Addr a)
-{
-    std::uint64_t h = (a >> 3) * 0x9e3779b97f4a7c15ull;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-}
-
-} // namespace
-
-OverlayMemPort::OverlayMemPort(SparseMemory &base,
-                               std::size_t reserveWrites)
-    : base_(base)
-{
-    // Power-of-two capacity with load factor <= 1/2.
-    std::size_t cap = 16;
-    while (cap < reserveWrites * 2)
-        cap *= 2;
-    slots_.resize(cap);
-    mask_ = cap - 1;
-}
-
-/**
- * Index of the slot holding @p a, or of the first free slot in its
- * probe chain. Within one epoch the table is insert-only, so linear
- * probing needs no tombstones: a stale-epoch slot is simply free.
- */
-std::size_t
-OverlayMemPort::probe(Addr a) const
-{
-    std::size_t i = overlayHash(a) & mask_;
-    while (slots_[i].epoch == epoch_ && slots_[i].addr != a)
-        i = (i + 1) & mask_;
-    return i;
-}
-
-std::uint64_t
-OverlayMemPort::read64(Addr a)
-{
-    const Slot &s = slots_[probe(a)];
-    return s.epoch == epoch_ ? s.val : base_.read64(a);
-}
-
-void
-OverlayMemPort::write64(Addr a, std::uint64_t v)
-{
-    Slot &s = slots_[probe(a)];
-    if (s.epoch != epoch_) {
-        if ((count_ + 1) * 2 > slots_.size()) {
-            grow();
-            write64(a, v);
-            return;
-        }
-        ++count_;
-        s.addr = a;
-        s.epoch = epoch_;
-    }
-    s.val = v;
-}
-
-void
-OverlayMemPort::grow()
-{
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
-    mask_ = slots_.size() - 1;
-    for (const Slot &s : old) {
-        if (s.epoch != epoch_)
-            continue;
-        std::size_t i = overlayHash(s.addr) & mask_;
-        while (slots_[i].epoch == epoch_)
-            i = (i + 1) & mask_;
-        slots_[i] = s;
-    }
-}
-
-void
-OverlayMemPort::clear()
-{
-    count_ = 0;
-    if (++epoch_ == 0) {
-        // Epoch counter wrapped: stale stamps could alias the fresh
-        // epoch, so wipe the table once every 2^32 windows.
-        std::fill(slots_.begin(), slots_.end(), Slot{});
-        epoch_ = 1;
-    }
 }
 
 MemoryImage::MemoryImage(unsigned blockBytes) : blockBytes_(blockBytes) {}
@@ -230,30 +123,6 @@ std::uint64_t
 MemoryImage::payloadBytes() const
 {
     return static_cast<std::uint64_t>(blockCount()) * blockBytes_;
-}
-
-void
-MemoryImage::applyTo(SparseMemory &mem) const
-{
-    if (flat_) {
-        // Runs of address-adjacent blocks are contiguous in the
-        // payload buffer, so they collapse into single writes.
-        const std::size_t n = flatAddrs_.size();
-        std::size_t i = 0;
-        while (i < n) {
-            std::size_t j = i + 1;
-            while (j < n &&
-                   flatAddrs_[j] == flatAddrs_[j - 1] + blockBytes_)
-                ++j;
-            mem.writeBytes(flatAddrs_[i],
-                           flatPayload_.data() + i * blockBytes_,
-                           (j - i) * blockBytes_);
-            i = j;
-        }
-        return;
-    }
-    for (const auto &kv : blocks_)
-        mem.writeBytes(kv.first, kv.second.data(), kv.second.size());
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
- * Flat simulated memory: a sparse page-granular store, the port
- * abstraction the detailed core loads/stores through, and the
- * MemoryImage — the restricted live-state payload of a live-point
- * (the blocks a detailed window touches, captured as of window start).
+ * Flat simulated memory: a sparse page-granular store the functional
+ * simulator executes against, and the MemoryImage — the restricted
+ * live-state payload of a live-point (the blocks a detailed window
+ * touches, captured as of window start).
  */
 
 #ifndef LP_MEM_MEMPORT_HH
@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "codec/der.hh"
 #include "util/types.hh"
@@ -33,103 +34,25 @@ class SparseMemory
     void readBytes(Addr a, std::uint8_t *out, std::size_t n);
     void writeBytes(Addr a, const std::uint8_t *data, std::size_t n);
 
-    /**
-     * Return to the all-zero initial state while keeping every page
-     * allocated, so a pooled replay context reuses its storage across
-     * live-points instead of reconstructing the map. O(1): pages are
-     * lazily zeroed on their first touch after the reset, so a reset
-     * never pays for pages the next point won't reference.
-     */
-    void reset();
-
-    /**
-     * Bytes of memory touched so far (page granularity). On a pooled
-     * memory this is a high-water mark: pages recycled across reset()
-     * epochs stay counted.
-     */
+    /** Bytes of memory touched so far (page granularity). */
     std::uint64_t footprintBytes() const;
 
     /**
-     * Deep copy of the current logical contents. Pages that are
-     * stale under the reset() epoch (i.e. logically zero) are
-     * dropped, so the clone's footprint is the live state only. The
-     * parallel library builder snapshots the architectural memory at
-     * shard boundaries with this.
+     * Deep copy of the current contents. The parallel library builder
+     * snapshots the architectural memory at shard boundaries with
+     * this.
      */
     SparseMemory clone() const;
 
   private:
     struct Page
     {
-        std::uint64_t epoch = 0; //!< reset generation last zeroed for
         std::uint8_t data[pageBytes] = {};
     };
 
     Page &page(Addr a);
 
     std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
-    std::uint64_t epoch_ = 0;
-};
-
-/** Abstract load/store port into simulated memory. */
-class MemPort
-{
-  public:
-    virtual ~MemPort() = default;
-    virtual std::uint64_t read64(Addr a) = 0;
-    virtual void write64(Addr a, std::uint64_t v) = 0;
-};
-
-/** Port backed directly by a SparseMemory. */
-class DirectMemPort : public MemPort
-{
-  public:
-    explicit DirectMemPort(SparseMemory &mem) : mem_(mem) {}
-    std::uint64_t read64(Addr a) override { return mem_.read64(a); }
-    void write64(Addr a, std::uint64_t v) override { mem_.write64(a, v); }
-
-  private:
-    SparseMemory &mem_;
-};
-
-/**
- * A write-private view of a base memory: a detailed window runs on
- * top of the live functional memory without perturbing it (all
- * accesses are 8-aligned 8-byte, so a word-granular overlay is
- * exact). The write set is a flat open-addressing hash table with
- * epoch-stamped slots: every read64 the core issues probes it, so
- * lookups stay in one or two contiguous cache lines, writes allocate
- * nothing once the table has grown to the window's footprint, and
- * clear() is an O(1) epoch bump.
- */
-class OverlayMemPort : public MemPort
-{
-  public:
-    explicit OverlayMemPort(SparseMemory &base,
-                            std::size_t reserveWrites = 4096);
-
-    std::uint64_t read64(Addr a) override;
-    void write64(Addr a, std::uint64_t v) override;
-
-    /** Drop the private writes, keeping the table's capacity. */
-    void clear();
-
-  private:
-    struct Slot
-    {
-        Addr addr = 0;
-        std::uint64_t val = 0;
-        std::uint32_t epoch = 0; //!< live iff == epoch_
-    };
-
-    std::size_t probe(Addr a) const;
-    void grow();
-
-    SparseMemory &base_;
-    std::vector<Slot> slots_; //!< power-of-two size
-    std::size_t mask_ = 0;
-    std::size_t count_ = 0;
-    std::uint32_t epoch_ = 1;
 };
 
 /**
@@ -163,9 +86,6 @@ class MemoryImage
         return flat_ ? flatAddrs_.size() : blocks_.size();
     }
 
-    /** Write every captured block into @p mem. */
-    void applyTo(SparseMemory &mem) const;
-
     /** Visit blocks in address order. */
     void
     forEach(const std::function<void(Addr, const std::vector<std::uint8_t> &)>
@@ -188,8 +108,7 @@ class MemoryImage
      * Replay-time storage, used after deserializeInto(): a sorted
      * flat address array plus one contiguous payload buffer. Loading
      * the next point reuses both buffers — zero allocations per point
-     * in steady state — and applyTo() can coalesce adjacent blocks
-     * into single writes.
+     * in steady state.
      */
     bool flat_ = false;
     std::vector<Addr> flatAddrs_;

@@ -13,6 +13,7 @@
 #include <sys/types.h>
 
 #include "core/campaign.hh"
+#include "core/replay.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
 #include "store/result_store.hh"
@@ -307,6 +308,21 @@ CampaignService::submit(const JobSpec &spec)
     SubmitOutcome out;
     if (spec.workloads.empty() || spec.configs.empty()) {
         out.error = "a job needs at least one workload and one config";
+        return out;
+    }
+    if (spec.configs.size() > maxReplayConfigs) {
+        out.error = strfmt("too many configs: %zu (at most %zu)",
+                           spec.configs.size(), maxReplayConfigs);
+        return out;
+    }
+    if (spec.threads > maxJobThreads) {
+        out.error = strfmt("threads %u exceeds the limit of %u",
+                           spec.threads, maxJobThreads);
+        return out;
+    }
+    if (spec.decodeThreads > maxJobThreads) {
+        out.error = strfmt("decodeThreads %u exceeds the limit of %u",
+                           spec.decodeThreads, maxJobThreads);
         return out;
     }
     for (const JobConfigSpec &c : spec.configs) {

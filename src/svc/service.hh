@@ -59,6 +59,14 @@ namespace lp
 
 class ResultStore;
 
+/**
+ * Largest `threads` or `decodeThreads` a job may ask for. Both arrive
+ * off the socket and size the job's thread pool, so submit() rejects
+ * a larger value before admission. (A job's config count is capped
+ * at maxReplayConfigs the same way.)
+ */
+inline constexpr std::uint32_t maxJobThreads = 256;
+
 struct ServiceConfig
 {
     std::string jobsDir; //!< job directories + structured log

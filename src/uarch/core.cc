@@ -40,11 +40,9 @@ void
 OoOCore::rebind(const CoreBindings &b)
 {
     prog_ = b.prog;
-    mem_ = b.mem;
     hier_ = b.hier;
     bp_ = b.bp;
     avail_ = b.availability;
-    regs_ = b.initialRegs;
     approxWrongPath_ = false;
     fetchCycle_ = 0;
     fetchedThisCycle_ = 0;
@@ -70,15 +68,10 @@ OoOCore::rebind(const CoreBindings &b)
     unavailableLoads_ = 0;
 }
 
-bool
-OoOCore::programEnded() const
-{
-    return regs_.instIndex >= prog_->length;
-}
-
 template <bool HasAvail>
 void
-OoOCore::simulateWrongPath(InstCount index, Cycles resolve, Cycles fetched)
+OoOCore::simulateWrongPath(InstCount index, Cycles resolve, Cycles fetched,
+                           const InstChunk &chunk)
 {
     // The front end fetches down the wrong path until the branch
     // resolves; model its cache pollution (and, under restricted
@@ -87,7 +80,7 @@ OoOCore::simulateWrongPath(InstCount index, Cycles resolve, Cycles fetched)
     const std::uint64_t n =
         std::min<std::uint64_t>(2 + span / 2, 24);
     for (unsigned k = 0; k < n; ++k) {
-        const Instruction wp = prog_->wrongPath(index, k);
+        const Instruction wp = prog_->wrongPath(index, k, &chunk);
         if (wp.op != Opcode::Load)
             continue;
         if (HasAvail && !avail_->contains(wp.addr))
@@ -98,11 +91,9 @@ OoOCore::simulateWrongPath(InstCount index, Cycles resolve, Cycles fetched)
 
 template <bool ApproxWP, bool HasAvail>
 void
-OoOCore::step(const StepConsts &k)
+OoOCore::step(const StepConsts &k, const Instruction &ins,
+              InstCount index, const InstChunk &chunk)
 {
-    const InstCount index = regs_.instIndex;
-    const Instruction ins = prog_->fetch(index);
-
     // --- Fetch ---
     if (fetchedThisCycle_ >= k.width) {
         ++fetchCycle_;
@@ -180,7 +171,8 @@ OoOCore::step(const StepConsts &k)
             Cycles &mshr = mshrs_[mshrHead_];
             issue = std::max(issue, mshr);
             mshr = issue + lat;
-            mshrHead_ = (mshrHead_ + 1) % mshrs_.size();
+            if (++mshrHead_ == mshrs_.size())
+                mshrHead_ = 0;
         }
         port = issue + 1;
         if (ins.op == Opcode::Load) {
@@ -190,7 +182,8 @@ OoOCore::step(const StepConsts &k)
             // background.
             complete = issue + 1;
             storeBuf_[storeHead_] = issue + lat;
-            storeHead_ = (storeHead_ + 1) % storeBuf_.size();
+            if (++storeHead_ == storeBuf_.size())
+                storeHead_ = 0;
         }
         break;
       }
@@ -204,7 +197,8 @@ OoOCore::step(const StepConsts &k)
         bp_->update(ins.pc, ins.taken);
         if (predicted != ins.taken) {
             if (!ApproxWP)
-                simulateWrongPath<HasAvail>(index, complete, fetched);
+                simulateWrongPath<HasAvail>(index, complete, fetched,
+                                            chunk);
             const Cycles redirect =
                 complete + k.mispredictPenalty;
             if (redirect > fetchCycle_) {
@@ -230,19 +224,18 @@ OoOCore::step(const StepConsts &k)
     }
     lastCommit_ = commit;
     window_[windowHead_] = commit;
-    windowHead_ = (windowHead_ + 1) % window_.size();
+    if (++windowHead_ == window_.size())
+        windowHead_ = 0;
     if (ins.isMem()) {
         lsq_[lsqHead_] = commit;
-        lsqHead_ = (lsqHead_ + 1) % lsq_.size();
+        if (++lsqHead_ == lsq_.size())
+            lsqHead_ = 0;
     }
-
-    // --- Architectural execution ---
-    executeArch(ins, regs_, *mem_);
 }
 
 template <bool ApproxWP, bool HasAvail>
-InstCount
-OoOCore::runLoop(InstCount n)
+void
+OoOCore::runLoop(const InstChunk &chunk)
 {
     StepConsts k;
     k.width = cfg_.width;
@@ -253,40 +246,66 @@ OoOCore::runLoop(InstCount n)
     k.fpAlu = cfg_.lat.fpAlu;
     k.fpMulDiv = cfg_.lat.fpMulDiv;
     k.mispredictPenalty = cfg_.bpred.mispredictPenalty;
-    const InstCount length = prog_->length;
-    InstCount done = 0;
-    while (done < n && regs_.instIndex < length) {
-        step<ApproxWP, HasAvail>(k);
-        ++done;
+    const Instruction *ins = chunk.data();
+    const InstCount first = chunk.first();
+    for (std::size_t i = 0, n = chunk.size(); i < n; ++i)
+        step<ApproxWP, HasAvail>(k, ins[i], first + i, chunk);
+}
+
+void
+OoOCore::time(const InstChunk &chunk)
+{
+    if (approxWrongPath_) {
+        if (avail_)
+            runLoop<true, true>(chunk);
+        else
+            runLoop<true, false>(chunk);
+    } else {
+        if (avail_)
+            runLoop<false, true>(chunk);
+        else
+            runLoop<false, false>(chunk);
     }
-    return done;
 }
 
-WindowResult
-OoOCore::commitRun(InstCount n)
+void
+runWindow(const Program &prog, InstChunk &chunk, InstCount start,
+          InstCount warmLen, InstCount measureLen, OoOCore *const *cores,
+          std::size_t n, WindowResult *out)
 {
-    const Cycles c0 = lastCommit_;
-    const std::uint64_t u0 = unavailableLoads_;
-    InstCount done;
-    if (approxWrongPath_)
-        done = avail_ ? runLoop<true, true>(n) : runLoop<true, false>(n);
-    else
-        done = avail_ ? runLoop<false, true>(n) : runLoop<false, false>(n);
-    WindowResult res;
-    res.insts = done;
-    res.cycles = lastCommit_ - c0;
-    res.cpi = done ? static_cast<double>(res.cycles) /
-                         static_cast<double>(done)
-                   : 0.0;
-    res.unavailableLoads = unavailableLoads_ - u0;
-    return res;
-}
+    const InstCount length = prog.length;
+    start = std::min(start, length);
+    const InstCount warmEnd = start + std::min(warmLen, length - start);
+    const InstCount end = warmEnd + std::min(measureLen, length - warmEnd);
+    auto walk = [&](InstCount from, InstCount to) {
+        while (from < to) {
+            const std::size_t len = static_cast<std::size_t>(
+                std::min<InstCount>(InstChunk::capacity, to - from));
+            chunk.fetch(prog, from, len);
+            for (std::size_t c = 0; c < n; ++c)
+                cores[c]->time(chunk);
+            from += len;
+        }
+    };
 
-WindowResult
-OoOCore::measure(InstCount warmLen, InstCount measureLen)
-{
-    commitRun(warmLen);
-    return commitRun(measureLen);
+    walk(start, warmEnd);
+    // Park each core's marks in its result until the window ends.
+    for (std::size_t c = 0; c < n; ++c) {
+        out[c].cycles = cores[c]->lastCommit();
+        out[c].unavailableLoads = cores[c]->unavailableLoads();
+    }
+    walk(warmEnd, end);
+    const InstCount insts = end - warmEnd;
+    for (std::size_t c = 0; c < n; ++c) {
+        WindowResult &r = out[c];
+        r.insts = insts;
+        r.cycles = cores[c]->lastCommit() - r.cycles;
+        r.cpi = insts ? static_cast<double>(r.cycles) /
+                            static_cast<double>(insts)
+                      : 0.0;
+        r.unavailableLoads =
+            cores[c]->unavailableLoads() - r.unavailableLoads;
+    }
 }
 
 } // namespace lp

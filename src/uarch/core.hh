@@ -2,10 +2,15 @@
  * @file
  * Detailed out-of-order core: a one-pass cycle-accounting model of a
  * superscalar machine (fetch/window/FU/memory/commit constraints and
- * wrong-path cache pollution after mispredictions). It executes
- * architecturally through a MemPort while computing timing, so a
- * window replayed from a live-point follows the exact state
- * trajectory of the original full-warming run.
+ * wrong-path cache pollution after mispredictions). The core times
+ * the instructions it is handed, a chunk at a time; it does not
+ * execute them. Timing depends only on each instruction's op,
+ * registers, address and direction, all pure functions of its index,
+ * so no register or memory value is needed to time a window. Replay
+ * fetches a window once per point and every configuration's core
+ * times it (ReplayContext); SMARTS and adaptive warming leave
+ * execution to their functional simulator, which runs through the
+ * window right after.
  */
 
 #ifndef LP_UARCH_CORE_HH
@@ -30,12 +35,10 @@ struct WindowResult
     std::uint64_t unavailableLoads = 0;
 };
 
-/** Everything a core needs bound before it can run. */
+/** Everything a core needs bound before it can time instructions. */
 struct CoreBindings
 {
-    const Program *prog = nullptr;
-    ArchRegs initialRegs{}; //!< default: start of program
-    MemPort *mem = nullptr;
+    const Program *prog = nullptr; //!< fetch addresses, wrong paths
     MemHierarchy *hier = nullptr;
     BranchPredictor *bp = nullptr;
 
@@ -60,30 +63,25 @@ class OoOCore
     void rebind(const CoreBindings &b);
 
     /**
-     * Run @p warmLen instructions of detailed warming (discarded),
-     * then @p measureLen measured instructions; returns the measured
-     * window's timing.
+     * Time @p chunk's instructions after everything timed since the
+     * last rebind. Successive chunks must continue one instruction
+     * stream of the bound program.
      */
-    WindowResult measure(InstCount warmLen, InstCount measureLen);
-
-    /** Run @p n instructions; returns their timing. */
-    WindowResult commitRun(InstCount n);
-
-    /** True when the bound program has no instructions left. */
-    bool programEnded() const;
+    void time(const InstChunk &chunk);
 
     /** Skip simulating wrong-path memory references (Section 5). */
     void setApproxWrongPath(bool v) { approxWrongPath_ = v; }
 
+    /** Commit cycle of the last instruction timed (0 after rebind). */
+    Cycles lastCommit() const { return lastCommit_; }
+
     /** Wrong-path loads that missed the availability image so far. */
     std::uint64_t unavailableLoads() const { return unavailableLoads_; }
-
-    const ArchRegs &regs() const { return regs_; }
 
   private:
     /**
      * Config-invariant values read every instruction, hoisted out of
-     * CoreConfig once per commitRun so the specialized step loop works
+     * CoreConfig once per chunk so the specialized step loop works
      * from locals the optimizer can keep live across iterations.
      */
     struct StepConsts
@@ -102,25 +100,24 @@ class OoOCore
      * One instruction through the timing model, specialized at compile
      * time on the two structural flags that never change within a run:
      * whether wrong-path simulation is approximated away and whether
-     * an availability image is bound. commitRun dispatches once to the
+     * an availability image is bound. time() dispatches once to the
      * matching instantiation, so the per-instruction loop carries no
      * runtime checks for either.
      */
     template <bool ApproxWP, bool HasAvail>
-    void step(const StepConsts &k);
+    void step(const StepConsts &k, const Instruction &ins,
+              InstCount index, const InstChunk &chunk);
     template <bool ApproxWP, bool HasAvail>
-    InstCount runLoop(InstCount n);
+    void runLoop(const InstChunk &chunk);
     template <bool HasAvail>
     void simulateWrongPath(InstCount index, Cycles resolve,
-                           Cycles fetched);
+                           Cycles fetched, const InstChunk &chunk);
 
     const CoreConfig &cfg_;
     const Program *prog_;
-    MemPort *mem_;
     MemHierarchy *hier_;
     BranchPredictor *bp_;
     const MemoryImage *avail_;
-    ArchRegs regs_;
     bool approxWrongPath_ = false;
 
     // Timing state.
@@ -147,6 +144,20 @@ class OoOCore
     std::size_t mshrHead_ = 0;
     std::uint64_t unavailableLoads_ = 0;
 };
+
+/**
+ * Time one detailed window on @p n cores in lockstep: @p warmLen
+ * instructions of detailed warming (timed, then discarded) followed
+ * by @p measureLen measured ones, from index @p start and clipped at
+ * the program's end. The window is walked in InstChunk-sized chunks
+ * that split at the end of the warming; each chunk is fetched into
+ * @p chunk once, then every core times it. out[i] receives
+ * cores[i]'s timing of the measured instructions. The cores must be
+ * freshly rebound.
+ */
+void runWindow(const Program &prog, InstChunk &chunk, InstCount start,
+               InstCount warmLen, InstCount measureLen,
+               OoOCore *const *cores, std::size_t n, WindowResult *out);
 
 } // namespace lp
 

@@ -276,7 +276,8 @@ Program::fetch(InstCount index) const
 }
 
 Instruction
-Program::wrongPath(InstCount index, unsigned k) const
+Program::wrongPath(InstCount index, unsigned k,
+                   const InstChunk *chunk) const
 {
     const std::uint64_t seed = profile.seed;
     const PhaseSpec &ph = phaseAt(index);
@@ -300,13 +301,22 @@ Program::wrongPath(InstCount index, unsigned k) const
             // same 64-byte block as a nearby load/store (wrong paths
             // mostly re-reference live data, so under restricted
             // live-state only the rare cold access is unavailable).
-            // The slot table tells which instruction is one; only
-            // that one is fetched.
+            // An instruction the chunk holds is read from it;
+            // otherwise the slot table tells which instruction is one
+            // and only that one is fetched.
             const std::uint64_t back = 1 + (h >> 40) % 32;
             Addr base = ph.regionBase;
             for (unsigned s = 0; s < 12; ++s) {
                 const InstCount j =
                     index > back + s ? index - back - s : 0;
+                if (const Instruction *in = chunk ? chunk->find(j)
+                                                  : nullptr) {
+                    if (in->isMem()) {
+                        base = in->addr;
+                        break;
+                    }
+                    continue;
+                }
                 const Position p = locate(*this, j);
                 if (p.ph.slots[p.slot].ins.isMem()) {
                     base = fetch(j).addr;
@@ -319,6 +329,15 @@ Program::wrongPath(InstCount index, unsigned k) const
         ins.op = Opcode::IntAlu;
     }
     return ins;
+}
+
+void
+InstChunk::fetch(const Program &prog, InstCount first, std::size_t n)
+{
+    first_ = first;
+    size_ = std::min(n, capacity);
+    for (std::size_t i = 0; i < size_; ++i)
+        ins_[i] = prog.fetch(first + i);
 }
 
 Program
@@ -401,33 +420,6 @@ InstCount
 measureProgramLength(const Program &prog)
 {
     return prog.length;
-}
-
-void
-executeArch(const Instruction &ins, ArchRegs &regs, MemPort &mem)
-{
-    auto &r = regs.r;
-    switch (ins.op) {
-      case Opcode::IntAlu:
-      case Opcode::FpAlu:
-        r[ins.dst] = r[ins.src1] + r[ins.src2] + 1;
-        break;
-      case Opcode::IntMul:
-      case Opcode::FpMul:
-        r[ins.dst] = r[ins.src1] * (r[ins.src2] | 1);
-        break;
-      case Opcode::Load:
-        r[ins.dst] = mem.read64(ins.addr);
-        break;
-      case Opcode::Store:
-        mem.write64(ins.addr, r[ins.src1]);
-        break;
-      case Opcode::Bne:
-      case Opcode::Jump:
-        break;
-    }
-    r[0] = 0;
-    ++regs.instIndex;
 }
 
 } // namespace lp

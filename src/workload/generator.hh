@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "codec/der.hh"
-#include "mem/memport.hh"
 #include "util/types.hh"
 #include "workload/profile.hh"
 
@@ -121,6 +120,8 @@ struct PhaseSpec
     std::vector<SlotSpec> slots; //!< the loop body, bodySize entries
 };
 
+class InstChunk;
+
 struct Program
 {
     std::string name;
@@ -145,9 +146,47 @@ struct Program
     /**
      * Synthesize the @p k-th wrong-path instruction after a
      * mispredicted branch at @p index: mostly ALU work plus loads that
-     * usually touch recently-referenced correct-path data.
+     * usually touch recently-referenced correct-path data. The
+     * backward scan for that data reads instructions inside
+     * @p chunk (when given, a chunk fetched from this program) from
+     * the chunk and derives the rest; the result is the same.
      */
-    Instruction wrongPath(InstCount index, unsigned k) const;
+    Instruction wrongPath(InstCount index, unsigned k,
+                          const InstChunk *chunk = nullptr) const;
+};
+
+/**
+ * Consecutive dynamic instructions [first(), first() + size()) of one
+ * program, fetched into a buffer of fixed capacity. The detailed core
+ * times instructions a chunk at a time, so a window is fetched once
+ * however many cores time it. The capacity
+ * is a constant, never a record's window length: a live-point cannot
+ * size this buffer.
+ */
+class InstChunk
+{
+  public:
+    static constexpr std::size_t capacity = 2048;
+
+    InstChunk() : ins_(capacity) {}
+
+    /** Fetch the @p n <= capacity instructions from index @p first. */
+    void fetch(const Program &prog, InstCount first, std::size_t n);
+
+    InstCount first() const { return first_; }
+    std::size_t size() const { return size_; }
+    const Instruction *data() const { return ins_.data(); }
+
+    /** The instruction at dynamic @p index, or null outside the chunk. */
+    const Instruction *find(InstCount index) const
+    {
+        return index - first_ < size_ ? &ins_[index - first_] : nullptr;
+    }
+
+  private:
+    std::vector<Instruction> ins_;
+    InstCount first_ = 0;
+    std::size_t size_ = 0;
 };
 
 /** Build the deterministic program described by @p profile. */
@@ -155,13 +194,6 @@ Program generateProgram(const WorkloadProfile &profile);
 
 /** Dynamic length of the program (whole chunks of the target count). */
 InstCount measureProgramLength(const Program &prog);
-
-/**
- * Architecturally execute one instruction: update registers and
- * memory. Shared by the functional simulator and the detailed core so
- * both produce bit-identical state trajectories.
- */
-void executeArch(const Instruction &ins, ArchRegs &regs, MemPort &mem);
 
 } // namespace lp
 

@@ -53,6 +53,78 @@ main()
         }
     }
 
+    // Four-configuration fan-out pins: one context binds every
+    // configuration and replays each loaded point under all of them.
+    // slow-mem shares both warm-state stashes with the baseline; the
+    // other two reconstruct their own cache geometries. Every replay
+    // runs under the point's restricted availability image, with
+    // wrong paths simulated and approximated away. The pins fix each
+    // configuration's (cycles, insts, unavailableLoads) stream.
+    {
+        CoreConfig wide = baseConfig();
+        wide.name = "wide-l2-512k";
+        wide.width = 16;
+        wide.ruuSize = 256;
+        wide.lsqSize = 128;
+        wide.fus = {8, 4, 8, 4};
+        wide.bpred.predictionsPerCycle = 2;
+        wide.mem.l2 = {512 * 1024, 4, 128};
+        CoreConfig small = baseConfig();
+        small.name = "l1d-16k-l2-8way";
+        small.mem.l1d = {16 * 1024, 2, 64};
+        small.mem.l2 = {1ull << 20, 8, 128};
+        small.mem.memLatency = 200;
+        const std::vector<CoreConfig> fan = {cfg, slowMemConfig(), wide,
+                                             small};
+        const std::uint64_t pins[2][4] = {
+            {0x26a5613cbab4637full, 0xc149f43966ab2bbfull,
+             0x03fccb4884700f44ull, 0xe41424139f5f1105ull},
+            {0x86c06f7fc3e72e41ull, 0x83857344bab14c51ull,
+             0xc0224ed1ee16640eull, 0x674c67f82f56f1adull},
+        };
+        ReplayContext ctx(prog, fan);
+        for (const bool approx : {false, true}) {
+            std::uint64_t digest[4] = {1, 2, 3, 4};
+            std::uint64_t unavailable = 0;
+            for (std::size_t i = 0; i < lib.size(); ++i) {
+                const LivePoint point = lib.get(i);
+                ctx.loadPoint(point);
+                WindowResult one[4];
+                for (std::size_t c = 0; c < fan.size(); ++c) {
+                    const WindowResult w = ctx.replay(c, approx);
+                    digest[c] = hashCombine(
+                        hashCombine(hashCombine(digest[c], w.cycles),
+                                    w.insts),
+                        w.unavailableLoads);
+                    unavailable += w.unavailableLoads;
+                    one[c] = w;
+                }
+                // The lockstep pass over all four, on the same load
+                // (it starts from the point's warm state again),
+                // equals the one-configuration replays.
+                WindowResult all[4];
+                ctx.replayMask(replayMaskAll(fan.size()), all, approx);
+                for (std::size_t c = 0; c < fan.size(); ++c) {
+                    CHECK_EQ(all[c].cycles, one[c].cycles);
+                    CHECK_EQ(all[c].insts, one[c].insts);
+                    CHECK_EQ(all[c].unavailableLoads,
+                             one[c].unavailableLoads);
+                }
+                // Two configurations sharing both stashes, alone.
+                WindowResult pair[4];
+                ctx.replayMask(0b0011, pair, approx);
+                CHECK_EQ(pair[1].cycles, one[1].cycles);
+            }
+            // Approximated wrong paths issue no loads at all.
+            if (approx)
+                CHECK_EQ(unavailable, 0u);
+            else
+                CHECK(unavailable > 0);
+            for (std::size_t c = 0; c < fan.size(); ++c)
+                CHECK_PIN(digest[c], pins[approx][c]);
+        }
+    }
+
     // decodeInto with recycled buffers matches get().
     {
         Blob scratch;
@@ -301,8 +373,8 @@ main()
             }
         }
 
-        // Decode work inside the engine. At one producer a shuffled
-        // visit materializes an exactly repeatable number of records
+        // Decode work inside the engine. A shuffled visit
+        // materializes an exactly repeatable number of records
         // (keyframes and chain links), fewer than cache-less walks —
         // chain depth + 1 per point — would.
         {
@@ -312,22 +384,28 @@ main()
             std::uint64_t cold = 0;
             for (const std::size_t k : order)
                 cold += loaded.chainDepth(k) + 1;
-            std::uint64_t records[2] = {0, 0};
-            for (std::uint64_t &count : records) {
+            std::uint64_t records[4] = {0, 0, 0, 0};
+            for (std::size_t i = 0; i < 4; ++i) {
                 ReplayEngineOptions ro;
                 ro.threads = 1;
-                ro.decodeThreads = 1;
+                ro.decodeThreads = i < 2 ? 1 : 2;
                 ReplayEngine eng(prog, {cfg}, ro);
                 eng.run(
                     loaded, order, 8, false,
                     [](std::size_t, const WindowResult *) {},
                     [](std::size_t) { return ~std::uint64_t(0); });
                 CHECK_EQ(eng.pointsDecoded(), loaded.size());
-                count = eng.recordsDecoded();
+                records[i] = eng.recordsDecoded();
             }
             CHECK_EQ(records[0], records[1]);
             CHECK(records[0] >= loaded.size());
             CHECK(records[0] < cold);
+            // Two producers deal the chains between them, so each
+            // chain is still walked through one cache: the count
+            // repeats and, since this library's chains fit either
+            // cache, equals the one-producer count.
+            CHECK_EQ(records[2], records[3]);
+            CHECK_EQ(records[2], records[0]);
         }
         std::remove(path.c_str());
     }

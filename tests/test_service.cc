@@ -22,6 +22,7 @@
 
 #include "core/campaign.hh"
 #include "core/library_set.hh"
+#include "core/replay.hh"
 #include "svc/client.hh"
 #include "svc/daemon.hh"
 #include "svc/proto.hh"
@@ -234,6 +235,41 @@ main()
         bad = makeSpec(1);
         bad.configs[0].preset = "mystery";
         CHECK(!svc.submit(bad).accepted);
+
+        // Oversized jobs are turned away before admission, each with
+        // an error naming what is over its cap (and no retry hint).
+        // Only the rejections run here: no job that large starts.
+        auto rejectedFor = [&](const JobSpec &spec, const char *what) {
+            const SubmitOutcome r = svc.submit(spec);
+            return !r.accepted && !r.retry &&
+                   r.error.find(what) != std::string::npos;
+        };
+        bad = makeSpec(1);
+        bad.configs.assign(maxReplayConfigs + 1, bad.configs[0]);
+        CHECK(rejectedFor(bad, "too many configs"));
+        bad = makeSpec(1);
+        bad.threads = maxJobThreads + 1;
+        CHECK(rejectedFor(bad, "threads"));
+        bad = makeSpec(1);
+        bad.decodeThreads = maxJobThreads + 1;
+        CHECK(rejectedFor(bad, "decodeThreads"));
+
+        // The repository benchmark's job shape — four configs, two
+        // simulation threads, one decode producer, block 16 — is
+        // still admitted and runs to completion.
+        JobSpec bench = makeSpec(2);
+        bench.decodeThreads = 1;
+        bench.blockSize = 16;
+        bench.configs.push_back({"eight", "mem-300", 300, 0, 0});
+        bench.configs.push_back({"eight", "l2-512k", 0, 0, 512 * 1024});
+        const SubmitOutcome ok = svc.submit(bench);
+        CHECK(ok.accepted);
+        CHECK(svc.waitForJob(ok.id, 30'000));
+        JobState state;
+        std::string json;
+        CHECK(svc.result(ok.id, &state, &json));
+        CHECK(state == JobState::done);
+        CHECK(json.find("\"failed_cells\": 0") != std::string::npos);
         svc.drain();
     }
 
@@ -612,7 +648,8 @@ main()
     for (const char *dir :
          {"svc-jobs-basic", "svc-jobs-admit", "svc-jobs-resident",
           "svc-jobs-stuck", "svc-jobs-cancel-1", "svc-jobs-cancel-2",
-          "svc-jobs-cancel-4"})
+          "svc-jobs-cancel-4", "svc-jobs-deadline-1",
+          "svc-jobs-deadline-2", "svc-jobs-deadline-4"})
         std::filesystem::remove_all(dir);
     std::filesystem::remove_all(setDir);
     std::filesystem::remove("svc-test.sock");

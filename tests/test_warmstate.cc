@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/warmstate.hh"
@@ -136,12 +137,143 @@ checkInstallEqualsReplay(const CacheSetRecord &csr,
     CHECK(sameWays(installed, replayed));
 }
 
+/**
+ * The division-based reference: a vector of lines per set, indexed
+ * with `/` and `%` for any geometry. Empty ways fill in way order and
+ * a full set evicts its least recently used line in place, so its
+ * lines sit in the same ways CacheModel's do.
+ */
+class DivisionCache
+{
+  public:
+    explicit DivisionCache(const CacheGeometry &geom) : geom_(geom)
+    {
+        sets_.resize(std::max<std::uint64_t>(geom_.numSets(), 1));
+    }
+
+    AccessResult access(Addr a, bool write)
+    {
+        const Addr tag = a - a % geom_.lineBytes;
+        std::vector<CacheLine> &set =
+            sets_[(a / geom_.lineBytes) % sets_.size()];
+        ++clock_;
+        AccessResult res;
+        for (CacheLine &line : set) {
+            if (line.tag == tag) {
+                line.lastAccess = clock_;
+                line.dirty = line.dirty || write;
+                res.hit = true;
+                return res;
+            }
+        }
+        if (set.size() < geom_.assoc) {
+            set.push_back(CacheLine{tag, clock_, write});
+            return res;
+        }
+        std::size_t victim = 0;
+        for (std::size_t i = 1; i < set.size(); ++i)
+            if (set[i].lastAccess < set[victim].lastAccess)
+                victim = i;
+        res.writeback = set[victim].dirty;
+        set[victim] = CacheLine{tag, clock_, write};
+        return res;
+    }
+
+    bool probe(Addr a) const
+    {
+        const Addr tag = a - a % geom_.lineBytes;
+        for (const CacheLine &line :
+             sets_[(a / geom_.lineBytes) % sets_.size()])
+            if (line.tag == tag)
+                return true;
+        return false;
+    }
+
+    const std::vector<CacheLine> &linesOfSet(std::uint64_t s) const
+    {
+        return sets_[s];
+    }
+
+  private:
+    CacheGeometry geom_;
+    std::vector<std::vector<CacheLine>> sets_;
+    std::uint64_t clock_ = 0;
+};
+
+/**
+ * Seeded differential of CacheModel against DivisionCache on @p geom:
+ * hit and writeback per access, probe() on fresh and resident
+ * addresses, and every set's lines way by way. Addresses come from a
+ * low region and from just under 2^64, where a wrapped index or tag
+ * would show.
+ */
+std::uint64_t
+divisionMismatches(const CacheGeometry &geom, std::uint64_t seed)
+{
+    CacheModel model(geom, "model");
+    DivisionCache ref(geom);
+    Rng rng(seed, "division-ref");
+    const std::uint64_t span = 4 * geom.sizeBytes;
+    std::uint64_t bad = 0;
+    auto address = [&]() -> Addr {
+        const Addr off = rng.nextBounded(span);
+        return rng.nextBool(0.5) ? off : ~Addr(0) - off;
+    };
+    for (int i = 0; i < 60'000; ++i) {
+        const Addr a = address();
+        const bool write = rng.nextBool(0.3);
+        const AccessResult x = model.access(a, write);
+        const AccessResult y = ref.access(a, write);
+        bad += x.hit != y.hit || x.writeback != y.writeback;
+        const Addr p = address();
+        bad += model.probe(p) != ref.probe(p);
+        bad += model.probe(a) != ref.probe(a);
+    }
+    for (std::uint64_t s = 0; s < model.numSets(); ++s) {
+        const std::vector<CacheLine> got = model.linesOfSet(s);
+        const std::vector<CacheLine> &want = ref.linesOfSet(s);
+        bool same = got.size() == want.size();
+        for (std::size_t w = 0; same && w < got.size(); ++w)
+            same = got[w].tag == want[w].tag &&
+                   got[w].lastAccess == want[w].lastAccess &&
+                   got[w].dirty == want[w].dirty;
+        bad += !same;
+    }
+    return bad;
+}
+
 } // namespace
 
 int
 main()
 {
     using namespace lp;
+
+    // CacheModel indexes like the division-based reference on every
+    // Table-1 geometry (8- and 16-way L1s, L2s and TLBs), the 1 MB
+    // 8-way L2, a 3-way cache of 1000 sets, and 48- and 96-byte lines.
+    {
+        const CacheGeometry geoms[] = {
+            {32 * 1024, 2, 64},       {1ull << 20, 4, 128},
+            {64 * 4096, 4, 4096},     {128 * 4096, 4, 4096},
+            {64 * 1024, 2, 64},       {4ull << 20, 8, 128},
+            {256 * 4096, 4, 4096},    {1ull << 20, 8, 128},
+            {3 * 1000 * 64, 3, 64},   {4 * 256 * 48, 4, 48},
+            {2 * 100 * 96, 2, 96},
+        };
+        std::uint64_t seed = 300;
+        for (const CacheGeometry &g : geoms) {
+            const std::uint64_t bad = divisionMismatches(g, seed++);
+            if (bad)
+                std::fprintf(stderr,
+                             "geometry %llu/%u/%llu: %llu mismatches\n",
+                             static_cast<unsigned long long>(g.sizeBytes),
+                             g.assoc,
+                             static_cast<unsigned long long>(g.lineBytes),
+                             static_cast<unsigned long long>(bad));
+            CHECK_EQ(bad, 0u);
+        }
+    }
 
     // Warm a max cache and a (smaller) direct cache with the same
     // reference stream; reconstructing the small one from the max

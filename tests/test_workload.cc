@@ -2,8 +2,10 @@
  * Same-seed reproducibility of programs and functional execution, and
  * the instruction stream's definition: fetch() and wrongPath() read
  * per-slot and per-chunk tables, and must equal the per-instruction
- * hash derivation kept here as the oracle, on every suite profile.
- * Golden digests pin the stream itself across builds.
+ * hash derivation kept here as the oracle, on every suite profile;
+ * wrongPath() reading its lookback from a fetched InstChunk must
+ * equal wrongPath() without one. Golden digests pin the stream itself
+ * across builds.
  */
 
 #include "test_util.hh"
@@ -291,6 +293,53 @@ oracleMismatches(const Program &prog, std::uint64_t &loopExits)
     return bad;
 }
 
+/**
+ * wrongPath through a chunk against the program-only derivation, for
+ * every k a core asks: at every index near a chunk's start (its
+ * lookback crosses into the instructions before the chunk), at
+ * strided indices inside it, and just past its end. Chunks sit at
+ * index 0 (the lookback clamps there), just after it, and at seeded
+ * positions. Prints the first mismatch.
+ */
+std::uint64_t
+chunkWrongPathMismatches(const Program &prog)
+{
+    InstChunk chunk;
+    std::uint64_t bad = 0;
+    auto check = [&](InstCount i) {
+        for (unsigned k = 0; k < 24; ++k)
+            if (!sameInstruction(prog.wrongPath(i, k, &chunk),
+                                 prog.wrongPath(i, k)) &&
+                bad++ == 0)
+                std::fprintf(stderr,
+                             "%s: wrongPath(%llu, %u) through the chunk "
+                             "at %llu differs\n",
+                             prog.name.c_str(),
+                             static_cast<unsigned long long>(i), k,
+                             static_cast<unsigned long long>(
+                                 chunk.first()));
+    };
+    auto checkChunk = [&](InstCount first, std::size_t len) {
+        chunk.fetch(prog, first, len);
+        const InstCount end = first + chunk.size();
+        for (InstCount i = first; i < std::min(end, first + 48); ++i)
+            check(i);
+        for (InstCount i = first + 48; i < end; i += 61)
+            check(i);
+        for (InstCount i = end; i < end + 8; ++i)
+            check(i);
+    };
+    checkChunk(0, 64);
+    checkChunk(0, InstChunk::capacity);
+    checkChunk(7, 40);
+    checkChunk(30, InstChunk::capacity);
+    Rng rng(prog.profile.seed, "chunk-wrong-path");
+    for (int n = 0; n < 6; ++n)
+        checkChunk(rng.nextBounded(prog.length - InstChunk::capacity),
+                   1 + rng.nextBounded(InstChunk::capacity));
+    return bad;
+}
+
 /** Digest of fetch and wrongPath over fixed index sets. */
 std::uint64_t
 streamDigest(const Program &prog)
@@ -354,12 +403,14 @@ main()
     using namespace lp;
 
     // fetch() and wrongPath() equal the oracle on every covered
-    // profile, including chunk-final loop exits.
+    // profile, including chunk-final loop exits, and wrongPath()
+    // through a chunk equals wrongPath() without one.
     {
         std::uint64_t loopExits = 0;
         for (const WorkloadProfile &p : coveredProfiles()) {
             const Program prog = generateProgram(p);
             CHECK_EQ(oracleMismatches(prog, loopExits), 0u);
+            CHECK_EQ(chunkWrongPathMismatches(prog), 0u);
         }
         CHECK(loopExits > 0);
     }
