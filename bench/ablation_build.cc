@@ -8,10 +8,6 @@
  * verified bit-identical to the sequential reference; sharded builds
  * trade a bounded (MRRL-licensed) warm-state bias at shard-leading
  * windows for near-linear creation speedup.
- *
- * With LP_BENCH_JSON set, emits BENCH_3-style machine-readable
- * timings so CI can track the creation-side trajectory alongside the
- * replay one.
  */
 
 #include <chrono>
@@ -72,18 +68,16 @@ main()
                 static_cast<unsigned long long>(
                     seqLib.totalCompressedBytes() / n));
 
-    std::string rows;
     for (unsigned shards : {1u, 2u, 4u, 8u}) {
         LivePointBuilderConfig cfg2 = bc;
         cfg2.buildThreads = shards;
-        cfg2.shardPrefixInsts = s.buildPrefix;
         LivePointBuilder builder(cfg2);
         const LivePointLibrary lib = builder.build(b.prog, design);
         const BuilderStats st = builder.stats();
         const bool identical =
             shards == 1 && identicalRecords(lib, seqLib);
-        // The regression gate CI relies on: the pipelined build must
-        // reproduce the sequential library byte for byte.
+        // The pipelined build must reproduce the sequential library
+        // byte for byte.
         if (shards == 1 && !identical)
             panic("ablation_build: pipelined S=1 build is not "
                   "bit-identical to the sequential reference");
@@ -96,20 +90,6 @@ main()
                     pps, static_cast<unsigned long long>(
                              lib.totalCompressedBytes() / n),
                     shards == 1 ? "  (bit-identical)" : "");
-        rows += strfmt(
-            "%s    {\"shards\": %u, \"wall_seconds\": %.6f, "
-            "\"speedup\": %.4f, \"build_insts_per_sec\": %.1f, "
-            "\"build_points_per_sec\": %.2f, \"bytes_per_point\": "
-            "%llu, \"prepass_insts\": %llu, \"identical_to_seq\": "
-            "%s}",
-            rows.empty() ? "" : ",\n", shards, st.wallSeconds,
-            seqStats.wallSeconds / st.wallSeconds,
-            static_cast<double>(st.instsSimulated) / st.wallSeconds,
-            pps,
-            static_cast<unsigned long long>(
-                lib.totalCompressedBytes() / n),
-            static_cast<unsigned long long>(st.prePassInsts),
-            shards == 1 ? (identical ? "true" : "false") : "null");
     }
 
     // Container I/O: streaming LPLIB3 save, zero-copy load.
@@ -128,22 +108,6 @@ main()
     std::printf("\ncontainer: %s on disk, save %.2f ms, load %.2f ms "
                 "(LPLIB3, streamed write / zero-copy read)\n",
                 fmtBytes(fileBytes).c_str(), saveMs, loadMs);
-
-    const std::string json = strfmt(
-        "{\n  \"bench\": \"ablation_build\",\n"
-        "  \"benchmark\": \"%s\",\n  \"points\": %llu,\n"
-        "  \"seq_wall_seconds\": %.6f,\n"
-        "  \"seq_build_points_per_sec\": %.2f,\n"
-        "  \"library_file_bytes\": %llu,\n"
-        "  \"save_ms\": %.3f,\n  \"load_ms\": %.3f,\n"
-        "  \"results\": [\n%s\n  ]\n}\n",
-        b.profile.name.c_str(), static_cast<unsigned long long>(n),
-        seqStats.wallSeconds,
-        static_cast<double>(n) / seqStats.wallSeconds,
-        static_cast<unsigned long long>(fileBytes), saveMs, loadMs,
-        rows.c_str());
-    if (writeBenchJson(s, json))
-        std::printf("timings written to %s\n", s.jsonPath.c_str());
 
     std::printf("\nthe S=1 pipelined build is bit-identical to the "
                 "sequential reference (encoding moves off the "

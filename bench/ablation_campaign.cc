@@ -8,12 +8,10 @@
  * space. Measures aggregate replay throughput both ways (identical
  * results, verified), the campaign's decode-amortization factor, and
  * the worker migration a confidence-stopped campaign gets when cells
- * retire early. Emits machine-readable timings (LP_BENCH_JSON) so CI
- * tracks the trajectory.
+ * retire early.
  */
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench_util.hh"
@@ -142,32 +140,5 @@ main()
                 100.0 * static_cast<double>(stopped.migratedReplays) /
                     static_cast<double>(
                         std::max<std::uint64_t>(maxCell * K, 1)));
-
-    const std::string json = strfmt(
-        "{\n  \"bench\": \"ablation_campaign\",\n"
-        "  \"benchmark\": \"%s\",\n  \"points\": %zu,\n"
-        "  \"configs\": %zu,\n  \"compressed_bytes\": %llu,\n"
-        "  \"per_config\": {\"wall_seconds\": %.6f, "
-        "\"replays_per_sec\": %.2f},\n"
-        "  \"campaign\": {\"wall_seconds\": %.6f, "
-        "\"replays_per_sec\": %.2f, \"speedup\": %.4f, "
-        "\"points_decoded\": %llu, \"decode_fanout\": %.3f, "
-        "\"bytes_decoded\": %llu},\n"
-        "  \"migration\": {\"retirements\": %zu, "
-        "\"migrated_replays\": %llu, \"folded_replays\": %llu}\n}\n",
-        b.profile.name.c_str(), lib.size(), K,
-        static_cast<unsigned long long>(lib.totalCompressedBytes()),
-        sepWall, cellPoints / sepWall, fused.wallSeconds,
-        cellPoints / fused.wallSeconds, speedup,
-        static_cast<unsigned long long>(fused.pointsDecoded),
-        static_cast<double>(fused.replaysExecuted) /
-            static_cast<double>(
-                std::max<std::uint64_t>(fused.pointsDecoded, 1)),
-        static_cast<unsigned long long>(fused.bytesDecoded),
-        stopped.retirements,
-        static_cast<unsigned long long>(stopped.migratedReplays),
-        static_cast<unsigned long long>(stopped.foldedReplays));
-    if (writeBenchJson(s, json))
-        std::printf("\ntimings written to %s\n", s.jsonPath.c_str());
     return 0;
 }

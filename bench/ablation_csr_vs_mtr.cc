@@ -15,7 +15,6 @@
 #include "cache/warmstate.hh"
 #include "codec/zip.hh"
 #include "func/functional.hh"
-#include "func/warming.hh"
 #include "util/log.hh"
 
 using namespace lp;
@@ -45,10 +44,9 @@ main()
         MemHierarchyConfig memCfg = cfg.mem;
         MemHierarchy hier(memCfg);
         MemoryTimestampRecord mtr(32);
-        FunctionalWarming fw(sim);
-        fw.attachHierarchy(&hier);
-        fw.attachMtr(&mtr);
-        fw.warm(p.targetInsts);
+        sim.setHierarchy(&hier);
+        sim.setMtr(&mtr);
+        sim.run(p.targetInsts);
 
         const CacheSetRecord csr(hier.l2());
         const Blob csrZ = zipCompress(csr.serialize());

@@ -2,13 +2,10 @@
  * @file
  * Ablation — parallel live-point processing (Section 6: independent
  * live-points parallelise up to the sample size). Measures the replay
- * engine's throughput scaling with worker threads on one library, and
- * optionally emits machine-readable timings (LP_BENCH_JSON) so CI can
- * track the perf trajectory.
+ * engine's throughput scaling with worker threads on one library.
  */
 
 #include <cstdio>
-#include <string>
 
 #include "bench_util.hh"
 #include "util/log.hh"
@@ -37,7 +34,6 @@ main()
     std::printf("%8s | %12s %10s | %10s %12s | %10s\n", "threads",
                 "wall", "speedup", "points/s", "decoded/s", "CPI");
     double base = 0.0;
-    std::string rows;
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
         LivePointRunOptions opt;
         opt.threads = threads;
@@ -53,21 +49,7 @@ main()
                     base / r.wallSeconds, pps,
                     fmtBytes(static_cast<std::uint64_t>(bps)).c_str(),
                     r.cpi());
-        rows += strfmt("%s    {\"threads\": %u, \"wall_seconds\": "
-                       "%.6f, \"speedup\": %.4f, \"points_per_sec\": "
-                       "%.2f, \"bytes_decoded_per_sec\": %.1f}",
-                       rows.empty() ? "" : ",\n", threads,
-                       r.wallSeconds, base / r.wallSeconds, pps, bps);
     }
-    const std::string json = strfmt(
-        "{\n  \"bench\": \"ablation_parallel\",\n"
-        "  \"benchmark\": \"%s\",\n  \"points\": %zu,\n"
-        "  \"compressed_bytes\": %llu,\n  \"results\": [\n%s\n  ]\n}\n",
-        b.profile.name.c_str(), lib.size(),
-        static_cast<unsigned long long>(lib.totalCompressedBytes()),
-        rows.c_str());
-    if (writeBenchJson(s, json))
-        std::printf("\ntimings written to %s\n", s.jsonPath.c_str());
     std::printf("\nthe estimate is bit-identical at every thread count "
                 "(block-synchronous folding); wall time scales with "
                 "cores because live-points are mutually independent.\n");

@@ -4,8 +4,8 @@
  * backend (owned-buffer slurp vs zero-copy mmap), container load time
  * and replay throughput, plus process RSS; then gates the
  * resident-budget streaming mode: a replay of a library whose
- * in-flight window is >= 4x the configured budget must finish with
- * the engine's peak resident window under the budget — and every
+ * in-flight window is 4x the budget must finish with the engine's
+ * peak resident window under the budget — and every
  * backend and budget setting must produce bit-identical estimates
  * (the storage layer may never change results, only where bytes
  * live). Also exercises the sharded fleet store: lazy open, shard
@@ -17,30 +17,22 @@
  * (informational) for each, verifying both replay bit-identically
  * (with and without a resident budget). The
  * delta variant must cut bytes/point by >= 2x (hard floor), and the
- * machine-normalized
- * metrics (bytes_per_point_cut, decode_norm, replay_norm) gate
- * against a committed baseline in the BENCH_6 style:
+ * machine-normalized metrics (bytes_per_point_cut, decode_norm,
+ * replay_norm) gate against a committed baseline in the BENCH_6
+ * style:
  *
- *   LP_BENCH_ECON_JSON=path write the checkpoint-economics numbers
+ *   LP_BENCH_JSON=path      write the checkpoint-economics numbers
  *                           (CI publishes them as BENCH_10.json)
  *   LP_BENCH_BASELINE=path  baseline JSON (default
  *                           bench/BENCH_10.baseline.json); "none"
  *                           skips the gate
- *
- * With LP_BENCH_JSON set, emits BENCH_5-style machine-readable
- * numbers (load ms, replays/s, peak RSS, budget gate) so CI tracks
- * the storage trajectory. LP_BENCH_RESIDENT_BUDGET overrides the
- * default budget (library window / 4); the 4x gate is enforced only
- * for the default.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -72,23 +64,6 @@ sameResult(const LivePointRunResult &a, const LivePointRunResult &b)
            a.finalSnapshot.relHalfWidth ==
                b.finalSnapshot.relHalfWidth &&
            a.unavailableLoads == b.unavailableLoads;
-}
-
-/**
- * Seconds of one stored-order decode pass through the replay-facing
- * decodeInto path — the chain cache makes this the pattern a
- * streaming replay pays.
- */
-double
-decodePassSeconds(const LivePointLibrary &lib,
-                  LivePointDecodeScratch &scratch, LivePoint &pt)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < lib.size(); ++i)
-        lib.decodeInto(i, scratch, pt);
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
 }
 
 } // namespace
@@ -140,7 +115,6 @@ main()
     std::printf("%14s | %9s | %10s | %10s | %10s\n", "backend",
                 "load ms", "replays/s", "pinned", "peak RSS");
 
-    std::string backendRows;
     for (const Backend &bk : backends) {
         const auto tLoad = std::chrono::steady_clock::now();
         const LivePointLibrary lib =
@@ -157,27 +131,16 @@ main()
         std::printf("%14s | %9.3f | %10.1f | %10s | %10s\n", bk.name,
                     loadMs, rps, fmtBytes(lib.pinnedBytes()).c_str(),
                     fmtBytes(peakRssBytes()).c_str());
-        backendRows += strfmt(
-            "%s    {\"backend\": \"%s\", \"load_ms\": %.3f, "
-            "\"replays_per_sec\": %.2f, \"pinned_bytes\": %llu, "
-            "\"current_rss_bytes\": %llu, \"peak_rss_bytes\": %llu, "
-            "\"identical\": true}",
-            backendRows.empty() ? "" : ",\n", bk.name, loadMs, rps,
-            static_cast<unsigned long long>(lib.pinnedBytes()),
-            static_cast<unsigned long long>(currentRssBytes()),
-            static_cast<unsigned long long>(peakRssBytes()));
     }
 
     // Resident-budget streaming: the replay window (compressed +
     // decoded bytes in flight) must stay under the budget while the
-    // whole library streams through — with the default budget sized
-    // so the library is >= 4x it.
+    // whole library streams through — with the budget sized so the
+    // library is 4x it.
     std::uint64_t windowBytes = 0;
     for (std::size_t i = 0; i < refLib.size(); ++i)
         windowBytes += refLib.compressedSize(i) + refLib.rawSize(i);
-    const bool budgetFromEnv = s.residentBudget != 0;
-    const std::uint64_t budget =
-        budgetFromEnv ? s.residentBudget : windowBytes / 4;
+    const std::uint64_t budget = windowBytes / 4;
 
     const LivePointLibrary streamLib = LivePointLibrary::load(path);
     LivePointRunOptions bopt = ropt;
@@ -191,22 +154,20 @@ main()
     if (!sameResult(runLivePoints(b.prog, streamLib, cfg, bopt), ref))
         panic("ablation_storage: resident-budget replay is not "
               "thread-count invariant");
-    const bool underBudget = br.peakResidentBytes <= budget;
-    // The acceptance gate: with the default (window/4) budget the
-    // peak in-flight bytes must stay under it.
-    if (!budgetFromEnv && !underBudget)
+    // The acceptance gate: the peak in-flight bytes must stay under
+    // the budget.
+    if (br.peakResidentBytes > budget)
         panic("ablation_storage: peak resident %llu exceeds budget "
               "%llu",
               static_cast<unsigned long long>(br.peakResidentBytes),
               static_cast<unsigned long long>(budget));
     std::printf("\nresident budget: %s window streamed through %s "
-                "budget, peak %s (%.1f%% of budget)%s\n",
+                "budget, peak %s (%.1f%% of budget)\n",
                 fmtBytes(windowBytes).c_str(),
                 fmtBytes(budget).c_str(),
                 fmtBytes(br.peakResidentBytes).c_str(),
                 100.0 * static_cast<double>(br.peakResidentBytes) /
-                    static_cast<double>(budget ? budget : 1),
-                underBudget ? "" : "  ** OVER BUDGET **");
+                    static_cast<double>(budget ? budget : 1));
 
     // The sharded fleet store: open lazily, replay one shard, leave
     // the other untouched.
@@ -268,38 +229,27 @@ main()
         std::filesystem::remove(vpath);
     }
 
-    // The two legs run interleaved, pass by pass, so a swing in host
-    // speed hits both. Decode MB/s is the best pass of each leg, which
-    // runs until it has at least 3 passes and 0.25 s; replays/s is the
-    // best of 2 runs (damping scheduler noise), and records decoded
-    // per point counts keyframes and chain links.
-    struct DecodeLeg
-    {
-        LivePointDecodeScratch scratch;
-        LivePoint pt;
-        std::uint64_t rawBytes = 0;
-        double elapsed = 0.0;
-        int passes = 0;
-    };
-    DecodeLeg legs[2];
+    // Decode MB/s is each leg's best stored-order pass through the
+    // replay-facing decodeInto path (the chain cache makes this the
+    // pattern a streaming replay pays), the two legs interleaved;
+    // replays/s is the best of 2 runs (damping scheduler noise), and
+    // records decoded per point counts keyframes and chain links.
+    LivePointDecodeScratch scratches[2];
+    LivePoint points[2];
+    std::vector<std::function<void()>> legs;
     for (std::size_t i = 0; i < 2; ++i)
+        legs.push_back([&, i]() {
+            const LivePointLibrary &lib = *variants[i].lib;
+            for (std::size_t r = 0; r < lib.size(); ++r)
+                lib.decodeInto(r, scratches[i], points[i]);
+        });
+    const std::vector<double> best = bestPassSeconds(legs);
+    for (std::size_t i = 0; i < 2; ++i) {
+        std::uint64_t rawBytes = 0;
         for (std::size_t r = 0; r < variants[i].lib->size(); ++r)
-            legs[i].rawBytes += variants[i].lib->rawSize(r);
-    for (bool more = true; more;) {
-        more = false;
-        for (std::size_t i = 0; i < 2; ++i) {
-            DecodeLeg &d = legs[i];
-            if (d.elapsed >= 0.25 && d.passes >= 3)
-                continue;
-            const double dt =
-                decodePassSeconds(*variants[i].lib, d.scratch, d.pt);
-            variants[i].decodeMbps =
-                std::max(variants[i].decodeMbps,
-                         static_cast<double>(d.rawBytes) / dt / 1e6);
-            d.elapsed += dt;
-            ++d.passes;
-            more = true;
-        }
+            rawBytes += variants[i].lib->rawSize(r);
+        variants[i].decodeMbps =
+            static_cast<double>(rawBytes) / best[i] / 1e6;
     }
     for (int pass = 0; pass < 2; ++pass) {
         for (Variant &v : variants) {
@@ -352,35 +302,6 @@ main()
                 "%.2f\n",
                 bppCut, decodeNorm, replayNorm);
 
-    const std::string json = strfmt(
-        "{\n  \"bench\": \"ablation_storage\",\n"
-        "  \"benchmark\": \"%s\",\n  \"points\": %llu,\n"
-        "  \"library_file_bytes\": %llu,\n"
-        "  \"window_bytes\": %llu,\n"
-        "  \"backends\": [\n%s\n  ],\n"
-        "  \"budget\": {\"budget_bytes\": %llu, \"from_env\": %s, "
-        "\"peak_resident_bytes\": %llu, \"window_to_budget\": %.2f, "
-        "\"replays_per_sec\": %.2f, \"under_budget\": %s, "
-        "\"identical\": true},\n"
-        "  \"fleet\": {\"shards\": %zu, \"opened\": %zu, "
-        "\"mapped_bytes\": %llu, \"pinned_bytes\": %llu, "
-        "\"identical\": true}\n}\n",
-        b.profile.name.c_str(), static_cast<unsigned long long>(n),
-        static_cast<unsigned long long>(fileBytes),
-        static_cast<unsigned long long>(windowBytes),
-        backendRows.c_str(), static_cast<unsigned long long>(budget),
-        budgetFromEnv ? "true" : "false",
-        static_cast<unsigned long long>(br.peakResidentBytes),
-        budget ? static_cast<double>(windowBytes) /
-                     static_cast<double>(budget)
-               : 0.0,
-        static_cast<double>(br.processed) / br.wallSeconds,
-        underBudget ? "true" : "false", set.size(), set.loadedCount(),
-        static_cast<unsigned long long>(set.mappedBytes()),
-        static_cast<unsigned long long>(set.pinnedBytes()));
-    if (writeBenchJson(s, json))
-        std::printf("timings written to %s\n", s.jsonPath.c_str());
-
     // BENCH_10: the checkpoint-economics trajectory numbers.
     const std::string econJson = strfmt(
         "{\n  \"bench\": \"ablation_storage_econ\",\n"
@@ -404,12 +325,8 @@ main()
         variants[1].decodeMbps, decodeNorm, variants[0].rps,
         variants[1].rps, replayNorm, variants[0].recordsPerPoint,
         variants[1].recordsPerPoint);
-    if (const char *econPath = std::getenv("LP_BENCH_ECON_JSON")) {
-        BenchSettings es = s;
-        es.jsonPath = econPath;
-        if (writeBenchJson(es, econJson))
-            std::printf("economics written to %s\n", econPath);
-    }
+    if (writeBenchJson(s, econJson))
+        std::printf("economics written to %s\n", s.jsonPath.c_str());
 
     std::filesystem::remove_all(setDir);
     std::filesystem::remove(path);

@@ -7,8 +7,6 @@
  * engine's determinism contract. Measures the cold populate run, the
  * fully-memoized warm run, and the store's own serialize/load costs,
  * and verifies zero replays and bit-identical CPIs on the warm path.
- * Emits machine-readable timings (LP_BENCH_JSON) so CI tracks the
- * lookup-vs-replay speedup.
  */
 
 #include <chrono>
@@ -128,26 +126,5 @@ main()
     std::printf("\npublish+save: %s (%zu records)   "
                 "lookup-vs-replay speedup: %.0fx\n",
                 fmtTime(publishWall).c_str(), published, speedup);
-
-    std::string json = strfmt(
-        "{\n"
-        "  \"bench\": \"ablation_store\",\n"
-        "  \"benchmark\": \"%s\",\n"
-        "  \"configs\": %zu,\n"
-        "  \"live_points\": %zu,\n"
-        "  \"cold_wall_s\": %.6f,\n"
-        "  \"publish_wall_s\": %.6f,\n"
-        "  \"warm_wall_s\": %.6f,\n"
-        "  \"speedup\": %.2f,\n"
-        "  \"memoized_cells\": %zu,\n"
-        "  \"warm_replays_executed\": %llu,\n"
-        "  \"records_published\": %zu,\n"
-        "  \"bit_identical\": true\n"
-        "}\n",
-        b.profile.name.c_str(), K, lib.size(), coldWall, publishWall,
-        warmWall, speedup, warmRes.memoizedCells,
-        static_cast<unsigned long long>(warmRes.replaysExecuted),
-        published);
-    writeBenchJson(s, json);
     return 0;
 }

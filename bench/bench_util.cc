@@ -1,6 +1,7 @@
 #include "bench_util.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,34 +40,10 @@ settings()
     if (const char *v = std::getenv("LP_BENCH_BUILD_THREADS"))
         s.buildThreads = static_cast<unsigned>(
             std::strtoul(v, nullptr, 10));
-    if (const char *v = std::getenv("LP_BENCH_BUILD_PREFIX"))
-        s.buildPrefix = std::strtoull(v, nullptr, 10);
-    if (const char *v = std::getenv("LP_BENCH_RESIDENT_BUDGET"))
-        s.residentBudget = std::strtoull(v, nullptr, 10);
     if (s.buildThreads == 0)
         s.buildThreads = 1;
     std::filesystem::create_directories(s.cacheDir);
     return s;
-}
-
-bool
-writeBenchJson(const BenchSettings &s, const std::string &json)
-{
-    if (s.jsonPath.empty())
-        return false;
-    FILE *f = std::fopen(s.jsonPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "warning: cannot write '%s'\n",
-                     s.jsonPath.c_str());
-        return false;
-    }
-    const bool wrote = std::fputs(json.c_str(), f) >= 0;
-    const bool closed = std::fclose(f) == 0;
-    if (wrote && closed)
-        return true;
-    std::fprintf(stderr, "warning: short write to '%s'\n",
-                 s.jsonPath.c_str());
-    return false;
 }
 
 std::vector<std::string>
@@ -163,7 +140,6 @@ cachedLibrary(const PreparedBench &b, const SampleDesign &design,
 {
     LivePointBuilderConfig cfg = bc;
     cfg.buildThreads = s.buildThreads;
-    cfg.shardPrefixInsts = s.buildPrefix;
 
     std::string bpKeys;
     for (const BpredConfig &c : bc.bpredConfigs)
@@ -172,9 +148,7 @@ cachedLibrary(const PreparedBench &b, const SampleDesign &design,
     // differs from the exact full-warming library's.
     std::string shardKey;
     if (cfg.buildThreads > 1)
-        shardKey = strfmt("-S%u.p%llu", cfg.buildThreads,
-                          static_cast<unsigned long long>(
-                              cfg.shardPrefixInsts));
+        shardKey = strfmt("-S%u", cfg.buildThreads);
     // Delta-chain variants and restricted-tier geometries store
     // different bytes: key them apart so a bench never replays the
     // wrong variant from cache.
@@ -252,12 +226,6 @@ procStatusKb(const char *key)
 } // namespace
 
 std::uint64_t
-currentRssBytes()
-{
-    return procStatusKb("VmRSS") * 1024;
-}
-
-std::uint64_t
 peakRssBytes()
 {
     if (const std::uint64_t kb = procStatusKb("VmHWM"))
@@ -273,6 +241,31 @@ peakRssBytes()
     }
 #endif
     return 0;
+}
+
+std::vector<double>
+bestPassSeconds(const std::vector<std::function<void()>> &legs)
+{
+    std::vector<double> best(legs.size(), 0.0);
+    std::vector<double> elapsed(legs.size(), 0.0);
+    std::vector<int> passes(legs.size(), 0);
+    for (bool more = true; more;) {
+        more = false;
+        for (std::size_t i = 0; i < legs.size(); ++i) {
+            if (elapsed[i] >= 0.25 && passes[i] >= 3)
+                continue;
+            const auto t0 = std::chrono::steady_clock::now();
+            legs[i]();
+            const double dt = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+            best[i] = passes[i] ? std::min(best[i], dt) : dt;
+            elapsed[i] += dt;
+            ++passes[i];
+            more = true;
+        }
+    }
+    return best;
 }
 
 std::string

@@ -2,7 +2,12 @@
  * @file
  * Shared infrastructure for the paper-reproduction bench binaries:
  * benchmark-suite selection and scaling, live-point library caching on
- * disk, pilot-variance caching, and table formatting.
+ * disk, pilot-variance caching, table formatting, and the interleaved
+ * timing and baseline gate of the two gated benches.
+ *
+ * Every bench prints paper-shape tables. Two of them also write a
+ * JSON document that CI gates against a committed baseline:
+ * ablation_hotpath (BENCH_6) and ablation_storage (BENCH_10).
  *
  * Environment knobs (all optional):
  *   LP_BENCH_FULL=1    run the full 24-benchmark suite at full length
@@ -11,30 +16,23 @@
  *   LP_BENCH_MAXN=n    override the sample-size cap per benchmark
  *   LP_BENCH_CACHE=dir live-point/pilot cache directory
  *                      (default ./lp-cache)
- *   LP_BENCH_JSON=path write machine-readable timings to this file
- *                      (benches that support it; CI uploads them to
- *                      track the perf trajectory)
+ *   LP_BENCH_JSON=path write the gated bench's JSON document here
  *   LP_BENCH_BUILD_THREADS=n  warming shards for library creation
  *                      (default 1: exact full warming, encode
- *                      pipelined; n>1 shards the sample)
- *   LP_BENCH_BUILD_PREFIX=n   fixed per-shard warming prefix in
- *                      instructions (default 0: MRRL-derived)
- *   LP_BENCH_RESIDENT_BUDGET=n  resident-budget streaming replay:
- *                      bound the in-flight decode window to n bytes
- *                      (benches that replay honor it; 0 = off)
+ *                      pipelined; n>1 shards the sample with
+ *                      MRRL-derived prefixes)
  *   LP_NO_MMAP=1       force the owned-buffer storage backend (read
  *                      by the io layer itself; affects every binary)
- *   LP_BENCH_ECON_JSON=path  checkpoint-economics numbers from
- *                      ablation_storage (CI publishes BENCH_10.json)
- *   LP_BENCH_BASELINE=path  committed baseline JSON for the benches
- *                      that gate (ablation_hotpath: BENCH_6,
- *                      ablation_storage: BENCH_10); "none" skips
+ *   LP_BENCH_BASELINE=path  committed baseline JSON for the gated
+ *                      benches; "none" skips the gate
  */
 
 #ifndef LP_BENCH_BENCH_UTIL_HH
 #define LP_BENCH_BENCH_UTIL_HH
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -58,8 +56,6 @@ struct BenchSettings
     std::string cacheDir = "lp-cache";
     std::string jsonPath;         //!< empty: no JSON output
     unsigned buildThreads = 1;    //!< warming shards for creation
-    std::uint64_t buildPrefix = 0; //!< fixed shard prefix; 0 = MRRL
-    std::uint64_t residentBudget = 0; //!< streaming replay budget; 0 = off
 };
 
 /** Read settings from the environment. */
@@ -119,23 +115,44 @@ lp::LivePointBuilderConfig defaultBuilderConfig();
 /**
  * Write @p json to settings().jsonPath if LP_BENCH_JSON is set;
  * returns true when the file was fully written, false (with a
- * warning on stderr, never a throw) otherwise.
+ * warning on stderr, never a throw) otherwise. Only the two gated
+ * benches call it.
  */
-bool writeBenchJson(const BenchSettings &s, const std::string &json);
-
-/**
- * Current resident-set size of this process in bytes (Linux:
- * /proc/self/status VmRSS), or 0 where unavailable.
- */
-std::uint64_t currentRssBytes();
+inline bool
+writeBenchJson(const BenchSettings &s, const std::string &json)
+{
+    if (s.jsonPath.empty())
+        return false;
+    FILE *f = std::fopen(s.jsonPath.c_str(), "w");
+    if (!f) {
+        std::fprintf(stderr, "warning: cannot write '%s'\n",
+                     s.jsonPath.c_str());
+        return false;
+    }
+    const bool wrote = std::fputs(json.c_str(), f) >= 0;
+    const bool closed = std::fclose(f) == 0;
+    if (wrote && closed)
+        return true;
+    std::fprintf(stderr, "warning: short write to '%s'\n",
+                 s.jsonPath.c_str());
+    return false;
+}
 
 /**
  * Lifetime peak resident-set size of this process in bytes (Linux:
- * VmHWM, else getrusage ru_maxrss), or 0 where unavailable. Note the
- * peak is monotonic over the process lifetime — phase-over-phase
- * deltas need currentRssBytes().
+ * VmHWM, else getrusage ru_maxrss), or 0 where unavailable.
  */
 std::uint64_t peakRssBytes();
+
+/**
+ * Time @p legs interleaved, pass by pass, so a swing in host speed
+ * hits every leg alike: each round runs one pass of every leg that
+ * has not yet run 3 passes and 0.25 s. Returns each leg's fastest
+ * pass in seconds. The gated benches divide one leg by another, and
+ * a ratio of legs timed one after the other moved with the host.
+ */
+std::vector<double>
+bestPassSeconds(const std::vector<std::function<void()>> &legs);
 
 /** One machine-normalized metric a baseline gate checks. */
 struct GateMetric

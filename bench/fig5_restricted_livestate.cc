@@ -20,9 +20,6 @@
  * gzip). Also reports the Section 5 companion number: unavailable
  * wrong-path values enter the pipeline less than about once per
  * window under (full) live-state.
- *
- * With LP_BENCH_JSON set, emits per-benchmark rows (bytes/point per
- * tier, wrong-path bias, tier bias) for the CI perf trajectory.
  */
 
 #include <algorithm>
@@ -109,7 +106,6 @@ main()
     double worst = 0;
     double sumUnavail = 0;
     double sumCut = 0;
-    std::string jsonRows;
     for (const Row &r : rows) {
         std::printf("%-10s %15.2f%% %20.3f %11.0f %11.0f %9.2f%%\n",
                     r.name.c_str(), 100 * r.bias, r.unavailPerWindow,
@@ -118,15 +114,6 @@ main()
         worst = std::max(worst, r.bias);
         sumUnavail += r.unavailPerWindow;
         sumCut += r.bppFull / r.bppRestricted;
-        jsonRows += strfmt(
-            "%s    {\"benchmark\": \"%s\", \"wrong_path_bias\": %.6f, "
-            "\"unavail_per_window\": %.4f, "
-            "\"bytes_per_point_full\": %.1f, "
-            "\"bytes_per_point_restricted\": %.1f, "
-            "\"tier_bias\": %.6f}",
-            jsonRows.empty() ? "" : ",\n", r.name.c_str(), r.bias,
-            r.unavailPerWindow, r.bppFull, r.bppRestricted,
-            r.tierBias);
     }
     const double nRows = static_cast<double>(rows.size());
     std::printf("%-10s %15.2f%% %20.3f\n", "average", 100 * sum / nRows,
@@ -136,17 +123,5 @@ main()
                 "zero added bias (LRU inclusion)\n", sumCut / nRows);
     std::printf("\npaper: avg ~0.1%%, worst ~3.3%% additional bias; "
                 "<1 unavailable value per window on average.\n");
-
-    const std::string json = strfmt(
-        "{\n  \"bench\": \"fig5_restricted_livestate\",\n"
-        "  \"avg_wrong_path_bias\": %.6f,\n"
-        "  \"worst_wrong_path_bias\": %.6f,\n"
-        "  \"avg_unavail_per_window\": %.4f,\n"
-        "  \"avg_tier_cut\": %.3f,\n"
-        "  \"rows\": [\n%s\n  ]\n}\n",
-        sum / nRows, worst, sumUnavail / nRows, sumCut / nRows,
-        jsonRows.c_str());
-    if (writeBenchJson(s, json))
-        std::printf("timings written to %s\n", s.jsonPath.c_str());
     return 0;
 }

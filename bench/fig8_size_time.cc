@@ -19,7 +19,6 @@
 #include "bpred/bpred.hh"
 #include "codec/zip.hh"
 #include "func/functional.hh"
-#include "func/warming.hh"
 #include "mrrl/mrrl.hh"
 #include "util/log.hh"
 
@@ -65,10 +64,9 @@ main()
         FunctionalSimulator warmSim(b.prog);
         MemHierarchy h(cfg8.mem);
         BranchPredictor bp(cfg8.bpred);
-        FunctionalWarming fw(warmSim);
-        fw.attachHierarchy(&h);
-        fw.attachPredictor(&bp);
-        fw.warm(awWarm);
+        warmSim.setHierarchy(&h);
+        warmSim.addPredictor(&bp);
+        warmSim.run(awWarm);
     }
     const double awMs =
         std::chrono::duration<double, std::milli>(
@@ -78,7 +76,6 @@ main()
     std::printf("%-22s | %14s %14s | %14s %14s\n", "max configuration",
                 "LP size", "LP load (ms)", "AW size", "AW warm (ms)");
 
-    std::string jsonRows;
     for (unsigned step = 0; step < 5; ++step) {
         const std::uint64_t l2Size = (1ull << step) * 1024 * 1024;
         const unsigned bpredK = 1u << step;
@@ -131,22 +128,7 @@ main()
                     static_cast<unsigned long long>(l2Size >> 20),
                     bpredK, fmtBytes(avgSize).c_str(), loadMs,
                     fmtBytes(awSize).c_str(), awMs);
-        jsonRows += strfmt(
-            "%s    {\"l2_mb\": %llu, \"bpred_k\": %u, "
-            "\"lp_bytes_per_point\": %llu, \"lp_load_ms\": %.4f, "
-            "\"aw_bytes\": %llu, \"aw_warm_ms\": %.4f}",
-            jsonRows.empty() ? "" : ",\n",
-            static_cast<unsigned long long>(l2Size >> 20), bpredK,
-            static_cast<unsigned long long>(avgSize), loadMs,
-            static_cast<unsigned long long>(awSize), awMs);
     }
-    const std::string json = strfmt(
-        "{\n  \"bench\": \"fig8_size_time\",\n  \"benchmark\": "
-        "\"%s\",\n  \"points\": %llu,\n  \"results\": [\n%s\n  ]\n}\n",
-        b.profile.name.c_str(), static_cast<unsigned long long>(n),
-        jsonRows.c_str());
-    if (writeBenchJson(s, json))
-        std::printf("\ntimings written to %s\n", s.jsonPath.c_str());
 
     std::printf("\npaper shape: LP size grows with the max tag arrays "
                 "and crosses the flat AW size near 4MB; LP load time "

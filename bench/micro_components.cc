@@ -19,7 +19,6 @@
 #include "core/builder.hh"
 #include "core/replay.hh"
 #include "func/functional.hh"
-#include "func/warming.hh"
 #include "mem/memport.hh"
 #include "uarch/config.hh"
 #include "uarch/core.hh"
@@ -228,19 +227,17 @@ BM_FunctionalWarming(benchmark::State &state)
     MemHierarchy hier(cfg.mem);
     BranchPredictor bp(cfg.bpred);
     auto sim = std::make_unique<FunctionalSimulator>(prog);
-    auto fw = std::make_unique<FunctionalWarming>(*sim);
-    fw->attachHierarchy(&hier);
-    fw->attachPredictor(&bp);
+    sim->setHierarchy(&hier);
+    sim->addPredictor(&bp);
     for (auto _ : state) {
         if (sim->finished()) {
             state.PauseTiming();
             sim = std::make_unique<FunctionalSimulator>(prog);
-            fw = std::make_unique<FunctionalWarming>(*sim);
-            fw->attachHierarchy(&hier);
-            fw->attachPredictor(&bp);
+            sim->setHierarchy(&hier);
+            sim->addPredictor(&bp);
             state.ResumeTiming();
         }
-        fw->warm(10000);
+        sim->run(10000);
     }
     state.SetItemsProcessed(state.iterations() * 10000);
 }

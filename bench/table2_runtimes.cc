@@ -34,9 +34,6 @@ struct Row
     double aw = 0;         //!< AW-MRRL seconds (warming + detailed)
     double livepoints = 0; //!< live-point run seconds
     std::uint64_t n = 0;
-    BuilderStats build;          //!< zeroed when cache-hit
-    std::uint64_t libBytes = 0;  //!< compressed library size
-    double replayPointsPerSec = 0;
 };
 
 void
@@ -129,44 +126,13 @@ runOne(const PreparedBench &b, const CoreConfig &cfg,
     row.aw = aw.wallSeconds;
 
     LivePointBuilderConfig bc = defaultBuilderConfig();
-    LivePointLibrary lib = cachedLibrary(b, design, bc, s, &row.build);
-    row.libBytes = lib.totalCompressedBytes();
+    LivePointLibrary lib = cachedLibrary(b, design, bc, s);
     Rng rng(2025, "table2-shuffle");
     lib.shuffle(rng);
     LivePointRunOptions opt;
     const LivePointRunResult lp = runLivePoints(b.prog, lib, cfg, opt);
     row.livepoints = lp.wallSeconds;
-    row.replayPointsPerSec =
-        static_cast<double>(lp.processed) / lp.wallSeconds;
     return row;
-}
-
-/**
- * Build-throughput JSON rows (one per benchmark that was actually
- * built this run): the creation-side numbers CI tracks alongside the
- * replay trajectory.
- */
-std::string
-buildJsonRows(const std::vector<Row> &rows)
-{
-    std::string out;
-    for (const Row &r : rows) {
-        if (r.build.wallSeconds <= 0)
-            continue; // cache hit: no fresh timing to report
-        out += strfmt(
-            "%s    {\"benchmark\": \"%s\", \"points\": %llu, "
-            "\"build_seconds\": %.6f, \"build_insts_per_sec\": %.1f, "
-            "\"build_points_per_sec\": %.2f, \"bytes_per_point\": "
-            "%llu, \"shards\": %u, \"replay_points_per_sec\": %.2f}",
-            out.empty() ? "" : ",\n", r.name.c_str(),
-            static_cast<unsigned long long>(r.n), r.build.wallSeconds,
-            static_cast<double>(r.build.instsSimulated) /
-                r.build.wallSeconds,
-            static_cast<double>(r.build.points) / r.build.wallSeconds,
-            static_cast<unsigned long long>(r.n ? r.libBytes / r.n : 0),
-            r.build.shards, r.replayPointsPerSec);
-    }
-    return out;
 }
 
 } // namespace
@@ -183,7 +149,6 @@ main()
                            s.maxSampleSize)));
     const auto suite = prepareSuite(s);
 
-    std::string jsonSections;
     for (const CoreConfig &cfg :
          {CoreConfig::eightWay(), CoreConfig::sixteenWay()}) {
         std::vector<Row> rows;
@@ -194,21 +159,6 @@ main()
                          rows.back().name.c_str());
         }
         printRows(cfg.name.c_str(), rows);
-        const std::string buildRows = buildJsonRows(rows);
-        if (!buildRows.empty())
-            jsonSections += strfmt(
-                "%s  {\"config\": \"%s\", \"builds\": [\n%s\n  ]}",
-                jsonSections.empty() ? "" : ",\n", cfg.name.c_str(),
-                buildRows.c_str());
-    }
-    if (!jsonSections.empty()) {
-        const std::string json = strfmt(
-            "{\n  \"bench\": \"table2_runtimes\",\n"
-            "  \"build_threads\": %u,\n  \"sections\": [\n%s\n  ]\n}\n",
-            s.buildThreads, jsonSections.c_str());
-        if (writeBenchJson(s, json))
-            std::printf("\nbuild timings written to %s\n",
-                        s.jsonPath.c_str());
     }
     std::printf("\n* complete-simulation time extrapolated from a "
                 "measured 1M-instruction slice.\n");

@@ -251,24 +251,18 @@ LivePointBuilder::buildParallel(const Program &prog,
     for (unsigned s = 0; s <= S; ++s)
         lo[s] = count * s / S;
 
-    // Warming prefix ahead of each shard's first window: MRRL-derived
-    // by default (the reuse-latency bound of the shard's leading
-    // window), or the configured fixed length. Shard 0 warms from
-    // program start and is exact.
+    // Warming prefix ahead of each shard's first window: the MRRL
+    // reuse-latency bound of the shard's leading window. Shard 0 warms
+    // from program start and is exact.
     std::vector<InstCount> prefix(S, 0);
     if (S > 1) {
-        if (cfg_.shardPrefixInsts > 0) {
-            for (unsigned s = 1; s < S; ++s)
-                prefix[s] = cfg_.shardPrefixInsts;
-        } else {
-            std::vector<InstCount> starts;
-            for (unsigned s = 1; s < S; ++s)
-                starts.push_back(design.windowStart(lo[s]));
-            const MrrlAnalysis m =
-                analyzeMrrl(prog, starts, design.windowLen());
-            for (unsigned s = 1; s < S; ++s)
-                prefix[s] = m.warmingLengths[s - 1];
-        }
+        std::vector<InstCount> starts;
+        for (unsigned s = 1; s < S; ++s)
+            starts.push_back(design.windowStart(lo[s]));
+        const MrrlAnalysis m =
+            analyzeMrrl(prog, starts, design.windowLen());
+        for (unsigned s = 1; s < S; ++s)
+            prefix[s] = m.warmingLengths[s - 1];
     }
 
     // Arch-only pre-pass: capture registers + memory where each
@@ -298,8 +292,7 @@ LivePointBuilder::buildParallel(const Program &prog,
         stats_.prePassInsts = pre.regs().instIndex;
         if (stats_.prefixShortfallInsts)
             warn("sharded build: %llu warming insts truncated by "
-                 "overlapping shard prefixes (use fewer shards or a "
-                 "shorter prefix)",
+                 "overlapping shard prefixes (use fewer shards)",
                  static_cast<unsigned long long>(
                      stats_.prefixShortfallInsts));
     }

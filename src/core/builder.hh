@@ -10,16 +10,16 @@
  * Creation parallelises the same way replay does. The sample is split
  * into S contiguous shards; a cheap arch-only functional pre-pass
  * captures registers + memory at each shard boundary, and each pool
- * worker warms caches/TLBs/predictors over an MRRL-derived (or
- * fixed, configurable) prefix before emitting its shard's points. The
- * architectural content of every point (registers, live-state image)
- * is *exact* regardless of sharding — execution is deterministic from
- * the snapshots — and the MRRL result (Figs 4-5) bounds the warm-state
- * bias at each shard's leading windows. Each point is serialized on
- * its simulating thread and compressed on encoder threads — plain
- * LZSS, or a delta against its predecessor's raw bytes when that is
- * smaller — so even the S=1 build overlaps simulation with encoding
- * while staying bit-identical to the sequential reference.
+ * worker warms caches/TLBs/predictors over an MRRL-derived prefix
+ * before emitting its shard's points. The architectural content of
+ * every point (registers, live-state image) is *exact* regardless of
+ * sharding — execution is deterministic from the snapshots — and the
+ * MRRL result (Figs 4-5) bounds the warm-state bias at each shard's
+ * leading windows. Each point is serialized on its simulating thread
+ * and compressed on encoder threads — plain LZSS, or a delta against
+ * its predecessor's raw bytes when that is smaller — so even the S=1
+ * build overlaps simulation with encoding while staying bit-identical
+ * to the sequential reference.
  */
 
 #ifndef LP_CORE_BUILDER_HH
@@ -52,14 +52,6 @@ struct LivePointBuilderConfig
      * contiguous shards warmed concurrently.
      */
     unsigned buildThreads = 1;
-
-    /**
-     * Functional-warming prefix ahead of each shard's first window.
-     * 0 = derive per shard from an MRRL analysis of the shard's
-     * leading window (coverage 99.9%); >0 = use this fixed length.
-     * Ignored for shard 0, which always warms from program start.
-     */
-    InstCount shardPrefixInsts = 0;
 
     /**
      * Offload point compression from the simulating threads to
@@ -111,7 +103,7 @@ struct BuilderStats
      * snapshot, and the one-forward-pass pre-pass cannot rewind. A
      * nonzero value means some shard-leading windows were warmed
      * short of the MRRL bound (also warned at build time) — use
-     * fewer shards or a shorter configured prefix.
+     * fewer shards.
      */
     InstCount prefixShortfallInsts = 0;
 };

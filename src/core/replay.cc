@@ -347,7 +347,9 @@ ReplayEngine::run(
     const ReplayPlan *plan)
 {
     const std::size_t n = order.size();
-    blockSize = std::max<std::size_t>(blockSize, 1);
+    // A block wider than the run folds as one block of the whole run;
+    // clamping it there keeps every block-index product in range.
+    blockSize = std::max<std::size_t>(std::min(blockSize, n), 1);
     const std::size_t first = plan ? plan->firstPoint : 0;
     if (first % blockSize != 0)
         throw std::invalid_argument(

@@ -339,7 +339,8 @@ class ReplayEngine
      * the calling thread for k = firstPoint, firstPoint + 1, ...
      * strictly in order (results[c] is the k-th point's outcome under
      * cfgs[c], valid only for configs scheduled at k); foldBarrier(end)
-     * runs after each block of @p blockSize folds and returns the mask
+     * runs after each block of @p blockSize folds (a block wider than
+     * the run is one block of the whole run) and returns the mask
      * of configurations to keep replaying — 0 stops the run, dropped
      * bits retire converged configurations so workers spend the freed
      * time on the rest. With @p stopEarly, workers are throttled to

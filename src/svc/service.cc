@@ -315,6 +315,11 @@ CampaignService::submit(const JobSpec &spec)
                            spec.configs.size(), maxReplayConfigs);
         return out;
     }
+    if (spec.workloads.size() > maxJobWorkloads) {
+        out.error = strfmt("too many workloads: %zu (at most %zu)",
+                           spec.workloads.size(), maxJobWorkloads);
+        return out;
+    }
     if (spec.threads > maxJobThreads) {
         out.error = strfmt("threads %u exceeds the limit of %u",
                            spec.threads, maxJobThreads);
@@ -325,7 +330,39 @@ CampaignService::submit(const JobSpec &spec)
                            spec.decodeThreads, maxJobThreads);
         return out;
     }
+    if (spec.blockSize > maxJobBlockSize) {
+        out.error = strfmt("blockSize %llu exceeds the limit of %llu",
+                           static_cast<unsigned long long>(spec.blockSize),
+                           static_cast<unsigned long long>(maxJobBlockSize));
+        return out;
+    }
+    // Names are only logged and reported, but a frame may carry
+    // megabytes of them.
+    auto tooLong = [&out](const std::string &s, const char *what) {
+        if (s.size() <= maxJobStringBytes)
+            return false;
+        out.error = strfmt("%s is %zu bytes long (at most %zu)", what,
+                           s.size(), maxJobStringBytes);
+        return true;
+    };
+    if (tooLong(spec.name, "job name"))
+        return out;
+    for (const JobWorkloadSpec &w : spec.workloads) {
+        if (tooLong(w.shard, "shard name") ||
+            tooLong(w.profile, "profile name"))
+            return out;
+        if (w.tinyInsts > maxJobTinyInsts) {
+            out.error = strfmt(
+                "tinyInsts %llu exceeds the limit of %llu",
+                static_cast<unsigned long long>(w.tinyInsts),
+                static_cast<unsigned long long>(maxJobTinyInsts));
+            return out;
+        }
+    }
     for (const JobConfigSpec &c : spec.configs) {
+        if (tooLong(c.preset, "config preset") ||
+            tooLong(c.name, "config name"))
+            return out;
         if (!c.preset.empty() && c.preset != "eight" &&
             c.preset != "sixteen") {
             out.error =

@@ -60,12 +60,20 @@ namespace lp
 class ResultStore;
 
 /**
- * Largest `threads` or `decodeThreads` a job may ask for. Both arrive
- * off the socket and size the job's thread pool, so submit() rejects
- * a larger value before admission. (A job's config count is capped
- * at maxReplayConfigs the same way.)
+ * Caps on the JobSpec fields that arrive off the socket and size what
+ * a job allocates: submit() rejects a larger value before admission,
+ * with an error naming the field. `threads` and `decodeThreads` size
+ * the job's thread pool; each workload regenerates a program with
+ * 64 KiB of initial data, and `tinyInsts` sizes its chunk table; the
+ * block cap is wider than any library the builder writes; the string
+ * cap covers the job, shard, profile, preset and config names. (A
+ * job's config count is capped at maxReplayConfigs the same way.)
  */
 inline constexpr std::uint32_t maxJobThreads = 256;
+inline constexpr std::size_t maxJobWorkloads = 64;
+inline constexpr std::uint64_t maxJobBlockSize = 1ull << 20;
+inline constexpr std::uint64_t maxJobTinyInsts = 1ull << 32;
+inline constexpr std::size_t maxJobStringBytes = 256;
 
 struct ServiceConfig
 {

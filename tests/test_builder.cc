@@ -133,27 +133,6 @@ main()
         CHECK(bias <= 0.02);
     }
 
-    // --- Fixed warming prefix: same exactness contract. ---
-    {
-        LivePointBuilderConfig bc = bcSeq;
-        bc.pipelineEncode = true;
-        bc.buildThreads = 3;
-        bc.shardPrefixInsts = 100'000;
-        LivePointBuilder builder(bc);
-        const LivePointLibrary lib = builder.build(prog, design);
-        CHECK_EQ(lib.size(), design.count);
-        Blob scratch;
-        LivePoint p;
-        for (std::size_t i = 0; i < lib.size(); ++i) {
-            lib.decodeInto(i, scratch, p);
-            CHECK_EQ(p.windowStart, design.windowStart(i));
-            CHECK_EQ(p.regs.instIndex, p.windowStart);
-        }
-        const LivePointRunResult run =
-            runLivePoints(prog, lib, cfg, ropt);
-        CHECK_REL(run.cpi(), seqRun.cpi(), 0.02);
-    }
-
     // --- Sharded builds are themselves deterministic. ---
     {
         LivePointBuilderConfig bc = bcSeq;

@@ -180,6 +180,39 @@ main()
         }
     }
 
+    // A fold block wider than the run is one block of the whole run:
+    // blocks of n + 1, 2^63 and 2^64 - 1 fold exactly like a block of
+    // n at two workers, with and without early stopping. (2^63 wraps
+    // the stopping gate's 2 * block to zero; 2^64 - 1 wraps the block
+    // count to zero.)
+    {
+        const std::size_t n = lib.size();
+        for (const bool stopping : {false, true}) {
+            LivePointRunOptions ref;
+            ref.threads = 2;
+            ref.shuffleSeed = 5;
+            ref.recordTrajectory = true;
+            ref.stopAtConfidence = stopping;
+            ref.spec = ConfidenceSpec{0.95, 0.20};
+            ref.blockSize = n;
+            const LivePointRunResult base =
+                runLivePoints(prog, lib, cfg, ref);
+            CHECK_EQ(base.processed, n);
+            for (const std::size_t block :
+                 {n + 1, std::size_t{1} << 63, ~std::size_t{0}}) {
+                LivePointRunOptions opt = ref;
+                opt.blockSize = block;
+                const LivePointRunResult r =
+                    runLivePoints(prog, lib, cfg, opt);
+                CHECK_EQ(r.processed, base.processed);
+                CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
+                CHECK_NEAR(r.finalSnapshot.relHalfWidth,
+                           base.finalSnapshot.relHalfWidth, 0.0);
+                CHECK_EQ(r.trajectory.size(), base.trajectory.size());
+            }
+        }
+    }
+
     // The block-folded estimate matches a plain sequential fold of
     // the same observations (merge adds no statistical bias).
     {

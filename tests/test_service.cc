@@ -253,6 +253,31 @@ main()
         bad = makeSpec(1);
         bad.decodeThreads = maxJobThreads + 1;
         CHECK(rejectedFor(bad, "decodeThreads"));
+        bad = makeSpec(1);
+        bad.workloads.assign(maxJobWorkloads + 1, bad.workloads[0]);
+        CHECK(rejectedFor(bad, "too many workloads"));
+        bad = makeSpec(1);
+        bad.blockSize = maxJobBlockSize + 1;
+        CHECK(rejectedFor(bad, "blockSize"));
+        bad = makeSpec(1);
+        bad.workloads[1].tinyInsts = maxJobTinyInsts + 1;
+        CHECK(rejectedFor(bad, "tinyInsts"));
+        const std::string longName(maxJobStringBytes + 1, 'x');
+        bad = makeSpec(1);
+        bad.name = longName;
+        CHECK(rejectedFor(bad, "job name is"));
+        bad = makeSpec(1);
+        bad.workloads[1].shard = longName;
+        CHECK(rejectedFor(bad, "shard name is"));
+        bad = makeSpec(1);
+        bad.workloads[1].profile = longName;
+        CHECK(rejectedFor(bad, "profile name is"));
+        bad = makeSpec(1);
+        bad.configs[1].preset = longName;
+        CHECK(rejectedFor(bad, "config preset is"));
+        bad = makeSpec(1);
+        bad.configs[1].name = longName;
+        CHECK(rejectedFor(bad, "config name is"));
 
         // The repository benchmark's job shape — four configs, two
         // simulation threads, one decode producer, block 16 — is
@@ -271,6 +296,47 @@ main()
         CHECK(state == JobState::done);
         CHECK(json.find("\"failed_cells\": 0") != std::string::npos);
         svc.drain();
+    }
+
+    // The repository benchmark's exact grid — three suite-profile
+    // workloads named after their shards, its four configs, two
+    // threads, one decode producer, block 16 — clears every cap:
+    // against a set holding those shard names and a queue of depth 0,
+    // submit gets as far as admission (a retry hint), so nothing is
+    // built or run.
+    {
+        const std::string benchSet = "svc-set-bench";
+        const char *const shards[] = {"eon-2", "gcc-2", "mcf"};
+        std::filesystem::remove_all(benchSet);
+        {
+            LibrarySetWriter writer(benchSet);
+            for (const char *shard : shards)
+                writer.addShard(shard, w0.lib);
+        }
+        ServiceConfig cfg;
+        cfg.jobsDir = "svc-jobs-bench";
+        cfg.setDir = benchSet;
+        cfg.maxQueueDepth = 0;
+        std::filesystem::remove_all(cfg.jobsDir);
+        {
+            CampaignService svc(cfg);
+            JobSpec grid;
+            for (const char *shard : shards)
+                grid.workloads.push_back({shard, shard, 0, 0});
+            grid.configs = {{"eight", "eight", 0, 0, 0},
+                            {"sixteen", "sixteen", 0, 0, 0},
+                            {"eight", "eight-mem300", 300, 0, 0},
+                            {"sixteen", "sixteen-l2-1m", 0, 0, 1ull << 20}};
+            grid.threads = 2;
+            grid.decodeThreads = 1;
+            grid.blockSize = 16;
+            const SubmitOutcome r = svc.submit(grid);
+            CHECK(!r.accepted);
+            CHECK(r.retry);
+            svc.drain();
+        }
+        std::filesystem::remove_all(cfg.jobsDir);
+        std::filesystem::remove_all(benchSet);
     }
 
     // ---- Admission: queue depth and resident budget ----------------

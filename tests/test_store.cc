@@ -523,6 +523,11 @@ main()
     // Republishing is idempotent.
     CHECK_EQ(fresh.publish(freshRes, store), published);
     CHECK_EQ(store.cellCount(), cfgs.size());
+    // The memoized runs below resolve from the store as saved and
+    // reloaded, the path a restarted lpserved takes.
+    store.save(storePath);
+    store.load(storePath);
+    CHECK_EQ(store.cellCount(), cfgs.size());
 
     for (unsigned threads : {1u, 2u, 4u}) {
         CampaignOptions mo = copt;
