@@ -1,15 +1,14 @@
 /**
  * @file
- * Ablation — pluggable library storage. Measures, for each storage
- * backend (owned-buffer slurp vs zero-copy mmap), container load time
- * and replay throughput, plus process RSS; then gates the
+ * Ablation — library storage. Measures the mapped container's load
+ * time and replay throughput, plus process RSS; then gates the
  * resident-budget streaming mode: a replay of a library whose
  * in-flight window is 4x the budget must finish with the engine's
- * peak resident window under the budget — and every
- * backend and budget setting must produce bit-identical estimates
- * (the storage layer may never change results, only where bytes
- * live). Also exercises the sharded fleet store: lazy open, shard
- * replay identity, and resident accounting.
+ * peak resident window under the budget — and the mapped load and
+ * every budget setting must reproduce the in-memory build's estimate
+ * to the bit (the storage layer may never change results, only where
+ * bytes live). Also exercises the sharded fleet store: lazy open,
+ * shard replay identity, and mapped-bytes accounting.
  *
  * The checkpoint-economics section builds the same design two ways —
  * plain and delta-chained — and measures bytes/point on disk,
@@ -39,7 +38,6 @@
 #include "bench_util.hh"
 #include "core/library_set.hh"
 #include "core/runners.hh"
-#include "io/mapped_file.hh"
 #include "util/log.hh"
 
 using namespace lp;
@@ -73,7 +71,7 @@ main()
 {
     setQuiet(true);
     const BenchSettings s = settings();
-    printHeader("Ablation: pluggable library storage (gcc-2)");
+    printHeader("Ablation: library storage (gcc-2)");
     const PreparedBench b = prepareOne("gcc-2", s);
     const CoreConfig cfg = CoreConfig::eightWay();
 
@@ -93,43 +91,27 @@ main()
     ropt.blockSize = 8;
     ropt.shuffleSeed = 7;
 
-    // The reference: the owned-buffer backend (the PR-3 behaviour).
-    const LivePointLibrary refLib =
-        LivePointLibrary::load(path, StorageBackend::buffer);
-    const LivePointRunResult ref =
-        runLivePoints(b.prog, refLib, cfg, ropt);
-
-    struct Backend
-    {
-        const char *name;
-        StorageBackend backend;
-    };
-    std::vector<Backend> backends{{"owned-buffer",
-                                   StorageBackend::buffer}};
-    if (mmapSupported() && !mmapDisabledByEnv())
-        backends.push_back({"mmap", StorageBackend::mapped});
+    // The reference: the in-memory build.
+    const LivePointRunResult ref = runLivePoints(b.prog, built, cfg, ropt);
 
     std::printf("library: %llu points, %s on disk\n\n",
                 static_cast<unsigned long long>(n),
                 fmtBytes(fileBytes).c_str());
-    std::printf("%14s | %9s | %10s | %10s | %10s\n", "backend",
-                "load ms", "replays/s", "pinned", "peak RSS");
-
-    for (const Backend &bk : backends) {
+    std::printf("%9s | %10s | %10s | %10s\n", "load ms", "replays/s",
+                "mapped", "peak RSS");
+    {
         const auto tLoad = std::chrono::steady_clock::now();
-        const LivePointLibrary lib =
-            LivePointLibrary::load(path, bk.backend);
+        const LivePointLibrary lib = LivePointLibrary::load(path);
         const double loadMs = msSince(tLoad);
         const LivePointRunResult r =
             runLivePoints(b.prog, lib, cfg, ropt);
         if (!sameResult(r, ref))
-            panic("ablation_storage: backend '%s' changed the "
-                  "estimate",
-                  bk.name);
+            panic("ablation_storage: the loaded library changed the "
+                  "estimate");
         const double rps =
             static_cast<double>(r.processed) / r.wallSeconds;
-        std::printf("%14s | %9.3f | %10.1f | %10s | %10s\n", bk.name,
-                    loadMs, rps, fmtBytes(lib.pinnedBytes()).c_str(),
+        std::printf("%9.3f | %10.1f | %10s | %10s\n", loadMs, rps,
+                    fmtBytes(lib.backingBytes()).c_str(),
                     fmtBytes(peakRssBytes()).c_str());
     }
 
@@ -138,8 +120,8 @@ main()
     // whole library streams through — with the budget sized so the
     // library is 4x it.
     std::uint64_t windowBytes = 0;
-    for (std::size_t i = 0; i < refLib.size(); ++i)
-        windowBytes += refLib.compressedSize(i) + refLib.rawSize(i);
+    for (std::size_t i = 0; i < built.size(); ++i)
+        windowBytes += built.compressedSize(i) + built.rawSize(i);
     const std::uint64_t budget = windowBytes / 4;
 
     const LivePointLibrary streamLib = LivePointLibrary::load(path);
@@ -189,10 +171,9 @@ main()
     if (!lazyOk || !oneShard)
         panic("ablation_storage: fleet store opened shards eagerly");
     std::printf("fleet store: %zu shards, %zu opened for a one-shard "
-                "replay (%s mapped, %s pinned)\n",
+                "replay (%s mapped)\n",
                 set.size(), set.loadedCount(),
-                fmtBytes(set.mappedBytes()).c_str(),
-                fmtBytes(set.pinnedBytes()).c_str());
+                fmtBytes(set.mappedBytes()).c_str());
 
     // --- Checkpoint economics: delta chains -------------------------
     // The same design built two ways. Encoding may only change where
@@ -218,7 +199,7 @@ main()
         double rps = 0.0;
         double recordsPerPoint = 0.0; //!< decode work per visit
     };
-    Variant variants[] = {{"plain", &refLib}, {"delta", &deltaLib}};
+    Variant variants[] = {{"plain", &built}, {"delta", &deltaLib}};
     for (Variant &v : variants) {
         const std::string vpath =
             s.cacheDir + "/ablation-storage-econ.lpl";
@@ -344,8 +325,9 @@ main()
                        {"replay_norm", replayNorm}}))
         return 1;
 
-    std::printf("\nevery backend, budget setting, and encoding "
-                "variant reproduced the owned-buffer estimate to the "
-                "bit; only where (and how many) bytes live differs.\n");
+    std::printf("\nthe mapped load, every budget setting, and both "
+                "encoding variants reproduced the in-memory build's "
+                "estimate to the bit; only where (and how many) bytes "
+                "live differs.\n");
     return 0;
 }

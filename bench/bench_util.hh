@@ -21,8 +21,6 @@
  *                      (default 1: exact full warming, encode
  *                      pipelined; n>1 shards the sample with
  *                      MRRL-derived prefixes)
- *   LP_NO_MMAP=1       force the owned-buffer storage backend (read
- *                      by the io layer itself; affects every binary)
  *   LP_BENCH_BASELINE=path  committed baseline JSON for the gated
  *                      benches; "none" skips the gate
  */

@@ -1,8 +1,8 @@
 /**
  * @file
  * inspect_library — dump the contents of a live-point library file:
- * header metadata, the active storage backend with its resident and
- * mapped byte accounting, aggregate sizes, and per-section byte
+ * header metadata, the bytes mapped to hold it (paged in on demand,
+ * never copied to the heap), aggregate sizes, and per-section byte
  * breakdowns (the Figure 7 view of your own library). With --verify,
  * walks every record and cross-checks its decode against the index
  * table (rawSize, windowIndex) and the canonical re-encoding —
@@ -11,9 +11,6 @@
  * quick health read on the codec hot path. Useful when deciding the
  * maximum cache/predictor configuration a library should bake in,
  * and as an integrity pass over archived libraries.
- *
- * The backend follows the io layer's selection: mmap where the
- * platform allows, the owned-buffer path under LP_NO_MMAP=1.
  *
  * Usage: inspect_library <library.lpl> [--points N] [--verify]
  */
@@ -54,12 +51,8 @@ run(int argc, char **argv)
     const SampleDesign &d = lib.design();
 
     std::printf("library            %s\n", argv[1]);
-    std::printf("storage backend    %s (%.2f MB backing, %.2f MB "
-                "pinned heap%s)\n",
-                lib.storageKind().c_str(),
-                static_cast<double>(lib.backingBytes()) / 1048576.0,
-                static_cast<double>(lib.pinnedBytes()) / 1048576.0,
-                lib.mappedBacking() ? ", paged on demand" : "");
+    std::printf("mapped             %.2f MB, paged on demand\n",
+                static_cast<double>(lib.backingBytes()) / 1048576.0);
     std::printf("benchmark          %s\n", lib.benchmark().c_str());
     std::printf("live-points        %zu\n", lib.size());
     std::printf("benchmark length   %.1fM instructions\n",

@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include <unistd.h>
+
 #include "core/replay.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
@@ -19,13 +21,6 @@
 #include "util/log.hh"
 #include "util/retry.hh"
 #include "util/threadpool.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define LP_HAVE_FSYNC 1
-#include <unistd.h>
-#else
-#define LP_HAVE_FSYNC 0
-#endif
 
 namespace lp
 {
@@ -336,10 +331,8 @@ appendLedgerOnce(const std::string &path, const Blob &image)
         if (o.fail)
             fail("sync", o.err);
     }
-#if LP_HAVE_FSYNC
     if (::fsync(::fileno(f)) != 0)
         fail("sync", errno ? errno : EIO);
-#endif
     if (std::fclose(f) != 0) {
         if (start >= 0)
             truncateFile(path, static_cast<std::uint64_t>(start));

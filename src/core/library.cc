@@ -129,14 +129,6 @@ LivePoint::serialize() const
     return w.finish();
 }
 
-LivePoint
-LivePoint::deserialize(const Blob &data)
-{
-    LivePoint p;
-    deserializeInto(data, p);
-    return p;
-}
-
 void
 LivePoint::deserializeInto(const Blob &data, LivePoint &out)
 {
@@ -212,8 +204,7 @@ ByteSpan
 LivePointLibrary::recordAt(std::size_t filePos) const
 {
     const RecordRef &r = refs_[filePos];
-    const std::uint8_t *base =
-        r.inArena ? arena_.data() : source_->data();
+    const std::uint8_t *base = file_ ? file_->data() : arena_.data();
     return ByteSpan(base + r.offset,
                     static_cast<std::size_t>(r.size));
 }
@@ -224,28 +215,17 @@ LivePointLibrary::record(std::size_t i) const
     return recordAt(pos(i));
 }
 
-std::string
-LivePointLibrary::storageKind() const
-{
-    if (!source_)
-        return "arena";
-    bool anyArena = false;
-    for (const RecordRef &r : refs_)
-        anyArena = anyArena || r.inArena;
-    const std::string backend = source_->kind();
-    return anyArena ? "arena+" + backend : backend;
-}
-
 void
 LivePointLibrary::prefetchRecord(std::size_t i) const
 {
+    if (!file_)
+        return;
     // A delta record's decode touches its whole chain; hint it all.
     std::size_t p = pos(i);
     for (std::size_t depth = 0; depth <= refs_.size(); ++depth) {
         const RecordRef &r = refs_[p];
-        if (!r.inArena && source_)
-            source_->prefetch(static_cast<std::size_t>(r.offset),
-                              static_cast<std::size_t>(r.size));
+        file_->willNeed(static_cast<std::size_t>(r.offset),
+                        static_cast<std::size_t>(r.size));
         if (!(r.flags & kFlagDelta))
             break;
         p = static_cast<std::size_t>(r.basePos);
@@ -257,10 +237,11 @@ LivePointLibrary::releaseRecord(std::size_t i) const
 {
     // Release only the record itself: chain bases may serve later
     // points, and the admission budget already accounts for them.
+    if (!file_)
+        return;
     const RecordRef &r = refs_[pos(i)];
-    if (!r.inArena && source_)
-        source_->release(static_cast<std::size_t>(r.offset),
-                         static_cast<std::size_t>(r.size));
+    file_->dontNeed(static_cast<std::size_t>(r.offset),
+                    static_cast<std::size_t>(r.size));
 }
 
 LivePoint
@@ -504,6 +485,8 @@ LivePointLibrary::deltaCount() const
 void
 LivePointLibrary::reserve(std::uint64_t recordBytes, std::size_t count)
 {
+    if (file_)
+        throw std::logic_error("library: a loaded library is read-only");
     arena_.reserve(arena_.size() + recordBytes);
     refs_.reserve(refs_.size() + count);
 }
@@ -514,6 +497,8 @@ LivePointLibrary::addEncoded(const Blob &compressed,
                              std::uint64_t windowIndex,
                              std::uint8_t flags, std::uint64_t rawHash)
 {
+    if (file_)
+        throw std::logic_error("library: a loaded library is read-only");
     if (flags & ~kAllFlags)
         throw std::runtime_error("library: unknown record flags");
     if ((flags & kFlagDelta) && refs_.empty())
@@ -530,7 +515,6 @@ LivePointLibrary::addEncoded(const Blob &compressed,
     r.index = windowIndex;
     r.flags = flags;
     r.rawHash = rawHash;
-    r.inArena = true;
     if (flags & kFlagDelta) {
         r.basePos = refs_.size() - 1;
         r.chainBytes = refs_.back().chainBytes + r.size + r.rawSize;
@@ -749,19 +733,19 @@ LivePointLibrary::validateChains()
 }
 
 LivePointLibrary
-LivePointLibrary::load(const std::string &path, StorageBackend backend)
+LivePointLibrary::load(const std::string &path)
 {
     if (failpointsArmed()) {
         const FailpointOutcome o = failpointFire("library.load");
         if (o.fail)
             throwIoError("load", "library", path, o.err);
     }
-    std::shared_ptr<const LibrarySource> source =
-        openLibrarySource(path, backend);
+    auto file = std::make_shared<const MappedFile>(MappedFile::map(path));
+    file->adviseSequential();
     const ContainerFormat *format = nullptr;
     for (const ContainerFormat *f : {&kLpl4, &kLpl3})
-        if (source->size() >= sizeof(f->magic) &&
-            std::memcmp(source->data(), f->magic, sizeof(f->magic)) == 0)
+        if (file->size() >= sizeof(f->magic) &&
+            std::memcmp(file->data(), f->magic, sizeof(f->magic)) == 0)
             format = f;
     if (!format)
         throw std::runtime_error(strfmt(
@@ -772,9 +756,9 @@ LivePointLibrary::load(const std::string &path, StorageBackend backend)
         return std::runtime_error(strfmt("'%s' is not a valid %s library",
                                          path.c_str(), fmt.name));
     };
-    if (source->size() < fmt.headerBytes)
+    if (file->size() < fmt.headerBytes)
         throw malformed();
-    const std::uint8_t *h = source->data();
+    const std::uint8_t *h = file->data();
     const std::uint8_t *field = h + sizeof(fmt.magic);
     auto next = [&field]() {
         const std::uint64_t v = getU64le(field);
@@ -798,7 +782,7 @@ LivePointLibrary::load(const std::string &path, StorageBackend backend)
     // validated against the real file size before it is used as an
     // offset. The reserved section must be empty.
     const std::uint64_t metaEnd = metaOffset + metaSize;
-    if (version != kFormatVersion || fileSize != source->size() ||
+    if (version != kFormatVersion || fileSize != file->size() ||
         metaOffset != fmt.headerBytes ||
         metaSize > fileSize - metaOffset ||
         (fmt.reservedSection &&
@@ -848,16 +832,15 @@ LivePointLibrary::load(const std::string &path, StorageBackend backend)
         }
         running = rel + r.size;
         r.offset = dataOffset + rel;
-        r.inArena = false;
         lib.refs_.push_back(r);
     }
     if (running != dataBytes)
         throw malformed();
     lib.validateChains();
-    // The source backend keeps holding the file; records are spans
-    // into it — the load allocates nothing beyond the index, and a
-    // mapped backend does not even pin the file bytes.
-    lib.source_ = std::move(source);
+    // The mapping keeps holding the file; records are spans into it —
+    // the load allocates nothing beyond the index and pins no file
+    // bytes.
+    lib.file_ = std::move(file);
     return lib;
 }
 

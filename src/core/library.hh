@@ -13,9 +13,10 @@
  * (benchmark + design), a per-point index table (offset / compressed
  * size / raw size / window index), then the raw compressed records
  * back-to-back. Written streaming — no whole-library staging buffer —
- * and loaded through a pluggable LibrarySource backend (io/source.hh):
- * an owned heap buffer or a read-only mmap, with records exposed as
- * zero-copy spans into either.
+ * and loaded as a read-only mapping (io/mapped_file.hh), with records
+ * exposed as zero-copy spans into it. A library's records live in
+ * exactly one buffer: the append arena of a library built in memory,
+ * or the mapping of a loaded one (which takes no appends).
  *
  * Cross-point compression (LPLIB4): successive live-points share most
  * of their warm state, so a record may be *delta* encoded — its
@@ -26,8 +27,7 @@
  * delta record, so a broken chain fails loudly instead of yielding a
  * silently wrong point. The container follows from the records: a
  * library with any delta record saves as LPLIB4, any other as LPLIB3
- * (bit-identical to earlier releases), and both load through the same
- * backends.
+ * (bit-identical to earlier releases), and both load the same way.
  */
 
 #ifndef LP_CORE_LIBRARY_HH
@@ -40,7 +40,7 @@
 #include "cache/warmstate.hh"
 #include "codec/der.hh"
 #include "core/sample.hh"
-#include "io/source.hh"
+#include "io/mapped_file.hh"
 #include "mem/memport.hh"
 #include "util/rng.hh"
 #include "workload/generator.hh"
@@ -82,7 +82,6 @@ struct LivePoint
     LivePointBreakdown breakdown() const;
 
     Blob serialize() const;
-    static LivePoint deserialize(const Blob &data);
 
     /**
      * Deserialize into @p out, reusing its storage where possible
@@ -212,7 +211,8 @@ class LivePointLibrary
      * kFlagDelta (a delta record's base is the previously appended
      * record — builders emit chains in append order), and @p rawHash
      * the checksum of the uncompressed payload (0: absent; decode then
-     * skips verification).
+     * skips verification). Throws std::logic_error on a loaded
+     * library: its records live in the read-only mapping.
      */
     void addEncoded(const Blob &compressed, std::uint64_t rawSize,
                     std::uint64_t windowIndex, std::uint8_t flags,
@@ -262,6 +262,7 @@ class LivePointLibrary
      * Pre-size the arena for @p count records totalling
      * @p recordBytes compressed bytes, so a bulk assembly never pays
      * vector doubling (which would transiently hold ~2x the library).
+     * Throws std::logic_error on a loaded library, like addEncoded().
      */
     void reserve(std::uint64_t recordBytes, std::size_t count);
 
@@ -294,41 +295,16 @@ class LivePointLibrary
         return refs_[pos(i)].index;
     }
 
-    /**
-     * Name of the storage backend holding the records: "mmap" or
-     * "owned-buffer" for a loaded container, "arena" for a library
-     * built (or appended to) in memory, "arena+<backend>" when both
-     * hold records.
-     */
-    std::string storageKind() const;
-
-    /** True when the records live in a file mapping. */
-    bool mappedBacking() const
-    {
-        return source_ && source_->mapped();
-    }
-
-    /** Bytes of the loaded container file (0 for in-memory builds). */
+    /** Bytes of the mapped container file (0 for in-memory builds). */
     std::uint64_t backingBytes() const
     {
-        return source_ ? source_->size() : 0;
+        return file_ ? file_->size() : 0;
     }
 
-    /**
-     * Heap bytes the library pins regardless of access pattern: the
-     * append arena plus the backing buffer when it is heap-held. A
-     * mapped library pins only its arena — the kernel pages the file
-     * in and out on demand.
-     */
-    std::uint64_t pinnedBytes() const
-    {
-        return arena_.size() + (source_ ? source_->pinnedBytes() : 0);
-    }
-
-    /** Hint the backend that record @p i is needed soon. */
+    /** Hint the mapping that record @p i is needed soon. */
     void prefetchRecord(std::size_t i) const;
 
-    /** Hint the backend that record @p i will not be re-read soon. */
+    /** Hint the mapping that record @p i will not be re-read soon. */
     void releaseRecord(std::size_t i) const;
 
     std::uint64_t totalCompressedBytes() const;
@@ -361,22 +337,16 @@ class LivePointLibrary
 
     /**
      * Load an LPLIB3 or LPLIB4 container (dispatched on the file
-     * magic; anything else throws naming the file) through the chosen
-     * storage backend. The default (autoSelect)
-     * maps the file when the platform allows and LP_NO_MMAP is
-     * unset, and falls back to one owned heap buffer otherwise —
-     * record parsing, decoding, content hashing, and the corruption
-     * cross-checks are identical through either backend.
+     * magic; anything else throws naming the file) by mapping it
+     * read-only. A failed map throws the IoError naming the file.
      */
-    static LivePointLibrary
-    load(const std::string &path,
-         StorageBackend backend = StorageBackend::autoSelect);
+    static LivePointLibrary load(const std::string &path);
 
   private:
     /** Where one compressed record lives, in file (append) order. */
     struct RecordRef
     {
-        std::uint64_t offset = 0; //!< into source_ or arena_
+        std::uint64_t offset = 0; //!< into file_ or arena_
         std::uint64_t size = 0;
         std::uint64_t rawSize = 0; //!< uncompressed size
         std::uint64_t index = 0;   //!< window index
@@ -386,7 +356,6 @@ class LivePointLibrary
         std::uint64_t keyframe = 0;   //!< file pos of the chain's keyframe
         std::uint32_t depth = 0;      //!< delta links above the keyframe
         std::uint8_t flags = 0;      //!< 0 or kFlagDelta
-        bool inArena = false;        //!< offset is into arena_
     };
 
     /** File position of the @p i-th stored (view-order) record. */
@@ -408,8 +377,8 @@ class LivePointLibrary
 
     std::string benchmark_;
     SampleDesign design_;
-    /** Backend holding the loaded container file (shared on copy). */
-    std::shared_ptr<const LibrarySource> source_;
+    /** Mapping of the loaded container file (shared on copy). */
+    std::shared_ptr<const MappedFile> file_;
     Blob arena_; //!< appended compressed records, back-to-back
     std::vector<RecordRef> refs_; //!< file order, never permuted
     /** Stored-order view: order_[i] = file position (empty: identity). */

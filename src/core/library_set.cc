@@ -64,8 +64,7 @@ LibrarySet::indexFileName()
 }
 
 LibrarySet::LibrarySet(LibrarySet &&other) noexcept
-    : dir_(std::move(other.dir_)), backend_(other.backend_),
-      entries_(std::move(other.entries_)),
+    : dir_(std::move(other.dir_)), entries_(std::move(other.entries_)),
       recovery_(std::move(other.recovery_)),
       loaded_(std::move(other.loaded_))
 {
@@ -76,7 +75,6 @@ LibrarySet::operator=(LibrarySet &&other) noexcept
 {
     if (this != &other) {
         dir_ = std::move(other.dir_);
-        backend_ = other.backend_;
         entries_ = std::move(other.entries_);
         recovery_ = std::move(other.recovery_);
         loaded_ = std::move(other.loaded_);
@@ -85,26 +83,24 @@ LibrarySet::operator=(LibrarySet &&other) noexcept
 }
 
 LibrarySet
-LibrarySet::open(const std::string &dir, StorageBackend backend)
+LibrarySet::open(const std::string &dir)
 {
-    return openImpl(dir, backend, false);
+    return openImpl(dir, false);
 }
 
 LibrarySet
-LibrarySet::openRecover(const std::string &dir, StorageBackend backend)
+LibrarySet::openRecover(const std::string &dir)
 {
-    return openImpl(dir, backend, true);
+    return openImpl(dir, true);
 }
 
 LibrarySet
-LibrarySet::openImpl(const std::string &dir, StorageBackend backend,
-                     bool recover)
+LibrarySet::openImpl(const std::string &dir, bool recover)
 {
     const std::string indexPath = joinPath(dir, kIndexFile);
 
     LibrarySet set;
     set.dir_ = dir;
-    set.backend_ = backend;
 
     if (failpointsArmed()) {
         const FailpointOutcome o = failpointFire("set.index.load");
@@ -191,8 +187,9 @@ LibrarySet::openImpl(const std::string &dir, StorageBackend backend,
  * Index-less recovery: rebuild the entry table from the shard
  * containers themselves. Shard names come from each container's
  * benchmark metadata; point counts and content hashes are recomputed
- * by loading each container once (buffer-backed so nothing stays
- * mapped). Unloadable containers are quarantined, not fatal.
+ * by loading each container once; each mapping is dropped as soon as
+ * its entry is filled in. Unloadable containers are quarantined, not
+ * fatal.
  */
 void
 LibrarySet::rescanShards(const std::string &reason)
@@ -229,8 +226,7 @@ LibrarySet::rescanShards(const std::string &reason)
             std::filesystem::file_size(path, sec);
         e.bytes = sec ? 0 : static_cast<std::uint64_t>(bytes);
         try {
-            const LivePointLibrary lib =
-                LivePointLibrary::load(path, StorageBackend::buffer);
+            const LivePointLibrary lib = LivePointLibrary::load(path);
             e.name = lib.benchmark();
             e.points = lib.size();
             e.hash = lib.contentHash();
@@ -320,7 +316,7 @@ LibrarySet::shard(std::size_t i) const
                              shardPath(i), o.err);
         }
         auto lib = std::make_unique<LivePointLibrary>(
-            LivePointLibrary::load(shardPath(i), backend_));
+            LivePointLibrary::load(shardPath(i)));
         // The index metadata is load-bearing (campaign manifests key
         // resume state by it), so a swapped or stale shard file must
         // fail loudly, not replay different points.
@@ -365,23 +361,12 @@ LibrarySet::unload(std::size_t i) const
 }
 
 std::uint64_t
-LibrarySet::pinnedBytes() const
-{
-    std::lock_guard<std::mutex> lk(m_);
-    std::uint64_t total = 0;
-    for (const auto &p : loaded_)
-        if (p)
-            total += p->pinnedBytes();
-    return total;
-}
-
-std::uint64_t
 LibrarySet::mappedBytes() const
 {
     std::lock_guard<std::mutex> lk(m_);
     std::uint64_t total = 0;
     for (const auto &p : loaded_)
-        if (p && p->mappedBacking())
+        if (p)
             total += p->backingBytes();
     return total;
 }

@@ -77,13 +77,10 @@ class LibrarySet
 
     /**
      * Open the set at @p dir by reading only its index; no shard is
-     * touched. @p backend selects how shards open when first
-     * accessed. Throws when the index is missing, malformed, or has
-     * a torn/invalid integrity footer.
+     * touched until first accessed. Throws when the index is missing,
+     * malformed, or has a torn/invalid integrity footer.
      */
-    static LibrarySet
-    open(const std::string &dir,
-         StorageBackend backend = StorageBackend::autoSelect);
+    static LibrarySet open(const std::string &dir);
 
     /**
      * Open the set at @p dir, recovering instead of throwing on a
@@ -95,9 +92,7 @@ class LibrarySet
      * quarantine reason. Inspect recovery() for what happened. Only
      * throws when the directory itself cannot be read.
      */
-    static LibrarySet
-    openRecover(const std::string &dir,
-                StorageBackend backend = StorageBackend::autoSelect);
+    static LibrarySet openRecover(const std::string &dir);
 
     /** What open/openRecover found (empty for a healthy strict open). */
     const Recovery &recovery() const { return recovery_; }
@@ -152,8 +147,7 @@ class LibrarySet
     std::string shardPath(std::size_t i) const;
 
     /**
-     * The shard's library, opened through the set's backend on first
-     * access and cached. Validates the container against the index
+     * The shard's library, mapped on first access and cached. Validates the container against the index
      * (point count and content hash are load-bearing for manifest
      * resume). Thread-safe; the reference stays valid until unload().
      */
@@ -166,16 +160,13 @@ class LibrarySet
     std::size_t loadedCount() const;
 
     /**
-     * Drop shard @p i's library (mapping or buffer). References from
+     * Drop shard @p i's library and its mapping. References from
      * a previous shard() call become invalid; a later shard() call
      * reopens it.
      */
     void unload(std::size_t i) const;
 
-    /** Heap bytes pinned by the open shards (see pinnedBytes()). */
-    std::uint64_t pinnedBytes() const;
-
-    /** Backing bytes of open shards held in file mappings. */
+    /** Container bytes of the open shards' mappings. */
     std::uint64_t mappedBytes() const;
 
   private:
@@ -191,13 +182,11 @@ class LibrarySet
 
     friend class LibrarySetWriter;
 
-    static LibrarySet openImpl(const std::string &dir,
-                               StorageBackend backend, bool recover);
+    static LibrarySet openImpl(const std::string &dir, bool recover);
     void rescanShards(const std::string &reason);
     void validateShardFiles();
 
     std::string dir_;
-    StorageBackend backend_ = StorageBackend::autoSelect;
     std::vector<Entry> entries_;
     Recovery recovery_;
     mutable std::mutex m_; //!< guards loaded_

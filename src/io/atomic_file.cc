@@ -3,17 +3,12 @@
 #include <cerrno>
 #include <cstring>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include "io/io_error.hh"
 #include "util/failpoint.hh"
 #include "util/retry.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define LP_HAVE_FSYNC 1
-#include <fcntl.h>
-#include <unistd.h>
-#else
-#define LP_HAVE_FSYNC 0
-#endif
 
 namespace lp
 {
@@ -139,7 +134,6 @@ AtomicFileWriter::commit()
             throwIoError("sync", what_, tmp_, err);
         }
     }
-#if LP_HAVE_FSYNC
     {
         TransientRetry retry;
         while (::fsync(::fileno(f_)) != 0) {
@@ -150,7 +144,6 @@ AtomicFileWriter::commit()
             }
         }
     }
-#endif
     {
         std::FILE *f = f_;
         f_ = nullptr;
@@ -188,7 +181,6 @@ syncParentDir(const std::string &path)
         if (o.fail)
             throwIoError("sync directory of", "file", path, o.err);
     }
-#if LP_HAVE_FSYNC
     std::string dir = path;
     const std::size_t slash = dir.find_last_of('/');
     dir = slash == std::string::npos ? "." : dir.substr(0, slash);
@@ -204,7 +196,6 @@ syncParentDir(const std::string &path)
         }
     }
     ::close(fd);
-#endif
 }
 
 void

@@ -77,9 +77,6 @@ class AtomicFileWriter
      */
     void commit();
 
-    /** The temp path this writer stages into (`<path>.tmp`). */
-    const std::string &tempPath() const { return tmp_; }
-
     /** The temp name a final path stages through. */
     static std::string tempFileName(const std::string &path)
     {

@@ -2,40 +2,19 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
-#include <stdexcept>
 
-#include "io/io_error.hh"
-#include "util/failpoint.hh"
-#include "util/log.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define LP_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define LP_HAVE_MMAP 0
-#endif
+
+#include "io/io_error.hh"
+#include "util/failpoint.hh"
+#include "util/log.hh"
+#include "util/retry.hh"
 
 namespace lp
 {
-
-bool
-mmapSupported()
-{
-    return LP_HAVE_MMAP != 0;
-}
-
-bool
-mmapDisabledByEnv()
-{
-    const char *v = std::getenv("LP_NO_MMAP");
-    return v && v[0] != '\0' && v[0] != '0';
-}
-
-#if LP_HAVE_MMAP
 
 namespace
 {
@@ -62,6 +41,14 @@ struct FdGuard
     }
 };
 
+[[noreturn]] void
+throwMapError(const std::string &path, std::size_t size, int err)
+{
+    throw IoError(strfmt("cannot map file '%s' (%zu bytes): %s",
+                         path.c_str(), size, std::strerror(err)),
+                  err);
+}
+
 } // namespace
 
 MappedFile
@@ -73,12 +60,13 @@ MappedFile::map(const std::string &path)
             throwIoError("open for mapping", "file", path, o.err);
     }
     int fd = -1;
-    int transientLeft = 64;
-    while ((fd = ::open(path.c_str(), O_RDONLY)) < 0) {
-        const int err = errno;
-        if (transientErrno(err) && transientLeft-- > 0)
-            continue;
-        throwIoError("open for mapping", "file", path, err);
+    {
+        TransientRetry retry;
+        while ((fd = ::open(path.c_str(), O_RDONLY)) < 0) {
+            const int err = errno;
+            if (!retry.shouldRetry(err))
+                throwIoError("open for mapping", "file", path, err);
+        }
     }
     FdGuard g{fd};
     struct stat st;
@@ -90,18 +78,11 @@ MappedFile::map(const std::string &path)
     if (failpointsArmed()) {
         const FailpointOutcome o = failpointFire("io.mmap.map");
         if (o.fail)
-            throw IoError(
-                strfmt("cannot map file '%s' (%zu bytes): %s",
-                       path.c_str(), size, std::strerror(o.err)),
-                o.err);
+            throwMapError(path, size, o.err);
     }
     void *p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, g.fd, 0);
-    if (p == MAP_FAILED) {
-        const int err = errno;
-        throw IoError(strfmt("cannot map file '%s' (%zu bytes): %s",
-                             path.c_str(), size, std::strerror(err)),
-                      err);
-    }
+    if (p == MAP_FAILED)
+        throwMapError(path, size, errno);
     return MappedFile(static_cast<std::uint8_t *>(p), size);
 }
 
@@ -117,16 +98,13 @@ MappedFile::unmap() noexcept
 void
 MappedFile::adviseSequential() const
 {
-#if defined(POSIX_MADV_SEQUENTIAL)
     if (data_)
         ::posix_madvise(data_, size_, POSIX_MADV_SEQUENTIAL);
-#endif
 }
 
 void
 MappedFile::willNeed(std::size_t offset, std::size_t len) const
 {
-#if defined(POSIX_MADV_WILLNEED)
     if (!data_ || offset >= size_)
         return;
     len = std::min(len, size_ - offset);
@@ -136,16 +114,11 @@ MappedFile::willNeed(std::size_t offset, std::size_t len) const
     const std::size_t lo = offset - offset % ps;
     const std::size_t hi = offset + len;
     ::posix_madvise(data_ + lo, hi - lo, POSIX_MADV_WILLNEED);
-#else
-    (void)offset;
-    (void)len;
-#endif
 }
 
 void
 MappedFile::dontNeed(std::size_t offset, std::size_t len) const
 {
-#if defined(POSIX_MADV_DONTNEED)
     if (!data_ || offset >= size_)
         return;
     len = std::min(len, size_ - offset);
@@ -157,44 +130,7 @@ MappedFile::dontNeed(std::size_t offset, std::size_t len) const
     const std::size_t hi = (offset + len) - (offset + len) % ps;
     if (hi > lo)
         ::posix_madvise(data_ + lo, hi - lo, POSIX_MADV_DONTNEED);
-#else
-    (void)offset;
-    (void)len;
-#endif
 }
-
-#else // !LP_HAVE_MMAP
-
-MappedFile
-MappedFile::map(const std::string &path)
-{
-    throw std::runtime_error(
-        strfmt("cannot map '%s': platform has no mmap", path.c_str()));
-}
-
-void
-MappedFile::unmap() noexcept
-{
-    data_ = nullptr;
-    size_ = 0;
-}
-
-void
-MappedFile::adviseSequential() const
-{
-}
-
-void
-MappedFile::willNeed(std::size_t, std::size_t) const
-{
-}
-
-void
-MappedFile::dontNeed(std::size_t, std::size_t) const
-{
-}
-
-#endif // LP_HAVE_MMAP
 
 MappedFile::~MappedFile()
 {

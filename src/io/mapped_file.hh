@@ -1,21 +1,16 @@
 /**
  * @file
- * RAII read-only memory mapping. A MappedFile exposes a whole file as
- * one contiguous byte range without copying it into the heap — the
- * kernel pages bytes in on first touch and can drop clean pages under
- * memory pressure, which is what lets a library (or a fleet of them)
- * larger than RAM back the replay engine.
+ * RAII read-only memory mapping: the one way a container's bytes are
+ * held. A MappedFile exposes a whole file as one contiguous byte range
+ * without copying it into the heap — the kernel pages bytes in on
+ * first touch and can drop clean pages under memory pressure, which is
+ * what lets a library (or a fleet of them) larger than RAM back the
+ * replay engine.
  *
  * The mapping carries paging hints: sequential readahead for the
  * full-scan paths (contentHash, save), and willNeed()/dontNeed()
  * windows the resident-budget replay mode uses to prefetch ahead of
  * the claim counter and release behind the fold barrier.
- *
- * Platforms without mmap (or runs with LP_NO_MMAP=1 in the
- * environment) report mmapSupported() == false; callers fall back to
- * the owned-buffer path (see io/source.hh). map() on such a platform
- * throws rather than silently copying, so the fallback decision stays
- * with the caller.
  */
 
 #ifndef LP_IO_MAPPED_FILE_HH
@@ -29,15 +24,6 @@
 namespace lp
 {
 
-/**
- * True when this build can mmap files at all (compile-time platform
- * support). Independent of the LP_NO_MMAP override.
- */
-bool mmapSupported();
-
-/** True when the environment (LP_NO_MMAP=1) disables mapping. */
-bool mmapDisabledByEnv();
-
 class MappedFile
 {
   public:
@@ -45,9 +31,8 @@ class MappedFile
     MappedFile() = default;
 
     /**
-     * Map @p path read-only in its entirety. Throws on a missing
-     * file, a map failure, or an mmap-less platform (check
-     * mmapSupported() first to fall back instead). An empty file maps
+     * Map @p path read-only in its entirety. Throws an IoError naming
+     * the file on a missing file or a map failure. An empty file maps
      * to a valid zero-length handle.
      */
     static MappedFile map(const std::string &path);

@@ -1,23 +1,15 @@
 #include "io/source.hh"
 
 #include <cerrno>
-#include <cstdio>
-#include <filesystem>
-#include <stdexcept>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "io/io_error.hh"
 #include "util/failpoint.hh"
 #include "util/log.hh"
 #include "util/retry.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define LP_HAVE_POSIX_IO 1
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define LP_HAVE_POSIX_IO 0
-#endif
 
 namespace lp
 {
@@ -25,7 +17,6 @@ namespace lp
 Blob
 readWholeFile(const std::string &path, const char *what)
 {
-#if LP_HAVE_POSIX_IO
     if (failpointsArmed()) {
         const FailpointOutcome o = failpointFire("io.open.read");
         if (o.fail)
@@ -86,66 +77,6 @@ readWholeFile(const std::string &path, const char *what)
     }
     ::close(fd);
     return data;
-#else
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (ec)
-        throwIoError("open", what, path, ec.value());
-    FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throwIoError("open", what, path, errno);
-    Blob data(static_cast<std::size_t>(size));
-    std::size_t got = 0;
-    while (got < data.size()) {
-        const std::size_t n = std::fread(data.data() + got, 1,
-                                         data.size() - got, f);
-        if (n == 0) {
-            const int err = errno;
-            std::fclose(f);
-            throwIoError("read", what, path, err ? err : EIO);
-        }
-        got += n;
-    }
-    std::fclose(f);
-    return data;
-#endif
-}
-
-const char *
-storageBackendName(StorageBackend b)
-{
-    switch (b) {
-    case StorageBackend::buffer:
-        return "owned-buffer";
-    case StorageBackend::mapped:
-        return "mmap";
-    case StorageBackend::autoSelect:
-    default:
-        return "auto";
-    }
-}
-
-std::shared_ptr<const LibrarySource>
-openLibrarySource(const std::string &path, StorageBackend backend)
-{
-    const bool wantMap =
-        backend == StorageBackend::mapped ||
-        (backend == StorageBackend::autoSelect && mmapSupported() &&
-         !mmapDisabledByEnv());
-    if (wantMap) {
-        try {
-            return std::make_shared<MappedFileSource>(
-                MappedFile::map(path));
-        } catch (const std::exception &) {
-            // A runtime map failure (exotic filesystem, exhausted
-            // address space) degrades gracefully under autoSelect;
-            // an explicit mmap request surfaces it.
-            if (backend == StorageBackend::mapped)
-                throw;
-        }
-    }
-    return std::make_shared<OwnedBufferSource>(
-        readWholeFile(path, "library"));
 }
 
 } // namespace lp

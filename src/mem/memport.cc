@@ -165,14 +165,6 @@ MemoryImage::serialize(DerWriter &w) const
     w.endSequence();
 }
 
-MemoryImage
-MemoryImage::deserialize(DerReader &r)
-{
-    MemoryImage img;
-    deserializeInto(r, img);
-    return img;
-}
-
 void
 MemoryImage::deserializeInto(DerReader &r, MemoryImage &out)
 {

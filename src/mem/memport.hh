@@ -92,7 +92,6 @@ class MemoryImage
                 &fn) const;
 
     void serialize(DerWriter &w) const;
-    static MemoryImage deserialize(DerReader &r);
 
     /** Deserialize into @p out, reusing what storage it can. */
     static void deserializeInto(DerReader &r, MemoryImage &out);

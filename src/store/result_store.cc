@@ -5,6 +5,7 @@
 #include "codec/der.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
+#include "io/mapped_file.hh"
 #include "util/bytes.hh"
 #include "util/log.hh"
 
@@ -244,21 +245,21 @@ ResultKey::hash() const
 }
 
 void
-ResultStore::load(const std::string &path, StorageBackend backend)
+ResultStore::load(const std::string &path)
 {
-    const std::shared_ptr<const LibrarySource> src =
-        openLibrarySource(path, backend);
+    const MappedFile file = MappedFile::map(path);
+    file.adviseSequential();
     std::lock_guard<std::mutex> lock(mu_);
-    parseLocked(src->data(), src->size(), path);
+    parseLocked(file.data(), file.size(), path);
 }
 
 void
-ResultStore::open(const std::string &path, StorageBackend backend)
+ResultStore::open(const std::string &path)
 {
     std::error_code ec;
     const bool exists = std::filesystem::exists(path, ec) && !ec;
     if (exists) {
-        load(path, backend);
+        load(path);
     } else {
         std::lock_guard<std::mutex> lock(mu_);
         cells_.clear();

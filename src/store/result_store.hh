@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "core/sample.hh"
-#include "io/source.hh"
 #include "stats/running_stat.hh"
 #include "util/rng.hh"
 #include "util/types.hh"
@@ -185,23 +184,21 @@ class ResultStore
     ResultStore &operator=(const ResultStore &) = delete;
 
     /**
-     * Load @p path (through a LibrarySource backend, so a large store
-     * can be mmap'ed) into this store, replacing its contents.
+     * Load @p path (mapped read-only, so a large store is never
+     * copied to the heap) into this store, replacing its contents.
      * Corruption-strict: throws IoError on any truncation, bad
      * checksum, malformed header/meta, or size inconsistency.
      * Duplicate keys resolve last-writer-wins; supersededRecords()
      * reports how many were shadowed.
      */
-    void load(const std::string &path,
-              StorageBackend backend = StorageBackend::autoSelect);
+    void load(const std::string &path);
 
     /**
      * load() when the file exists, empty store otherwise — the
      * open-or-create path the service uses. Remembers @p path so
      * save() with no argument rewrites the same file.
      */
-    void open(const std::string &path,
-              StorageBackend backend = StorageBackend::autoSelect);
+    void open(const std::string &path);
 
     /** Serialize to @p path atomically (write-temp/fsync/rename). */
     void save(const std::string &path) const;

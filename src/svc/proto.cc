@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include <unistd.h>
+
 #include "codec/der.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
@@ -11,13 +13,6 @@
 #include "util/log.hh"
 #include "util/retry.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define LP_HAVE_SOCKETS 1
-#else
-#define LP_HAVE_SOCKETS 0
-#endif
-
 namespace lp
 {
 
@@ -25,8 +20,6 @@ namespace
 {
 
 constexpr std::size_t kFrameHeaderBytes = 32;
-
-#if LP_HAVE_SOCKETS
 
 void
 writeAll(int fd, const std::uint8_t *data, std::size_t size)
@@ -93,14 +86,11 @@ readAll(int fd, std::uint8_t *data, std::size_t size, bool eofOk)
     return true;
 }
 
-#endif // LP_HAVE_SOCKETS
-
 } // namespace
 
 void
 sendFrame(int fd, MsgType type, MsgStatus status, const Blob &payload)
 {
-#if LP_HAVE_SOCKETS
     std::uint8_t hdr[kFrameHeaderBytes];
     putU64le(hdr, kSvcMagic);
     putU64le(hdr + 8,
@@ -111,19 +101,11 @@ sendFrame(int fd, MsgType type, MsgStatus status, const Blob &payload)
     writeAll(fd, hdr, sizeof(hdr));
     if (!payload.empty())
         writeAll(fd, payload.data(), payload.size());
-#else
-    (void)fd;
-    (void)type;
-    (void)status;
-    (void)payload;
-    throw std::runtime_error("service sockets require POSIX");
-#endif
 }
 
 bool
 recvFrame(int fd, Frame &out)
 {
-#if LP_HAVE_SOCKETS
     std::uint8_t hdr[kFrameHeaderBytes];
     if (!readAll(fd, hdr, sizeof(hdr), /*eofOk=*/true))
         return false;
@@ -145,11 +127,6 @@ recvFrame(int fd, Frame &out)
     if (fnv1a(out.payload.data(), out.payload.size()) != sum)
         throw IoError("service socket: frame checksum mismatch", 0);
     return true;
-#else
-    (void)fd;
-    (void)out;
-    throw std::runtime_error("service sockets require POSIX");
-#endif
 }
 
 Blob

@@ -551,12 +551,6 @@ CampaignService::waitForJob(std::uint64_t id, std::uint64_t timeoutMs)
                         terminal);
 }
 
-const ResultStore &
-CampaignService::resultStore() const
-{
-    return *store_;
-}
-
 std::string
 CampaignService::queryResults(const std::string &workload,
                               std::uint64_t configDigest) const

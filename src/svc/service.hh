@@ -177,9 +177,6 @@ class CampaignService
     const LibrarySet &set() const { return set_; }
     const ServiceConfig &config() const { return cfg_; }
 
-    /** The shared fleet result store (memoization + queries). */
-    const ResultStore &resultStore() const;
-
     /**
      * Answer a cross-campaign result query from the store with zero
      * simulation: a JSON object listing the stored cell records (and

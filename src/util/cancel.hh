@@ -23,17 +23,10 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 
 namespace lp
 {
-
-/** Thrown when a run observes its cancellation mid-flight. */
-struct CancelledError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
 
 /**
  * A sticky, thread-safe cancellation switch. The first
@@ -117,18 +110,6 @@ class Deadline
     bool expired() const
     {
         return !unlimited() && Clock::now() >= tp_;
-    }
-
-    /** Milliseconds left (0 when expired; INT64_MAX when unlimited). */
-    std::int64_t remainingMs() const
-    {
-        if (unlimited())
-            return INT64_MAX;
-        const auto left = tp_ - Clock::now();
-        const auto ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(left)
-                .count();
-        return ms < 0 ? 0 : ms;
     }
 
   private:

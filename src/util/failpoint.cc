@@ -8,14 +8,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/log.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#define LP_HAVE_UNISTD 1
-#else
-#define LP_HAVE_UNISTD 0
-#endif
+
+#include "util/log.hh"
 
 namespace lp
 {
@@ -174,11 +169,7 @@ failpointFire(const char *site)
         // A real crash: no stream flushing, no atexit, no stack
         // unwinding — buffered writes die with the process.
         std::fprintf(stderr, "failpoint: crashing at '%s'\n", site);
-#if LP_HAVE_UNISTD
         ::_exit(failpointCrashStatus);
-#else
-        std::_Exit(failpointCrashStatus);
-#endif
     case FailpointSpec::Action::shortOp:
         out.shortOp = true;
         return out;

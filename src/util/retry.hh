@@ -90,12 +90,6 @@ class TransientRetry
         return true;
     }
 
-    /** Failures retried so far. */
-    int used() const { return used_; }
-
-    /** Attempts still available. */
-    int remaining() const { return p_.attempts - used_; }
-
   private:
     RetryPolicy p_;
     int used_ = 0;

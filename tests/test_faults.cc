@@ -26,13 +26,8 @@
 #include "io/source.hh"
 #include "util/failpoint.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define LP_TEST_FORK 1
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define LP_TEST_FORK 0
-#endif
 
 namespace
 {
@@ -305,8 +300,7 @@ main()
 
         // And a clean save round-trips.
         w0.lib.save(path);
-        const LivePointLibrary lib =
-            LivePointLibrary::load(path, StorageBackend::buffer);
+        const LivePointLibrary lib = LivePointLibrary::load(path);
         CHECK_EQ(lib.contentHash(), w0.lib.contentHash());
         std::filesystem::remove(path);
     }
@@ -610,6 +604,34 @@ main()
         CHECK(r.cell(0, 0, cfgs.size()).failed);
         CHECK(!r.cell(1, 0, cfgs.size()).failed);
 
+        // A shard that fails to map is not read some other way: its
+        // workload's cells are shard_unavailable with the file named,
+        // and the other workload's estimates keep their exact bits.
+        set.unload(setGrid[0].shard);
+        set.unload(setGrid[1].shard);
+        arm("io.mmap.map", FailpointSpec::Trigger::nth, 1,
+            FailpointSpec::Action::error, ENOMEM);
+        r = CampaignEngine(setGrid, cfgs, copt).run();
+        disarmAllFailpoints();
+        CHECK_EQ(r.failedCells, cfgs.size());
+        auto cpiBits = [](const CampaignCell &cell) {
+            const double v = cell.cpi();
+            std::uint64_t b = 0;
+            std::memcpy(&b, &v, sizeof(b));
+            return b;
+        };
+        const std::string shardA = set.shardPath(setGrid[0].shard);
+        for (std::size_t c = 0; c < cfgs.size(); ++c) {
+            const CampaignCell &lost = r.cell(0, c, cfgs.size());
+            CHECK(lost.failed);
+            CHECK(std::string(cellFailReasonToken(lost.reason)) ==
+                  "shard_unavailable");
+            CHECK(lost.failureReason.find(shardA) != std::string::npos);
+            CHECK(!r.cell(1, c, cfgs.size()).failed);
+            CHECK_EQ(cpiBits(r.cell(1, c, cfgs.size())),
+                     cpiBits(baseline.cell(1, c, cfgs.size())));
+        }
+
         // A torn shard container quarantines on recovering open; its
         // cells fail with the quarantine reason, the healthy workload
         // is unaffected — the campaign never aborts.
@@ -647,7 +669,6 @@ main()
         writeBytes(shardB, shardBytes.data(), shardBytes.size());
     }
 
-#if LP_TEST_FORK
     // ---- The crash matrix ------------------------------------------
     // Fork a child campaign, kill it (real _exit, no unwinding) at
     // every barrier and at every mid-append failpoint, resume in the
@@ -753,7 +774,6 @@ main()
             CHECK(!AtomicFileWriter::isTempFileName(
                 de.path().filename().string()));
     }
-#endif // LP_TEST_FORK
 
     std::filesystem::remove_all(setDir);
     return TEST_MAIN_RESULT();

@@ -1,19 +1,23 @@
 /**
  * The io layer's contract: MappedFile maps a file's exact bytes with
- * working paging hints and clean failure on missing files; the
- * LibrarySource backends expose identical bytes through mmap and
- * owned-buffer storage; and the backend selector honours explicit
- * requests and the LP_NO_MMAP environment override.
+ * working paging hints and clean move semantics, maps an empty file
+ * to a zero-length handle, and throws an IoError naming the file when
+ * the file is missing or the map fails — which a library load
+ * surfaces as it is, with no second way to hold the bytes.
  */
 
 #include "test_util.hh"
 
+#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <optional>
+#include <type_traits>
 
+#include "io/io_error.hh"
 #include "io/mapped_file.hh"
-#include "io/source.hh"
+#include "util/failpoint.hh"
 
 namespace
 {
@@ -29,12 +33,40 @@ writeFile(const std::string &path, const lp::Blob &data)
     std::fclose(f);
 }
 
+/**
+ * Run @p fn and return the what() of the @p E it throws, or nullopt
+ * when it returns or throws anything else.
+ */
+template <class E, class F>
+std::optional<std::string>
+thrown(F fn, int *errnum = nullptr)
+{
+    try {
+        fn();
+    } catch (const E &e) {
+        if constexpr (std::is_base_of_v<lp::IoError, E>) {
+            if (errnum)
+                *errnum = e.errnum();
+        }
+        return std::string(e.what());
+    } catch (...) {
+    }
+    return std::nullopt;
+}
+
+bool
+mentions(const std::optional<std::string> &msg, const std::string &s)
+{
+    return msg && msg->find(s) != std::string::npos;
+}
+
 } // namespace
 
 int
 main()
 {
     using namespace lp;
+    using namespace lptest;
 
     const std::string path = "iotest-data.bin";
     Blob payload(256 * 1024);
@@ -43,7 +75,7 @@ main()
     writeFile(path, payload);
 
     // MappedFile: exact bytes, working hints, clean move semantics.
-    if (mmapSupported()) {
+    {
         MappedFile m = MappedFile::map(path);
         CHECK(m.mapped());
         CHECK_EQ(m.size(), payload.size());
@@ -69,79 +101,76 @@ main()
         CHECK_EQ(moved.size(), payload.size());
         CHECK(std::memcmp(moved.data(), payload.data(),
                           payload.size()) == 0);
-
-        CHECK_THROWS(MappedFile::map("iotest-does-not-exist.bin"));
     }
 
-    // Both backends expose byte-identical content; their
-    // self-description (kind / mapped / pinnedBytes) matches how they
-    // hold it.
+    // A missing file throws the IoError naming it.
     {
-        const auto buf =
-            openLibrarySource(path, StorageBackend::buffer);
-        CHECK(std::string(buf->kind()) == "owned-buffer");
-        CHECK(!buf->mapped());
-        CHECK_EQ(buf->size(), payload.size());
-        CHECK_EQ(buf->pinnedBytes(), payload.size());
-        CHECK(std::memcmp(buf->data(), payload.data(),
-                          payload.size()) == 0);
-        buf->prefetch(0, buf->size()); // no-op, must not crash
-        buf->release(0, buf->size());
-
-        if (mmapSupported()) {
-            const auto map =
-                openLibrarySource(path, StorageBackend::mapped);
-            CHECK(std::string(map->kind()) == "mmap");
-            CHECK(map->mapped());
-            CHECK_EQ(map->size(), payload.size());
-            CHECK_EQ(map->pinnedBytes(), 0u);
-            CHECK(std::memcmp(map->data(), buf->data(),
-                              payload.size()) == 0);
-            map->prefetch(4096, 64 * 1024);
-            map->release(4096, 64 * 1024);
-            CHECK(std::memcmp(map->data(), payload.data(),
-                              payload.size()) == 0);
-        }
-
-        CHECK_THROWS(openLibrarySource("iotest-does-not-exist.bin",
-                                       StorageBackend::buffer));
-        CHECK_THROWS(openLibrarySource("iotest-does-not-exist.bin",
-                                       StorageBackend::autoSelect));
+        const std::string missing = "iotest-does-not-exist.bin";
+        int err = 0;
+        const auto msg =
+            thrown<IoError>([&] { MappedFile::map(missing); }, &err);
+        CHECK(mentions(msg, missing));
+        CHECK_EQ(err, ENOENT);
+        CHECK(mentions(thrown<IoError>([&] {
+                           LivePointLibrary::load(missing);
+                       }),
+                       missing));
     }
 
-    // The selector: auto maps where possible, and LP_NO_MMAP=1
-    // forces the owned-buffer fallback (the CI no-mmap leg runs the
-    // whole fast suite under that override).
+    // An empty file maps to a zero-length handle, and a library load
+    // rejects it as not a library.
     {
-        const bool envDisabled = mmapDisabledByEnv();
-        const auto autoSrc =
-            openLibrarySource(path, StorageBackend::autoSelect);
-        if (mmapSupported() && !envDisabled)
-            CHECK(autoSrc->mapped());
-        else
-            CHECK(!autoSrc->mapped());
-
-#if defined(__unix__) || defined(__APPLE__)
-        setenv("LP_NO_MMAP", "1", 1);
-        CHECK(mmapDisabledByEnv());
-        const auto forced =
-            openLibrarySource(path, StorageBackend::autoSelect);
-        CHECK(!forced->mapped());
-        CHECK(std::string(forced->kind()) == "owned-buffer");
-        if (envDisabled)
-            setenv("LP_NO_MMAP", "1", 1);
-        else
-            unsetenv("LP_NO_MMAP");
-#endif
+        const std::string empty = "iotest-empty.bin";
+        writeFile(empty, {});
+        const MappedFile m = MappedFile::map(empty);
+        CHECK(!m.mapped());
+        CHECK_EQ(m.size(), 0u);
+        m.willNeed(0, 4096);
+        m.dontNeed(0, 4096);
+        const auto msg = thrown<std::runtime_error>(
+            [&] { LivePointLibrary::load(empty); });
+        CHECK(mentions(msg, "not a live-point library"));
+        CHECK(mentions(msg, empty));
+        std::remove(empty.c_str());
     }
 
-    // Backend names are stable (they appear in tooling output).
-    CHECK(std::string(storageBackendName(StorageBackend::buffer)) ==
-          "owned-buffer");
-    CHECK(std::string(storageBackendName(StorageBackend::mapped)) ==
-          "mmap");
-    CHECK(std::string(storageBackendName(
-              StorageBackend::autoSelect)) == "auto");
+    // A failed map is the load's error: the IoError names the file
+    // and carries the errno, and nothing falls back to reading the
+    // file some other way. The same load succeeds once disarmed.
+    {
+        const TinyLib t = buildTinyLibrary("iotest", 120'000, 3, 6);
+        const std::string libPath = "iotest-lib.lpl";
+        t.lib.save(libPath);
+
+        FailpointSpec spec;
+        spec.trigger = FailpointSpec::Trigger::nth;
+        spec.n = 1;
+        spec.err = ENOMEM;
+        armFailpoint("io.mmap.map", spec);
+        int err = 0;
+        const auto msg = thrown<IoError>(
+            [&] { LivePointLibrary::load(libPath); }, &err);
+        disarmAllFailpoints();
+        CHECK(mentions(msg, libPath));
+        CHECK(mentions(msg, std::strerror(ENOMEM)));
+        CHECK_EQ(err, ENOMEM);
+
+        spec.err = EACCES;
+        armFailpoint("io.mmap.open", spec);
+        err = 0;
+        CHECK(mentions(thrown<IoError>(
+                           [&] { LivePointLibrary::load(libPath); },
+                           &err),
+                       libPath));
+        disarmAllFailpoints();
+        CHECK_EQ(err, EACCES);
+
+        const LivePointLibrary back = LivePointLibrary::load(libPath);
+        CHECK_EQ(back.backingBytes(), std::filesystem::file_size(libPath));
+        CHECK(identicalRecords(back, t.lib));
+        CHECK_EQ(back.contentHash(), t.lib.contentHash());
+        std::remove(libPath.c_str());
+    }
 
     std::remove(path.c_str());
     return TEST_MAIN_RESULT();

@@ -6,10 +6,8 @@
  * section boundary, must produce a clean load error, never a crash;
  * crafted record counts must fail by name before they size a buffer;
  * and a replay producer's chain-cache scratch must decode, and fail,
- * exactly as a default scratch does. Every load-facing check runs
- * through each storage backend (owned
- * buffer and mmap): the backends must be indistinguishable except in
- * how the bytes are held. Also the sharded fleet store (LibrarySet):
+ * exactly as a default scratch does. A loaded library maps its file
+ * and refuses appends. Also the sharded fleet store (LibrarySet):
  * streaming writes, lazy opens, index metadata, and integrity
  * failures.
  */
@@ -76,17 +74,8 @@ main()
     const SampleDesign &design = t.design;
     LivePointLibrary &lib = t.lib;
 
-    // Every backend the build supports; each load-facing check runs
-    // against all of them.
-    std::vector<StorageBackend> backends{StorageBackend::buffer};
-    if (mmapSupported() && !mmapDisabledByEnv())
-        backends.push_back(StorageBackend::mapped);
-
     // An in-memory build holds its records in the append arena.
-    CHECK(lib.storageKind() == "arena");
-    CHECK(!lib.mappedBacking());
     CHECK_EQ(lib.backingBytes(), 0u);
-    CHECK(lib.pinnedBytes() >= lib.totalCompressedBytes());
 
     CHECK_EQ(lib.size(), design.count);
     CHECK(lib.benchmark() == "libtest");
@@ -171,41 +160,41 @@ main()
         CHECK(loaded.get(i).serialize() == lib.get(i).serialize());
     }
 
-    // Backend matrix: the same container through every backend must
-    // be record-identical, hash-identical, and decode-identical —
-    // only the self-description differs.
+    // The loaded library maps the container: record-identical,
+    // hash-identical and decode-identical to the build, and read-only.
     {
-        for (const StorageBackend backend : backends) {
-            const LivePointLibrary b =
-                LivePointLibrary::load(path, backend);
-            CHECK(b.storageKind() == storageBackendName(backend));
-            CHECK_EQ(b.mappedBacking(), backend == StorageBackend::mapped);
-            CHECK_EQ(b.backingBytes(), std::filesystem::file_size(path));
-            // A mapped library pins no heap for its records; a
-            // buffered one pins the whole file.
-            CHECK_EQ(b.pinnedBytes(), backend == StorageBackend::mapped
-                                          ? 0u
-                                          : b.backingBytes());
-            CHECK(identicalRecords(b, loaded));
-            CHECK_EQ(b.contentHash(), lib.contentHash());
-            for (std::size_t i = 0; i < lib.size(); ++i)
-                CHECK_EQ(b.rawSize(i), lib.rawSize(i));
-            Blob scratch;
-            LivePoint pt;
-            for (const std::size_t i :
-                 {std::size_t{0}, lib.size() / 2, lib.size() - 1}) {
-                // Prefetch/release hints around a decode must never
-                // change its result.
-                b.prefetchRecord(i);
-                b.decodeInto(i, scratch, pt);
-                b.releaseRecord(i);
-                CHECK(pt.serialize() == lib.get(i).serialize());
-            }
+        CHECK_EQ(loaded.backingBytes(), std::filesystem::file_size(path));
+        CHECK(identicalRecords(loaded, lib));
+        CHECK_EQ(loaded.contentHash(), lib.contentHash());
+        for (std::size_t i = 0; i < lib.size(); ++i)
+            CHECK_EQ(loaded.rawSize(i), lib.rawSize(i));
+        Blob scratch;
+        LivePoint pt;
+        for (const std::size_t i :
+             {std::size_t{0}, lib.size() / 2, lib.size() - 1}) {
+            // Prefetch/release hints around a decode must never
+            // change its result.
+            loaded.prefetchRecord(i);
+            loaded.decodeInto(i, scratch, pt);
+            loaded.releaseRecord(i);
+            CHECK(pt.serialize() == lib.get(i).serialize());
         }
-        // autoSelect picks mmap exactly when available and enabled.
-        const LivePointLibrary a = LivePointLibrary::load(path);
-        CHECK_EQ(a.mappedBacking(),
-                 mmapSupported() && !mmapDisabledByEnv());
+        auto refused = [](const std::function<void()> &append) {
+            try {
+                append();
+            } catch (const std::logic_error &) {
+                return true;
+            }
+            return false;
+        };
+        LivePointLibrary appended = loaded;
+        const ByteSpan rec = lib.record(0);
+        CHECK(refused([&] {
+            appended.addEncoded(Blob(rec.data, rec.data + rec.size),
+                                lib.rawSize(0), lib.windowIndex(0), 0, 0);
+        }));
+        CHECK(refused([&] { appended.reserve(rec.size, 1); }));
+        CHECK(identicalRecords(appended, lib));
     }
     std::remove(path.c_str());
 
@@ -239,15 +228,13 @@ main()
 
     // LPLIB3 robustness: corrupting any header field or any
     // record-table field, or truncating at any section boundary, must
-    // produce a clean load error — identically through every storage
-    // backend (the checks live above the backend, so neither path may
-    // diverge).
-    for (const StorageBackend backend : backends) {
+    // produce a clean load error.
+    {
         const std::string pbad = "libtest-corrupt.lpl";
         lib.save(pbad);
         const Blob good = slurpFile(pbad);
         CHECK(good.size() > 64 + lib.size() * 32);
-        CHECK((LivePointLibrary::load(pbad, backend), true));
+        CHECK((LivePointLibrary::load(pbad), true));
 
         // Header fields at offsets 8..56: version, count, metaOffset,
         // metaSize, tableOffset, dataOffset, fileSize. Each corrupted
@@ -261,7 +248,7 @@ main()
                     for (std::size_t j = 0; j < 8; ++j)
                         bad[off + j] = 0xff;
                 spewFile(pbad, bad);
-                CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+                CHECK_THROWS(LivePointLibrary::load(pbad));
             }
         }
         // Magic corruption: no container load() accepts, and the
@@ -269,7 +256,7 @@ main()
         auto rejectedNamingFile = [&](const Blob &bad) {
             spewFile(pbad, bad);
             try {
-                (void)LivePointLibrary::load(pbad, backend);
+                (void)LivePointLibrary::load(pbad);
                 CHECK(false);
             } catch (const std::exception &e) {
                 CHECK(std::string(e.what()).find(pbad) !=
@@ -324,7 +311,7 @@ main()
                 Blob bad = good;
                 bad[tableAt + rec * 32 + field] ^= 0x01;
                 spewFile(pbad, bad);
-                CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+                CHECK_THROWS(LivePointLibrary::load(pbad));
             }
             // rawSize and index are accounting, not layout: the file
             // still loads, but decoding the record must fail the
@@ -335,7 +322,7 @@ main()
                 bad[tableAt + rec * 32 + field] ^= 0x01;
                 spewFile(pbad, bad);
                 const LivePointLibrary damaged =
-                    LivePointLibrary::load(pbad, backend);
+                    LivePointLibrary::load(pbad);
                 CHECK_THROWS(damaged.get(rec));
             }
         }
@@ -357,19 +344,19 @@ main()
             Blob bad(good.begin(),
                      good.begin() + static_cast<std::ptrdiff_t>(cut));
             spewFile(pbad, bad);
-            CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+            CHECK_THROWS(LivePointLibrary::load(pbad));
         }
         {
             Blob bad = good;
             bad.push_back(0);
             spewFile(pbad, bad);
-            CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+            CHECK_THROWS(LivePointLibrary::load(pbad));
         }
 
         // The pristine bytes still load after all of the above (the
         // corruption harness itself is sound).
         spewFile(pbad, good);
-        CHECK((LivePointLibrary::load(pbad, backend), true));
+        CHECK((LivePointLibrary::load(pbad), true));
         std::remove(pbad.c_str());
     }
 
@@ -377,8 +364,8 @@ main()
     // library file reaches the record parsers as is): wire counts
     // that would size a buffer far past the record, and a block count
     // whose product with the block size wraps 64 bits. Each must be
-    // rejected with a runtime_error naming its section, through every
-    // backend — never an allocation failure or a write past a buffer.
+    // rejected with a runtime_error naming its section — never an
+    // allocation failure or a write past a buffer.
     {
         const LivePoint p0 = lib.get(0);
         enum class Craft { csrCount, imageCount, imageWrap, imageBlock };
@@ -443,26 +430,24 @@ main()
             const char *section = c == Craft::csrCount
                                       ? "cache set record"
                                       : "memory image";
-            for (const StorageBackend backend : backends) {
-                const LivePointLibrary loaded =
-                    LivePointLibrary::load(pcraft, backend);
-                bool named = false;
-                try {
-                    loaded.get(0);
-                } catch (const std::runtime_error &e) {
-                    named = std::string(e.what()).find(section) !=
-                            std::string::npos;
-                }
-                CHECK(named);
+            const LivePointLibrary loaded =
+                LivePointLibrary::load(pcraft);
+            bool named = false;
+            try {
+                loaded.get(0);
+            } catch (const std::runtime_error &e) {
+                named = std::string(e.what()).find(section) !=
+                        std::string::npos;
             }
+            CHECK(named);
         }
         std::remove(pcraft.c_str());
     }
 
     // Checkpoint economics: a delta-chained library (LPLIB4) decodes
     // point-for-point identically to the plain build, stores fewer
-    // bytes, and survives save/load/shuffle through every backend
-    // with strict corruption detection.
+    // bytes, and survives save/load/shuffle with strict corruption
+    // detection.
     {
         TinyLib tc = buildTinyLibrary(
             "libtest", 400'000, 5, 40, {cfg}, 0,
@@ -512,22 +497,20 @@ main()
             std::remove(p3.c_str());
         }
 
-        for (const StorageBackend backend : backends) {
-            const LivePointLibrary b =
-                LivePointLibrary::load(p4, backend);
-            CHECK(identicalRecords(b, clib));
-            CHECK_EQ(b.contentHash(), clib.contentHash());
-            CHECK_EQ(b.deltaCount(), clib.deltaCount());
-            LivePointDecodeScratch scratch;
-            LivePoint p;
-            for (std::size_t i = 0; i < b.size(); ++i) {
-                CHECK_EQ(b.recordFlags(i), clib.recordFlags(i));
-                CHECK_EQ(b.chargeBytes(i), clib.chargeBytes(i));
-                b.prefetchRecord(i);
-                b.decodeInto(i, scratch, p);
-                b.releaseRecord(i);
-                CHECK(p.serialize() == lib.get(i).serialize());
-            }
+        const LivePointLibrary b =
+            LivePointLibrary::load(p4);
+        CHECK(identicalRecords(b, clib));
+        CHECK_EQ(b.contentHash(), clib.contentHash());
+        CHECK_EQ(b.deltaCount(), clib.deltaCount());
+        LivePointDecodeScratch scratch;
+        LivePoint p;
+        for (std::size_t i = 0; i < b.size(); ++i) {
+            CHECK_EQ(b.recordFlags(i), clib.recordFlags(i));
+            CHECK_EQ(b.chargeBytes(i), clib.chargeBytes(i));
+            b.prefetchRecord(i);
+            b.decodeInto(i, scratch, p);
+            b.releaseRecord(i);
+            CHECK(p.serialize() == lib.get(i).serialize());
         }
 
         // Shuffle -> save -> reload: delta chains link records by
@@ -540,44 +523,42 @@ main()
             CHECK_EQ(sh.deltaCount(), clib.deltaCount());
             const std::string psh = "libtest-lpl4-shuffled.lpl";
             sh.save(psh);
-            for (const StorageBackend backend : backends) {
-                const LivePointLibrary b =
-                    LivePointLibrary::load(psh, backend);
-                CHECK(identicalRecords(b, sh));
-                CHECK_EQ(b.contentHash(), sh.contentHash());
-                LivePointDecodeScratch scratch;
-                LivePoint p;
-                for (std::size_t i = 0; i < b.size(); ++i) {
-                    CHECK_EQ(b.windowIndex(i), sh.windowIndex(i));
-                    CHECK_EQ(b.chainDepth(i), sh.chainDepth(i));
-                    CHECK_EQ(b.chainDepth(i) == 0,
-                             !(b.recordFlags(i) &
-                               LivePointLibrary::kFlagDelta));
-                    b.decodeInto(i, scratch, p);
-                    CHECK(p.serialize() ==
-                          lib.get(b.windowIndex(i)).serialize());
-                }
-
-                // A replay producer's scratch (a chain cache of 16)
-                // visiting in shuffled order decodes every record
-                // exactly as a fresh scratch does, while walking
-                // fewer records than cold walks (depth + 1 each).
-                LivePointDecodeScratch cached;
-                cached.keepChains = 16;
-                std::size_t walked = 0;
-                std::size_t cold = 0;
-                for (const std::size_t i : replayOrder(b.size(), 41)) {
-                    LivePointDecodeScratch fresh;
-                    LivePoint q;
-                    b.decodeInto(i, cached, p);
-                    b.decodeInto(i, fresh, q);
-                    CHECK(p.serialize() == q.serialize());
-                    CHECK(cached.payload == fresh.payload);
-                    walked += cached.chain.size();
-                    cold += b.chainDepth(i) + 1;
-                }
-                CHECK(walked < cold);
+            const LivePointLibrary b =
+                LivePointLibrary::load(psh);
+            CHECK(identicalRecords(b, sh));
+            CHECK_EQ(b.contentHash(), sh.contentHash());
+            LivePointDecodeScratch scratch;
+            LivePoint p;
+            for (std::size_t i = 0; i < b.size(); ++i) {
+                CHECK_EQ(b.windowIndex(i), sh.windowIndex(i));
+                CHECK_EQ(b.chainDepth(i), sh.chainDepth(i));
+                CHECK_EQ(b.chainDepth(i) == 0,
+                         !(b.recordFlags(i) &
+                           LivePointLibrary::kFlagDelta));
+                b.decodeInto(i, scratch, p);
+                CHECK(p.serialize() ==
+                      lib.get(b.windowIndex(i)).serialize());
             }
+
+            // A replay producer's scratch (a chain cache of 16)
+            // visiting in shuffled order decodes every record
+            // exactly as a fresh scratch does, while walking
+            // fewer records than cold walks (depth + 1 each).
+            LivePointDecodeScratch cached;
+            cached.keepChains = 16;
+            std::size_t walked = 0;
+            std::size_t cold = 0;
+            for (const std::size_t i : replayOrder(b.size(), 41)) {
+                LivePointDecodeScratch fresh;
+                LivePoint q;
+                b.decodeInto(i, cached, p);
+                b.decodeInto(i, fresh, q);
+                CHECK(p.serialize() == q.serialize());
+                CHECK(cached.payload == fresh.payload);
+                walked += cached.chain.size();
+                cold += b.chainDepth(i) + 1;
+            }
+            CHECK(walked < cold);
             std::remove(psh.c_str());
         }
 
@@ -650,40 +631,37 @@ main()
             // decode throws — and no decode may return wrong bytes.
             auto mustFail = [&](const Blob &bad) {
                 spewFile(pbad, bad);
-                for (const StorageBackend backend : backends) {
-                    LivePointDecodeScratch scratch;
-                    LivePoint p;
-                    bool anyThrew = false;
-                    bool wrongBytes = false;
-                    try {
-                        const LivePointLibrary damaged =
-                            LivePointLibrary::load(pbad, backend);
-                        for (std::size_t i = 0; i < damaged.size();
-                             ++i) {
-                            try {
-                                damaged.decodeInto(i, scratch, p);
-                                if (p.serialize() !=
-                                    lib.get(damaged.windowIndex(i))
-                                        .serialize())
-                                    wrongBytes = true;
-                            } catch (const std::exception &) {
-                                anyThrew = true;
-                            }
+                LivePointDecodeScratch scratch;
+                LivePoint p;
+                bool anyThrew = false;
+                bool wrongBytes = false;
+                try {
+                    const LivePointLibrary damaged =
+                        LivePointLibrary::load(pbad);
+                    for (std::size_t i = 0; i < damaged.size();
+                         ++i) {
+                        try {
+                            damaged.decodeInto(i, scratch, p);
+                            if (p.serialize() !=
+                                lib.get(damaged.windowIndex(i))
+                                    .serialize())
+                                wrongBytes = true;
+                        } catch (const std::exception &) {
+                            anyThrew = true;
                         }
-                        sameThroughChainCache(damaged);
-                    } catch (const std::exception &) {
-                        anyThrew = true;
                     }
-                    CHECK(anyThrew);
-                    CHECK(!wrongBytes);
+                    sameThroughChainCache(damaged);
+                } catch (const std::exception &) {
+                    anyThrew = true;
                 }
+                CHECK(anyThrew);
+                CHECK(!wrongBytes);
             };
 
-            // Load itself must refuse the file, through every backend.
+            // Load itself must refuse the file.
             auto mustReject = [&](const Blob &bad) {
                 spewFile(pbad, bad);
-                for (const StorageBackend backend : backends)
-                    CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+                CHECK_THROWS(LivePointLibrary::load(pbad));
             };
             auto putU64At = [](Blob &b, std::size_t off, std::uint64_t v) {
                 for (unsigned j = 0; j < 8; ++j)
@@ -762,22 +740,20 @@ main()
                     Blob bad = good;
                     bad[tableAt + b * 56 + 16] ^= 0x01;
                     spewFile(pbad, bad);
-                    for (const StorageBackend backend : backends) {
-                        const LivePointLibrary damaged =
-                            LivePointLibrary::load(pbad, backend);
-                        LivePointDecodeScratch scratch;
-                        LivePoint p;
-                        damaged.decodeInto(a, scratch, p);
-                        CHECK_THROWS(damaged.decodeInto(b, scratch, p));
-                        bool ok = true;
-                        try {
-                            damaged.decodeInto(a + 1, scratch, p);
-                        } catch (const std::exception &) {
-                            ok = false;
-                        }
-                        CHECK(ok && p.serialize() == plainRaw[a + 1]);
-                        sameThroughChainCache(damaged);
+                    const LivePointLibrary damaged =
+                        LivePointLibrary::load(pbad);
+                    LivePointDecodeScratch scratch;
+                    LivePoint p;
+                    damaged.decodeInto(a, scratch, p);
+                    CHECK_THROWS(damaged.decodeInto(b, scratch, p));
+                    bool ok = true;
+                    try {
+                        damaged.decodeInto(a + 1, scratch, p);
+                    } catch (const std::exception &) {
+                        ok = false;
                     }
+                    CHECK(ok && p.serialize() == plainRaw[a + 1]);
+                    sameThroughChainCache(damaged);
                 }
             }
             // A flipped window index on delta record 1 fails that
@@ -790,24 +766,22 @@ main()
                 Blob bad = good;
                 bad[tableAt + 1 * 56 + 24] ^= 0x01;
                 spewFile(pbad, bad);
-                for (const StorageBackend backend : backends) {
-                    const LivePointLibrary damaged =
-                        LivePointLibrary::load(pbad, backend);
-                    LivePointDecodeScratch scratch;
-                    LivePoint p;
-                    std::size_t failures = 0;
-                    for (std::size_t i = 0; i < damaged.size(); ++i) {
-                        try {
-                            damaged.decodeInto(i, scratch, p);
-                            CHECK(p.serialize() == lib.get(i).serialize());
-                        } catch (const std::exception &) {
-                            ++failures;
-                            CHECK_EQ(i, 1u);
-                        }
+                const LivePointLibrary damaged =
+                    LivePointLibrary::load(pbad);
+                LivePointDecodeScratch scratch;
+                LivePoint p;
+                std::size_t failures = 0;
+                for (std::size_t i = 0; i < damaged.size(); ++i) {
+                    try {
+                        damaged.decodeInto(i, scratch, p);
+                        CHECK(p.serialize() == lib.get(i).serialize());
+                    } catch (const std::exception &) {
+                        ++failures;
+                        CHECK_EQ(i, 1u);
                     }
-                    CHECK_EQ(failures, 1u);
-                    sameThroughChainCache(damaged);
                 }
+                CHECK_EQ(failures, 1u);
+                sameThroughChainCache(damaged);
             }
             // Truncation at the section boundaries.
             for (const std::size_t cut :
@@ -936,8 +910,10 @@ main()
                                    other.lib));
         }
 
-        for (const StorageBackend backend : backends) {
-            const LibrarySet set = LibrarySet::open(dir, backend);
+        // Lazy opens: the set maps a shard on first access and
+        // unmaps it on unload.
+        {
+            const LibrarySet set = LibrarySet::open(dir);
             CHECK_EQ(set.size(), 3u);
             CHECK_EQ(set.loadedCount(), 0u); // open touches no shard
             CHECK_EQ(set.find("wl-a"), 0u);
@@ -955,21 +931,16 @@ main()
             CHECK(!set.isLoaded(1));
             CHECK_EQ(set.loadedCount(), 1u);
             CHECK(identicalRecords(s0, lib));
-            CHECK_EQ(s0.mappedBacking(),
-                     backend == StorageBackend::mapped);
             CHECK(set.fileBytes(0) > 0);
-            if (backend == StorageBackend::mapped) {
-                CHECK_EQ(set.mappedBytes(), s0.backingBytes());
-                CHECK_EQ(set.pinnedBytes(), 0u);
-            } else {
-                CHECK_EQ(set.mappedBytes(), 0u);
-                CHECK_EQ(set.pinnedBytes(), s0.backingBytes());
-            }
+            CHECK_EQ(s0.backingBytes(), set.fileBytes(0));
+            CHECK_EQ(set.mappedBytes(), set.fileBytes(0));
             CHECK(identicalRecords(set.shard(1), other.lib));
             CHECK_EQ(set.loadedCount(), 2u);
+            CHECK_EQ(set.mappedBytes(), set.fileBytes(0) + set.fileBytes(1));
             set.unload(0);
             CHECK(!set.isLoaded(0));
             CHECK_EQ(set.loadedCount(), 1u);
+            CHECK_EQ(set.mappedBytes(), set.fileBytes(1));
             // A reopened shard is the same library again.
             CHECK(identicalRecords(set.shard(0), lib));
         }

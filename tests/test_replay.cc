@@ -3,11 +3,11 @@
  * fresh-context results exactly, and the block-synchronous runners
  * produce bit-identical estimates at every thread count — with and
  * without early stopping, which must stop at the same block prefix
- * everywhere. The storage matrix: every backend (in-memory arena,
- * owned-buffer load, mmap load) and the resident-budget streaming
- * mode must reproduce the same bits at threads 1/2/4, stopping
- * included. At one decode producer, the engine's count of records
- * decoded repeats exactly and beats cache-less chain walks.
+ * everywhere. The storage matrix: the in-memory build, its mapped
+ * load and the resident-budget streaming mode must reproduce the same
+ * bits at threads 1/2/4, stopping included. At one decode producer,
+ * the engine's count of records decoded repeats exactly and beats
+ * cache-less chain walks.
  */
 
 #include "test_util.hh"
@@ -248,16 +248,15 @@ main()
     }
 
     // Storage matrix: a loaded library must replay bit-identically to
-    // the in-memory build through every backend, with and without a
-    // resident budget, at every thread count — the storage layer may
-    // decide where bytes live, never what the estimate is.
+    // the in-memory build, with and without a resident budget, at
+    // every thread count — the storage layer may decide where bytes
+    // live, never what the estimate is.
     {
         const std::string path = "replaytest-backend.lpl";
         lib.save(path);
 
-        std::vector<StorageBackend> backends{StorageBackend::buffer};
-        if (mmapSupported() && !mmapDisabledByEnv())
-            backends.push_back(StorageBackend::mapped);
+        const LivePointLibrary loaded = LivePointLibrary::load(path);
+        CHECK_EQ(loaded.contentHash(), lib.contentHash());
 
         for (const bool stopping : {false, true}) {
             LivePointRunOptions ref;
@@ -268,38 +267,33 @@ main()
             const LivePointRunResult base =
                 runLivePoints(prog, lib, cfg, ref);
 
-            for (const StorageBackend backend : backends) {
-                const LivePointLibrary loaded =
-                    LivePointLibrary::load(path, backend);
-                CHECK_EQ(loaded.contentHash(), lib.contentHash());
-                // Budgets from generous down to below one fold block
-                // (the degenerate block-at-a-time stream); 0 = off.
-                std::uint64_t window = 0;
-                for (std::size_t i = 0; i < loaded.size(); ++i)
-                    window += loaded.compressedSize(i) +
-                              loaded.rawSize(i);
-                for (const std::uint64_t budget :
-                     {std::uint64_t{0}, window / 2, window / 4,
-                      window / 16, std::uint64_t{1}}) {
-                    for (const unsigned threads : {1u, 2u, 4u}) {
-                        LivePointRunOptions opt = ref;
-                        opt.threads = threads;
-                        opt.residentBudgetBytes = budget;
-                        const LivePointRunResult r =
-                            runLivePoints(prog, loaded, cfg, opt);
-                        CHECK_EQ(r.processed, base.processed);
-                        CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
-                        CHECK_NEAR(r.finalSnapshot.relHalfWidth,
-                                   base.finalSnapshot.relHalfWidth,
-                                   0.0);
-                        CHECK_EQ(r.unavailableLoads,
-                                 base.unavailableLoads);
-                        // A real budget must be respected whenever it
-                        // admits at least one whole fold block.
-                        if (budget >= window / 4)
-                            CHECK(r.peakResidentBytes <=
-                                  (budget ? budget : window));
-                    }
+            // Budgets from generous down to below one fold block
+            // (the degenerate block-at-a-time stream); 0 = off.
+            std::uint64_t window = 0;
+            for (std::size_t i = 0; i < loaded.size(); ++i)
+                window += loaded.compressedSize(i) +
+                          loaded.rawSize(i);
+            for (const std::uint64_t budget :
+                 {std::uint64_t{0}, window / 2, window / 4,
+                  window / 16, std::uint64_t{1}}) {
+                for (const unsigned threads : {1u, 2u, 4u}) {
+                    LivePointRunOptions opt = ref;
+                    opt.threads = threads;
+                    opt.residentBudgetBytes = budget;
+                    const LivePointRunResult r =
+                        runLivePoints(prog, loaded, cfg, opt);
+                    CHECK_EQ(r.processed, base.processed);
+                    CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
+                    CHECK_NEAR(r.finalSnapshot.relHalfWidth,
+                               base.finalSnapshot.relHalfWidth,
+                               0.0);
+                    CHECK_EQ(r.unavailableLoads,
+                             base.unavailableLoads);
+                    // A real budget must be respected whenever it
+                    // admits at least one whole fold block.
+                    if (budget >= window / 4)
+                        CHECK(r.peakResidentBytes <=
+                              (budget ? budget : window));
                 }
             }
         }
@@ -332,7 +326,7 @@ main()
 
     // Checkpoint economics: a delta-chained library must replay
     // bit-identically to the plain library — same program, same
-    // design, same shuffle — through every backend, at threads 1/2/4,
+    // design, same shuffle — loaded from its file, at threads 1/2/4,
     // with and without a resident budget. Delta records charge their
     // whole chain against the budget, so the peak stays bounded even
     // though decoding a delta pins its base.
@@ -347,9 +341,9 @@ main()
         const std::string path = "replaytest-cross.lpl";
         clib.save(path);
 
-        std::vector<StorageBackend> backends{StorageBackend::buffer};
-        if (mmapSupported() && !mmapDisabledByEnv())
-            backends.push_back(StorageBackend::mapped);
+        const LivePointLibrary loaded = LivePointLibrary::load(path);
+        CHECK_EQ(loaded.contentHash(), clib.contentHash());
+        CHECK(loaded.deltaCount() > 0);
 
         for (const bool stopping : {false, true}) {
             LivePointRunOptions ref;
@@ -362,48 +356,42 @@ main()
             const LivePointRunResult base =
                 runLivePoints(prog, lib, cfg, ref);
 
-            for (const StorageBackend backend : backends) {
-                const LivePointLibrary loaded =
-                    LivePointLibrary::load(path, backend);
-                CHECK_EQ(loaded.contentHash(), clib.contentHash());
-                CHECK(loaded.deltaCount() > 0);
-                // Budget sized off the chain charges (what the gate
-                // actually accounts), from generous down to 4x under
-                // the library's charge total; 0 = off.
-                std::uint64_t window = 0;
-                for (std::size_t i = 0; i < loaded.size(); ++i)
-                    window += loaded.chargeBytes(i);
-                for (const std::uint64_t budget :
-                     {std::uint64_t{0}, window / 2, window / 4}) {
-                    for (const unsigned threads : {1u, 2u, 4u}) {
-                        LivePointRunOptions opt = ref;
-                        opt.threads = threads;
-                        opt.residentBudgetBytes = budget;
-                        const LivePointRunResult r =
-                            runLivePoints(prog, loaded, cfg, opt);
-                        CHECK_EQ(r.processed, base.processed);
-                        CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
-                        CHECK_NEAR(r.finalSnapshot.relHalfWidth,
-                                   base.finalSnapshot.relHalfWidth,
-                                   0.0);
-                        CHECK_EQ(r.unavailableLoads,
-                                 base.unavailableLoads);
-                        if (budget >= window / 4)
-                            CHECK(r.peakResidentBytes <=
-                                  (budget ? budget : window));
-                    }
+            // Budget sized off the chain charges (what the gate
+            // actually accounts), from generous down to 4x under
+            // the library's charge total; 0 = off.
+            std::uint64_t window = 0;
+            for (std::size_t i = 0; i < loaded.size(); ++i)
+                window += loaded.chargeBytes(i);
+            for (const std::uint64_t budget :
+                 {std::uint64_t{0}, window / 2, window / 4}) {
+                for (const unsigned threads : {1u, 2u, 4u}) {
+                    LivePointRunOptions opt = ref;
+                    opt.threads = threads;
+                    opt.residentBudgetBytes = budget;
+                    const LivePointRunResult r =
+                        runLivePoints(prog, loaded, cfg, opt);
+                    CHECK_EQ(r.processed, base.processed);
+                    CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
+                    CHECK_NEAR(r.finalSnapshot.relHalfWidth,
+                               base.finalSnapshot.relHalfWidth,
+                               0.0);
+                    CHECK_EQ(r.unavailableLoads,
+                             base.unavailableLoads);
+                    if (budget >= window / 4)
+                        CHECK(r.peakResidentBytes <=
+                              (budget ? budget : window));
                 }
-                // Several producers, each with its own chain cache,
-                // decode the same points.
-                LivePointRunOptions opt = ref;
-                opt.threads = 4;
-                opt.decodeThreads = 3;
-                const LivePointRunResult r =
-                    runLivePoints(prog, loaded, cfg, opt);
-                CHECK_EQ(r.processed, base.processed);
-                CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
-                CHECK_EQ(r.unavailableLoads, base.unavailableLoads);
             }
+            // Several producers, each with its own chain cache,
+            // decode the same points.
+            LivePointRunOptions opt = ref;
+            opt.threads = 4;
+            opt.decodeThreads = 3;
+            const LivePointRunResult r =
+                runLivePoints(prog, loaded, cfg, opt);
+            CHECK_EQ(r.processed, base.processed);
+            CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
+            CHECK_EQ(r.unavailableLoads, base.unavailableLoads);
         }
 
         // Decode work inside the engine. A shuffled visit

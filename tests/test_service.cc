@@ -30,14 +30,9 @@
 #include "util/failpoint.hh"
 #include "util/log.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define LP_TEST_FORK 1
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define LP_TEST_FORK 0
-#endif
 
 namespace
 {
@@ -153,7 +148,6 @@ main()
         CHECK(!back.stopAtConfidence);
     }
 
-#if LP_TEST_FORK
     // ---- Protocol: frame integrity over a socketpair ---------------
     {
         int sp[2];
@@ -186,7 +180,6 @@ main()
         CHECK(!recvFrame(sp[1], f));
         ::close(sp[1]);
     }
-#endif
 
     // ---- Lifecycle + bit-identity at threads 1/2/4 -----------------
     {
@@ -596,7 +589,6 @@ main()
         std::filesystem::remove_all(cfg.jobsDir);
     }
 
-#if LP_TEST_FORK
     // ---- Daemon + client over the socket ---------------------------
     {
         ServiceConfig cfg;
@@ -635,7 +627,10 @@ main()
     // j-th new barrier and dies there mid-flight with >= 2 concurrent
     // jobs; each restart recovers the job directories, resumes every
     // manifest, and the eventually-completed results must be
-    // bit-identical to the standalone grid.
+    // bit-identical to the standalone grid. The first incarnation
+    // submits both jobs before it arms, so no crash can land between
+    // the two submits; a restart arms before its service recovers
+    // and resumes the job directories.
     {
         ServiceConfig cfg;
         cfg.jobsDir = "svc-jobs-crash";
@@ -648,6 +643,7 @@ main()
         // so the loop makes progress no matter where the site sits
         // relative to the ledger append.
         for (std::uint64_t hit = 2; hit <= 24 && !completed; ++hit) {
+            const bool firstIncarnation = hit == 2;
             std::fflush(stdout);
             std::fflush(stderr);
             const pid_t pid = ::fork();
@@ -655,14 +651,19 @@ main()
             if (pid == 0) {
                 // Child: exit codes only — never return into the
                 // parent's harness.
-                arm("campaign.barrier", FailpointSpec::Trigger::nth,
-                    hit, FailpointSpec::Action::crash);
+                auto armCrash = [hit] {
+                    arm("campaign.barrier", FailpointSpec::Trigger::nth,
+                        hit, FailpointSpec::Action::crash);
+                };
+                if (!firstIncarnation)
+                    armCrash();
                 try {
                     CampaignService svc(cfg);
-                    if (svc.jobIds().empty()) {
+                    if (firstIncarnation) {
                         if (!svc.submit(makeSpec(2)).accepted ||
                             !svc.submit(makeSpec(2)).accepted)
                             ::_exit(99);
+                        armCrash();
                     }
                     for (const std::uint64_t id : svc.jobIds())
                         svc.waitForJob(id);
@@ -709,7 +710,6 @@ main()
         svc.drain();
         std::filesystem::remove_all(cfg.jobsDir);
     }
-#endif // LP_TEST_FORK
 
     for (const char *dir :
          {"svc-jobs-basic", "svc-jobs-admit", "svc-jobs-resident",
