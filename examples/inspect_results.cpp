@@ -15,8 +15,6 @@
  *                      (1-16 hex digits; anything else exits 1)
  *   --json             machine-readable output: the same document the
  *                      service daemon's `query` request returns
- *   --compact          rewrite the store dropping superseded
- *                      duplicate-key records, then report as usual
  *
  * The text view prints each cell's CPI with the confidence half-width
  * the stored fold state yields under the cell's own recorded spec —
@@ -55,7 +53,7 @@ int
 main(int argc, char **argv)
 {
     std::string storePath, setDir, workload, configHex;
-    bool json = false, compact = false;
+    bool json = false;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto need = [&]() -> std::string {
@@ -71,8 +69,6 @@ main(int argc, char **argv)
             configHex = need();
         else if (a == "--json")
             json = true;
-        else if (a == "--compact")
-            compact = true;
         else if (!a.empty() && a[0] == '-')
             panic("unknown flag '%s'", a.c_str());
         else if (storePath.empty())
@@ -83,23 +79,13 @@ main(int argc, char **argv)
     if (storePath.empty()) {
         std::fprintf(stderr,
                      "usage: inspect_results <store.lpres> [--set dir] "
-                     "[--workload w] [--config hex] [--json] "
-                     "[--compact]\n");
+                     "[--workload w] [--config hex] [--json]\n");
         return 2;
     }
 
     try {
         ResultStore store;
         store.open(storePath);
-        const std::size_t superseded = store.supersededRecords();
-        if (compact && superseded > 0) {
-            const std::size_t dropped = store.compact();
-            store.save();
-            if (!json)
-                std::printf("compacted: %zu superseded records "
-                            "dropped\n",
-                            dropped);
-        }
 
         std::unordered_map<std::uint64_t, std::string> names;
         if (!setDir.empty()) {
@@ -133,8 +119,7 @@ main(int argc, char **argv)
                        configHex.c_str()));
 
         if (json) {
-            std::fputs(storeQueryJson(store, q, names, superseded).c_str(),
-                       stdout);
+            std::fputs(storeQueryJson(store, q, names).c_str(), stdout);
             return 0;
         }
 
@@ -172,11 +157,7 @@ main(int argc, char **argv)
             ++nPairs;
         }
 
-        std::printf("\n%zu cells, %zu pairs", nCells, nPairs);
-        if (superseded > 0)
-            std::printf(" (%zu superseded records%s)", superseded,
-                        compact ? ", compacted" : "");
-        std::printf("\n");
+        std::printf("\n%zu cells, %zu pairs\n", nCells, nPairs);
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "inspect_results: %s\n", e.what());

@@ -4,7 +4,7 @@
  * store and a worker-slot budget, accepts JobSpecs over a Unix domain
  * socket (see src/svc/proto.hh), schedules them concurrently,
  * supervises stuck workers, and recovers in-flight jobs across
- * restarts from their manifest ledgers.
+ * restarts from their campaign manifests.
  *
  * Usage: lpserved --set <dir> [options]
  *   --socket <path>      listen socket   (LP_SVC_SOCKET)

@@ -4,19 +4,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <stdexcept>
-
-#include <unistd.h>
 
 #include "core/replay.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
 #include "io/source.hh"
 #include "store/result_store.hh"
-#include "util/bytes.hh"
 #include "util/failpoint.hh"
 #include "util/log.hh"
 #include "util/retry.hh"
@@ -33,22 +27,12 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint64_t kManifestMagic = 0x4c50'434d'4631ull; // LPCMF1
 constexpr std::uint64_t kManifestVersion = 1;
 
-// The manifest ledger: a 16-byte header, then self-delimited
-// checksummed records, each holding one complete DER manifest image.
-// Barriers append; recovery scans forward and truncates at the first
-// invalid record.
-constexpr std::uint64_t kLedgerMagic = 0x000a'3152'474c'504cull;  // "LPLGR1\n\0"
-constexpr std::uint64_t kLedgerVersion = 1;
-constexpr std::uint64_t kRecordMagic = 0x000a'3143'4552'504cull;  // "LPREC1\n\0"
-constexpr std::size_t kLedgerHeaderBytes = 16;
-constexpr std::size_t kRecordHeaderBytes = 24; // magic, length, fnv1a
-constexpr std::uint64_t kCompactRecords = 512; //!< compact beyond this
-/** Transient ledger-append and shard-open errors: three tries, 1 ms
+/** Transient manifest-write and shard-open errors: three tries, 1 ms
  *  then 2 ms apart (jittered). */
 constexpr RetryPolicy kTransientRetry{2, 1000, 2000, 0};
 
 /**
- * A manifest append failure. Distinct from replay faults so run()'s
+ * A manifest write failure. Distinct from replay faults so run()'s
  * per-workload containment can rethrow it: a campaign that cannot
  * checkpoint must abort loudly, not keep replaying undurably.
  */
@@ -56,16 +40,6 @@ struct ManifestWriteError : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
-
-void
-truncateFile(const std::string &path, std::uint64_t size)
-{
-    std::error_code ec;
-    std::filesystem::resize_file(path, size, ec);
-    if (ec)
-        throwIoError("truncate", "campaign manifest ledger", path,
-                     ec.value());
-}
 
 double
 seconds(Clock::time_point t0)
@@ -253,132 +227,18 @@ CampaignEngine::saveManifest(const Manifest &m) const
         w.endSequence();
     }
     w.endSequence();
-    appendLedgerRecord(w.finish());
-}
+    Blob image = w.finish();
+    appendChecksumFooter(image);
 
-namespace
-{
-
-/**
- * One append attempt: seek to the end, write (header if the file is
- * fresh, then) frame + payload, flush, fsync. Any failure rewinds
- * the file to its pre-append length so a retry — or the next barrier
- * — starts from a clean tail, then throws IoError. Stdio buffers are
- * flushed between stages so a crash failpoint tears the record at a
- * deterministic on-disk boundary.
- */
-void
-appendLedgerOnce(const std::string &path, const Blob &image)
-{
-    FILE *f = std::fopen(path.c_str(), "ab");
-    if (!f)
-        throwIoError("append to", "campaign manifest ledger", path,
-                     errno);
-    std::fseek(f, 0, SEEK_END);
-    const long start = std::ftell(f);
-    auto fail = [&](const char *verb, int err) {
-        std::fclose(f);
-        if (start >= 0)
-            truncateFile(path, static_cast<std::uint64_t>(start));
-        throwIoError(verb, "campaign manifest ledger", path, err);
-    };
-
-    if (start == 0) {
-        std::uint8_t hdr[kLedgerHeaderBytes];
-        putU64le(hdr, kLedgerMagic);
-        putU64le(hdr + 8, kLedgerVersion);
-        if (std::fwrite(hdr, 1, sizeof(hdr), f) != sizeof(hdr))
-            fail("write header to", errno ? errno : EIO);
-    }
-
-    if (failpointsArmed()) {
-        const FailpointOutcome o =
-            failpointFire("campaign.ledger.frame");
-        if (o.fail)
-            fail("write record frame to", o.err);
-    }
-    std::uint8_t frame[kRecordHeaderBytes];
-    putU64le(frame, kRecordMagic);
-    putU64le(frame + 8, image.size());
-    putU64le(frame + 16, fnv1a(image.data(), image.size()));
-    if (std::fwrite(frame, 1, sizeof(frame), f) != sizeof(frame))
-        fail("write record frame to", errno ? errno : EIO);
-    std::fflush(f);
-
-    // Crash here → frame on disk, no payload: the torn tail the
-    // recovery scan must truncate.
-    if (failpointsArmed()) {
-        const FailpointOutcome o =
-            failpointFire("campaign.ledger.payload");
-        if (o.shortOp) {
-            std::fwrite(image.data(), 1, image.size() / 2, f);
-            std::fflush(f);
-            fail("write record payload to", o.err ? o.err : EIO);
-        }
-        if (o.fail)
-            fail("write record payload to", o.err);
-    }
-    if (std::fwrite(image.data(), 1, image.size(), f) != image.size())
-        fail("write record payload to", errno ? errno : EIO);
-    if (std::fflush(f) != 0)
-        fail("flush", errno ? errno : EIO);
-
-    // Crash here → complete record on disk, not yet durable: valid
-    // either way once the OS flushes.
-    if (failpointsArmed()) {
-        const FailpointOutcome o =
-            failpointFire("campaign.ledger.sync");
-        if (o.fail)
-            fail("sync", o.err);
-    }
-    if (::fsync(::fileno(f)) != 0)
-        fail("sync", errno ? errno : EIO);
-    if (std::fclose(f) != 0) {
-        if (start >= 0)
-            truncateFile(path, static_cast<std::uint64_t>(start));
-        throwIoError("close", "campaign manifest ledger", path,
-                     errno ? errno : EIO);
-    }
-}
-
-} // namespace
-
-void
-CampaignEngine::appendLedgerRecord(const Blob &image) const
-{
-    const std::string &path = opt_.manifestPath;
-
-    // Compaction: once the ledger is long, republish it as header +
-    // latest record via the atomic-write path (temp, fsync, rename)
-    // instead of appending — the file stays bounded and the swap is
-    // crash-safe.
-    if (ledgerRecords_ >= kCompactRecords) {
-        Blob out(kLedgerHeaderBytes + kRecordHeaderBytes +
-                 image.size());
-        putU64le(out.data(), kLedgerMagic);
-        putU64le(out.data() + 8, kLedgerVersion);
-        putU64le(out.data() + kLedgerHeaderBytes, kRecordMagic);
-        putU64le(out.data() + kLedgerHeaderBytes + 8, image.size());
-        putU64le(out.data() + kLedgerHeaderBytes + 16,
-                 fnv1a(image.data(), image.size()));
-        std::memcpy(out.data() + kLedgerHeaderBytes +
-                        kRecordHeaderBytes,
-                    image.data(), image.size());
-        try {
-            writeFileAtomic(path, out.data(), out.size(),
-                            "campaign manifest ledger");
-        } catch (const std::exception &e) {
-            throw ManifestWriteError(e.what());
-        }
-        ledgerRecords_ = 1;
-        return;
-    }
-
+    // The whole file is replaced at every barrier (temp, fsync,
+    // rename, directory fsync), so a crash leaves either the previous
+    // checkpoint or this one. The writer retries neither its open nor
+    // its rename; a transient failure of either retries the write.
     TransientRetry retry(kTransientRetry);
     for (;;) {
         try {
-            appendLedgerOnce(path, image);
-            ++ledgerRecords_;
+            writeFileAtomic(opt_.manifestPath, image.data(),
+                            image.size(), "campaign manifest");
             return;
         } catch (const IoError &e) {
             if (!retry.shouldRetry(e.errnum()))
@@ -400,9 +260,6 @@ CampaignEngine::loadManifest() const
     }
     if (opt_.manifestPath.empty())
         return m;
-    std::error_code ec;
-    if (!std::filesystem::exists(opt_.manifestPath, ec) || ec)
-        return m; // no manifest yet: a fresh campaign
 
     if (failpointsArmed()) {
         const FailpointOutcome o =
@@ -411,65 +268,25 @@ CampaignEngine::loadManifest() const
             throwIoError("read", "campaign manifest",
                          opt_.manifestPath, o.err);
     }
-    const Blob data =
-        readWholeFile(opt_.manifestPath, "campaign manifest");
-    if (data.empty())
-        return m; // empty ledger: nothing checkpointed yet
+    Blob data;
+    try {
+        data = readWholeFile(opt_.manifestPath, "campaign manifest");
+    } catch (const IoError &e) {
+        if (e.errnum() == ENOENT)
+            return m; // no manifest yet: a fresh campaign
+        throw;
+    }
 
-    // Extract the newest durable manifest image. The ledger is scanned
-    // record by record; the scan stops at the first invalid record
-    // (torn tail, flipped byte, truncation) and the file is cut back
-    // to the last valid boundary. Only a file whose bytes are a
-    // prefix of the ledger header counts as a header torn mid-write;
-    // anything else is not ours to truncate.
-    std::uint8_t header[kLedgerHeaderBytes];
-    putU64le(header, kLedgerMagic);
-    putU64le(header + 8, kLedgerVersion);
-    if (data.size() < kLedgerHeaderBytes &&
-        std::memcmp(data.data(), header, data.size()) == 0) {
-        truncateFile(opt_.manifestPath, 0);
-        return m;
-    }
-    if (data.size() < kLedgerHeaderBytes ||
-        getU64le(data.data()) != kLedgerMagic)
+    // Every write replaces the whole file atomically, so a crash never
+    // leaves a torn manifest: a file without an intact footer was
+    // damaged from outside, or is some other file. Either way it is
+    // rejected and left as it is.
+    std::size_t payloadSize = 0;
+    if (!checksummedPayload(data.data(), data.size(), &payloadSize))
         throw std::runtime_error(
-            strfmt("campaign: '%s' is not a campaign manifest "
-                   "(bad ledger magic)",
+            strfmt("campaign: '%s' is not a campaign manifest (torn "
+                   "or corrupt)",
                    opt_.manifestPath.c_str()));
-    if (getU64le(data.data() + 8) != kLedgerVersion)
-        throw std::runtime_error(
-            strfmt("campaign: manifest ledger '%s' has an "
-                   "unsupported version",
-                   opt_.manifestPath.c_str()));
-    Blob image;
-    std::uint64_t records = 0;
-    std::size_t offset = kLedgerHeaderBytes;
-    std::size_t valid = offset;
-    while (offset + kRecordHeaderBytes <= data.size()) {
-        const std::uint8_t *rec = data.data() + offset;
-        if (getU64le(rec) != kRecordMagic)
-            break;
-        const std::uint64_t len = getU64le(rec + 8);
-        if (len == 0 || len > data.size() - offset - kRecordHeaderBytes)
-            break;
-        const std::uint8_t *payload = rec + kRecordHeaderBytes;
-        if (fnv1a(payload, static_cast<std::size_t>(len)) !=
-            getU64le(rec + 16))
-            break;
-        image.assign(payload, payload + len);
-        offset += kRecordHeaderBytes + static_cast<std::size_t>(len);
-        valid = offset;
-        ++records;
-    }
-    if (valid < data.size()) {
-        warn("campaign: manifest ledger '%s' has a torn tail "
-             "(%zu of %zu bytes valid), truncating",
-             opt_.manifestPath.c_str(), valid, data.size());
-        truncateFile(opt_.manifestPath, valid);
-    }
-    ledgerRecords_ = records;
-    if (image.empty())
-        return m; // header only: nothing checkpointed yet
 
     auto mismatch = [this](const char *what) {
         return std::runtime_error(
@@ -478,7 +295,7 @@ CampaignEngine::loadManifest() const
                    opt_.manifestPath.c_str(), what));
     };
 
-    DerReader top(image);
+    DerReader top(ByteSpan(data.data(), payloadSize));
     DerReader seq = top.getSequence();
     if (seq.getUint() != kManifestMagic ||
         seq.getUint() != kManifestVersion)
@@ -529,13 +346,6 @@ CampaignEngine::loadManifest() const
             p = getStatState(ws);
     }
     m.restored = true;
-
-    // Bound a ledger that grew long across runs: republish as
-    // header + one record.
-    if (records > kCompactRecords) {
-        ledgerRecords_ = kCompactRecords; // force the compact path
-        appendLedgerRecord(image);
-    }
     return m;
 }
 

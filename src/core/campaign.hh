@@ -28,13 +28,13 @@
  *    digest) at every block barrier; a killed campaign resumes
  *    without re-replaying finished work and finishes with results
  *    bit-identical to the uninterrupted run.
- *  - **Crash safety.** The manifest is an append-only ledger of
- *    self-delimited, checksummed barrier records. A crash mid-append
- *    (kill -9, power loss, ENOSPC) leaves at worst a torn tail
- *    record; recovery scans forward, truncates at the first invalid
- *    record, and resumes from the last durable barrier — never from
- *    corrupt state, never by throwing. Each append is fsync'd, and
- *    the ledger is compacted (atomically) when it grows long.
+ *  - **Crash safety.** Each barrier replaces the whole manifest file
+ *    atomically (temp, fsync, rename, directory fsync): one DER image
+ *    plus a 16-byte checksum footer. A crash (kill -9, power loss,
+ *    ENOSPC) leaves the previous barrier's file or this one's, never
+ *    a torn one, and the resume starts from it. A file without an
+ *    intact footer was damaged from outside; the run rejects it,
+ *    naming the file, and leaves it as it is.
  *  - **Degraded-set tolerance.** A workload whose shard is
  *    quarantined (see LibrarySet::openRecover) or fails to open is
  *    marked failed-with-reason cell by cell; the campaign keeps
@@ -317,7 +317,6 @@ class CampaignEngine
 
     Manifest loadManifest() const;
     void saveManifest(const Manifest &m) const;
-    void appendLedgerRecord(const Blob &image) const;
     /** Result-store identity of cell (workload @p w, config @p c). */
     ResultKey cellKey(std::size_t w, std::size_t c) const;
 
@@ -329,7 +328,6 @@ class CampaignEngine
     std::vector<std::uint64_t> libSizes_;  //!< per-workload point count
     CampaignOptions opt_;
     std::size_t blockSize_;
-    mutable std::uint64_t ledgerRecords_ = 0; //!< appended since compaction
 };
 
 } // namespace lp

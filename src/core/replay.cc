@@ -562,7 +562,7 @@ ReplayEngine::run(
                         "stuck replay aborted by supervisor");
                     return true;
                 }
-                if (!failpointsArmed())
+                if (!failpointArmed("replay.cell"))
                     return false; // disarmed: the stall recovered
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));

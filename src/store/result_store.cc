@@ -141,27 +141,6 @@ decodePair(const std::uint8_t *p, const std::string &path)
     return r;
 }
 
-/**
- * Index @p recs by key, front to back with overwrite: last writer
- * wins for duplicate keys, matching the container's append
- * semantics. Returns the number of records shadowed.
- */
-template <typename Index, typename Record>
-std::size_t
-indexRecords(Index &idx, const std::vector<Record> &recs)
-{
-    idx.clear();
-    std::size_t shadowed = 0;
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        const auto [it, fresh] = idx.try_emplace(recs[i].key, i);
-        if (!fresh) {
-            it->second = i;
-            ++shadowed;
-        }
-    }
-    return shadowed;
-}
-
 /** Insert @p rec, or overwrite the record stored under its key. */
 template <typename Index, typename Record>
 void
@@ -186,19 +165,6 @@ lookup(const Index &idx, const std::vector<Record> &recs, const Key &key,
     if (out)
         *out = recs[it->second];
     return true;
-}
-
-/** The records the index still maps to, in file order. */
-template <typename Index, typename Record>
-std::vector<Record>
-survivors(const Index &idx, const std::vector<Record> &recs)
-{
-    std::vector<Record> out;
-    out.reserve(idx.size());
-    for (std::size_t i = 0; i < recs.size(); ++i)
-        if (idx.at(recs[i].key) == i)
-            out.push_back(recs[i]);
-    return out;
 }
 
 } // namespace
@@ -266,7 +232,6 @@ ResultStore::open(const std::string &path)
         pairs_.clear();
         cellIdx_.clear();
         pairIdx_.clear();
-        superseded_ = 0;
     }
     std::lock_guard<std::mutex> lock(mu_);
     path_ = path;
@@ -319,8 +284,12 @@ ResultStore::parseLocked(const std::uint8_t *data, std::size_t size,
     const std::uint8_t *cellBase = index + nCells * 8;
     const std::uint8_t *pairBase = cellBase + nCells * kCellBytes;
 
+    // save() writes each key once, so a repeated key (judged on the
+    // full identity, as the index is) means the file is corrupt.
     std::vector<CellRecord> cells;
     std::vector<PairRecord> pairs;
+    std::unordered_map<ResultKey, std::size_t, ResultKeyHash> cellIdx;
+    std::unordered_map<PairKey, std::size_t, PairKeyHash> pairIdx;
     cells.reserve(nCells);
     pairs.reserve(nPairs);
     for (std::uint64_t i = 0; i < nCells; ++i) {
@@ -328,21 +297,21 @@ ResultStore::parseLocked(const std::uint8_t *data, std::size_t size,
             decodeCell(cellBase + i * kCellBytes, path);
         if (getU64le(index + i * 8) != rec.key.hash())
             badStore(path, "index entry disagrees with its record");
+        if (!cellIdx.try_emplace(rec.key, cells.size()).second)
+            badStore(path, "duplicate key");
         cells.push_back(rec);
     }
-    for (std::uint64_t i = 0; i < nPairs; ++i)
-        pairs.push_back(decodePair(pairBase + i * kPairBytes, path));
+    for (std::uint64_t i = 0; i < nPairs; ++i) {
+        PairRecord rec = decodePair(pairBase + i * kPairBytes, path);
+        if (!pairIdx.try_emplace(rec.key, pairs.size()).second)
+            badStore(path, "duplicate key");
+        pairs.push_back(rec);
+    }
 
     cells_ = std::move(cells);
     pairs_ = std::move(pairs);
-    rebuildIndexLocked();
-}
-
-void
-ResultStore::rebuildIndexLocked()
-{
-    superseded_ = indexRecords(cellIdx_, cells_) +
-                  indexRecords(pairIdx_, pairs_);
+    cellIdx_ = std::move(cellIdx);
+    pairIdx_ = std::move(pairIdx);
 }
 
 Blob
@@ -464,27 +433,6 @@ ResultStore::pairCount() const
     return pairs_.size();
 }
 
-std::size_t
-ResultStore::supersededRecords() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return superseded_;
-}
-
-std::size_t
-ResultStore::compact()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<CellRecord> cells = survivors(cellIdx_, cells_);
-    std::vector<PairRecord> pairs = survivors(pairIdx_, pairs_);
-    const std::size_t removed = (cells_.size() - cells.size()) +
-                                (pairs_.size() - pairs.size());
-    cells_ = std::move(cells);
-    pairs_ = std::move(pairs);
-    rebuildIndexLocked();
-    return removed;
-}
-
 std::string
 ResultStore::path() const
 {
@@ -555,8 +503,7 @@ StoreQuery::matches(const PairRecord &p) const
 
 std::string
 storeQueryJson(const ResultStore &store, const StoreQuery &q,
-               const std::unordered_map<std::uint64_t, std::string> &names,
-               std::size_t superseded)
+               const std::unordered_map<std::uint64_t, std::string> &names)
 {
     auto libLabel = [&names](std::uint64_t h) {
         const auto it = names.find(h);
@@ -567,9 +514,8 @@ storeQueryJson(const ResultStore &store, const StoreQuery &q,
     // "key": value spacing throughout: CI and perfbench grep the
     // cell_count and cpi_bits fields as written.
     std::string out = strfmt("{\n  \"store\": \"%s\",\n"
-                             "  \"superseded_records\": %zu,\n"
                              "  \"cells\": [",
-                             jsonEscape(store.path()).c_str(), superseded);
+                             jsonEscape(store.path()).c_str());
     std::size_t nCells = 0;
     for (const CellRecord &c : store.cells()) {
         if (!q.matches(c))

@@ -34,12 +34,11 @@
  * Loading is corruption-strict in the LPLIB3 fuzz-suite sense: any
  * truncation or byte flip anywhere in the file — header, meta,
  * index, record bodies, per-record checksums, footer — throws
- * IoError; there is no partial or best-effort load. Duplicate keys
- * (an append-style producer, or a crashed compaction) are legal in
- * the container and resolve last-writer-wins at load; compact()
- * rewrites the file with the survivors only. In memory, cells and
- * pairs are indexed by their full identity, so two keys whose
- * 64-bit hashes collide are still two entries.
+ * IoError; there is no partial or best-effort load. save() writes
+ * each key once, so a key that repeats in the file (judged on the
+ * full identity) is corruption too. In memory, cells and pairs are
+ * indexed by their full identity, so two keys whose 64-bit hashes
+ * collide are still two entries.
  *
  * The in-memory store is internally synchronized: concurrent service
  * workers may publish() while the daemon answers queries.
@@ -187,9 +186,8 @@ class ResultStore
      * Load @p path (mapped read-only, so a large store is never
      * copied to the heap) into this store, replacing its contents.
      * Corruption-strict: throws IoError on any truncation, bad
-     * checksum, malformed header/meta, or size inconsistency.
-     * Duplicate keys resolve last-writer-wins; supersededRecords()
-     * reports how many were shadowed.
+     * checksum, malformed header/meta, size inconsistency or repeated
+     * key, and leaves the store as it was.
      */
     void load(const std::string &path);
 
@@ -233,22 +231,10 @@ class ResultStore
     std::size_t cellCount() const;
     std::size_t pairCount() const;
 
-    /** Duplicate-key records shadowed by the last load(). */
-    std::size_t supersededRecords() const;
-
-    /**
-     * Drop superseded duplicates from the in-memory store: record i
-     * stays exactly when the index maps its key to i, so a
-     * subsequent save() emits each key once, in file order. Returns
-     * the number of records removed.
-     */
-    std::size_t compact();
-
     /** The path open() remembered ("" before open()). */
     std::string path() const;
 
   private:
-    void rebuildIndexLocked();
     Blob serializeLocked() const;
     void parseLocked(const std::uint8_t *data, std::size_t size,
                      const std::string &path);
@@ -260,7 +246,6 @@ class ResultStore
     std::vector<PairRecord> pairs_;
     std::unordered_map<ResultKey, std::size_t, ResultKeyHash> cellIdx_;
     std::unordered_map<PairKey, std::size_t, PairKeyHash> pairIdx_;
-    std::size_t superseded_ = 0;
 };
 
 /**
@@ -290,17 +275,16 @@ struct StoreQuery
 /**
  * The JSON answer to @p q over @p store, printed by both the service
  * daemon's query request and `inspect_results --json`. Top level:
- * `store` (its path), `superseded_records` (@p superseded), `cells`,
- * `pairs`, `cell_count` and `pair_count`. A cell carries its key
- * fields, fold outcome, `cpi`/`cpi_bits`, and `rel_half_width` at
- * `level` (recordedRelHalfWidth()); a pair its two digests, `n` and
+ * `store` (its path), `cells`, `pairs`, `cell_count` and
+ * `pair_count`. A cell carries its key fields, fold outcome,
+ * `cpi`/`cpi_bits`, and `rel_half_width` at `level`
+ * (recordedRelHalfWidth()); a pair its two digests, `n` and
  * `mean_delta`. @p names maps library content hashes to shard names;
  * any other library prints as `lib-<hash>`.
  */
 std::string
 storeQueryJson(const ResultStore &store, const StoreQuery &q,
-               const std::unordered_map<std::uint64_t, std::string> &names,
-               std::size_t superseded);
+               const std::unordered_map<std::uint64_t, std::string> &names);
 
 } // namespace lp
 

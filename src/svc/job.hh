@@ -11,7 +11,7 @@
  * `running`). Terminal states are durable: the state token is the
  * last thing written to the job directory, so a restarted daemon
  * trusts it. A `cancelled` (or `failed`) job keeps its manifest and
- * can be re-enqueued with resume — the campaign ledger makes the
+ * can be re-enqueued with resume — the campaign manifest makes the
  * continuation bit-identical to an uninterrupted run.
  */
 

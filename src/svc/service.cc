@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include <dirent.h>
@@ -16,6 +17,7 @@
 #include "core/replay.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
+#include "io/source.hh"
 #include "store/result_store.hh"
 #include "uarch/config.hh"
 #include "util/cancel.hh"
@@ -48,19 +50,21 @@ makeDir(const std::string &path, const char *what)
     throwIoError("create", what, path, errno);
 }
 
-bool
-readSmallFile(const std::string &path, std::string *out)
+/**
+ * The bytes of job file @p path, or nullopt when it does not exist.
+ * Any other failure throws IoError naming the file.
+ */
+std::optional<std::string>
+readJobFile(const std::string &path, const char *what)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    out->clear();
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out->append(buf, n);
-    std::fclose(f);
-    return true;
+    try {
+        const Blob data = readWholeFile(path, what);
+        return std::string(data.begin(), data.end());
+    } catch (const IoError &e) {
+        if (e.errnum() == ENOENT)
+            return std::nullopt;
+        throw;
+    }
 }
 
 std::string
@@ -147,8 +151,6 @@ CampaignService::CampaignService(const ServiceConfig &cfg)
     store_ = std::make_unique<ResultStore>();
     try {
         store_->open(storePath);
-        if (store_->supersededRecords() > 0)
-            store_->compact();
         logEvent("result_store", nullptr,
                  strfmt("%zu cells, %zu pairs", store_->cellCount(),
                         store_->pairCount()));
@@ -249,11 +251,32 @@ CampaignService::recoverJobs()
     std::sort(ids.begin(), ids.end());
 
     for (std::uint64_t id : ids) {
+        // A skipped job's id is not handed out again, so no new job
+        // writes into the directory recovery left alone.
+        nextId_ = std::max(nextId_, id + 1);
         const std::string dir =
             cfg_.jobsDir + strfmt("/job-%llu",
                                   static_cast<unsigned long long>(id));
-        std::string specBytes;
-        if (!readSmallFile(dir + "/spec.der", &specBytes)) {
+        // A missing file has a meaning (no spec, never started, no
+        // result); a file that cannot be read skips the job and
+        // leaves its directory as it is.
+        std::optional<std::string> specBytes, resultJson;
+        JobState s = JobState::queued;
+        try {
+            specBytes = readJobFile(dir + "/spec.der", "job spec");
+            if (const auto tok = readJobFile(dir + "/state", "job state"))
+                jobStateFromToken(trimToken(*tok), &s);
+            if (s == JobState::done)
+                resultJson =
+                    readJobFile(dir + "/result.json", "job result");
+        } catch (const IoError &e) {
+            logEvent("recover_skipped", nullptr,
+                     strfmt("job-%llu unreadable: %s",
+                            static_cast<unsigned long long>(id),
+                            e.what()));
+            continue;
+        }
+        if (!specBytes) {
             logEvent("recover_skipped", nullptr,
                      strfmt("job-%llu has no spec",
                             static_cast<unsigned long long>(id)));
@@ -263,8 +286,8 @@ CampaignService::recoverJobs()
         j->id = id;
         j->dir = dir;
         try {
-            Blob blob(specBytes.begin(), specBytes.end());
-            j->spec = decodeJobSpec(blob);
+            j->spec = decodeJobSpec(
+                Blob(specBytes->begin(), specBytes->end()));
         } catch (const std::exception &e) {
             logEvent("recover_skipped", nullptr,
                      strfmt("job-%llu spec undecodable: %s",
@@ -280,24 +303,19 @@ CampaignService::recoverJobs()
                 j->shards.push_back(i);
         }
 
-        std::string stateTok;
-        JobState s = JobState::queued;
-        if (readSmallFile(dir + "/state", &stateTok))
-            jobStateFromToken(trimToken(stateTok), &s);
         if (s == JobState::done) {
-            readSmallFile(dir + "/result.json", &j->resultJson);
+            j->resultJson = resultJson.value_or("");
             j->state = JobState::done;
         } else if (jobStateTerminal(s)) {
             j->state = s;
         } else {
             // queued / running / draining: the previous incarnation
             // died with this job in flight. Re-enqueue; the manifest
-            // ledger resumes it bit-identically.
+            // resumes it bit-identically.
             j->state = JobState::queued;
             writeJobState(*j, JobState::queued);
             logEvent("recovered", j.get(), "re-enqueued after restart");
         }
-        nextId_ = std::max(nextId_, id + 1);
         jobs_.emplace(id, std::move(j));
     }
 }
@@ -569,7 +587,7 @@ CampaignService::queryResults(const std::string &workload,
     for (std::size_t i = 0; i < set_.size(); ++i)
         names.emplace(set_.contentHash(i), set_.name(i));
     return storeQueryJson(*store_, StoreQuery{libFilter, configDigest},
-                          names, store_->supersededRecords());
+                          names);
 }
 
 std::vector<std::uint64_t>
@@ -710,7 +728,7 @@ CampaignService::runJob(Job *j)
         o.decodeThreads = spec.decodeThreads;
         o.blockSize = static_cast<std::size_t>(spec.blockSize);
         o.maxFoldedReplays = spec.maxFoldedReplays;
-        o.manifestPath = j->dir + "/manifest.ledger";
+        o.manifestPath = j->dir + "/manifest.lpcmf";
         o.residentBudgetBytes = spec.residentBudgetBytes;
         // Concurrent jobs share shards through the service's
         // refcounts; a job must never unload a shard under another.

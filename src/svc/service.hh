@@ -7,19 +7,26 @@
  * queue, run concurrently under that budget, and persist everything
  * they need to resume into per-job directories:
  *
- *     <jobsDir>/job-<id>/spec.der         the encoded JobSpec
- *     <jobsDir>/job-<id>/manifest.ledger  campaign barrier ledger
- *     <jobsDir>/job-<id>/result.json      final report (done jobs)
- *     <jobsDir>/job-<id>/state            one state token, written
- *                                         atomically, always last
- *     <jobsDir>/service.jsonl             structured event log
+ *     <jobsDir>/job-<id>/spec.der        the encoded JobSpec
+ *     <jobsDir>/job-<id>/manifest.lpcmf  campaign checkpoint, replaced
+ *                                        atomically at every barrier
+ *     <jobsDir>/job-<id>/result.json     final report (done jobs)
+ *     <jobsDir>/job-<id>/state           one state token, written
+ *                                        atomically, always last
+ *     <jobsDir>/service.jsonl            structured event log
+ *
+ * Every job file is written whole and atomically. Recovery reads each
+ * one whole: a missing file has its meaning (no spec: skip; no state:
+ * never started; no result: empty report), and a file that exists but
+ * cannot be read skips that job with a `recover_skipped` event naming
+ * the file, leaving its directory untouched.
  *
  * Guarantees:
  *  - **Bit-identity.** A job's result is bit-identical to running the
  *    same grid standalone (same spec, seed, block size) — including a
  *    job whose daemon was SIGKILLed mid-run and restarted: recovery
- *    re-enqueues it and the manifest ledger resumes it at the last
- *    durable barrier.
+ *    re-enqueues it and its manifest resumes it at the last durable
+ *    barrier.
  *  - **Admission control.** submit() rejects-with-retry-after when
  *    the queue is at maxQueueDepth or when the aggregate resident
  *    estimate (each job counts its largest shard, because a campaign

@@ -2,9 +2,9 @@
  * @file
  * The byte-level primitives every on-disk and on-wire container
  * shares: little-endian u64 fields and the 64-bit FNV-1a checksum.
- * LPLIB, LPRES1, the campaign ledger, the atomic-file footer and the
- * service's socket frames all lay their fixed-width fields down with
- * these, so one definition fixes the byte order of every format.
+ * LPLIB, LPRES1, the atomic-file footer and the service's socket
+ * frames all lay their fixed-width fields down with these, so one
+ * definition fixes the byte order of every format.
  */
 
 #ifndef LP_UTIL_BYTES_HH

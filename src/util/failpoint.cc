@@ -55,6 +55,8 @@ parseErrno(const std::string &name)
         return ENOENT;
     if (name == "EACCES")
         return EACCES;
+    if (name == "ENOMEM")
+        return ENOMEM;
     try {
         std::size_t used = 0;
         const int v = std::stoi(name, &used);
@@ -222,6 +224,13 @@ failpointHits(const std::string &site)
     std::lock_guard<std::mutex> lk(gMutex);
     const auto it = sites().find(site);
     return it == sites().end() ? 0 : it->second.hits;
+}
+
+bool
+failpointArmed(const std::string &site)
+{
+    std::lock_guard<std::mutex> lk(gMutex);
+    return sites().count(site) != 0;
 }
 
 void

@@ -23,8 +23,8 @@
  *                            aborts it as a contained fault, and
  *                            disarming the site releases it
  *              err[:CODE]    inject errno CODE (EIO, EINTR, EAGAIN,
- *                            ENOSPC, ENOENT, EACCES, or a number;
- *                            default EIO)
+ *                            ENOSPC, ENOENT, EACCES, ENOMEM, or a
+ *                            number; default EIO)
  *
  * e.g. LP_FAILPOINTS="io.read=hit:2:err:EINTR;io.fsync=hit:1:crash".
  * A malformed spec panics at startup — a typo must never silently
@@ -119,6 +119,9 @@ void disarmAllFailpoints();
 
 /** Hits recorded on @p site since it was (re-)armed. */
 std::uint64_t failpointHits(const std::string &site);
+
+/** True while @p site is armed. */
+bool failpointArmed(const std::string &site);
 
 /**
  * Parse and arm a ';'-separated LP_FAILPOINTS spec string. Throws

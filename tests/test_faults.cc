@@ -2,10 +2,10 @@
  * Durability and fault injection: the failpoint framework's trigger
  * semantics, atomic-write publication (temp cleanup, checksum
  * footers), transient-errno retry loops, LibrarySet torn-index
- * recovery and shard quarantine, the campaign manifest ledger's
- * truncation/corruption recovery at many byte offsets, and a
- * fork-based crash matrix: campaigns killed at every barrier and
- * mid-append failpoint must resume bit-identical to the
+ * recovery and shard quarantine, the campaign manifest's rejection
+ * of truncation and corruption at every byte, and a fork-based crash
+ * matrix: campaigns killed at every barrier and at each step of the
+ * atomic manifest write must resume bit-identical to the
  * uninterrupted run.
  */
 
@@ -49,7 +49,8 @@ writeBytes(const std::string &path, const std::uint8_t *data,
     CHECK(f != nullptr);
     if (!f)
         return;
-    CHECK_EQ(std::fwrite(data, 1, size, f), size);
+    if (size > 0)
+        CHECK_EQ(std::fwrite(data, 1, size, f), size);
     std::fclose(f);
 }
 
@@ -428,67 +429,74 @@ main()
         CampaignEngine(grid, cfgs, copt).run();
     CHECK_EQ(baseline.failedCells, 0u);
 
-    const std::string ledgerPath = "faults-ledger";
+    const std::string manifestPath = "faults-manifest";
+    const std::string manifestTmp =
+        AtomicFileWriter::tempFileName(manifestPath);
     auto runWithManifest = [&]() {
         CampaignOptions o = copt;
-        o.manifestPath = ledgerPath;
+        o.manifestPath = manifestPath;
         return CampaignEngine(grid, cfgs, o).run();
     };
 
-    // ---- Manifest ledger: truncation and corruption ----------------
+    // ---- Manifest: truncation and corruption -----------------------
     {
-        std::filesystem::remove(ledgerPath);
+        std::filesystem::remove(manifestPath);
         const CampaignResult first = runWithManifest();
         checkSameGrid(first, baseline);
-        const Blob ledger = readBytes(ledgerPath);
-        CHECK(ledger.size() > 16u);
-        CHECK_EQ(ledger[0], 'L'); // the ledger magic
+        const Blob manifest = readBytes(manifestPath);
+        // One image plus its checksum footer, and no staging temp.
+        std::size_t payloadSize = 0;
+        CHECK(checksummedPayload(manifest.data(), manifest.size(),
+                                 &payloadSize));
+        CHECK_EQ(payloadSize + checksumFooterBytes, manifest.size());
+        CHECK(!std::filesystem::exists(manifestTmp));
 
-        // A completed ledger resumes to the identical grid without
+        // A completed manifest resumes to the identical grid without
         // replaying anything.
         const CampaignResult resumed = runWithManifest();
         checkSameGrid(resumed, baseline);
         CHECK_EQ(resumed.restoredReplays, baseline.foldedReplays);
 
-        // Truncate at many offsets (all header bytes, then sampled):
-        // recovery must resume from the last intact barrier record
-        // and land bit-identical — never crash, never corrupt.
-        std::vector<std::size_t> cuts;
-        for (std::size_t c = 0; c <= 17 && c < ledger.size(); ++c)
-            cuts.push_back(c);
-        for (std::size_t c = 18; c < ledger.size(); c += 7)
-            cuts.push_back(c);
-        cuts.push_back(ledger.size() - 1);
-        for (const std::size_t cut : cuts) {
-            writeBytes(ledgerPath, ledger.data(), cut);
-            const CampaignResult r = runWithManifest();
-            checkSameGrid(r, baseline);
-            if (lpTestFailures)
-                break;
-        }
-
-        // Flip one byte at sampled offsets: the run must either
-        // complete bit-identical (recovery truncated the damage) or
-        // reject cleanly (damaged ledger header).
-        for (std::size_t i = 0; i < ledger.size(); i += 11) {
-            Blob bad = ledger;
-            bad[i] ^= 0x01;
-            writeBytes(ledgerPath, bad.data(), bad.size());
+        // Writes replace the whole file, so a crash never tears it:
+        // damage comes from outside. Truncation at every byte and a
+        // flip of every byte are each rejected before any replay (an
+        // armed, never-firing replay.cell site counts them), with the
+        // file named and left byte-for-byte as it was.
+        arm("replay.cell", FailpointSpec::Trigger::nth,
+            ~std::uint64_t{0}, FailpointSpec::Action::error);
+        auto rejected = [&](const Blob &bad) {
+            writeBytes(manifestPath, bad.data(), bad.size());
+            bool named = false;
             try {
-                const CampaignResult r = runWithManifest();
-                checkSameGrid(r, baseline);
+                (void)runWithManifest();
             } catch (const std::exception &e) {
-                CHECK(std::string(e.what()).find(ledgerPath) !=
-                      std::string::npos);
+                const std::string msg = e.what();
+                named = msg.find(manifestPath) != std::string::npos &&
+                        msg.find("not a campaign manifest") !=
+                            std::string::npos;
             }
+            return named && readBytes(manifestPath) == bad;
+        };
+        for (std::size_t cut = 0; cut < manifest.size(); ++cut) {
+            CHECK(rejected(Blob(manifest.begin(),
+                                manifest.begin() +
+                                    static_cast<std::ptrdiff_t>(cut))));
             if (lpTestFailures)
                 break;
         }
+        for (std::size_t i = 0; i < manifest.size(); ++i) {
+            Blob bad = manifest;
+            bad[i] ^= 0x01;
+            CHECK(rejected(bad));
+            if (lpTestFailures)
+                break;
+        }
+        CHECK_EQ(failpointHits("replay.cell"), 0u);
+        disarmAllFailpoints();
 
-        // A file that is not a ledger — short text that is no prefix
-        // of the ledger header, or a DER SEQUENCE — is rejected as
-        // such and left byte-for-byte alone, never truncated into a
-        // fresh ledger.
+        // A file that is not a manifest — short text, or a DER
+        // SEQUENCE — is rejected as such and left byte-for-byte alone,
+        // never replaced by a fresh manifest.
         {
             const std::string text = "manifest\n"; // 9 bytes
             DerWriter w;
@@ -499,7 +507,7 @@ main()
             const Blob der = w.finish();
             const Blob inputs[] = {Blob(text.begin(), text.end()), der};
             for (const Blob &foreign : inputs) {
-                writeBytes(ledgerPath, foreign.data(), foreign.size());
+                writeBytes(manifestPath, foreign.data(), foreign.size());
                 try {
                     (void)runWithManifest();
                     CHECK(false);
@@ -508,42 +516,51 @@ main()
                               "not a campaign manifest") !=
                           std::string::npos);
                 }
-                CHECK(readBytes(ledgerPath) == foreign);
+                CHECK(readBytes(manifestPath) == foreign);
             }
         }
-        std::filesystem::remove(ledgerPath);
+        std::filesystem::remove(manifestPath);
     }
 
     // ---- Manifest write faults: retry vs abort ---------------------
     {
-        std::filesystem::remove(ledgerPath);
-        // One transient append error: retried invisibly.
-        arm("campaign.ledger.frame", FailpointSpec::Trigger::nth, 1,
+        std::filesystem::remove(manifestPath);
+        // The atomic writer does not retry its own open: one transient
+        // open failure is retried by the manifest write, invisibly.
+        arm("io.open.write", FailpointSpec::Trigger::nth, 1,
             FailpointSpec::Action::error, EINTR);
-        const CampaignResult r = runWithManifest();
+        bool completed = false;
+        try {
+            checkSameGrid(runWithManifest(), baseline);
+            completed = true;
+        } catch (const std::exception &) {
+        }
         disarmAllFailpoints();
-        checkSameGrid(r, baseline);
+        CHECK(completed);
 
         // A persistent transient exhausts the bounded retries and
         // still fails cleanly rather than hanging.
-        std::filesystem::remove(ledgerPath);
-        arm("campaign.ledger.frame", FailpointSpec::Trigger::every, 1,
+        std::filesystem::remove(manifestPath);
+        arm("io.write", FailpointSpec::Trigger::every, 1,
             FailpointSpec::Action::error, EINTR);
         CHECK_THROWS(runWithManifest());
         disarmAllFailpoints();
+        CHECK(!std::filesystem::exists(manifestTmp));
 
         // A hard checkpoint failure aborts the campaign loudly —
         // replaying without durability would betray the manifest's
         // contract.
-        std::filesystem::remove(ledgerPath);
-        arm("campaign.ledger.sync", FailpointSpec::Trigger::nth, 2,
+        std::filesystem::remove(manifestPath);
+        arm("io.fsync", FailpointSpec::Trigger::nth, 2,
             FailpointSpec::Action::error, EIO);
         CHECK_THROWS(runWithManifest());
         disarmAllFailpoints();
-        // ... and what it left on disk still resumes cleanly.
+        // ... and the first barrier's manifest it left on disk resumes
+        // bit-identically.
         const CampaignResult after = runWithManifest();
         checkSameGrid(after, baseline);
-        std::filesystem::remove(ledgerPath);
+        CHECK(after.restoredReplays > 0);
+        std::filesystem::remove(manifestPath);
     }
 
     // ---- Replay faults are contained per workload ------------------
@@ -671,24 +688,24 @@ main()
 
     // ---- The crash matrix ------------------------------------------
     // Fork a child campaign, kill it (real _exit, no unwinding) at
-    // every barrier and at every mid-append failpoint, resume in the
-    // parent, and require bit-identity with the uninterrupted run.
+    // every barrier and at each step of the atomic manifest write,
+    // resume in the parent, and require bit-identity with the
+    // uninterrupted run and no staging temp left behind.
     {
         const char *sites[] = {
-            "campaign.barrier",
-            "campaign.ledger.frame",
-            "campaign.ledger.payload",
-            "campaign.ledger.sync",
+            "campaign.barrier", "io.open.write", "io.write",
+            "io.fsync",         "io.rename",     "io.dirsync",
         };
         int crashes = 0;
         int completions = 0;
         // The grid checkpoints 10 barriers (6 for flt-a, 4 for
-        // flt-b); hits 1..7 kill the child mid-run, 11 and 12 never
-        // fire so the child completes — both matrix outcomes run.
+        // flt-b), each one write; hits 1..7 kill the child mid-run, 11
+        // and 12 never fire so the child completes — both matrix
+        // outcomes run.
         const std::uint64_t hits[] = {1, 2, 3, 4, 5, 6, 7, 11, 12};
         for (const char *site : sites) {
             for (const std::uint64_t hit : hits) {
-                std::filesystem::remove(ledgerPath);
+                std::filesystem::remove(manifestPath);
                 std::fflush(stdout);
                 std::fflush(stderr);
                 const pid_t pid = ::fork();
@@ -700,7 +717,7 @@ main()
                         FailpointSpec::Action::crash);
                     try {
                         CampaignOptions o = copt;
-                        o.manifestPath = ledgerPath;
+                        o.manifestPath = manifestPath;
                         CampaignEngine(grid, cfgs, o).run();
                     } catch (...) {
                         ::_exit(99);
@@ -719,6 +736,7 @@ main()
                                              : ++completions;
                 const CampaignResult r = runWithManifest();
                 checkSameGrid(r, baseline);
+                CHECK(!std::filesystem::exists(manifestTmp));
                 if (lpTestFailures)
                     break;
             }
@@ -728,7 +746,7 @@ main()
         // The matrix must actually have exercised both outcomes.
         CHECK(crashes > 0);
         CHECK(completions > 0);
-        std::filesystem::remove(ledgerPath);
+        std::filesystem::remove(manifestPath);
     }
 
     // ---- Crash mid-shard-write: the writer sweeps and repairs ------

@@ -165,6 +165,16 @@ main()
         disarmAllFailpoints();
         CHECK_EQ(err, EACCES);
 
+        // LP_FAILPOINTS names ENOMEM, the map failure, as spelled.
+        armFailpointsFromSpec("io.mmap.map=hit:1:err:ENOMEM");
+        err = 0;
+        CHECK(mentions(thrown<IoError>(
+                           [&] { LivePointLibrary::load(libPath); },
+                           &err),
+                       libPath));
+        disarmAllFailpoints();
+        CHECK_EQ(err, ENOMEM);
+
         const LivePointLibrary back = LivePointLibrary::load(libPath);
         CHECK_EQ(back.backingBytes(), std::filesystem::file_size(libPath));
         CHECK(identicalRecords(back, t.lib));

@@ -5,9 +5,10 @@
  * threads 1/2/4 with resume bit-identity, stuck-worker supervision
  * (an injected hang is contained to one cell while every other cell
  * of every job completes), quarantined-shard degradation, a
- * daemon+client socket round trip, and a fork-based SIGKILL crash
- * matrix: a daemon killed at successive barriers must recover its
- * jobs on restart and finish them bit-identical to standalone runs.
+ * daemon+client socket round trip, recovery past an unreadable job
+ * file, and a fork-based SIGKILL crash matrix: a daemon killed at
+ * successive barriers must recover its jobs on restart and finish
+ * them bit-identical to standalone runs.
  */
 
 #include "test_util.hh"
@@ -23,6 +24,7 @@
 #include "core/campaign.hh"
 #include "core/library_set.hh"
 #include "core/replay.hh"
+#include "io/source.hh"
 #include "svc/client.hh"
 #include "svc/daemon.hh"
 #include "svc/proto.hh"
@@ -51,6 +53,14 @@ arm(const char *site, FailpointSpec::Trigger trig, std::uint64_t n,
     spec.action = action;
     spec.err = err;
     armFailpoint(site, spec);
+}
+
+/** The whole of @p path as text. */
+std::string
+readText(const std::string &path)
+{
+    const Blob data = readWholeFile(path, "test file");
+    return std::string(data.begin(), data.end());
 }
 
 /** Every value of a repeated `"key": "..."` field, in report order. */
@@ -523,20 +533,8 @@ main()
         svc.drain();
 
         // The structured log recorded the detection.
-        std::string logText;
-        {
-            std::FILE *f = std::fopen(
-                (cfg.jobsDir + "/service.jsonl").c_str(), "rb");
-            CHECK(f != nullptr);
-            if (f) {
-                char buf[4096];
-                std::size_t n;
-                while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-                    logText.append(buf, n);
-                std::fclose(f);
-            }
-        }
-        CHECK(logText.find("\"event\": \"stuck_detected\"") !=
+        CHECK(readText(cfg.jobsDir + "/service.jsonl")
+                  .find("\"event\": \"stuck_detected\"") !=
               std::string::npos);
     }
 
@@ -621,6 +619,78 @@ main()
         std::filesystem::remove_all(cfg.jobsDir);
     }
 
+    // ---- Recovery past an unreadable job file ----------------------
+    // A job file that exists but cannot be read skips that job with a
+    // recover_skipped event naming the file, and leaves the file and
+    // the job's id alone; the other jobs recover. The injected EIO
+    // lands on job 3's `state`, which holds `done`: read as a missing
+    // file, it would re-enqueue the job and overwrite the token.
+    {
+        ServiceConfig cfg;
+        cfg.jobsDir = "svc-jobs-recover";
+        cfg.setDir = setDir;
+        cfg.workerSlots = 8;
+        std::filesystem::remove_all(cfg.jobsDir);
+        {
+            CampaignService svc(cfg);
+            for (int k = 0; k < 3; ++k) {
+                const SubmitOutcome out = svc.submit(makeSpec(1));
+                CHECK(out.accepted);
+                CHECK(svc.waitForJob(out.id, 30'000));
+            }
+            svc.drain();
+        }
+        const std::string state3 = cfg.jobsDir + "/job-3/state";
+        const std::string done3 = readText(state3);
+        CHECK_EQ(done3, std::string("done\n"));
+
+        // The reads a service makes before its first job file: count
+        // them on an empty jobs directory with a never-firing arm.
+        ServiceConfig empty = cfg;
+        empty.jobsDir = "svc-jobs-recover-empty";
+        std::filesystem::remove_all(empty.jobsDir);
+        arm("io.open.read", FailpointSpec::Trigger::nth,
+            ~std::uint64_t{0}, FailpointSpec::Action::error);
+        std::uint64_t before = 0;
+        {
+            CampaignService probe(empty);
+            before = failpointHits("io.open.read");
+            probe.drain();
+        }
+        disarmAllFailpoints();
+        std::filesystem::remove_all(empty.jobsDir);
+        CHECK(before > 0);
+
+        // Jobs 1 and 2 each read spec.der, state and result.json; job
+        // 3 reads spec.der, then state.
+        arm("io.open.read", FailpointSpec::Trigger::nth, before + 8,
+            FailpointSpec::Action::error, EIO);
+        {
+            CampaignService svc(cfg);
+            disarmAllFailpoints();
+            CHECK(svc.jobIds() == (std::vector<std::uint64_t>{1, 2}));
+            for (const std::uint64_t id : svc.jobIds()) {
+                JobState state;
+                std::string json;
+                CHECK(svc.result(id, &state, &json));
+                CHECK(state == JobState::done);
+                CHECK(extractAll(json, "cpi_bits") == baseBits);
+            }
+            const SubmitOutcome next = svc.submit(makeSpec(1));
+            CHECK(next.accepted);
+            CHECK_EQ(next.id, 4u);
+            CHECK(svc.waitForJob(next.id, 30'000));
+            svc.drain();
+        }
+        CHECK_EQ(readText(state3), done3);
+        const std::string log = readText(cfg.jobsDir + "/service.jsonl");
+        const std::size_t skipped =
+            log.find("\"event\": \"recover_skipped\"");
+        CHECK(skipped != std::string::npos);
+        CHECK(log.find("job-3/state", skipped) != std::string::npos);
+        std::filesystem::remove_all(cfg.jobsDir);
+    }
+
     // ---- The SIGKILL crash matrix ----------------------------------
     // A child daemon (in-process service: the kill semantics are the
     // process's, not the socket's) arms a crash failpoint at its
@@ -628,9 +698,12 @@ main()
     // jobs; each restart recovers the job directories, resumes every
     // manifest, and the eventually-completed results must be
     // bit-identical to the standalone grid. The first incarnation
-    // submits both jobs before it arms, so no crash can land between
-    // the two submits; a restart arms before its service recovers
-    // and resumes the job directories.
+    // parks the first replay of either job, submits both jobs, arms
+    // the crash and only then releases the parked replay: no crash
+    // can land between the two submits, and the parked job meets
+    // every one of its barriers armed, however late the arm runs. A
+    // restart arms before its service recovers and resumes the job
+    // directories.
     {
         ServiceConfig cfg;
         cfg.jobsDir = "svc-jobs-crash";
@@ -641,7 +714,7 @@ main()
         bool completed = false;
         // hit >= 2 guarantees >= 1 new durable barrier per attempt,
         // so the loop makes progress no matter where the site sits
-        // relative to the ledger append.
+        // relative to the manifest write.
         for (std::uint64_t hit = 2; hit <= 24 && !completed; ++hit) {
             const bool firstIncarnation = hit == 2;
             std::fflush(stdout);
@@ -655,7 +728,10 @@ main()
                     arm("campaign.barrier", FailpointSpec::Trigger::nth,
                         hit, FailpointSpec::Action::crash);
                 };
-                if (!firstIncarnation)
+                if (firstIncarnation)
+                    arm("replay.cell", FailpointSpec::Trigger::nth, 1,
+                        FailpointSpec::Action::hang);
+                else
                     armCrash();
                 try {
                     CampaignService svc(cfg);
@@ -664,6 +740,7 @@ main()
                             !svc.submit(makeSpec(2)).accepted)
                             ::_exit(99);
                         armCrash();
+                        disarmFailpoint("replay.cell");
                     }
                     for (const std::uint64_t id : svc.jobIds())
                         svc.waitForJob(id);

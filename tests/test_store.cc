@@ -1,9 +1,9 @@
 /**
  * The fleet result store's contracts: LPRES1 round-trips records
  * bit-exactly, loading is corruption-strict (every single-byte
- * truncation and byte flip throws, nothing loads partially),
- * duplicate keys resolve last-writer-wins and compact() drops the
- * shadowed records, campaign memoization restores cells bit-identical
+ * truncation and byte flip throws, nothing loads partially, and a
+ * repeated cell or pair key fails the load), campaign memoization
+ * restores cells bit-identical
  * to replaying at every thread count, the stored-CPI cross-check
  * catches a tampered record, and the campaign JSON report survives a
  * strict parser even with hostile free-text fields.
@@ -192,7 +192,6 @@ main()
         loaded.load(storePath);
         CHECK_EQ(loaded.cellCount(), 5u);
         CHECK_EQ(loaded.pairCount(), 1u);
-        CHECK_EQ(loaded.supersededRecords(), 0u);
         for (std::uint64_t i = 0; i < 5; ++i) {
             CellRecord got;
             CHECK(loaded.find(sampleCell(i).key, &got));
@@ -250,56 +249,82 @@ main()
         std::remove(mut.c_str());
     }
 
-    // --- Duplicate keys on disk: legal, last writer wins, compact()
-    // drops the shadowed record. Built by hand-patching record 1 into
-    // a duplicate of record 0 (new payload, recomputed record FNV,
-    // index entry, and footer), exactly what an append-style producer
-    // or crashed compaction leaves behind.
+    // --- Duplicate keys on disk: save() writes each key once, so a
+    // repeated key is corruption. Built by hand-patching record 1 into
+    // a duplicate of record 0's key (new payload, recomputed record
+    // FNV, index entry, and footer), for cells and for pairs; each
+    // load throws IoError naming the file and leaves the store as it
+    // was.
     {
         ResultStore two;
         two.put(sampleCell(0));
         two.put(sampleCell(1));
+        PairRecord p;
+        p.key = PairKey{sampleCell(0).key, 0x7};
+        p.delta.n = 3;
+        two.putPair(p);
+        p.key.testDigest = 0x8;
+        two.putPair(p);
         two.save(storePath);
-        std::vector<std::uint8_t> image = readAll(storePath);
+        const std::vector<std::uint8_t> image = readAll(storePath);
 
         const std::size_t metaSize =
             static_cast<std::size_t>(getU64le(image.data() + 16));
         const std::size_t indexOff = 48 + metaSize;
         const std::size_t cellBase = indexOff + 2 * 8;
         constexpr std::size_t kCellBytes = 17 * 8;
+        constexpr std::size_t kPairBytes = 14 * 8;
+        const std::size_t pairBase = cellBase + 2 * kCellBytes;
 
-        // Record 1 := record 0's key with a different CPI + mean.
-        std::uint8_t *rec0 = image.data() + cellBase;
+        // Reseal @p patched with a fresh footer and load it into a
+        // store that already holds one record.
+        auto rejected = [&](const std::vector<std::uint8_t> &patched) {
+            Blob sealed(patched.begin(),
+                        patched.end() - checksumFooterBytes);
+            appendChecksumFooter(sealed);
+            writeAll(storePath, sealed.data(), sealed.size());
+            ResultStore victim;
+            victim.put(sampleCell(5));
+            bool named = false;
+            try {
+                victim.load(storePath);
+            } catch (const IoError &e) {
+                const std::string msg = e.what();
+                named = msg.find(storePath) != std::string::npos &&
+                        msg.find("duplicate key") != std::string::npos;
+            }
+            return named && victim.cellCount() == 1 &&
+                   victim.find(sampleCell(5).key, nullptr);
+        };
+
+        // The unpatched image loads: the rejections below are the
+        // duplicates' doing.
+        ResultStore clean;
+        clean.load(storePath);
+        CHECK_EQ(clean.cellCount(), 2u);
+        CHECK_EQ(clean.pairCount(), 2u);
+
+        // Cell 1 := cell 0's key with a different CPI + mean.
+        std::vector<std::uint8_t> dupCell = image;
+        std::uint8_t *rec0 = dupCell.data() + cellBase;
         std::uint8_t *rec1 = rec0 + kCellBytes;
         std::memcpy(rec1, rec0, kCellBytes);
         putU64le(rec1 + 80, doubleBits(2.5)); // cpiBits
         putU64le(rec1 + 96, doubleBits(2.5)); // stat mean bits
         putU64le(rec1 + 16 * 8, fnv1a(rec1, 16 * 8));
         // Index entry 1 now carries record 0's key hash.
-        std::memcpy(image.data() + indexOff + 8,
-                    image.data() + indexOff, 8);
-        // Recompute the footer over the patched payload.
-        Blob patched(image.begin(),
-                     image.end() - checksumFooterBytes);
-        appendChecksumFooter(patched);
-        writeAll(storePath, patched.data(), patched.size());
+        std::memcpy(dupCell.data() + indexOff + 8,
+                    dupCell.data() + indexOff, 8);
+        CHECK(rejected(dupCell));
 
-        ResultStore dup;
-        dup.load(storePath);
-        CHECK_EQ(dup.cellCount(), 2u); // both records load...
-        CHECK_EQ(dup.supersededRecords(), 1u);
-        CellRecord winner;
-        CHECK(dup.find(sampleCell(0).key, &winner));
-        CHECK_EQ(winner.cpiBits, doubleBits(2.5)); // ...last one wins
-        CHECK_EQ(dup.compact(), 1u);
-        CHECK_EQ(dup.cellCount(), 1u);
-        CHECK(dup.find(sampleCell(0).key, &winner));
-        CHECK_EQ(winner.cpiBits, doubleBits(2.5));
-        dup.save(storePath);
-        ResultStore clean;
-        clean.load(storePath);
-        CHECK_EQ(clean.cellCount(), 1u);
-        CHECK_EQ(clean.supersededRecords(), 0u);
+        // Pair 1 := pair 0's key with a different count.
+        std::vector<std::uint8_t> dupPair = image;
+        std::uint8_t *pair0 = dupPair.data() + pairBase;
+        std::uint8_t *pair1 = pair0 + kPairBytes;
+        std::memcpy(pair1, pair0, kPairBytes);
+        putU64le(pair1 + 64, 9); // delta n
+        putU64le(pair1 + 13 * 8, fnv1a(pair1, 13 * 8));
+        CHECK(rejected(dupPair));
     }
 
     // --- Container pin: a fixed store's file bytes, so every header,
@@ -324,9 +349,9 @@ main()
                   0x437ed1fe538a5afaull);
     }
 
-    // --- Differential: seeded random put/putPair/find/findPair/
-    // compact steps over a small key pool, so keys repeat, with a
-    // save/load round trip every 500 steps. Every step is checked
+    // --- Differential: seeded random put/putPair/find/findPair
+    // steps over a small key pool, so keys repeat, with a save/load
+    // round trip every 500 steps. Every step is checked
     // against std::map oracles keyed by the full identity, last
     // writer wins.
     {
@@ -393,7 +418,7 @@ main()
                 CHECK_EQ(hit, it != cellOracle.end());
                 if (hit && it != cellOracle.end())
                     CHECK(cellsBitEqual(got, it->second));
-            } else if (op < 98) {
+            } else {
                 const PairKey k{randomKey(), 10 + rng.nextBounded(3)};
                 PairRecord got;
                 const auto it =
@@ -402,9 +427,6 @@ main()
                 CHECK_EQ(hit, it != pairOracle.end());
                 if (hit && it != pairOracle.end())
                     CHECK(pairsBitEqual(got, it->second));
-            } else {
-                // put() overwrites in place, so nothing is shadowed.
-                CHECK_EQ(store.compact(), 0u);
             }
             CHECK_EQ(store.cellCount(), cellOracle.size());
             CHECK_EQ(store.pairCount(), pairOracle.size());
@@ -413,7 +435,6 @@ main()
                 store.save(storePath);
                 const std::vector<CellRecord> before = store.cells();
                 store.load(storePath);
-                CHECK_EQ(store.supersededRecords(), 0u);
                 CHECK(agrees());
                 // File order survives the round trip.
                 const std::vector<CellRecord> after = store.cells();
@@ -460,11 +481,10 @@ main()
         store.putPair(p);
         const std::unordered_map<std::uint64_t, std::string> names{
             {0x1111, "named \"w\""}};
-        const std::string all = storeQueryJson(store, {}, names, 2);
+        const std::string all = storeQueryJson(store, {}, names);
         CHECK(jsonValidate(all));
         CHECK(all.find("\"cell_count\": 4") != std::string::npos);
         CHECK(all.find("\"pair_count\": 1") != std::string::npos);
-        CHECK(all.find("\"superseded_records\": 2") != std::string::npos);
         CHECK(all.find("\"workload\": \"named \\\"w\\\"\"") !=
               std::string::npos);
         CHECK(all.find("\"workload\": \"lib-0000000000001112\"") !=
@@ -478,16 +498,16 @@ main()
         // A config filter keeps that config's cell and every pair
         // touching it; a library filter keeps one library's records.
         const std::string byConfig = storeQueryJson(
-            store, StoreQuery{0, 0x2223}, names, 0);
+            store, StoreQuery{0, 0x2223}, names);
         CHECK(jsonValidate(byConfig));
         CHECK(byConfig.find("\"cell_count\": 1") != std::string::npos);
         CHECK(byConfig.find("\"pair_count\": 1") != std::string::npos);
         const std::string byLib = storeQueryJson(
-            store, StoreQuery{0x1113, 0}, names, 0);
+            store, StoreQuery{0x1113, 0}, names);
         CHECK(byLib.find("\"cell_count\": 1") != std::string::npos);
         CHECK(byLib.find("\"pair_count\": 0") != std::string::npos);
         const std::string none = storeQueryJson(
-            store, StoreQuery{0x9999, 0}, names, 0);
+            store, StoreQuery{0x9999, 0}, names);
         CHECK(jsonValidate(none));
         CHECK(none.find("\"cells\": [],") != std::string::npos);
     }
