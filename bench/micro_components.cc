@@ -301,7 +301,9 @@ dseColdConfigs()
  * configurations through a pooled ReplayContext: arg lockstep=1 is
  * the engine's one lockstep pass (fetch once, time four times),
  * lockstep=0 four one-configuration replays of the same
- * load. Items are replays.
+ * load. approx=1 skips wrong-path simulation, so the wrong path's
+ * share of a lockstep pass is 1 - time(approx=1) / time(approx=0),
+ * read within one process. Items are replays.
  */
 void
 BM_ReplayFanout(benchmark::State &state)
@@ -320,20 +322,25 @@ BM_ReplayFanout(benchmark::State &state)
     ReplayContext ctx(prog, cfgs);
     WindowResult res[4];
     const bool lockstep = state.range(0) != 0;
+    const bool approx = state.range(1) != 0;
     for (auto _ : state) {
         ctx.loadPoint(point);
         if (lockstep) {
-            ctx.replayMask(replayMaskAll(cfgs.size()), res);
+            ctx.replayMask(replayMaskAll(cfgs.size()), res, approx);
         } else {
             for (std::size_t c = 0; c < cfgs.size(); ++c)
-                res[c] = ctx.replay(c);
+                res[c] = ctx.replay(c, approx);
         }
         benchmark::DoNotOptimize(res[3].cycles);
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(cfgs.size()));
 }
-BENCHMARK(BM_ReplayFanout)->ArgName("lockstep")->Arg(1)->Arg(0);
+BENCHMARK(BM_ReplayFanout)
+    ->ArgNames({"lockstep", "approx"})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({0, 0});
 
 } // namespace
 

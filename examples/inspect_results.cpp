@@ -84,8 +84,10 @@ main(int argc, char **argv)
     }
 
     try {
+        // load, not open: a missing store is an error here, not an
+        // empty table.
         ResultStore store;
-        store.open(storePath);
+        store.load(storePath);
 
         std::unordered_map<std::uint64_t, std::string> names;
         if (!setDir.empty()) {

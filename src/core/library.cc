@@ -557,15 +557,20 @@ LivePointLibrary::contentHash() const
     h = hashCombine(h, design_.count);
     h = hashCombine(h, design_.measureLen);
     h = hashCombine(h, design_.warmLen);
+    // FNV-1a over every record, folded in; cheap relative to one
+    // decompression and touching every byte keeps corruption and
+    // reorders distinguishable. The records are hashed in file order,
+    // four at a time, and folded in stored order.
+    std::vector<ByteSpan> recs(refs_.size());
+    for (std::size_t p = 0; p < refs_.size(); ++p)
+        recs[p] = recordAt(p);
+    std::vector<std::uint64_t> sums(refs_.size());
+    fnv1aEach(recs.data(), recs.size(), sums.data());
     std::vector<std::uint32_t> inv;
     for (std::size_t i = 0; i < refs_.size(); ++i) {
         const RecordRef &r = refs_[pos(i)];
         h = hashCombine(h, r.index);
-        const ByteSpan rec = record(i);
-        // FNV-1a over the record, folded in; cheap relative to one
-        // decompression and touching every byte keeps corruption and
-        // reorders distinguishable.
-        h = hashCombine(h, fnv1a(rec.data, rec.size));
+        h = hashCombine(h, sums[pos(i)]);
         // Encoding metadata is load-bearing for delta records (the
         // base in *stored* order, so the hash survives a save/load
         // round-trip of a shuffled library). Plain records fold

@@ -194,9 +194,7 @@ ReplayContext::prepareUnit(std::size_t unitIdx, bool approxWrongPath)
         }
     }
 
-    CoreBindings b = contextBindings(prog_, u.hier, u.bp);
-    b.availability = &point.memImage;
-    u.core.rebind(b);
+    u.core.rebind(contextBindings(prog_, u.hier, u.bp));
     u.core.setApproxWrongPath(approxWrongPath);
 }
 
@@ -239,7 +237,8 @@ ReplayContext::runPass(std::uint64_t mask, bool approxWrongPath)
     if (n == 0)
         return;
     runWindow(prog_, chunk_, loaded_->regs.instIndex, loaded_->warmLen,
-              loaded_->measureLen, active_.data(), n, results_.data());
+              loaded_->measureLen, &loaded_->memImage, active_.data(), n,
+              results_.data());
 }
 
 void

@@ -12,9 +12,11 @@
  *    the run at once: the worker decodes a live-point a single time,
  *    then replays it through every active configuration in one
  *    lockstep pass — each chunk of the window is fetched once, then
- *    timed by each configuration's core. The decode cost Figure 7
- *    shows dominating per-point replay, and the window's fetch, are
- *    paid once per point, not once per configuration.
+ *    timed by each configuration's core, and each mispredict's wrong
+ *    path is derived once in the chunk for all of them. The decode
+ *    cost Figure 7 shows dominating per-point replay, the window's
+ *    fetch and its wrong paths are paid once per point, not once per
+ *    configuration.
  *  - **Decode pipeline.** Dedicated producer threads decompress and
  *    deserialize points into a bounded ring of reusable slot buffers,
  *    so simulation workers never block on the library codec. Each
@@ -154,9 +156,10 @@ struct ReplayPlan
  * nothing is reallocated between points. A point is loaded once; a
  * replay then installs each requested configuration's warm state
  * from the point, walks the window in InstChunk-sized chunks,
- * fetching each once, and advances every requested configuration's
- * core through it. Every replay starts from the point's warm state,
- * whatever was replayed since the load.
+ * fetching each once with the point's availability image, and
+ * advances every requested configuration's core through it. Every
+ * replay starts from the point's warm state, whatever was replayed
+ * since the load.
  */
 class ReplayContext
 {

@@ -51,7 +51,7 @@ runCompleteDetailed(const Program &prog, const CoreConfig &cfg,
                                      : prog.length;
     InstChunk chunk;
     WindowResult w;
-    runWindow(prog, chunk, 0, 0, limit, cores, 1, &w);
+    runWindow(prog, chunk, 0, 0, limit, nullptr, cores, 1, &w);
     CompleteSimResult res;
     res.cpi = w.cpi;
     res.insts = w.insts;
@@ -89,7 +89,7 @@ runSmarts(const Program &prog, const CoreConfig &cfg,
         OoOCore *const cores[] = {&core};
         WindowResult w;
         runWindow(prog, chunk, sim.regs().instIndex, design.warmLen,
-                  design.measureLen, cores, 1, &w);
+                  design.measureLen, nullptr, cores, 1, &w);
         est.stat.add(w.cpi);
 
         sim.run(design.windowLen());
@@ -151,7 +151,7 @@ runAdaptiveWarming(const Program &prog, const CoreConfig &cfg,
         OoOCore *const cores[] = {&core};
         WindowResult w;
         runWindow(prog, chunk, sim.regs().instIndex, design.warmLen,
-                  design.measureLen, cores, 1, &w);
+                  design.measureLen, nullptr, cores, 1, &w);
         est.stat.add(w.cpi);
 
         // Warm through the window itself (its references are known).

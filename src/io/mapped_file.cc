@@ -54,15 +54,23 @@ throwMapError(const std::string &path, std::size_t size, int err)
 MappedFile
 MappedFile::map(const std::string &path)
 {
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("io.mmap.open");
-        if (o.fail)
-            throwIoError("open for mapping", "file", path, o.err);
-    }
     int fd = -1;
     {
         TransientRetry retry;
-        while ((fd = ::open(path.c_str(), O_RDONLY)) < 0) {
+        for (;;) {
+            // An injected open failure takes the retry path a real
+            // one takes.
+            if (failpointsArmed()) {
+                const FailpointOutcome o = failpointFire("io.mmap.open");
+                if (o.fail) {
+                    if (retry.shouldRetry(o.err))
+                        continue;
+                    throwIoError("open for mapping", "file", path, o.err);
+                }
+            }
+            fd = ::open(path.c_str(), O_RDONLY);
+            if (fd >= 0)
+                break;
             const int err = errno;
             if (!retry.shouldRetry(err))
                 throwIoError("open for mapping", "file", path, err);

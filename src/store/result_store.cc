@@ -217,6 +217,7 @@ ResultStore::load(const std::string &path)
     file.adviseSequential();
     std::lock_guard<std::mutex> lock(mu_);
     parseLocked(file.data(), file.size(), path);
+    path_ = path;
 }
 
 void
@@ -373,7 +374,8 @@ ResultStore::save() const
         path = path_;
     }
     if (path.empty())
-        throw IoError("result store save() without a prior open()", 0);
+        throw IoError(
+            "result store save() without a prior open() or load()", 0);
     save(path);
 }
 

@@ -184,10 +184,11 @@ class ResultStore
 
     /**
      * Load @p path (mapped read-only, so a large store is never
-     * copied to the heap) into this store, replacing its contents.
-     * Corruption-strict: throws IoError on any truncation, bad
-     * checksum, malformed header/meta, size inconsistency or repeated
-     * key, and leaves the store as it was.
+     * copied to the heap) into this store, replacing its contents,
+     * and remember @p path. Corruption-strict: a missing file, any
+     * truncation, bad checksum, malformed header/meta, size
+     * inconsistency or repeated key throws IoError and leaves the
+     * store as it was. The read-only path inspect_results uses.
      */
     void load(const std::string &path);
 
@@ -201,7 +202,7 @@ class ResultStore
     /** Serialize to @p path atomically (write-temp/fsync/rename). */
     void save(const std::string &path) const;
 
-    /** save() to the path open() remembered. */
+    /** save() to the path open() or load() remembered. */
     void save() const;
 
     /** Insert or overwrite (last-writer-wins) one cell record. */
@@ -231,7 +232,7 @@ class ResultStore
     std::size_t cellCount() const;
     std::size_t pairCount() const;
 
-    /** The path open() remembered ("" before open()). */
+    /** The path open() or load() remembered ("" before either). */
     std::string path() const;
 
   private:

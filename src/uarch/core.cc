@@ -42,7 +42,6 @@ OoOCore::rebind(const CoreBindings &b)
     prog_ = b.prog;
     hier_ = b.hier;
     bp_ = b.bp;
-    avail_ = b.availability;
     approxWrongPath_ = false;
     fetchCycle_ = 0;
     fetchedThisCycle_ = 0;
@@ -68,31 +67,26 @@ OoOCore::rebind(const CoreBindings &b)
     unavailableLoads_ = 0;
 }
 
-template <bool HasAvail>
 void
 OoOCore::simulateWrongPath(InstCount index, Cycles resolve, Cycles fetched,
-                           const InstChunk &chunk)
+                           InstChunk &chunk)
 {
     // The front end fetches down the wrong path until the branch
     // resolves; model its cache pollution (and, under restricted
     // live-state, its references to unavailable data).
     const Cycles span = resolve > fetched ? resolve - fetched : 0;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(2 + span / 2, 24);
-    for (unsigned k = 0; k < n; ++k) {
-        const Instruction wp = prog_->wrongPath(index, k, &chunk);
-        if (wp.op != Opcode::Load)
-            continue;
-        if (HasAvail && !avail_->contains(wp.addr))
-            ++unavailableLoads_;
+    const unsigned n = static_cast<unsigned>(
+        std::min<std::uint64_t>(2 + span / 2, maxWrongPathInsts));
+    for (const WrongPathLoad &wp : chunk.wrongPathLoads(index, n)) {
+        unavailableLoads_ += !wp.available;
         hier_->timedData(wp.addr, false);
     }
 }
 
-template <bool ApproxWP, bool HasAvail>
+template <bool ApproxWP>
 void
 OoOCore::step(const StepConsts &k, const Instruction &ins,
-              InstCount index, const InstChunk &chunk)
+              InstCount index, InstChunk &chunk)
 {
     // --- Fetch ---
     if (fetchedThisCycle_ >= k.width) {
@@ -197,8 +191,7 @@ OoOCore::step(const StepConsts &k, const Instruction &ins,
         bp_->update(ins.pc, ins.taken);
         if (predicted != ins.taken) {
             if (!ApproxWP)
-                simulateWrongPath<HasAvail>(index, complete, fetched,
-                                            chunk);
+                simulateWrongPath(index, complete, fetched, chunk);
             const Cycles redirect =
                 complete + k.mispredictPenalty;
             if (redirect > fetchCycle_) {
@@ -233,9 +226,9 @@ OoOCore::step(const StepConsts &k, const Instruction &ins,
     }
 }
 
-template <bool ApproxWP, bool HasAvail>
+template <bool ApproxWP>
 void
-OoOCore::runLoop(const InstChunk &chunk)
+OoOCore::runLoop(InstChunk &chunk)
 {
     StepConsts k;
     k.width = cfg_.width;
@@ -249,28 +242,22 @@ OoOCore::runLoop(const InstChunk &chunk)
     const Instruction *ins = chunk.data();
     const InstCount first = chunk.first();
     for (std::size_t i = 0, n = chunk.size(); i < n; ++i)
-        step<ApproxWP, HasAvail>(k, ins[i], first + i, chunk);
+        step<ApproxWP>(k, ins[i], first + i, chunk);
 }
 
 void
-OoOCore::time(const InstChunk &chunk)
+OoOCore::time(InstChunk &chunk)
 {
-    if (approxWrongPath_) {
-        if (avail_)
-            runLoop<true, true>(chunk);
-        else
-            runLoop<true, false>(chunk);
-    } else {
-        if (avail_)
-            runLoop<false, true>(chunk);
-        else
-            runLoop<false, false>(chunk);
-    }
+    if (approxWrongPath_)
+        runLoop<true>(chunk);
+    else
+        runLoop<false>(chunk);
 }
 
 void
 runWindow(const Program &prog, InstChunk &chunk, InstCount start,
-          InstCount warmLen, InstCount measureLen, OoOCore *const *cores,
+          InstCount warmLen, InstCount measureLen,
+          const MemoryImage *availability, OoOCore *const *cores,
           std::size_t n, WindowResult *out)
 {
     const InstCount length = prog.length;
@@ -281,7 +268,7 @@ runWindow(const Program &prog, InstChunk &chunk, InstCount start,
         while (from < to) {
             const std::size_t len = static_cast<std::size_t>(
                 std::min<InstCount>(InstChunk::capacity, to - from));
-            chunk.fetch(prog, from, len);
+            chunk.fetch(prog, from, len, availability);
             for (std::size_t c = 0; c < n; ++c)
                 cores[c]->time(chunk);
             from += len;

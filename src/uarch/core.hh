@@ -11,6 +11,14 @@
  * times it (ReplayContext); SMARTS and adaptive warming leave
  * execution to their functional simulator, which runs through the
  * window right after.
+ *
+ * Only how far a core runs down a wrong path depends on its timing;
+ * which loads the path holds, and whether the point's availability
+ * image holds their addresses, does not. The chunk memoizes those
+ * loads (InstChunk::wrongPathLoads), so a core only reads them,
+ * counts the unavailable ones and sends each through its own
+ * hierarchy. The availability image belongs to the point, so
+ * runWindow takes it once for all its cores.
  */
 
 #ifndef LP_UARCH_CORE_HH
@@ -38,15 +46,9 @@ struct WindowResult
 /** Everything a core needs bound before it can time instructions. */
 struct CoreBindings
 {
-    const Program *prog = nullptr; //!< fetch addresses, wrong paths
+    const Program *prog = nullptr; //!< fetch addresses
     MemHierarchy *hier = nullptr;
     BranchPredictor *bp = nullptr;
-
-    /**
-     * When set (live-point replay under restricted live-state), loads
-     * outside this image read as zero and are counted unavailable.
-     */
-    const MemoryImage *availability = nullptr;
 };
 
 class OoOCore
@@ -65,9 +67,10 @@ class OoOCore
     /**
      * Time @p chunk's instructions after everything timed since the
      * last rebind. Successive chunks must continue one instruction
-     * stream of the bound program.
+     * stream of the bound program. A mispredict reads (and, the first
+     * time, extends) the chunk's wrong-path memo.
      */
-    void time(const InstChunk &chunk);
+    void time(InstChunk &chunk);
 
     /** Skip simulating wrong-path memory references (Section 5). */
     void setApproxWrongPath(bool v) { approxWrongPath_ = v; }
@@ -75,7 +78,10 @@ class OoOCore
     /** Commit cycle of the last instruction timed (0 after rebind). */
     Cycles lastCommit() const { return lastCommit_; }
 
-    /** Wrong-path loads that missed the availability image so far. */
+    /**
+     * Wrong-path loads so far whose address the availability image
+     * bound to the chunks did not hold.
+     */
     std::uint64_t unavailableLoads() const { return unavailableLoads_; }
 
   private:
@@ -98,26 +104,23 @@ class OoOCore
 
     /**
      * One instruction through the timing model, specialized at compile
-     * time on the two structural flags that never change within a run:
-     * whether wrong-path simulation is approximated away and whether
-     * an availability image is bound. time() dispatches once to the
-     * matching instantiation, so the per-instruction loop carries no
-     * runtime checks for either.
+     * time on whether wrong-path simulation is approximated away, a
+     * flag that never changes within a run. time() dispatches once to
+     * the matching instantiation, so the per-instruction loop carries
+     * no runtime check for it.
      */
-    template <bool ApproxWP, bool HasAvail>
+    template <bool ApproxWP>
     void step(const StepConsts &k, const Instruction &ins,
-              InstCount index, const InstChunk &chunk);
-    template <bool ApproxWP, bool HasAvail>
-    void runLoop(const InstChunk &chunk);
-    template <bool HasAvail>
+              InstCount index, InstChunk &chunk);
+    template <bool ApproxWP>
+    void runLoop(InstChunk &chunk);
     void simulateWrongPath(InstCount index, Cycles resolve,
-                           Cycles fetched, const InstChunk &chunk);
+                           Cycles fetched, InstChunk &chunk);
 
     const CoreConfig &cfg_;
     const Program *prog_;
     MemHierarchy *hier_;
     BranchPredictor *bp_;
-    const MemoryImage *avail_;
     bool approxWrongPath_ = false;
 
     // Timing state.
@@ -151,13 +154,16 @@ class OoOCore
  * by @p measureLen measured ones, from index @p start and clipped at
  * the program's end. The window is walked in InstChunk-sized chunks
  * that split at the end of the warming; each chunk is fetched into
- * @p chunk once, then every core times it. out[i] receives
- * cores[i]'s timing of the measured instructions. The cores must be
- * freshly rebound.
+ * @p chunk once, then every core times it. @p availability (live-point
+ * replay under restricted live-state; null otherwise) is the image
+ * wrong-path loads are checked against: one outside it is counted
+ * unavailable. out[i] receives cores[i]'s timing of the measured
+ * instructions. The cores must be freshly rebound.
  */
 void runWindow(const Program &prog, InstChunk &chunk, InstCount start,
                InstCount warmLen, InstCount measureLen,
-               OoOCore *const *cores, std::size_t n, WindowResult *out);
+               const MemoryImage *availability, OoOCore *const *cores,
+               std::size_t n, WindowResult *out);
 
 } // namespace lp
 

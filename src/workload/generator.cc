@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "mem/memport.hh"
 #include "util/rng.hh"
 
 namespace lp
@@ -213,6 +214,66 @@ locate(const Program &prog, InstCount index)
     return {ph, chunkOff, static_cast<unsigned>(chunkOff % ph.bodySize)};
 }
 
+/**
+ * hashVal(seed, index, k, salt) of the wrong path after @p index, from
+ * its index half @p indexDraw = hashCombine(seed, index).
+ */
+std::uint64_t
+wrongPathDraw(std::uint64_t indexDraw, unsigned k, std::uint64_t salt)
+{
+    return hashMix(hashCombine(indexDraw, hashCombine(k, salt)));
+}
+
+/** Whether wrong-path instruction k, of draw @p h, is a load. */
+bool
+wrongPathIsLoad(std::uint64_t h)
+{
+    return (h >> 24) % 100 < 30;
+}
+
+/**
+ * The address of wrong-path load @p k after @p index (draw @p h, index
+ * half @p indexDraw, phase @p ph). The backward scan for recent data
+ * reads instructions inside @p chunk (when given) from the chunk and
+ * derives the rest; the result is the same.
+ */
+Addr
+wrongPathLoadAddr(const Program &prog, const PhaseSpec &ph,
+                  std::uint64_t indexDraw, InstCount index, unsigned k,
+                  std::uint64_t h, const InstChunk *chunk)
+{
+    if ((h >> 32) % 100 < 3) {
+        // Rarely, a genuinely cold address in the region.
+        return ph.regionBase +
+               ((wrongPathDraw(indexDraw, k, 0xc01d) % ph.regionBytes) &
+                ~7ull);
+    }
+    // Usually data the correct path touched recently: the same 64-byte
+    // block as a nearby load/store (wrong paths mostly re-reference
+    // live data, so under restricted live-state only the rare cold
+    // access is unavailable). An instruction the chunk holds is read
+    // from it; otherwise the slot table tells which instruction is one
+    // and only that one is fetched.
+    const std::uint64_t back = 1 + (h >> 40) % 32;
+    Addr base = ph.regionBase;
+    for (unsigned s = 0; s < 12; ++s) {
+        const InstCount j = index > back + s ? index - back - s : 0;
+        if (const Instruction *in = chunk ? chunk->find(j) : nullptr) {
+            if (in->isMem()) {
+                base = in->addr;
+                break;
+            }
+            continue;
+        }
+        const Position p = locate(prog, j);
+        if (p.ph.slots[p.slot].ins.isMem()) {
+            base = prog.fetch(j).addr;
+            break;
+        }
+    }
+    return (base & ~63ull) + ((h >> 48) % 8) * 8;
+}
+
 } // namespace
 
 const PhaseSpec &
@@ -279,65 +340,91 @@ Instruction
 Program::wrongPath(InstCount index, unsigned k,
                    const InstChunk *chunk) const
 {
-    const std::uint64_t seed = profile.seed;
     const PhaseSpec &ph = phaseAt(index);
-    const std::uint64_t h = hashVal(seed, index, k, 0x3209);
+    const std::uint64_t indexDraw = hashCombine(profile.seed, index);
+    const std::uint64_t h = wrongPathDraw(indexDraw, k, 0x3209);
 
     Instruction ins;
     ins.pc = ph.pcBase + (h % ph.bodySize);
     ins.dst = static_cast<std::uint8_t>(1 + (h % 15));
     ins.src1 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
     ins.src2 = static_cast<std::uint8_t>(1 + ((h >> 16) % 15));
-    if ((h >> 24) % 100 < 30) {
+    if (wrongPathIsLoad(h)) {
         ins.op = Opcode::Load;
-        if ((h >> 32) % 100 < 3) {
-            // Rarely, a genuinely cold address in the region.
-            ins.addr =
-                ph.regionBase +
-                ((hashVal(seed, index, k, 0xc01d) % ph.regionBytes) &
-                 ~7ull);
-        } else {
-            // Usually data the correct path touched recently: the
-            // same 64-byte block as a nearby load/store (wrong paths
-            // mostly re-reference live data, so under restricted
-            // live-state only the rare cold access is unavailable).
-            // An instruction the chunk holds is read from it;
-            // otherwise the slot table tells which instruction is one
-            // and only that one is fetched.
-            const std::uint64_t back = 1 + (h >> 40) % 32;
-            Addr base = ph.regionBase;
-            for (unsigned s = 0; s < 12; ++s) {
-                const InstCount j =
-                    index > back + s ? index - back - s : 0;
-                if (const Instruction *in = chunk ? chunk->find(j)
-                                                  : nullptr) {
-                    if (in->isMem()) {
-                        base = in->addr;
-                        break;
-                    }
-                    continue;
-                }
-                const Position p = locate(*this, j);
-                if (p.ph.slots[p.slot].ins.isMem()) {
-                    base = fetch(j).addr;
-                    break;
-                }
-            }
-            ins.addr = (base & ~63ull) + ((h >> 48) % 8) * 8;
-        }
+        ins.addr =
+            wrongPathLoadAddr(*this, ph, indexDraw, index, k, h, chunk);
     } else {
         ins.op = Opcode::IntAlu;
     }
     return ins;
 }
 
-void
-InstChunk::fetch(const Program &prog, InstCount first, std::size_t n)
+std::size_t
+Program::wrongPathLoads(InstCount index, unsigned kBegin, unsigned kEnd,
+                        const InstChunk *chunk, WrongPathLoad *out) const
 {
+    // The phase lookup and the index half of the draw are the same for
+    // every k.
+    const PhaseSpec &ph = phaseAt(index);
+    const std::uint64_t indexDraw = hashCombine(profile.seed, index);
+    std::size_t n = 0;
+    for (unsigned k = kBegin; k < kEnd; ++k) {
+        const std::uint64_t h = wrongPathDraw(indexDraw, k, 0x3209);
+        if (!wrongPathIsLoad(h))
+            continue;
+        WrongPathLoad &l = out[n++];
+        l.addr = wrongPathLoadAddr(*this, ph, indexDraw, index, k, h, chunk);
+        l.k = k;
+        l.available = true;
+    }
+    return n;
+}
+
+void
+InstChunk::fetch(const Program &prog, InstCount first, std::size_t n,
+                 const MemoryImage *availability)
+{
+    for (const WrongPathMemo &m : memos_)
+        memoOf_[m.pos] = 0;
+    memos_.clear();
+    loads_.clear();
+    prog_ = &prog;
+    avail_ = availability;
     first_ = first;
     size_ = std::min(n, capacity);
     for (std::size_t i = 0; i < size_; ++i)
         ins_[i] = prog.fetch(first + i);
+}
+
+WrongPathLoads
+InstChunk::wrongPathLoads(InstCount index, unsigned n)
+{
+    const std::size_t pos = static_cast<std::size_t>(index - first_);
+    std::uint32_t &slot = memoOf_[pos];
+    if (slot == 0) {
+        // Both vectors keep their high-water mark across fetches, and
+        // at most size() <= capacity memos exist at once.
+        memos_.push_back({pos, 0, 0});
+        loads_.resize(memos_.size() * maxWrongPathInsts);
+        slot = static_cast<std::uint32_t>(memos_.size());
+    }
+    WrongPathMemo &m = memos_[slot - 1];
+    WrongPathLoad *loads = loads_.data() + (slot - 1) * maxWrongPathInsts;
+    n = std::min(n, maxWrongPathInsts);
+    if (n > m.derived) {
+        WrongPathLoad *added = loads + m.loads;
+        const std::size_t got =
+            prog_->wrongPathLoads(index, m.derived, n, this, added);
+        if (avail_)
+            for (std::size_t i = 0; i < got; ++i)
+                added[i].available = avail_->contains(added[i].addr);
+        m.loads += static_cast<unsigned>(got);
+        m.derived = n;
+    }
+    std::size_t count = m.loads;
+    while (count > 0 && loads[count - 1].k >= n)
+        --count;
+    return {loads, count};
 }
 
 Program

@@ -19,6 +19,13 @@
  * adds only what depends on the index. The tables cache the function,
  * they do not redefine it: tests/test_workload.cc keeps the
  * per-instruction derivation as the oracle and pins the stream.
+ *
+ * The wrong path after a mispredicted branch is a pure function of
+ * (index, k) as well, and the detailed core reads only its loads'
+ * addresses. An InstChunk therefore memoizes, per mispredicted index
+ * it holds, the loads among the first n wrong-path instructions —
+ * derived once, without pc or registers, and shared by every core
+ * that times the chunk; only n depends on a core's timing.
  */
 
 #ifndef LP_WORKLOAD_GENERATOR_HH
@@ -33,6 +40,8 @@
 
 namespace lp
 {
+
+class MemoryImage;
 
 enum class Opcode : std::uint8_t
 {
@@ -120,6 +129,27 @@ struct PhaseSpec
     std::vector<SlotSpec> slots; //!< the loop body, bodySize entries
 };
 
+/** Most wrong-path instructions a core fetches after one mispredict. */
+inline constexpr unsigned maxWrongPathInsts = 24;
+
+/** One load on the wrong path after a mispredicted branch. */
+struct WrongPathLoad
+{
+    Addr addr = 0;
+    unsigned k = 0;         //!< its position on the wrong path
+    bool available = true;  //!< the point's availability image holds it
+};
+
+/** Consecutive wrong-path loads, in k order. */
+struct WrongPathLoads
+{
+    const WrongPathLoad *first = nullptr;
+    std::size_t count = 0;
+
+    const WrongPathLoad *begin() const { return first; }
+    const WrongPathLoad *end() const { return first + count; }
+};
+
 class InstChunk;
 
 struct Program
@@ -153,25 +183,46 @@ struct Program
      */
     Instruction wrongPath(InstCount index, unsigned k,
                           const InstChunk *chunk = nullptr) const;
+
+    /**
+     * The loads among wrong-path instructions @p kBegin <= k < @p kEnd
+     * after @p index, in k order: each k whose wrongPath(index, k,
+     * chunk) is a load, with that load's address, derived without pc
+     * or registers. Writes them to @p out (room for kEnd - kBegin
+     * entries, `available` left true) and returns how many there are.
+     */
+    std::size_t wrongPathLoads(InstCount index, unsigned kBegin,
+                               unsigned kEnd, const InstChunk *chunk,
+                               WrongPathLoad *out) const;
 };
 
 /**
  * Consecutive dynamic instructions [first(), first() + size()) of one
  * program, fetched into a buffer of fixed capacity. The detailed core
  * times instructions a chunk at a time, so a window is fetched once
- * however many cores time it. The capacity
- * is a constant, never a record's window length: a live-point cannot
- * size this buffer.
+ * however many cores time it. The chunk also memoizes the wrong path
+ * after each mispredicted branch it holds (wrongPathLoads()), so the
+ * cores share that derivation too. Every buffer is bounded by
+ * capacity, never sized from a record's window length: a live-point
+ * cannot size them. The memo's buffers grow to their high-water mark
+ * and keep it, so a warm chunk fetches and times without allocating.
  */
 class InstChunk
 {
   public:
     static constexpr std::size_t capacity = 2048;
 
-    InstChunk() : ins_(capacity) {}
+    InstChunk() : ins_(capacity), memoOf_(capacity, 0) {}
 
-    /** Fetch the @p n <= capacity instructions from index @p first. */
-    void fetch(const Program &prog, InstCount first, std::size_t n);
+    /**
+     * Fetch the @p n <= capacity instructions from index @p first and
+     * forget the previous chunk's wrong paths. @p availability (the
+     * replayed point's restricted memory image, or null) is what the
+     * wrong-path loads' `available` flags are read against; it and
+     * @p prog must stay alive while the chunk's wrong paths are read.
+     */
+    void fetch(const Program &prog, InstCount first, std::size_t n,
+               const MemoryImage *availability = nullptr);
 
     InstCount first() const { return first_; }
     std::size_t size() const { return size_; }
@@ -183,10 +234,37 @@ class InstChunk
         return index - first_ < size_ ? &ins_[index - first_] : nullptr;
     }
 
+    /**
+     * The loads among the first @p n <= maxWrongPathInsts wrong-path
+     * instructions after the branch at @p index, which the chunk
+     * holds: Program::wrongPathLoads(index, 0, n, this), with each
+     * load's `available` read from the availability image (true
+     * without one). The first request for an index derives its loads,
+     * a larger @p n extends them, and a smaller one reads a prefix, so
+     * the cores timing the chunk derive each wrong path once, up to
+     * the largest n any of them asks for. Valid until the next
+     * wrongPathLoads() or fetch().
+     */
+    WrongPathLoads wrongPathLoads(InstCount index, unsigned n);
+
   private:
+    /** The wrong path derived so far after one chunk position. */
+    struct WrongPathMemo
+    {
+        std::size_t pos = 0;  //!< chunk position of the branch
+        unsigned derived = 0; //!< wrong-path instructions derived (k < this)
+        unsigned loads = 0;   //!< loads among them
+    };
+
     std::vector<Instruction> ins_;
     InstCount first_ = 0;
     std::size_t size_ = 0;
+    const Program *prog_ = nullptr;
+    const MemoryImage *avail_ = nullptr;
+    std::vector<std::uint32_t> memoOf_; //!< per position: memo + 1, or 0
+    std::vector<WrongPathMemo> memos_;
+    /** maxWrongPathInsts entries per memo, in memos_ order. */
+    std::vector<WrongPathLoad> loads_;
 };
 
 /** Build the deterministic program described by @p profile. */

@@ -1,9 +1,10 @@
 /**
  * The io layer's contract: MappedFile maps a file's exact bytes with
  * working paging hints and clean move semantics, maps an empty file
- * to a zero-length handle, and throws an IoError naming the file when
- * the file is missing or the map fails — which a library load
- * surfaces as it is, with no second way to hold the bytes.
+ * to a zero-length handle, retries an interrupted open, and throws an
+ * IoError naming the file when the file is missing or the map fails —
+ * which a library load surfaces as it is, with no second way to hold
+ * the bytes.
  */
 
 #include "test_util.hh"
@@ -164,6 +165,27 @@ main()
                        libPath));
         disarmAllFailpoints();
         CHECK_EQ(err, EACCES);
+
+        // An interrupted open is retried like a real EINTR: the
+        // injection fires once, the second attempt opens the file and
+        // the load succeeds. EINTR on every attempt exhausts the
+        // retry budget and fails with the file named.
+        armFailpointsFromSpec("io.mmap.open=hit:1:err:EINTR");
+        {
+            const LivePointLibrary retried =
+                LivePointLibrary::load(libPath);
+            CHECK_EQ(failpointHits("io.mmap.open"), 2u);
+            CHECK(identicalRecords(retried, t.lib));
+        }
+        disarmAllFailpoints();
+        armFailpointsFromSpec("io.mmap.open=every:1:err:EINTR");
+        err = 0;
+        CHECK(mentions(thrown<IoError>(
+                           [&] { LivePointLibrary::load(libPath); },
+                           &err),
+                       libPath));
+        disarmAllFailpoints();
+        CHECK_EQ(err, EINTR);
 
         // LP_FAILPOINTS names ENOMEM, the map failure, as spelled.
         armFailpointsFromSpec("io.mmap.map=hit:1:err:ENOMEM");

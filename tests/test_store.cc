@@ -1,8 +1,9 @@
 /**
  * The fleet result store's contracts: LPRES1 round-trips records
- * bit-exactly, loading is corruption-strict (every single-byte
- * truncation and byte flip throws, nothing loads partially, and a
- * repeated cell or pair key fails the load), campaign memoization
+ * bit-exactly, loading is corruption-strict (a missing file, every
+ * single-byte truncation and byte flip throws, nothing loads
+ * partially, and a repeated cell or pair key fails the load) and
+ * remembers the loaded path, campaign memoization
  * restores cells bit-identical
  * to replaying at every thread count, the stored-CPI cross-check
  * catches a tampered record, and the campaign JSON report survives a
@@ -188,8 +189,14 @@ main()
         store.putPair(p);
         store.save(storePath);
 
+        // load() remembers its path, so a loaded store's query
+        // document names it; a missing file throws and leaves the
+        // store, path included, as it was.
         ResultStore loaded;
         loaded.load(storePath);
+        CHECK(loaded.path() == storePath);
+        CHECK_THROWS(loaded.load(storePath + ".missing"));
+        CHECK(loaded.path() == storePath);
         CHECK_EQ(loaded.cellCount(), 5u);
         CHECK_EQ(loaded.pairCount(), 1u);
         for (std::uint64_t i = 0; i < 5; ++i) {

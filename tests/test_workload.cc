@@ -4,8 +4,10 @@
  * per-slot and per-chunk tables, and must equal the per-instruction
  * hash derivation kept here as the oracle, on every suite profile;
  * wrongPath() reading its lookback from a fetched InstChunk must
- * equal wrongPath() without one. Golden digests pin the stream itself
- * across builds.
+ * equal wrongPath() without one. The loads-only derivation the core
+ * uses (Program::wrongPathLoads and the InstChunk memo over it) must
+ * equal the oracle's loads, however the memo's n grows. Golden
+ * digests pin the stream itself across builds.
  */
 
 #include "test_util.hh"
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "func/functional.hh"
+#include "mem/memport.hh"
 #include "util/rng.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
@@ -340,6 +343,136 @@ chunkWrongPathMismatches(const Program &prog)
     return bad;
 }
 
+/** The loads among refWrongPath(index, k) for k < n, in k order. */
+std::vector<WrongPathLoad>
+refWrongPathLoads(const Program &prog, InstCount index, unsigned n,
+                  const MemoryImage *avail = nullptr)
+{
+    std::vector<WrongPathLoad> out;
+    for (unsigned k = 0; k < n; ++k) {
+        const Instruction ins = refWrongPath(prog, index, k);
+        if (ins.op != Opcode::Load)
+            continue;
+        WrongPathLoad l;
+        l.addr = ins.addr;
+        l.k = k;
+        l.available = !avail || avail->contains(ins.addr);
+        out.push_back(l);
+    }
+    return out;
+}
+
+bool
+sameLoads(const WrongPathLoad *got, std::size_t count,
+          const std::vector<WrongPathLoad> &want)
+{
+    if (count != want.size())
+        return false;
+    for (std::size_t i = 0; i < count; ++i)
+        if (got[i].k != want[i].k || got[i].addr != want[i].addr ||
+            got[i].available != want[i].available)
+            return false;
+    return true;
+}
+
+/**
+ * The loads-only wrong-path derivation against the oracle restricted
+ * to loads, for every k < maxWrongPathInsts. Without a chunk
+ * (Program::wrongPathLoads), at every index whose lookback reaches
+ * index 0 and at seeded ones, whole and split at every k. Through
+ * chunks (InstChunk::wrongPathLoads), at the same chunk positions as
+ * chunkWrongPathMismatches, each index asked for a small n and then
+ * the largest n, and in a second chunk in the opposite order, with an
+ * availability image holding some of the addresses. Prints the first
+ * mismatch.
+ */
+std::uint64_t
+wrongPathLoadMismatches(const Program &prog)
+{
+    constexpr unsigned kMax = maxWrongPathInsts;
+    std::uint64_t bad = 0;
+    auto report = [&](const char *what, InstCount i, unsigned n) {
+        if (bad++ == 0)
+            std::fprintf(stderr,
+                         "%s: wrong-path loads (%s) after %llu, n %u, "
+                         "differ from the oracle\n",
+                         prog.name.c_str(), what,
+                         static_cast<unsigned long long>(i), n);
+    };
+
+    WrongPathLoad out[kMax];
+    auto checkProgram = [&](InstCount i) {
+        const std::vector<WrongPathLoad> want =
+            refWrongPathLoads(prog, i, kMax);
+        if (!sameLoads(out, prog.wrongPathLoads(i, 0, kMax, nullptr, out),
+                       want))
+            report("program", i, kMax);
+        for (unsigned mid = 1; mid < kMax; ++mid) {
+            std::size_t n = prog.wrongPathLoads(i, 0, mid, nullptr, out);
+            n += prog.wrongPathLoads(i, mid, kMax, nullptr, out + n);
+            if (!sameLoads(out, n, want))
+                report("program, split", i, mid);
+        }
+    };
+    for (InstCount i = 0; i < 48; ++i)
+        checkProgram(i);
+    Rng rng(prog.profile.seed, "wrong-path-loads");
+    for (int n = 0; n < 64; ++n)
+        checkProgram(rng.nextBounded(prog.length));
+
+    // Two chunks over the same instructions: `up` asks each index for
+    // a small n first, `down` for kMax first.
+    InstChunk up;
+    InstChunk down;
+    SparseMemory mem;
+    auto checkChunk = [&](InstCount first, std::size_t len) {
+        MemoryImage avail;
+        for (InstCount j = first; j < first + len; j += 2) {
+            const Instruction ins = prog.fetch(j);
+            if (ins.isMem())
+                avail.captureBeforeAccess(mem, ins.addr);
+        }
+        up.fetch(prog, first, len, &avail);
+        down.fetch(prog, first, len, &avail);
+        auto check = [&](InstCount i) {
+            const unsigned small =
+                1 + static_cast<unsigned>(rng.nextBounded(kMax));
+            const std::vector<WrongPathLoad> all =
+                refWrongPathLoads(prog, i, kMax, &avail);
+            std::vector<WrongPathLoad> prefix;
+            for (const WrongPathLoad &l : all)
+                if (l.k < small)
+                    prefix.push_back(l);
+            WrongPathLoads got = up.wrongPathLoads(i, small);
+            if (!sameLoads(got.first, got.count, prefix))
+                report("chunk, small n first", i, small);
+            got = up.wrongPathLoads(i, kMax);
+            if (!sameLoads(got.first, got.count, all))
+                report("chunk, extended", i, kMax);
+            got = down.wrongPathLoads(i, kMax);
+            if (!sameLoads(got.first, got.count, all))
+                report("chunk, largest n first", i, kMax);
+            got = down.wrongPathLoads(i, small);
+            if (!sameLoads(got.first, got.count, prefix))
+                report("chunk, prefix", i, small);
+        };
+        const InstCount end = first + up.size();
+        for (InstCount i = first; i < std::min(end, first + 48); ++i)
+            check(i);
+        for (InstCount i = first + 48; i < end; i += 61)
+            check(i);
+        check(end - 1);
+    };
+    checkChunk(0, 64);
+    checkChunk(0, InstChunk::capacity);
+    checkChunk(7, 40);
+    checkChunk(30, InstChunk::capacity);
+    for (int n = 0; n < 6; ++n)
+        checkChunk(rng.nextBounded(prog.length - InstChunk::capacity),
+                   1 + rng.nextBounded(InstChunk::capacity));
+    return bad;
+}
+
 /** Digest of fetch and wrongPath over fixed index sets. */
 std::uint64_t
 streamDigest(const Program &prog)
@@ -404,13 +537,15 @@ main()
 
     // fetch() and wrongPath() equal the oracle on every covered
     // profile, including chunk-final loop exits, and wrongPath()
-    // through a chunk equals wrongPath() without one.
+    // through a chunk equals wrongPath() without one; so do the
+    // loads-only derivation and the chunk's wrong-path memo.
     {
         std::uint64_t loopExits = 0;
         for (const WorkloadProfile &p : coveredProfiles()) {
             const Program prog = generateProgram(p);
             CHECK_EQ(oracleMismatches(prog, loopExits), 0u);
             CHECK_EQ(chunkWrongPathMismatches(prog), 0u);
+            CHECK_EQ(wrongPathLoadMismatches(prog), 0u);
         }
         CHECK(loopExits > 0);
     }
