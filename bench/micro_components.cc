@@ -6,7 +6,8 @@
  * simulator, the detailed core (the floor of all sampled
  * simulation, per the paper's conclusion: "live-points reduce
  * simulation time to the limit imposed by detailed simulation"), and
- * one point's replay fanned out to a design-space grid.
+ * one point's replay fanned out to a design-space grid, and the MRRL
+ * analysis that sizes a sharded build's warming prefixes.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,9 +21,11 @@
 #include "core/replay.hh"
 #include "func/functional.hh"
 #include "mem/memport.hh"
+#include "mrrl/mrrl.hh"
 #include "uarch/config.hh"
 #include "uarch/core.hh"
 #include "util/rng.hh"
+#include "util/threadpool.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 
@@ -341,6 +344,49 @@ BENCHMARK(BM_ReplayFanout)
     ->Args({1, 0})
     ->Args({1, 1})
     ->Args({0, 0});
+
+/**
+ * The MRRL analysis a sharded build runs before it warms: gcc-2 under
+ * the fleet's 100-point design, for the builder's three shard-leading
+ * windows at S=4 (all=0) or for every window (all=1), scanned on the
+ * calling thread (pool=0) or split across a pool of 4 workers. Wall
+ * time; items are the instructions before the last window.
+ */
+void
+BM_MrrlAnalysis(benchmark::State &state)
+{
+    static const Program prog = generateProgram(findProfile("gcc-2"));
+    const SampleDesign design = SampleDesign::systematic(
+        measureProgramLength(prog), 100, 1000,
+        CoreConfig::sixteenWay().detailedWarming);
+    std::vector<InstCount> starts;
+    if (state.range(0) != 0) {
+        starts = design.windowStarts();
+    } else {
+        for (std::uint64_t s = 1; s < 4; ++s)
+            starts.push_back(design.windowStart(design.count * s / 4));
+    }
+    std::unique_ptr<ThreadPool> pool;
+    if (state.range(1) != 0)
+        pool = std::make_unique<ThreadPool>(
+            static_cast<unsigned>(state.range(1)));
+    for (auto _ : state) {
+        const MrrlAnalysis m =
+            analyzeMrrl(prog, starts, design.windowLen(),
+                        defaultMrrlCoverage, pool.get());
+        benchmark::DoNotOptimize(m.warmingLengths.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(starts.back()));
+}
+BENCHMARK(BM_MrrlAnalysis)
+    ->ArgNames({"all", "pool"})
+    ->Args({0, 0})
+    ->Args({0, 4})
+    ->Args({1, 0})
+    ->Args({1, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 } // namespace
 

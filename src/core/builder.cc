@@ -251,6 +251,11 @@ LivePointBuilder::buildParallel(const Program &prog,
     for (unsigned s = 0; s <= S; ++s)
         lo[s] = count * s / S;
 
+    // The build's threads: S warming shards and E encoders. The MRRL
+    // analysis scans the stream on them first.
+    const unsigned E = std::max(1u, (S + 1) / 2); // encoder threads
+    ThreadPool pool(S + E);
+
     // Warming prefix ahead of each shard's first window: the MRRL
     // reuse-latency bound of the shard's leading window. Shard 0 warms
     // from program start and is exact.
@@ -260,7 +265,8 @@ LivePointBuilder::buildParallel(const Program &prog,
         for (unsigned s = 1; s < S; ++s)
             starts.push_back(design.windowStart(lo[s]));
         const MrrlAnalysis m =
-            analyzeMrrl(prog, starts, design.windowLen());
+            analyzeMrrl(prog, starts, design.windowLen(),
+                        defaultMrrlCoverage, &pool);
         for (unsigned s = 1; s < S; ++s)
             prefix[s] = m.warmingLengths[s - 1];
     }
@@ -323,7 +329,6 @@ LivePointBuilder::buildParallel(const Program &prog,
     for (std::uint64_t i = 0; i < count; ++i)
         rawUses[i] = 1u + (i + 1 < count && eligible[i + 1] ? 1u : 0u);
 
-    const unsigned E = std::max(1u, (S + 1) / 2); // encoder threads
     std::mutex m;
     std::condition_variable cvSpace; //!< shards wait for queue room
     std::condition_variable cvWork;  //!< encoders wait for slots
@@ -399,7 +404,6 @@ LivePointBuilder::buildParallel(const Program &prog,
         }
     };
 
-    ThreadPool pool(S + E);
     pool.run([&](unsigned id) {
         try {
             if (id < S)

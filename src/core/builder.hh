@@ -11,7 +11,8 @@
  * into S contiguous shards; a cheap arch-only functional pre-pass
  * captures registers + memory at each shard boundary, and each pool
  * worker warms caches/TLBs/predictors over an MRRL-derived prefix
- * before emitting its shard's points. The architectural content of
+ * (the analysis scans the stream on the same pool first) before
+ * emitting its shard's points. The architectural content of
  * every point (registers, live-state image) is *exact* regardless of
  * sharding — execution is deterministic from the snapshots — and the
  * MRRL result (Figs 4-5) bounds the warm-state bias at each shard's

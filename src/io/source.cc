@@ -17,15 +17,23 @@ namespace lp
 Blob
 readWholeFile(const std::string &path, const char *what)
 {
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("io.open.read");
-        if (o.fail)
-            throwIoError("open", what, path, o.err);
-    }
     int fd = -1;
     {
         TransientRetry retry;
-        while ((fd = ::open(path.c_str(), O_RDONLY)) < 0) {
+        for (;;) {
+            // An injected open failure takes the retry path a real
+            // one takes.
+            if (failpointsArmed()) {
+                const FailpointOutcome o = failpointFire("io.open.read");
+                if (o.fail) {
+                    if (retry.shouldRetry(o.err))
+                        continue;
+                    throwIoError("open", what, path, o.err);
+                }
+            }
+            fd = ::open(path.c_str(), O_RDONLY);
+            if (fd >= 0)
+                break;
             const int err = errno;
             if (!retry.shouldRetry(err))
                 throwIoError("open", what, path, err);

@@ -99,6 +99,22 @@ main()
         CHECK_EQ(builder.stats().shards, shards);
         CHECK(builder.stats().prePassInsts > 0);
 
+        // Golden pins: each shard's warm state starts at its MRRL
+        // prefix, so a change to the analysis's results or to the
+        // shard layout changes these bytes, plain and delta alike.
+        const bool three = shards == 3;
+        CHECK_PIN(builder.stats().instsSimulated,
+                  three ? 0xaf1f5ull : 0xe5469ull);
+        CHECK_PIN(lib.contentHash(),
+                  three ? 0x28a9da10e071c046ull : 0xb4b4a282dd247b86ull);
+        {
+            LivePointBuilderConfig dc = bc;
+            dc.deltaEncode = true;
+            CHECK_PIN(LivePointBuilder(dc).build(prog, design).contentHash(),
+                      three ? 0xbb5266bf08a7e849ull
+                            : 0xc0d34a68dac24239ull);
+        }
+
         Blob scratchA, scratchB;
         LivePoint pa, pb;
         for (std::size_t i = 0; i < lib.size(); ++i) {

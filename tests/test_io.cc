@@ -4,7 +4,7 @@
  * to a zero-length handle, retries an interrupted open, and throws an
  * IoError naming the file when the file is missing or the map fails —
  * which a library load surfaces as it is, with no second way to hold
- * the bytes.
+ * the bytes. readWholeFile retries an interrupted open the same way.
  */
 
 #include "test_util.hh"
@@ -18,6 +18,7 @@
 
 #include "io/io_error.hh"
 #include "io/mapped_file.hh"
+#include "io/source.hh"
 #include "util/failpoint.hh"
 
 namespace
@@ -202,6 +203,27 @@ main()
         CHECK(identicalRecords(back, t.lib));
         CHECK_EQ(back.contentHash(), t.lib.contentHash());
         std::remove(libPath.c_str());
+    }
+
+    // readWholeFile (job files, the campaign manifest) retries an
+    // interrupted open like the mapping does: an injected EINTR is
+    // retried and yields the same bytes, and EINTR on every attempt
+    // exhausts the retry budget with an IoError naming the file.
+    {
+        armFailpointsFromSpec("io.open.read=hit:1:err:EINTR");
+        const Blob got = readWholeFile(path, "test file");
+        CHECK_EQ(failpointHits("io.open.read"), 2u);
+        disarmAllFailpoints();
+        CHECK(got == payload);
+
+        armFailpointsFromSpec("io.open.read=every:1:err:EINTR");
+        int err = 0;
+        const auto msg = thrown<IoError>(
+            [&] { readWholeFile(path, "test file"); }, &err);
+        disarmAllFailpoints();
+        CHECK(mentions(msg, path));
+        CHECK(mentions(msg, std::strerror(EINTR)));
+        CHECK_EQ(err, EINTR);
     }
 
     std::remove(path.c_str());
