@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cerrno>
 
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "io/io_error.hh"
+#include "io/source.hh"
 #include "util/failpoint.hh"
 #include "util/log.hh"
-#include "util/retry.hh"
 
 namespace lp
 {
@@ -54,29 +53,7 @@ throwMapError(const std::string &path, std::size_t size, int err)
 MappedFile
 MappedFile::map(const std::string &path)
 {
-    int fd = -1;
-    {
-        TransientRetry retry;
-        for (;;) {
-            // An injected open failure takes the retry path a real
-            // one takes.
-            if (failpointsArmed()) {
-                const FailpointOutcome o = failpointFire("io.mmap.open");
-                if (o.fail) {
-                    if (retry.shouldRetry(o.err))
-                        continue;
-                    throwIoError("open for mapping", "file", path, o.err);
-                }
-            }
-            fd = ::open(path.c_str(), O_RDONLY);
-            if (fd >= 0)
-                break;
-            const int err = errno;
-            if (!retry.shouldRetry(err))
-                throwIoError("open for mapping", "file", path, err);
-        }
-    }
-    FdGuard g{fd};
+    FdGuard g{openForRead(path, "io.mmap.open", "open for mapping", "file")};
     struct stat st;
     if (::fstat(g.fd, &st) != 0 || st.st_size < 0)
         throwIoError("stat", "file", path, errno);

@@ -14,31 +14,35 @@
 namespace lp
 {
 
+int
+openForRead(const std::string &path, const char *site, const char *verb,
+            const char *what)
+{
+    TransientRetry retry;
+    for (;;) {
+        // An injected open failure takes the retry path a real one
+        // takes.
+        if (failpointsArmed()) {
+            const FailpointOutcome o = failpointFire(site);
+            if (o.fail) {
+                if (retry.shouldRetry(o.err))
+                    continue;
+                throwIoError(verb, what, path, o.err);
+            }
+        }
+        const int fd = ::open(path.c_str(), O_RDONLY);
+        if (fd >= 0)
+            return fd;
+        const int err = errno;
+        if (!retry.shouldRetry(err))
+            throwIoError(verb, what, path, err);
+    }
+}
+
 Blob
 readWholeFile(const std::string &path, const char *what)
 {
-    int fd = -1;
-    {
-        TransientRetry retry;
-        for (;;) {
-            // An injected open failure takes the retry path a real
-            // one takes.
-            if (failpointsArmed()) {
-                const FailpointOutcome o = failpointFire("io.open.read");
-                if (o.fail) {
-                    if (retry.shouldRetry(o.err))
-                        continue;
-                    throwIoError("open", what, path, o.err);
-                }
-            }
-            fd = ::open(path.c_str(), O_RDONLY);
-            if (fd >= 0)
-                break;
-            const int err = errno;
-            if (!retry.shouldRetry(err))
-                throwIoError("open", what, path, err);
-        }
-    }
+    const int fd = openForRead(path, "io.open.read", "open", what);
     struct stat st;
     if (::fstat(fd, &st) != 0 || st.st_size < 0) {
         const int err = errno;

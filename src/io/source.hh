@@ -3,7 +3,8 @@
  * Whole-file reads for the small files that are parsed once and then
  * dropped: a library-set index, a campaign manifest. Containers —
  * live-point libraries and result stores — are mapped instead (see
- * io/mapped_file.hh), so their bytes are never copied to the heap.
+ * io/mapped_file.hh), so their bytes are never copied to the heap;
+ * both open their file through openForRead().
  */
 
 #ifndef LP_IO_SOURCE_HH
@@ -15,6 +16,18 @@
 
 namespace lp
 {
+
+/**
+ * Open @p path read-only and return its descriptor, retrying a
+ * transient failure (EINTR, EAGAIN) through TransientRetry. Failpoint
+ * @p site fires inside the retry loop, so an injected error takes the
+ * path a real one takes. A hard failure, or a transient one past the
+ * retry budget, throws IoError "cannot <verb> <what> '<path>': ...".
+ * Both read paths open through it: readWholeFile ("io.open.read") and
+ * MappedFile::map ("io.mmap.open").
+ */
+int openForRead(const std::string &path, const char *site,
+                const char *verb, const char *what);
 
 /**
  * Read all of @p path into a heap buffer, throwing on a missing file

@@ -27,10 +27,7 @@ blockOf(Addr addr)
 /**
  * The windows' distinct blocks in an open-addressing table whose slot
  * is each block's id: the scan's last-touch arrays are indexed by it.
- * Sized once to at least twice its entries and never grown. Most of
- * the scan's references miss, so a bitmap of 32 bits per slot, set at
- * each entry's finer hash, answers nearly all of them with one
- * well-predicted test before any probe.
+ * Sized once to at least twice its entries and never grown.
  */
 class BlockTable
 {
@@ -42,7 +39,6 @@ class BlockTable
             ++bits;
         shift_ = 64 - bits;
         keys_.assign(std::size_t{1} << bits, kEmpty);
-        filter_.assign(keys_.size() / 2, 0); // 32 bits per slot
     }
 
     std::size_t capacity() const { return keys_.size(); }
@@ -50,10 +46,7 @@ class BlockTable
     /** The slot of @p block, claiming an empty one if it is new. */
     std::size_t insert(Addr block)
     {
-        const std::uint64_t h = hash(block);
-        filter_[filterBit(h) / 64] |= std::uint64_t{1}
-                                      << (filterBit(h) % 64);
-        std::size_t i = h >> shift_;
+        std::size_t i = hash(block) >> shift_;
         while (keys_[i] != block && keys_[i] != kEmpty)
             i = (i + 1) & (keys_.size() - 1);
         keys_[i] = block;
@@ -63,10 +56,7 @@ class BlockTable
     /** The slot of @p block, or capacity() if no window touches it. */
     std::size_t find(Addr block) const
     {
-        const std::uint64_t h = hash(block);
-        if (!((filter_[filterBit(h) / 64] >> (filterBit(h) % 64)) & 1))
-            return keys_.size();
-        for (std::size_t i = h >> shift_;;
+        for (std::size_t i = hash(block) >> shift_;;
              i = (i + 1) & (keys_.size() - 1)) {
             if (keys_[i] == block)
                 return i;
@@ -84,14 +74,7 @@ class BlockTable
         return block / kBlockBytes * 0x9e3779b97f4a7c15ull;
     }
 
-    /** The top bits of @p h: five more than the slot's. */
-    std::size_t filterBit(std::uint64_t h) const
-    {
-        return static_cast<std::size_t>(h >> (shift_ - 5));
-    }
-
     std::vector<Addr> keys_;
-    std::vector<std::uint64_t> filter_;
     unsigned shift_ = 0;
 };
 
@@ -115,10 +98,9 @@ closeWindow(std::vector<InstCount> &distances, double coverage,
 
 MrrlAnalysis
 analyzeMrrl(const Program &prog,
-            const std::vector<InstCount> &windowStarts,
-            InstCount windowLen, double coverage, ThreadPool *pool)
+            const std::vector<InstCount> &starts, InstCount windowLen,
+            double coverage, ThreadPool *pool)
 {
-    const std::vector<InstCount> &starts = windowStarts;
     for (std::size_t w = 1; w < starts.size(); ++w)
         if (starts[w] < starts[w - 1] ||
             starts[w] - starts[w - 1] < windowLen)

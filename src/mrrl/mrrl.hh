@@ -45,7 +45,7 @@ struct MrrlAnalysis
 };
 
 /**
- * For each window [start, start + windowLen) of @p windowStarts,
+ * For each window [start, start + windowLen) of @p starts,
  * clipped to the program's end, the reuse-latency distribution of the
  * blocks it touches, and from it the @p coverage-quantile warming
  * length. A window with no reused block (or starting past the end)
@@ -59,7 +59,7 @@ struct MrrlAnalysis
  * same, bit for bit.
  */
 MrrlAnalysis analyzeMrrl(const Program &prog,
-                         const std::vector<InstCount> &windowStarts,
+                         const std::vector<InstCount> &starts,
                          InstCount windowLen,
                          double coverage = defaultMrrlCoverage,
                          ThreadPool *pool = nullptr);
