@@ -13,7 +13,6 @@
 #include "store/result_store.hh"
 #include "util/failpoint.hh"
 #include "util/log.hh"
-#include "util/retry.hh"
 #include "util/threadpool.hh"
 
 namespace lp
@@ -26,10 +25,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kManifestMagic = 0x4c50'434d'4631ull; // LPCMF1
 constexpr std::uint64_t kManifestVersion = 1;
-
-/** Transient manifest-write and shard-open errors: three tries, 1 ms
- *  then 2 ms apart (jittered). */
-constexpr RetryPolicy kTransientRetry{2, 1000, 2000, 0};
 
 /**
  * A manifest write failure. Distinct from replay faults so run()'s
@@ -232,18 +227,13 @@ CampaignEngine::saveManifest(const Manifest &m) const
 
     // The whole file is replaced at every barrier (temp, fsync,
     // rename, directory fsync), so a crash leaves either the previous
-    // checkpoint or this one. The writer retries neither its open nor
-    // its rename; a transient failure of either retries the write.
-    TransientRetry retry(kTransientRetry);
-    for (;;) {
-        try {
-            writeFileAtomic(opt_.manifestPath, image.data(),
-                            image.size(), "campaign manifest");
-            return;
-        } catch (const IoError &e) {
-            if (!retry.shouldRetry(e.errnum()))
-                throw ManifestWriteError(e.what());
-        }
+    // checkpoint or this one. Each of those system calls retries its
+    // own transient errors.
+    try {
+        writeFileAtomic(opt_.manifestPath, image.data(), image.size(),
+                        "campaign manifest");
+    } catch (const IoError &e) {
+        throw ManifestWriteError(e.what());
     }
 }
 
@@ -261,13 +251,6 @@ CampaignEngine::loadManifest() const
     if (opt_.manifestPath.empty())
         return m;
 
-    if (failpointsArmed()) {
-        const FailpointOutcome o =
-            failpointFire("campaign.manifest.load");
-        if (o.fail)
-            throwIoError("read", "campaign manifest",
-                         opt_.manifestPath, o.err);
-    }
     Blob data;
     try {
         data = readWholeFile(opt_.manifestPath, "campaign manifest");
@@ -502,25 +485,17 @@ CampaignEngine::run()
             // only because this workload actually has work left — and
             // closes again below. Workloads the manifest already
             // finished (or the budget never reaches) stay on disk.
-            // Transient open errors (EINTR/EAGAIN) are retried with
-            // backoff before the workload is declared failed.
+            // The open's own system calls retry transient errors, so
+            // any error here fails the workload.
             const bool lazyShard =
                 !wk.lib && !wk.set->isLoaded(wk.shard);
             const LivePointLibrary *lib = wk.lib;
-            TransientRetry retry(kTransientRetry);
-            while (!lib) {
+            if (!lib) {
                 try {
                     lib = &wk.set->shard(wk.shard);
-                } catch (const IoError &e) {
-                    if (retry.shouldRetry(e.errnum()))
-                        continue;
-                    failReason = e.what();
-                    failKind = CellFailReason::shardUnavailable;
-                    break;
                 } catch (const std::exception &e) {
                     failReason = e.what();
                     failKind = CellFailReason::shardUnavailable;
-                    break;
                 }
             }
 

@@ -39,8 +39,8 @@
  *    quarantined (see LibrarySet::openRecover) or fails to open is
  *    marked failed-with-reason cell by cell; the campaign keeps
  *    going and its workers migrate to the healthy workloads.
- *    Transient open errors (EINTR/EAGAIN) are retried with backoff
- *    before the workload is declared failed.
+ *    Transient errors (EINTR/EAGAIN) never get this far: each system
+ *    call of the open retries its own.
  */
 
 #ifndef LP_CORE_CAMPAIGN_HH

@@ -7,9 +7,7 @@
 
 #include "codec/zip.hh"
 #include "io/atomic_file.hh"
-#include "io/io_error.hh"
 #include "util/bytes.hh"
-#include "util/failpoint.hh"
 #include "util/log.hh"
 
 namespace lp
@@ -612,11 +610,6 @@ LivePointLibrary::shuffle(Rng &rng)
 void
 LivePointLibrary::save(const std::string &path) const
 {
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("library.save");
-        if (o.fail)
-            throwIoError("save", "library", path, o.err);
-    }
     const ContainerFormat &fmt = anyDelta_ ? kLpl4 : kLpl3;
     DerWriter mw;
     mw.putString(benchmark_);
@@ -740,11 +733,6 @@ LivePointLibrary::validateChains()
 LivePointLibrary
 LivePointLibrary::load(const std::string &path)
 {
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("library.load");
-        if (o.fail)
-            throwIoError("load", "library", path, o.err);
-    }
     auto file = std::make_shared<const MappedFile>(MappedFile::map(path));
     file->adviseSequential();
     const ContainerFormat *format = nullptr;

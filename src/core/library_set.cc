@@ -9,7 +9,6 @@
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
 #include "io/source.hh"
-#include "util/failpoint.hh"
 #include "util/log.hh"
 
 namespace lp
@@ -101,18 +100,6 @@ LibrarySet::openImpl(const std::string &dir, bool recover)
 
     LibrarySet set;
     set.dir_ = dir;
-
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("set.index.load");
-        if (o.fail) {
-            if (!recover)
-                throwIoError("read", "library-set index", indexPath,
-                             o.err);
-            set.rescanShards(ioErrorMsg("read", "library-set index",
-                                        indexPath, o.err));
-            return set;
-        }
-    }
 
     Blob data;
     try {
@@ -308,13 +295,6 @@ LibrarySet::shard(std::size_t i) const
                 "library-set shard '%s' is quarantined (set '%s'): "
                 "%s",
                 e.name.c_str(), dir_.c_str(), e.quarantine.c_str()));
-        if (failpointsArmed()) {
-            const FailpointOutcome o =
-                failpointFire("set.shard.load");
-            if (o.fail)
-                throwIoError("load", "library-set shard",
-                             shardPath(i), o.err);
-        }
         auto lib = std::make_unique<LivePointLibrary>(
             LivePointLibrary::load(shardPath(i)));
         // The index metadata is load-bearing (campaign manifests key
@@ -432,12 +412,6 @@ LibrarySetWriter::addShard(const std::string &name,
 void
 LibrarySetWriter::writeIndex() const
 {
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("set.index.write");
-        if (o.fail)
-            throwIoError("write", "library-set index",
-                         joinPath(dir_, kIndexFile), o.err);
-    }
     DerWriter w;
     w.beginSequence();
     w.putUint(kSetMagic);

@@ -2,12 +2,12 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "io/io_error.hh"
-#include "util/failpoint.hh"
 #include "util/retry.hh"
 
 namespace lp
@@ -49,14 +49,11 @@ checksummedPayload(const std::uint8_t *data, std::size_t size,
 AtomicFileWriter::AtomicFileWriter(std::string path, const char *what)
     : path_(std::move(path)), tmp_(tempFileName(path_)), what_(what)
 {
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("io.open.write");
-        if (o.fail)
-            throwIoError("create temp for", what_, tmp_, o.err);
-    }
-    f_ = std::fopen(tmp_.c_str(), "wb");
-    if (!f_)
-        throwIoError("create temp for", what_, tmp_, errno);
+    int err = 0;
+    if (!retrySyscall("io.open.write", &err, [&](bool) {
+            return (f_ = std::fopen(tmp_.c_str(), "wb")) != nullptr;
+        }))
+        throwIoError("create temp for", what_, tmp_, err);
 }
 
 AtomicFileWriter::~AtomicFileWriter()
@@ -88,81 +85,50 @@ void
 AtomicFileWriter::write(const void *data, std::size_t size)
 {
     const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
-    TransientRetry retry;
     while (size > 0) {
-        std::size_t want = size;
-        if (failpointsArmed()) {
-            const FailpointOutcome o = failpointFire("io.write");
-            if (o.fail) {
-                if (retry.shouldRetry(o.err))
-                    continue;
-                const int err = o.err;
-                discard();
-                throwIoError("write", what_, tmp_, err);
-            }
-            if (o.shortOp && want > 1)
-                want /= 2;
+        int err = 0;
+        // A short write keeps the bytes it wrote; the next attempt
+        // (or the next turn of this loop) writes the rest.
+        if (!retrySyscall("io.write", &err, [&](bool shortOp) {
+                const std::size_t want =
+                    shortOp && size > 1 ? size / 2 : size;
+                const std::size_t n = std::fwrite(p, 1, want, f_);
+                p += n;
+                size -= n;
+                if (n == want)
+                    return true;
+                std::clearerr(f_); // leaves errno as it is
+                return false;
+            })) {
+            discard();
+            throwIoError("write", what_, tmp_, err ? err : EIO);
         }
-        const std::size_t n = std::fwrite(p, 1, want, f_);
-        p += n;
-        size -= n;
-        if (n == want)
-            continue;
-        const int err = errno;
-        if (retry.shouldRetry(err)) {
-            std::clearerr(f_);
-            continue;
-        }
-        discard();
-        throwIoError("write", what_, tmp_, err ? err : EIO);
     }
 }
 
 void
 AtomicFileWriter::commit()
 {
+    int err = 0;
     if (std::fflush(f_) != 0) {
-        const int err = errno;
+        err = errno;
         discard();
         throwIoError("flush", what_, tmp_, err);
     }
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("io.fsync");
-        if (o.fail) {
-            const int err = o.err;
-            discard();
-            throwIoError("sync", what_, tmp_, err);
-        }
+    if (!retrySyscall("io.fsync", &err, [&](bool) {
+            return ::fsync(::fileno(f_)) == 0;
+        })) {
+        discard();
+        throwIoError("sync", what_, tmp_, err);
     }
-    {
-        TransientRetry retry;
-        while (::fsync(::fileno(f_)) != 0) {
-            const int err = errno;
-            if (!retry.shouldRetry(err)) {
-                discard();
-                throwIoError("sync", what_, tmp_, err);
-            }
-        }
+    if (std::fclose(std::exchange(f_, nullptr)) != 0) {
+        err = errno;
+        discard();
+        throwIoError("close", what_, tmp_, err);
     }
-    {
-        std::FILE *f = f_;
-        f_ = nullptr;
-        if (std::fclose(f) != 0) {
-            const int err = errno;
-            discard();
-            throwIoError("close", what_, tmp_, err);
-        }
-    }
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("io.rename");
-        if (o.fail) {
-            const int err = o.err;
-            discard();
-            throwIoError("publish", what_, path_, err);
-        }
-    }
-    if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
-        const int err = errno;
+    if (!retrySyscall("io.rename", &err, [&](bool) {
+            return std::rename(tmp_.c_str(), path_.c_str()) == 0;
+        })) {
         discard();
         throwIoError("publish", what_, path_, err);
     }
@@ -176,26 +142,18 @@ AtomicFileWriter::commit()
 void
 syncParentDir(const std::string &path)
 {
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("io.dirsync");
-        if (o.fail)
-            throwIoError("sync directory of", "file", path, o.err);
-    }
     std::string dir = path;
     const std::size_t slash = dir.find_last_of('/');
     dir = slash == std::string::npos ? "." : dir.substr(0, slash);
     const int fd = ::open(dir.c_str(), O_RDONLY);
     if (fd < 0)
         return; // best-effort: an unreadable parent is not an error
-    TransientRetry retry;
-    while (::fsync(fd) != 0) {
-        const int err = errno;
-        if (!retry.shouldRetry(err)) {
-            ::close(fd);
-            throwIoError("sync directory of", "file", path, err);
-        }
-    }
+    int err = 0;
+    const bool synced = retrySyscall(
+        "io.dirsync", &err, [&](bool) { return ::fsync(fd) == 0; });
     ::close(fd);
+    if (!synced)
+        throwIoError("sync directory of", "file", path, err);
 }
 
 void

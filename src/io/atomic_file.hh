@@ -17,10 +17,13 @@
  * recovery can distinguish "index is stale/torn, rescan the shards"
  * from "index is fine".
  *
- * Every write syscall retries transient errnos (EINTR, bounded
- * EAGAIN) and continues after short writes; failpoint sites
- * (io.open.write, io.write, io.fsync, io.rename, io.dirsync) cover
- * each step for fault-injection tests.
+ * Every system call of the sequence (the temp's open, each write, the
+ * fsync, the rename and the directory fsync) goes through
+ * retrySyscall (util/retry.hh): it retries transient errnos (EINTR,
+ * bounded EAGAIN), and a write continues after a short write. Each
+ * step's failpoint (io.open.write, io.write, io.fsync, io.rename,
+ * io.dirsync) fires before every attempt, so an injected error takes
+ * the path a real one takes.
  */
 
 #ifndef LP_IO_ATOMIC_FILE_HH

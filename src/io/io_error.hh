@@ -7,9 +7,9 @@
  * *which* file failed and *why*, not a bare "short read".
  *
  * transient() distinguishes errors worth a bounded retry (EINTR,
- * EAGAIN) from hard failures; the low-level read/write loops retry
- * transients themselves, and the campaign engine retries transient
- * shard-open failures with backoff before marking cells failed.
+ * EAGAIN) from hard failures. Every system call retries its own
+ * transients (retrySyscall, util/retry.hh), so an IoError that
+ * reaches a caller is final: no layer above retries it again.
  */
 
 #ifndef LP_IO_IO_ERROR_HH

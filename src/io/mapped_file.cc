@@ -9,8 +9,8 @@
 
 #include "io/io_error.hh"
 #include "io/source.hh"
-#include "util/failpoint.hh"
 #include "util/log.hh"
+#include "util/retry.hh"
 
 namespace lp
 {
@@ -60,14 +60,13 @@ MappedFile::map(const std::string &path)
     const std::size_t size = static_cast<std::size_t>(st.st_size);
     if (size == 0)
         return MappedFile(nullptr, 0);
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("io.mmap.map");
-        if (o.fail)
-            throwMapError(path, size, o.err);
-    }
-    void *p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, g.fd, 0);
-    if (p == MAP_FAILED)
-        throwMapError(path, size, errno);
+    void *p = MAP_FAILED;
+    int err = 0;
+    if (!retrySyscall("io.mmap.map", &err, [&](bool) {
+            p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, g.fd, 0);
+            return p != MAP_FAILED;
+        }))
+        throwMapError(path, size, err);
     return MappedFile(static_cast<std::uint8_t *>(p), size);
 }
 

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include "io/io_error.hh"
-#include "util/failpoint.hh"
 #include "util/log.hh"
 #include "util/retry.hh"
 
@@ -18,25 +17,13 @@ int
 openForRead(const std::string &path, const char *site, const char *verb,
             const char *what)
 {
-    TransientRetry retry;
-    for (;;) {
-        // An injected open failure takes the retry path a real one
-        // takes.
-        if (failpointsArmed()) {
-            const FailpointOutcome o = failpointFire(site);
-            if (o.fail) {
-                if (retry.shouldRetry(o.err))
-                    continue;
-                throwIoError(verb, what, path, o.err);
-            }
-        }
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd >= 0)
-            return fd;
-        const int err = errno;
-        if (!retry.shouldRetry(err))
-            throwIoError(verb, what, path, err);
-    }
+    int fd = -1;
+    int err = 0;
+    if (!retrySyscall(site, &err, [&](bool) {
+            return (fd = ::open(path.c_str(), O_RDONLY)) >= 0;
+        }))
+        throwIoError(verb, what, path, err);
+    return fd;
 }
 
 Blob
@@ -51,28 +38,17 @@ readWholeFile(const std::string &path, const char *what)
     }
     Blob data(static_cast<std::size_t>(st.st_size));
     std::size_t got = 0;
-    TransientRetry retry;
     while (got < data.size()) {
-        std::size_t want = data.size() - got;
-        if (failpointsArmed()) {
-            const FailpointOutcome o = failpointFire("io.read");
-            if (o.fail) {
-                if (retry.shouldRetry(o.err))
-                    continue;
-                ::close(fd);
-                throwIoError("read", what, path, o.err);
-            }
-            // A short read: deliver only part of the request once;
-            // the loop reads the remainder — which is exactly the
-            // resilience the retry loop exists to prove.
-            if (o.shortOp && want > 1)
-                want /= 2;
-        }
-        const ::ssize_t n = ::read(fd, data.data() + got, want);
-        if (n < 0) {
-            const int err = errno;
-            if (retry.shouldRetry(err))
-                continue;
+        ::ssize_t n = 0;
+        int err = 0;
+        // A short read delivers only part of the request once; the
+        // loop reads the remainder.
+        if (!retrySyscall("io.read", &err, [&](bool shortOp) {
+                const std::size_t want = data.size() - got;
+                n = ::read(fd, data.data() + got,
+                           shortOp && want > 1 ? want / 2 : want);
+                return n >= 0;
+            })) {
             ::close(fd);
             throwIoError("read", what, path, err);
         }

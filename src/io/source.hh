@@ -18,21 +18,23 @@ namespace lp
 {
 
 /**
- * Open @p path read-only and return its descriptor, retrying a
- * transient failure (EINTR, EAGAIN) through TransientRetry. Failpoint
- * @p site fires inside the retry loop, so an injected error takes the
- * path a real one takes. A hard failure, or a transient one past the
- * retry budget, throws IoError "cannot <verb> <what> '<path>': ...".
- * Both read paths open through it: readWholeFile ("io.open.read") and
- * MappedFile::map ("io.mmap.open").
+ * Open @p path read-only and return its descriptor. The open goes
+ * through retrySyscall (util/retry.hh) with failpoint @p site, so a
+ * transient failure (EINTR, EAGAIN), injected or real, is retried. A
+ * hard failure, or a transient one past the retry budget, throws
+ * IoError "cannot <verb> <what> '<path>': ...". Both read paths open
+ * through it: readWholeFile ("io.open.read") and MappedFile::map
+ * ("io.mmap.open").
  */
 int openForRead(const std::string &path, const char *site,
                 const char *verb, const char *what);
 
 /**
  * Read all of @p path into a heap buffer, throwing on a missing file
- * or short read; @p what names the file's role in error messages
- * ("library-set index", "campaign manifest").
+ * or a file that ends early; each read goes through retrySyscall
+ * ("io.read") and continues after a short read. @p what names the
+ * file's role in error messages ("library-set index", "campaign
+ * manifest").
  */
 Blob readWholeFile(const std::string &path, const char *what);
 

@@ -149,9 +149,9 @@ SvcReply
 SvcClient::submitWithRetry(const JobSpec &spec,
                            const RetryPolicy &policy)
 {
-    // TransientRetry's backoff and jitter stream, but the "transient"
-    // signal is the daemon's retry-later reply and the daemon's own
-    // retryAfterMs hint is the delay floor.
+    // The system-call retry's backoff and jitter stream, but the
+    // "transient" signal is the daemon's retry-later reply and the
+    // daemon's own retryAfterMs hint is the delay floor.
     Rng rng(policy.seed, "lp-retry-jitter");
     SvcReply rep = submit(spec);
     for (int used = 0; rep.retry && used < policy.attempts; ++used) {

@@ -1,6 +1,5 @@
 #include "svc/proto.hh"
 
-#include <cerrno>
 #include <cstring>
 
 #include <unistd.h>
@@ -9,7 +8,6 @@
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
 #include "util/bytes.hh"
-#include "util/failpoint.hh"
 #include "util/log.hh"
 #include "util/retry.hh"
 
@@ -24,23 +22,13 @@ constexpr std::size_t kFrameHeaderBytes = 32;
 void
 writeAll(int fd, const std::uint8_t *data, std::size_t size)
 {
-    TransientRetry retry;
     while (size > 0) {
-        if (failpointsArmed()) {
-            const FailpointOutcome o = failpointFire("svc.write");
-            if (o.fail) {
-                if (retry.shouldRetry(o.err))
-                    continue;
-                throwIoError("write", "service socket", "peer", o.err);
-            }
-        }
-        const ::ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            const int err = errno;
-            if (retry.shouldRetry(err))
-                continue;
+        ::ssize_t n = 0;
+        int err = 0;
+        if (!retrySyscall("svc.write", &err, [&](bool) {
+                return (n = ::write(fd, data, size)) >= 0;
+            }))
             throwIoError("write", "service socket", "peer", err);
-        }
         data += n;
         size -= static_cast<std::size_t>(n);
     }
@@ -55,23 +43,13 @@ bool
 readAll(int fd, std::uint8_t *data, std::size_t size, bool eofOk)
 {
     std::size_t got = 0;
-    TransientRetry retry;
     while (got < size) {
-        if (failpointsArmed()) {
-            const FailpointOutcome o = failpointFire("svc.read");
-            if (o.fail) {
-                if (retry.shouldRetry(o.err))
-                    continue;
-                throwIoError("read", "service socket", "peer", o.err);
-            }
-        }
-        const ::ssize_t n = ::read(fd, data + got, size - got);
-        if (n < 0) {
-            const int err = errno;
-            if (retry.shouldRetry(err))
-                continue;
+        ::ssize_t n = 0;
+        int err = 0;
+        if (!retrySyscall("svc.read", &err, [&](bool) {
+                return (n = ::read(fd, data + got, size - got)) >= 0;
+            }))
             throwIoError("read", "service socket", "peer", err);
-        }
         if (n == 0) {
             if (got == 0 && eofOk)
                 return false;

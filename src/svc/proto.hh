@@ -12,10 +12,11 @@
  *
  * The checksum makes a torn or corrupted frame detectable instead of
  * silently mis-parsed: a reader that sees a bad magic or checksum
- * fails the connection, never guesses. Socket reads and writes retry
- * transient errnos through TransientRetry (the same bounded
- * backoff+jitter policy file I/O uses) and carry `svc.read` /
- * `svc.write` failpoints so fault sweeps can exercise the paths.
+ * fails the connection, never guesses. Socket reads and writes go
+ * through retrySyscall (util/retry.hh), the helper every file system
+ * call uses: it retries transient errnos with bounded backoff and
+ * jitter, and fires the `svc.read` / `svc.write` failpoints before
+ * each attempt so fault sweeps can exercise the paths.
  *
  * Payloads are DER (codec/der.hh), one message shape per type — see
  * the encode/decode helpers below. A JobSpec is the self-contained

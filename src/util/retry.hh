@@ -1,13 +1,14 @@
 /**
  * @file
- * The one place transient-error retry policy lives. Every I/O path
- * that used to hand-roll an EINTR/EAGAIN loop (file reads, atomic
- * writes, socket frames) counts its attempts through TransientRetry
- * instead: bounded attempts, exponential backoff for EAGAIN-class
- * stalls, and deterministic jitter (lp::Rng, stream-named) so two
- * retrying workers never thundering-herd in lockstep — and so a
- * fault-injection sweep replays the exact same retry schedule every
- * run.
+ * The one place transient-error retry policy lives. Every file and
+ * socket system call (open, read, write, fsync, rename, mmap) goes
+ * through retrySyscall(): it fires the call's failpoint before each
+ * attempt and retries a transient errno, injected or real, through
+ * TransientRetry: bounded attempts, exponential backoff for
+ * EAGAIN-class stalls, and deterministic jitter (lp::Rng,
+ * stream-named) so two retrying workers never thundering-herd in
+ * lockstep, and so a fault-injection sweep replays the exact same
+ * retry schedule every run.
  *
  * EINTR is retried immediately (the syscall was interrupted, not
  * congested); EAGAIN/EWOULDBLOCK sleeps the backoff. Both draw from
@@ -65,13 +66,11 @@ retryBackoffUs(const RetryPolicy &p, int retry, Rng &rng)
     return delay - delay / 4 + rng.nextBounded(half ? half : 1);
 }
 
+/** The attempt budget and backoff of one retrySyscall() call. */
 class TransientRetry
 {
   public:
-    explicit TransientRetry(const RetryPolicy &policy = {})
-        : p_(policy), rng_(policy.seed, "lp-retry-jitter")
-    {
-    }
+    TransientRetry() : rng_(p_.seed, "lp-retry-jitter") {}
 
     /**
      * Decide whether the caller should retry after failing with
@@ -95,6 +94,36 @@ class TransientRetry
     int used_ = 0;
     Rng rng_;
 };
+
+/**
+ * Make one system call under the retry policy. Each attempt fires
+ * failpoint @p site and then runs @p call, which makes the call and
+ * returns true on success or false with errno set; an injected error
+ * skips the call. A transient errno, injected or real, is retried
+ * through one TransientRetry. A hard errno, or a transient one past
+ * the budget, is stored in @p err and false is returned, so the
+ * caller runs its own cleanup and throws its own IoError. @p call
+ * takes `shortOp`: an armed `short` action asks a read or write to
+ * move only part of its bytes on this attempt.
+ */
+template <class Call>
+bool
+retrySyscall(const char *site, int *err, Call &&call)
+{
+    TransientRetry retry;
+    for (;;) {
+        FailpointOutcome o;
+        if (failpointsArmed())
+            o = failpointFire(site);
+        if (!o.fail && call(o.shortOp))
+            return true;
+        const int e = o.fail ? o.err : errno;
+        if (!retry.shouldRetry(e)) {
+            *err = e;
+            return false;
+        }
+    }
+}
 
 } // namespace lp
 

@@ -2,7 +2,8 @@
  * Parallel library construction: the pipelined single-shard build is
  * bit-identical to the sequential reference, sharded builds keep the
  * architectural content of every point exact and their warm-state
- * bias inside the Fig-4 tolerance, and builder statistics are sane.
+ * bias inside the Fig-4 tolerance, builder statistics are sane, and a
+ * failed encode stops the whole build with its error.
  */
 
 #include "test_util.hh"
@@ -10,7 +11,10 @@
 #include <cstdio>
 #include <string>
 
+#include <unistd.h>
+
 #include "core/runners.hh"
+#include "util/failpoint.hh"
 
 namespace
 {
@@ -84,6 +88,15 @@ main()
         std::remove(pb.c_str());
     }
 
+    // Golden pins: each shard's warm state starts at its MRRL prefix,
+    // so a change to the analysis's results or to the shard layout
+    // changes these bytes, plain and delta alike.
+    auto pinnedHash = [](unsigned shards, bool delta) {
+        if (shards == 3)
+            return delta ? 0xbb5266bf08a7e849ull : 0x28a9da10e071c046ull;
+        return delta ? 0xc0d34a68dac24239ull : 0xb4b4a282dd247b86ull;
+    };
+
     // --- Sharded build (MRRL-derived prefixes): architectural
     // content exact, warm-state bias within tolerance. ---
     const LivePointRunOptions ropt;
@@ -99,20 +112,14 @@ main()
         CHECK_EQ(builder.stats().shards, shards);
         CHECK(builder.stats().prePassInsts > 0);
 
-        // Golden pins: each shard's warm state starts at its MRRL
-        // prefix, so a change to the analysis's results or to the
-        // shard layout changes these bytes, plain and delta alike.
-        const bool three = shards == 3;
         CHECK_PIN(builder.stats().instsSimulated,
-                  three ? 0xaf1f5ull : 0xe5469ull);
-        CHECK_PIN(lib.contentHash(),
-                  three ? 0x28a9da10e071c046ull : 0xb4b4a282dd247b86ull);
+                  shards == 3 ? 0xaf1f5ull : 0xe5469ull);
+        CHECK_PIN(lib.contentHash(), pinnedHash(shards, false));
         {
             LivePointBuilderConfig dc = bc;
             dc.deltaEncode = true;
             CHECK_PIN(LivePointBuilder(dc).build(prog, design).contentHash(),
-                      three ? 0xbb5266bf08a7e849ull
-                            : 0xc0d34a68dac24239ull);
+                      pinnedHash(shards, true));
         }
 
         Blob scratchA, scratchB;
@@ -221,6 +228,58 @@ main()
                 CHECK(pc.serialize() == pp.serialize());
             }
         }
+    }
+
+    // --- A failed encode halts the build. codec.compress failing on
+    // the first record, mid-build or on every record makes build()
+    // throw that error and return: the encoder that threw halts the
+    // warming shards and the other encoders, which would otherwise
+    // wait on the queue forever. The next unarmed build of the same
+    // configuration writes the pinned bytes. ---
+    {
+        LivePointBuilderConfig seqDelta = bcSeq;
+        seqDelta.deltaEncode = true;
+        const std::uint64_t seqDeltaHash =
+            LivePointBuilder(seqDelta).build(prog, design).contentHash();
+        const std::string mid =
+            "hit:" + std::to_string(design.count / 2);
+        // A hung build kills the test (SIGALRM) instead of stalling it.
+        ::alarm(600);
+        for (const bool delta : {false, true}) {
+            for (const unsigned shards : {1u, 3u, 4u}) {
+                LivePointBuilderConfig bc = bcSeq;
+                bc.pipelineEncode = true;
+                bc.buildThreads = shards;
+                bc.deltaEncode = delta;
+                for (const std::string &trigger :
+                     {std::string("hit:1"), mid, std::string("every:1")}) {
+                    armFailpointsFromSpec("codec.compress=" + trigger +
+                                          ":err");
+                    std::string error;
+                    try {
+                        LivePointBuilder(bc).build(prog, design);
+                    } catch (const std::exception &e) {
+                        error = e.what();
+                    }
+                    disarmAllFailpoints();
+                    const bool named =
+                        error.find("codec.compress") != std::string::npos;
+                    if (!named)
+                        std::fprintf(stderr, "S=%u delta=%d %s: '%s'\n",
+                                     shards, delta, trigger.c_str(),
+                                     error.c_str());
+                    CHECK(named);
+                }
+                const std::uint64_t want =
+                    shards > 1 ? pinnedHash(shards, delta)
+                               : delta ? seqDeltaHash
+                                       : seqLib.contentHash();
+                const LivePointLibrary lib =
+                    LivePointBuilder(bc).build(prog, design);
+                CHECK_PIN(lib.contentHash(), want);
+            }
+        }
+        ::alarm(0);
     }
 
     // --- Restricted live-state tier: a builder configuration derived

@@ -285,7 +285,7 @@ main()
     {
         const std::string path = "faults-lib.lpl";
         std::filesystem::remove(path);
-        arm("library.save", FailpointSpec::Trigger::nth, 1,
+        arm("io.open.write", FailpointSpec::Trigger::nth, 1,
             FailpointSpec::Action::error, ENOSPC);
         CHECK_THROWS(w0.lib.save(path));
         disarmAllFailpoints();
@@ -525,8 +525,9 @@ main()
     // ---- Manifest write faults: retry vs abort ---------------------
     {
         std::filesystem::remove(manifestPath);
-        // The atomic writer does not retry its own open: one transient
-        // open failure is retried by the manifest write, invisibly.
+        // The atomic writer retries its own open like every other
+        // system call: one transient open failure is invisible to the
+        // campaign.
         arm("io.open.write", FailpointSpec::Trigger::nth, 1,
             FailpointSpec::Action::error, EINTR);
         bool completed = false;
@@ -600,9 +601,9 @@ main()
         setGrid[1] = {"flt-b", &w1.prog, nullptr, &set,
                       set.find("flt-b")};
 
-        // A transient shard-open error is retried with backoff: the
+        // A transient shard-open error is retried at the open: the
         // campaign completes with no failed cells.
-        arm("set.shard.load", FailpointSpec::Trigger::nth, 1,
+        arm("io.mmap.open", FailpointSpec::Trigger::nth, 1,
             FailpointSpec::Action::error, EINTR);
         CampaignResult r = CampaignEngine(setGrid, cfgs, copt).run();
         disarmAllFailpoints();
@@ -613,7 +614,7 @@ main()
         // cells with the reason; the campaign keeps going.
         set.unload(setGrid[0].shard);
         set.unload(setGrid[1].shard);
-        arm("set.shard.load", FailpointSpec::Trigger::nth, 1,
+        arm("io.mmap.open", FailpointSpec::Trigger::nth, 1,
             FailpointSpec::Action::error, EIO);
         r = CampaignEngine(setGrid, cfgs, copt).run();
         disarmAllFailpoints();

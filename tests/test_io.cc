@@ -1,10 +1,12 @@
 /**
  * The io layer's contract: MappedFile maps a file's exact bytes with
  * working paging hints and clean move semantics, maps an empty file
- * to a zero-length handle, retries an interrupted open, and throws an
- * IoError naming the file when the file is missing or the map fails —
- * which a library load surfaces as it is, with no second way to hold
- * the bytes. readWholeFile retries an interrupted open the same way.
+ * to a zero-length handle, and throws an IoError naming the file when
+ * the file is missing or the map fails — which a library load
+ * surfaces as it is, with no second way to hold the bytes. Every file
+ * and socket system call follows one retry policy: one table drives
+ * each site through an injected EINTR (retried, same result) and
+ * EINTR on every attempt (a bounded, named IoError).
  */
 
 #include "test_util.hh"
@@ -13,13 +15,20 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <type_traits>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include "io/atomic_file.hh"
 #include "io/io_error.hh"
 #include "io/mapped_file.hh"
 #include "io/source.hh"
+#include "svc/proto.hh"
 #include "util/failpoint.hh"
+#include "util/retry.hh"
 
 namespace
 {
@@ -61,6 +70,30 @@ mentions(const std::optional<std::string> &msg, const std::string &s)
 {
     return msg && msg->find(s) != std::string::npos;
 }
+
+/** Run @p op and return its result, or report what it threw. */
+std::optional<lp::Blob>
+result(const std::function<lp::Blob()> &op)
+{
+    try {
+        return op();
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "  threw: %s\n", e.what());
+    }
+    return std::nullopt;
+}
+
+/** Both ends of a connected socket pair, closed on scope exit. */
+struct SocketPair
+{
+    int fd[2] = {-1, -1};
+    SocketPair() { CHECK_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fd), 0); }
+    ~SocketPair()
+    {
+        ::close(fd[0]);
+        ::close(fd[1]);
+    }
+};
 
 } // namespace
 
@@ -167,27 +200,6 @@ main()
         disarmAllFailpoints();
         CHECK_EQ(err, EACCES);
 
-        // An interrupted open is retried like a real EINTR: the
-        // injection fires once, the second attempt opens the file and
-        // the load succeeds. EINTR on every attempt exhausts the
-        // retry budget and fails with the file named.
-        armFailpointsFromSpec("io.mmap.open=hit:1:err:EINTR");
-        {
-            const LivePointLibrary retried =
-                LivePointLibrary::load(libPath);
-            CHECK_EQ(failpointHits("io.mmap.open"), 2u);
-            CHECK(identicalRecords(retried, t.lib));
-        }
-        disarmAllFailpoints();
-        armFailpointsFromSpec("io.mmap.open=every:1:err:EINTR");
-        err = 0;
-        CHECK(mentions(thrown<IoError>(
-                           [&] { LivePointLibrary::load(libPath); },
-                           &err),
-                       libPath));
-        disarmAllFailpoints();
-        CHECK_EQ(err, EINTR);
-
         // LP_FAILPOINTS names ENOMEM, the map failure, as spelled.
         armFailpointsFromSpec("io.mmap.map=hit:1:err:ENOMEM");
         err = 0;
@@ -205,25 +217,91 @@ main()
         std::remove(libPath.c_str());
     }
 
-    // readWholeFile (job files, the campaign manifest) retries an
-    // interrupted open like the mapping does: an injected EINTR is
-    // retried and yields the same bytes, and EINTR on every attempt
-    // exhausts the retry budget with an IoError naming the file.
+    // One policy at every system-call site: each attempt fires the
+    // site's failpoint, and a transient errno, injected or real, is
+    // retried at the call. At every file and socket site, one injected
+    // EINTR costs exactly one more hit and changes nothing; EINTR on
+    // every attempt exhausts the budget (one try plus the retries) and
+    // throws an IoError naming the file, or the socket, and EINTR,
+    // with no staging temp left behind.
     {
-        armFailpointsFromSpec("io.open.read=hit:1:err:EINTR");
-        const Blob got = readWholeFile(path, "test file");
-        CHECK_EQ(failpointHits("io.open.read"), 2u);
-        disarmAllFailpoints();
-        CHECK(got == payload);
+        const std::string out = "iotest-out.bin";
+        const std::string outTmp = AtomicFileWriter::tempFileName(out);
+        const Blob message(payload.begin(), payload.begin() + 4096);
+        const std::function<Blob()> readBack = [&] {
+            return readWholeFile(path, "test file");
+        };
+        const std::function<Blob()> mapBack = [&] {
+            const MappedFile m = MappedFile::map(path);
+            return Blob(m.data(), m.data() + m.size());
+        };
+        const std::function<Blob()> publish = [&] {
+            writeFileAtomic(out, payload.data(), payload.size(),
+                            "test file");
+            return readWholeFile(out, "test file");
+        };
+        const std::function<Blob()> roundTrip = [&] {
+            SocketPair sp;
+            sendFrame(sp.fd[0], MsgType::status, MsgStatus::ok, message);
+            Frame f;
+            CHECK(recvFrame(sp.fd[1], f));
+            CHECK(f.type == MsgType::status);
+            return f.payload;
+        };
+        struct Row
+        {
+            const char *site;
+            const std::string &named; //!< what the error must name
+            const std::function<Blob()> &op;
+            const Blob &expect;
+        };
+        const std::string socket = "service socket";
+        const Row rows[] = {
+            {"io.open.read", path, readBack, payload},
+            {"io.read", path, readBack, payload},
+            {"io.open.write", out, publish, payload},
+            {"io.write", out, publish, payload},
+            {"io.fsync", out, publish, payload},
+            {"io.rename", out, publish, payload},
+            {"io.dirsync", out, publish, payload},
+            {"io.mmap.open", path, mapBack, payload},
+            {"io.mmap.map", path, mapBack, payload},
+            {"svc.read", socket, roundTrip, message},
+            {"svc.write", socket, roundTrip, message},
+        };
+        FailpointSpec never; // counts hits, never fires
+        never.n = ~std::uint64_t{0};
+        for (const Row &row : rows) {
+            const int before = lpTestFailures;
+            const std::string site = row.site;
+            std::filesystem::remove(out);
+            armFailpoint(site, never);
+            const std::optional<Blob> clean = result(row.op);
+            const std::uint64_t cleanHits = failpointHits(site);
+            CHECK(cleanHits > 0);
+            CHECK(clean == row.expect);
 
-        armFailpointsFromSpec("io.open.read=every:1:err:EINTR");
-        int err = 0;
-        const auto msg = thrown<IoError>(
-            [&] { readWholeFile(path, "test file"); }, &err);
-        disarmAllFailpoints();
-        CHECK(mentions(msg, path));
-        CHECK(mentions(msg, std::strerror(EINTR)));
-        CHECK_EQ(err, EINTR);
+            armFailpointsFromSpec(site + "=hit:1:err:EINTR");
+            const std::optional<Blob> retried = result(row.op);
+            CHECK_EQ(failpointHits(site), cleanHits + 1);
+            CHECK(retried && retried == clean);
+
+            std::filesystem::remove(out);
+            armFailpointsFromSpec(site + "=every:1:err:EINTR");
+            int err = 0;
+            const auto msg = thrown<IoError>(row.op, &err);
+            CHECK_EQ(failpointHits(site),
+                     static_cast<std::uint64_t>(RetryPolicy{}.attempts) +
+                         1);
+            disarmAllFailpoints();
+            CHECK(mentions(msg, row.named));
+            CHECK(mentions(msg, std::strerror(EINTR)));
+            CHECK_EQ(err, EINTR);
+            CHECK(!std::filesystem::exists(outTmp));
+            if (lpTestFailures != before)
+                std::fprintf(stderr, "  ... at site %s\n", row.site);
+        }
+        std::filesystem::remove(out);
     }
 
     std::remove(path.c_str());
