@@ -1,21 +1,17 @@
 /**
  * @file
  * Ablation — library storage. Measures the mapped container's load
- * time and replay throughput, plus process RSS; then gates the
- * resident-budget streaming mode: a replay of a library whose
- * in-flight window is 4x the budget must finish with the engine's
- * peak resident window under the budget — and the mapped load and
- * every budget setting must reproduce the in-memory build's estimate
- * to the bit (the storage layer may never change results, only where
- * bytes live). Also exercises the sharded fleet store: lazy open,
- * shard replay identity, and mapped-bytes accounting.
+ * time and replay throughput, plus process RSS; the mapped load must
+ * reproduce the in-memory build's estimate to the bit (the storage
+ * layer may never change results, only where bytes live). Also
+ * exercises the sharded fleet store: lazy open, shard replay
+ * identity, and mapped-bytes accounting.
  *
  * The checkpoint-economics section builds the same design two ways —
  * plain and delta-chained — and measures bytes/point on disk,
  * stored-order decode MB/s, replays/s and records decoded per point
- * (informational) for each, verifying both replay bit-identically
- * (with and without a resident budget). The
- * delta variant must cut bytes/point by >= 2x (hard floor), and the
+ * (informational) for each, verifying both replay bit-identically.
+ * The delta variant must cut bytes/point by >= 2x (hard floor), and the
  * machine-normalized metrics (bytes_per_point_cut, decode_norm,
  * replay_norm) gate against a committed baseline in the BENCH_6
  * style:
@@ -115,42 +111,6 @@ main()
                     fmtBytes(peakRssBytes()).c_str());
     }
 
-    // Resident-budget streaming: the replay window (compressed +
-    // decoded bytes in flight) must stay under the budget while the
-    // whole library streams through — with the budget sized so the
-    // library is 4x it.
-    std::uint64_t windowBytes = 0;
-    for (std::size_t i = 0; i < built.size(); ++i)
-        windowBytes += built.compressedSize(i) + built.rawSize(i);
-    const std::uint64_t budget = windowBytes / 4;
-
-    const LivePointLibrary streamLib = LivePointLibrary::load(path);
-    LivePointRunOptions bopt = ropt;
-    bopt.residentBudgetBytes = budget;
-    const LivePointRunResult br =
-        runLivePoints(b.prog, streamLib, cfg, bopt);
-    if (!sameResult(br, ref))
-        panic("ablation_storage: resident-budget replay changed the "
-              "estimate");
-    bopt.threads = 2;
-    if (!sameResult(runLivePoints(b.prog, streamLib, cfg, bopt), ref))
-        panic("ablation_storage: resident-budget replay is not "
-              "thread-count invariant");
-    // The acceptance gate: the peak in-flight bytes must stay under
-    // the budget.
-    if (br.peakResidentBytes > budget)
-        panic("ablation_storage: peak resident %llu exceeds budget "
-              "%llu",
-              static_cast<unsigned long long>(br.peakResidentBytes),
-              static_cast<unsigned long long>(budget));
-    std::printf("\nresident budget: %s window streamed through %s "
-                "budget, peak %s (%.1f%% of budget)\n",
-                fmtBytes(windowBytes).c_str(),
-                fmtBytes(budget).c_str(),
-                fmtBytes(br.peakResidentBytes).c_str(),
-                100.0 * static_cast<double>(br.peakResidentBytes) /
-                    static_cast<double>(budget ? budget : 1));
-
     // The sharded fleet store: open lazily, replay one shard, leave
     // the other untouched.
     const std::string setDir = s.cacheDir + "/ablation-storage-set";
@@ -170,7 +130,7 @@ main()
     const bool oneShard = set.loadedCount() == 1;
     if (!lazyOk || !oneShard)
         panic("ablation_storage: fleet store opened shards eagerly");
-    std::printf("fleet store: %zu shards, %zu opened for a one-shard "
+    std::printf("\nfleet store: %zu shards, %zu opened for a one-shard "
                 "replay (%s mapped)\n",
                 set.size(), set.loadedCount(),
                 fmtBytes(set.mappedBytes()).c_str());
@@ -252,28 +212,6 @@ main()
                     v.name, v.bytesPerPoint, v.decodeMbps, v.rps,
                     v.lib->deltaCount(), v.recordsPerPoint);
 
-    // Budgeted, loaded replay of the delta variant: chains charge
-    // their whole length, and the bits still match.
-    {
-        const std::string dpath =
-            s.cacheDir + "/ablation-storage-delta.lpl";
-        deltaLib.save(dpath);
-        const LivePointLibrary loaded = LivePointLibrary::load(dpath);
-        std::uint64_t charge = 0;
-        for (std::size_t i = 0; i < loaded.size(); ++i)
-            charge += loaded.chargeBytes(i);
-        LivePointRunOptions dopt = ropt;
-        dopt.residentBudgetBytes = charge / 4;
-        if (!sameResult(runLivePoints(b.prog, loaded, cfg, dopt), ref))
-            panic("ablation_storage: budgeted delta replay changed "
-                  "the estimate");
-        dopt.threads = 2;
-        if (!sameResult(runLivePoints(b.prog, loaded, cfg, dopt), ref))
-            panic("ablation_storage: budgeted delta replay is not "
-                  "thread-count invariant");
-        std::filesystem::remove(dpath);
-    }
-
     const double bppCut =
         variants[0].bytesPerPoint / variants[1].bytesPerPoint;
     const double decodeNorm =
@@ -325,7 +263,7 @@ main()
                        {"replay_norm", replayNorm}}))
         return 1;
 
-    std::printf("\nthe mapped load, every budget setting, and both "
+    std::printf("\nthe mapped load, the fleet-store shard and both "
                 "encoding variants reproduced the in-memory build's "
                 "estimate to the bit; only where (and how many) bytes "
                 "live differs.\n");

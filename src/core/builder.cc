@@ -225,7 +225,7 @@ LivePointBuilder::buildSequential(const Program &prog,
     for (std::uint64_t i = 0; i < design.count; ++i) {
         Blob raw = rig.capture(cfg_, design, i).serialize();
         // Keyframe every maxDeltaChain points bounds the chain a
-        // replay must rebuild (and the bytes the budget charges).
+        // replay must rebuild.
         const bool allowDelta = cfg_.deltaEncode && i % chain != 0;
         const EncodedRecord rec =
             encodeRecord(raw, allowDelta ? &prevRaw : nullptr);

@@ -377,7 +377,6 @@ CampaignEngine::run()
     ropt.threads = std::max(opt_.threads, 1u);
     ropt.decodeThreads = opt_.decodeThreads;
     ropt.approxWrongPath = opt_.approxWrongPath;
-    ropt.residentBudgetBytes = opt_.residentBudgetBytes;
     ropt.control = opt_.control;
     ropt.decodeThreads = replayDecodeThreads(ropt);
     ThreadPool pool(ropt.threads + ropt.decodeThreads);
@@ -625,9 +624,6 @@ CampaignEngine::run()
                 res.bytesDecoded += engine.bytesDecoded();
                 res.pointsDecoded += engine.pointsDecoded();
                 res.replaysExecuted += engine.replaysExecuted();
-                res.peakResidentBytes =
-                    std::max(res.peakResidentBytes,
-                             engine.peakResidentBytes());
                 if (lazyShard && opt_.unloadFinishedShards)
                     wk.set->unload(wk.shard);
             } else {
@@ -783,6 +779,8 @@ CampaignEngine::jsonReport(const CampaignResult &r) const
 {
     const std::size_t nc = configs_.size();
     const double z = confidenceZ(opt_.spec.level);
+    // Version 4 dropped the totals' peak resident-window bytes along
+    // with the resident-budget replay mode they reported on.
     // Version 3: every free-text string field (workload and config
     // names included) is JSON-escaped, and the result-store
     // memoization fields were added (per-cell "memoized", totals
@@ -791,7 +789,7 @@ CampaignEngine::jsonReport(const CampaignResult &r) const
     // bit-identity contract clients verify), the stable
     // machine-readable per-cell "reason" token (free text moved to
     // "detail"), and the cancelled/cancel_reason totals.
-    std::string out = "{\n  \"schema_version\": 3,\n  \"workloads\": [";
+    std::string out = "{\n  \"schema_version\": 4,\n  \"workloads\": [";
     for (std::size_t w = 0; w < workloads_.size(); ++w)
         out += strfmt("%s\"%s\"", w ? ", " : "",
                       jsonEscape(workloads_[w].name).c_str());
@@ -849,7 +847,6 @@ CampaignEngine::jsonReport(const CampaignResult &r) const
         "\"replays_executed\": %llu, \"folded_replays\": %llu, "
         "\"restored_replays\": %llu, \"migrated_replays\": %llu, "
         "\"memoized_replays\": %llu, "
-        "\"peak_resident_bytes\": %llu, "
         "\"retirements\": %zu, \"failed_cells\": %zu, "
         "\"memoized_cells\": %zu, "
         "\"budget_exhausted\": %s, "
@@ -862,7 +859,6 @@ CampaignEngine::jsonReport(const CampaignResult &r) const
         static_cast<unsigned long long>(r.restoredReplays),
         static_cast<unsigned long long>(r.migratedReplays),
         static_cast<unsigned long long>(r.memoizedReplays),
-        static_cast<unsigned long long>(r.peakResidentBytes),
         r.retirements, r.failedCells, r.memoizedCells,
         r.budgetExhausted ? "true" : "false",
         r.cancelled ? "true" : "false",

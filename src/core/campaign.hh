@@ -118,13 +118,6 @@ struct CampaignOptions
     std::string manifestPath;
 
     /**
-     * Per-workload resident-budget streaming replay (0 = off); see
-     * LivePointRunOptions::residentBudgetBytes. Bit-identical to the
-     * unbudgeted campaign.
-     */
-    std::uint64_t residentBudgetBytes = 0;
-
-    /**
      * Unload a set-backed workload's shard when its run finishes
      * (only shards this campaign opened), keeping the fleet's
      * resident set to roughly one shard.
@@ -244,8 +237,6 @@ struct CampaignResult
     std::uint64_t foldedReplays = 0;   //!< deterministic, incl. restored
     std::uint64_t restoredReplays = 0; //!< replays skipped via manifest
     std::uint64_t migratedReplays = 0; //!< replays freed by retirement
-    /** Peak budget-window bytes over all workload runs (0 = off). */
-    std::uint64_t peakResidentBytes = 0;
     std::size_t retirements = 0;       //!< cells stopped early
     std::size_t failedCells = 0;       //!< cells failed-with-reason
     std::size_t memoizedCells = 0;     //!< cells resolved by the store

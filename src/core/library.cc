@@ -213,35 +213,6 @@ LivePointLibrary::record(std::size_t i) const
     return recordAt(pos(i));
 }
 
-void
-LivePointLibrary::prefetchRecord(std::size_t i) const
-{
-    if (!file_)
-        return;
-    // A delta record's decode touches its whole chain; hint it all.
-    std::size_t p = pos(i);
-    for (std::size_t depth = 0; depth <= refs_.size(); ++depth) {
-        const RecordRef &r = refs_[p];
-        file_->willNeed(static_cast<std::size_t>(r.offset),
-                        static_cast<std::size_t>(r.size));
-        if (!(r.flags & kFlagDelta))
-            break;
-        p = static_cast<std::size_t>(r.basePos);
-    }
-}
-
-void
-LivePointLibrary::releaseRecord(std::size_t i) const
-{
-    // Release only the record itself: chain bases may serve later
-    // points, and the admission budget already accounts for them.
-    if (!file_)
-        return;
-    const RecordRef &r = refs_[pos(i)];
-    file_->dontNeed(static_cast<std::size_t>(r.offset),
-                    static_cast<std::size_t>(r.size));
-}
-
 LivePoint
 LivePointLibrary::get(std::size_t i) const
 {
@@ -515,12 +486,10 @@ LivePointLibrary::addEncoded(const Blob &compressed,
     r.rawHash = rawHash;
     if (flags & kFlagDelta) {
         r.basePos = refs_.size() - 1;
-        r.chainBytes = refs_.back().chainBytes + r.size + r.rawSize;
         r.keyframe = refs_.back().keyframe;
         r.depth = refs_.back().depth + 1;
         anyDelta_ = true;
     } else {
-        r.chainBytes = r.size + r.rawSize;
         r.keyframe = refs_.size();
     }
     arena_.insert(arena_.end(), compressed.begin(), compressed.end());
@@ -687,8 +656,7 @@ LivePointLibrary::validateChains()
 {
     // Every delta chain must bottom out at a keyframe — a cycle (only
     // possible through table corruption) would hang decode. The walk
-    // also precomputes each record's chain charge for the replay
-    // engine's resident budget, and its keyframe and depth for the
+    // also precomputes each record's keyframe and depth for the
     // decode chain cache. Memoized: linear in the point count.
     std::vector<std::uint8_t> state(refs_.size(), 0);
     std::vector<std::size_t> chainStack;
@@ -697,12 +665,10 @@ LivePointLibrary::validateChains()
             continue;
         chainStack.clear();
         std::size_t p = i;
-        std::uint64_t below = 0;
         std::uint64_t keyframe = 0;
         std::uint32_t depth = 0; // of the first record popped below
         while (true) {
             if (state[p] == 2) {
-                below = refs_[p].chainBytes;
                 keyframe = refs_[p].keyframe;
                 depth = refs_[p].depth + 1;
                 break;
@@ -721,8 +687,6 @@ LivePointLibrary::validateChains()
         for (auto it = chainStack.rbegin(); it != chainStack.rend();
              ++it) {
             RecordRef &r = refs_[*it];
-            below += r.size + r.rawSize;
-            r.chainBytes = below;
             r.keyframe = keyframe;
             r.depth = depth++;
             state[*it] = 2;

@@ -248,17 +248,6 @@ class LivePointLibrary
     }
 
     /**
-     * Resident-budget charge of the @p i-th stored point: compressed
-     * plus decoded bytes of the record *and every record on its delta
-     * chain* — admitting a delta point pins its bases, and the budget
-     * must account for the worst case (a cold chain walk).
-     */
-    std::uint64_t chargeBytes(std::size_t i) const
-    {
-        return refs_[pos(i)].chainBytes;
-    }
-
-    /**
      * Pre-size the arena for @p count records totalling
      * @p recordBytes compressed bytes, so a bulk assembly never pays
      * vector doubling (which would transiently hold ~2x the library).
@@ -300,12 +289,6 @@ class LivePointLibrary
     {
         return file_ ? file_->size() : 0;
     }
-
-    /** Hint the mapping that record @p i is needed soon. */
-    void prefetchRecord(std::size_t i) const;
-
-    /** Hint the mapping that record @p i will not be re-read soon. */
-    void releaseRecord(std::size_t i) const;
 
     std::uint64_t totalCompressedBytes() const;
     std::uint64_t totalUncompressedBytes() const;
@@ -352,7 +335,6 @@ class LivePointLibrary
         std::uint64_t index = 0;   //!< window index
         std::uint64_t basePos = ~std::uint64_t(0); //!< delta base (file pos)
         std::uint64_t rawHash = 0;   //!< checksum of raw bytes (0: absent)
-        std::uint64_t chainBytes = 0; //!< size+rawSize summed over chain
         std::uint64_t keyframe = 0;   //!< file pos of the chain's keyframe
         std::uint32_t depth = 0;      //!< delta links above the keyframe
         std::uint8_t flags = 0;      //!< 0 or kFlagDelta

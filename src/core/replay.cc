@@ -271,7 +271,6 @@ ReplayEngine::ReplayEngine(const Program &prog,
                                    : autoProducers(threads_)),
       ringSlots_(std::clamp<std::size_t>(2 * (threads_ + producers_), 8,
                                          64)),
-      residentBudget_(opt.residentBudgetBytes),
       control_(opt.control)
 {
     if (cfgs_.empty())
@@ -377,11 +376,10 @@ ReplayEngine::run(
         slots[(first + j) % S].nextFill = first + j;
 
     // One decode scratch per producer. Their chain caches together
-    // keep at most 2 * S raw records; a resident budget keeps only
-    // each scratch's last record, the bytes chargeBytes accounts for.
+    // keep at most 2 * S raw records.
     std::vector<LivePointDecodeScratch> scratches(producers_);
     for (LivePointDecodeScratch &sc : scratches)
-        sc.keepChains = residentBudget_ ? 0 : 2 * S / producers_;
+        sc.keepChains = 2 * S / producers_;
 
     // Chain-affine decode: the run's chains (a plain record is a
     // one-record chain), in file order, are dealt round-robin to the
@@ -417,25 +415,6 @@ ReplayEngine::run(
     std::condition_variable cvFoldProgress; //!< workers wait when gated
     std::size_t foldedPoints = first; //!< guarded by foldM
 
-    // Resident-budget window (budget != 0): bytes a point pins from
-    // producer admission (compressed record + decoded image) until
-    // the fold barrier passes it. Admission is ticketed in point
-    // order, so which points wait depends only on the deterministic
-    // byte sizes, never on thread timing.
-    const std::uint64_t budget = residentBudget_;
-    std::mutex gateM;
-    std::condition_variable cvAdmit;
-    std::size_t admitNext = first;   //!< guarded by gateM
-    std::uint64_t residentNow = 0;   //!< guarded by gateM
-    std::atomic<std::size_t> foldFloor{first}; //!< fold frontier
-    auto pointBytes = [&lib, &order](std::size_t k) -> std::uint64_t {
-        // Compressed + raw bytes over the whole delta chain — a delta
-        // point's decode materializes its bases, and the budget must
-        // cover the cold chain walk (equals compressed + raw of the
-        // record alone for plain libraries).
-        return lib.chargeBytes(order[k]);
-    };
-
     std::atomic<std::size_t> simNext{first};
     std::atomic<bool> stop{false};
     // Configurations workers still replay. The fold barrier retires
@@ -469,10 +448,6 @@ ReplayEngine::run(
         }
         cvBlockDone.notify_all();
         cvFoldProgress.notify_all();
-        {
-            std::lock_guard<std::mutex> lk(gateM);
-        }
-        cvAdmit.notify_all();
     };
 
     auto producer = [&](unsigned id) {
@@ -482,39 +457,6 @@ ReplayEngine::run(
                 return;
             if (!owner.empty() && owner[k - first] != id)
                 continue;
-            if (budget) {
-                const std::uint64_t b = pointBytes(k);
-                {
-                    std::unique_lock<std::mutex> lk(gateM);
-                    cvAdmit.wait(lk, [&]() {
-                        if (stop.load())
-                            return true;
-                        if (admitNext != k)
-                            return false;
-                        if (residentNow == 0 ||
-                            residentNow + b <= budget)
-                            return true;
-                        // The fold-frontier block must always admit:
-                        // the barrier cannot release bytes until its
-                        // whole block is simulated and folded.
-                        const std::size_t frontier = foldFloor.load();
-                        return k <
-                               (frontier / blockSize + 1) * blockSize;
-                    });
-                    if (stop.load())
-                        return;
-                    residentNow += b;
-                    admitNext = k + 1;
-                    if (residentNow >
-                        peakResidentBytes_.load(
-                            std::memory_order_relaxed))
-                        peakResidentBytes_.store(
-                            residentNow, std::memory_order_relaxed);
-                }
-                cvAdmit.notify_all();
-                // Page-in hint ahead of the simulation claim counter.
-                lib.prefetchRecord(order[k]);
-            }
             Slot &s = slots[k % S];
             {
                 std::unique_lock<std::mutex> lk(ringM);
@@ -682,23 +624,6 @@ ReplayEngine::run(
                 foldedPoints = end;
             }
             cvFoldProgress.notify_all();
-            if (budget) {
-                // The barrier has passed this block: credit its
-                // bytes back and hint the backend that the records
-                // will not be re-read (a mapped library drops the
-                // pages behind the run).
-                const std::size_t blockStart =
-                    std::max(first, b * blockSize);
-                {
-                    std::lock_guard<std::mutex> lk(gateM);
-                    for (std::size_t kk = blockStart; kk < end; ++kk)
-                        residentNow -= pointBytes(kk);
-                }
-                foldFloor.store(end);
-                cvAdmit.notify_all();
-                for (std::size_t kk = blockStart; kk < end; ++kk)
-                    lib.releaseRecord(order[kk]);
-            }
             if (keep == 0)
                 break;
         }

@@ -85,25 +85,6 @@ struct ReplayEngineOptions
     bool approxWrongPath = false;
 
     /**
-     * Resident-budget streaming mode (0 = off). A nonzero budget
-     * bounds the engine's in-flight window: each point is charged
-     * its compressed + raw bytes — summed over its delta chain when
-     * the library delta-encodes, since decoding a delta point
-     * materializes its bases — when a decode producer admits it
-     * (with a backend prefetch hint issued ahead of the simulation
-     * claim counter) and credited back when the fold barrier passes
-     * it (with a release hint, so a mapped backend's pages can be
-     * dropped behind the run). Admission is strictly ordered and
-     * only ever *delays* decodes, so estimates, stopping points, and
-     * manifests are bit-identical to the unbudgeted run at every
-     * thread count. The fold-frontier block is always admitted
-     * regardless of budget (the barrier cannot release bytes until
-     * its block completes), so a budget below one block's bytes
-     * degrades to block-at-a-time streaming instead of deadlocking.
-     */
-    std::uint64_t residentBudgetBytes = 0;
-
-    /**
      * Run on this pool instead of constructing one per engine (the
      * campaign engine shares one pool across every workload's run).
      * Must hold at least threads + decode producers workers; the
@@ -301,18 +282,6 @@ class ReplayEngine
     }
 
     /**
-     * Peak of the resident-budget accounting window (compressed +
-     * decoded bytes of points admitted but not yet folded) across
-     * all run() calls. 0 when the budget mode was never on. Stays at
-     * or under residentBudgetBytes except when a single fold block
-     * alone exceeds the budget (see ReplayEngineOptions).
-     */
-    std::uint64_t peakResidentBytes() const
-    {
-        return peakResidentBytes_.load(std::memory_order_relaxed);
-    }
-
-    /**
      * Configurations that took a contained per-cell fault (mask).
      * Faults come from the `replay.cell` failpoint: an injected error
      * fails the configuration immediately; an injected hang parks the
@@ -385,12 +354,10 @@ class ReplayEngine
     std::vector<std::unique_ptr<ReplayContext>> callerCtx_;
     LivePointDecodeScratch callerScratch_;
     LivePoint callerPoint_;
-    std::uint64_t residentBudget_;
     std::atomic<std::uint64_t> bytesDecoded_{0};
     std::atomic<std::uint64_t> pointsDecoded_{0};
     std::atomic<std::uint64_t> recordsDecoded_{0};
     std::atomic<std::uint64_t> replaysExecuted_{0};
-    std::atomic<std::uint64_t> peakResidentBytes_{0};
     std::unique_ptr<ThreadPool> ownedPool_;
     ThreadPool *pool_;
     ReplayControl *control_;

@@ -186,7 +186,6 @@ runLivePoints(const Program &prog, const LivePointLibrary &lib,
         ropt.threads = opt.threads;
         ropt.decodeThreads = opt.decodeThreads;
         ropt.approxWrongPath = opt.approxWrongPath;
-        ropt.residentBudgetBytes = opt.residentBudgetBytes;
         ReplayEngine engine(prog, {cfg}, ropt);
 
         const std::size_t blockSize =
@@ -211,7 +210,6 @@ runLivePoints(const Program &prog, const LivePointLibrary &lib,
         res.bytesDecoded = engine.bytesDecoded();
         res.pointsDecoded = engine.pointsDecoded();
         res.recordsDecoded = engine.recordsDecoded();
-        res.peakResidentBytes = engine.peakResidentBytes();
     }
     res.finalSnapshot = estimator.snapshot();
     res.wallSeconds = seconds(t0);
@@ -238,7 +236,6 @@ runMatchedPair(const Program &prog, const LivePointLibrary &lib,
         ropt.threads = opt.threads;
         ropt.decodeThreads = opt.decodeThreads;
         ropt.approxWrongPath = opt.approxWrongPath;
-        ropt.residentBudgetBytes = opt.residentBudgetBytes;
         // Both configurations of a point run on the same worker from
         // the same decoded point, so pairing stays exact.
         ReplayEngine engine(prog, {base, test}, ropt);

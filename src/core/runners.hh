@@ -75,16 +75,6 @@ struct LivePointRunOptions
     unsigned threads = 1;       //!< simulation workers
     unsigned decodeThreads = 0; //!< decode producers; 0 = auto
     std::size_t blockSize = 0;  //!< fold/stopping block; 0 = default
-
-    /**
-     * Resident-budget streaming replay (0 = off): bound the decode
-     * window to this many in-flight bytes, with backend prefetch
-     * ahead of the workers and release behind the fold barrier, so a
-     * library larger than the budget streams through the run.
-     * Results are bit-identical to the unbudgeted run (see
-     * ReplayEngineOptions::residentBudgetBytes).
-     */
-    std::uint64_t residentBudgetBytes = 0;
 };
 
 struct LivePointRunResult
@@ -97,8 +87,6 @@ struct LivePointRunResult
     std::uint64_t pointsDecoded = 0;  //!< points the producers decoded
     /** Records those decodes materialized, chain links included. */
     std::uint64_t recordsDecoded = 0;
-    /** Peak budget-window bytes (0 unless residentBudgetBytes set). */
-    std::uint64_t peakResidentBytes = 0;
     std::vector<OnlineSnapshot> trajectory;
 
     double cpi() const { return finalSnapshot.mean; }

@@ -1,6 +1,5 @@
 #include "io/mapped_file.hh"
 
-#include <algorithm>
 #include <cerrno>
 
 #include <sys/mman.h>
@@ -17,17 +16,6 @@ namespace lp
 
 namespace
 {
-
-std::size_t
-pageSize()
-{
-    static const std::size_t ps = []() {
-        const long v = ::sysconf(_SC_PAGESIZE);
-        return v > 0 ? static_cast<std::size_t>(v)
-                     : std::size_t{4096};
-    }();
-    return ps;
-}
 
 /** RAII fd so no throw path leaks the descriptor. */
 struct FdGuard
@@ -84,36 +72,6 @@ MappedFile::adviseSequential() const
 {
     if (data_)
         ::posix_madvise(data_, size_, POSIX_MADV_SEQUENTIAL);
-}
-
-void
-MappedFile::willNeed(std::size_t offset, std::size_t len) const
-{
-    if (!data_ || offset >= size_)
-        return;
-    len = std::min(len, size_ - offset);
-    // Round outward to page boundaries: prefetching a byte means
-    // prefetching its page.
-    const std::size_t ps = pageSize();
-    const std::size_t lo = offset - offset % ps;
-    const std::size_t hi = offset + len;
-    ::posix_madvise(data_ + lo, hi - lo, POSIX_MADV_WILLNEED);
-}
-
-void
-MappedFile::dontNeed(std::size_t offset, std::size_t len) const
-{
-    if (!data_ || offset >= size_)
-        return;
-    len = std::min(len, size_ - offset);
-    // Round inward: a page straddling the range boundary may still
-    // back a live neighbouring record.
-    const std::size_t ps = pageSize();
-    const std::size_t lo =
-        offset % ps ? offset + (ps - offset % ps) : offset;
-    const std::size_t hi = (offset + len) - (offset + len) % ps;
-    if (hi > lo)
-        ::posix_madvise(data_ + lo, hi - lo, POSIX_MADV_DONTNEED);
 }
 
 MappedFile::~MappedFile()

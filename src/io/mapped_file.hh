@@ -7,10 +7,8 @@
  * what lets a library (or a fleet of them) larger than RAM back the
  * replay engine.
  *
- * The mapping carries paging hints: sequential readahead for the
- * full-scan paths (contentHash, save), and willNeed()/dontNeed()
- * windows the resident-budget replay mode uses to prefetch ahead of
- * the claim counter and release behind the fold barrier.
+ * The mapping carries a single paging hint: sequential readahead for
+ * the full-scan paths (contentHash, save).
  */
 
 #ifndef LP_IO_MAPPED_FILE_HH
@@ -50,18 +48,6 @@ class MappedFile
 
     /** Hint: the whole file will be read front to back. */
     void adviseSequential() const;
-
-    /** Hint: [offset, offset+len) is needed soon — start paging in. */
-    void willNeed(std::size_t offset, std::size_t len) const;
-
-    /**
-     * Hint: [offset, offset+len) is done with — the kernel may drop
-     * the pages. Rounded *inward* to page boundaries so a partial
-     * page shared with a still-live neighbour is never dropped.
-     * Purely advisory: a released range reads back correctly (it just
-     * faults in again).
-     */
-    void dontNeed(std::size_t offset, std::size_t len) const;
 
   private:
     MappedFile(std::uint8_t *data, std::size_t size)

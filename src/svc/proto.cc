@@ -1,6 +1,7 @@
 #include "svc/proto.hh"
 
 #include <cstring>
+#include <stdexcept>
 
 #include <unistd.h>
 
@@ -18,6 +19,15 @@ namespace
 {
 
 constexpr std::size_t kFrameHeaderBytes = 32;
+
+/** Throw unless every value of @p r was read. */
+void
+expectEnd(const DerReader &r, const char *where)
+{
+    if (!r.atEnd())
+        throw std::runtime_error(
+            strfmt("job spec: trailing data in %s", where));
+}
 
 void
 writeAll(int fd, const std::uint8_t *data, std::size_t size)
@@ -143,7 +153,6 @@ encodeJobSpec(const JobSpec &spec)
     w.putUint(spec.decodeThreads);
     w.putUint(spec.blockSize);
     w.putUint(spec.maxFoldedReplays);
-    w.putUint(spec.residentBudgetBytes);
     w.putUint(spec.deadlineMs);
     w.endSequence();
     return w.finish();
@@ -166,6 +175,7 @@ decodeJobSpec(const Blob &payload)
             wl.profile = e.getString();
             wl.tinyInsts = e.getUint();
             wl.tinySeed = e.getUint();
+            expectEnd(e, "a workload row");
             spec.workloads.push_back(std::move(wl));
         }
     }
@@ -180,6 +190,7 @@ decodeJobSpec(const Blob &payload)
             c.memLatency = e.getUint();
             c.l2Latency = e.getUint();
             c.l2SizeBytes = e.getUint();
+            expectEnd(e, "a config row");
             spec.configs.push_back(std::move(c));
         }
     }
@@ -192,8 +203,9 @@ decodeJobSpec(const Blob &payload)
     spec.decodeThreads = static_cast<std::uint32_t>(s.getUint());
     spec.blockSize = s.getUint();
     spec.maxFoldedReplays = s.getUint();
-    spec.residentBudgetBytes = s.getUint();
     spec.deadlineMs = s.getUint();
+    expectEnd(s, "the spec");
+    expectEnd(top, "the payload");
     return spec;
 }
 

@@ -127,13 +127,18 @@ struct JobSpec
     std::uint32_t decodeThreads = 0; //!< 0 = auto
     std::uint64_t blockSize = 0;     //!< 0 = default fold block
     std::uint64_t maxFoldedReplays = 0;
-    std::uint64_t residentBudgetBytes = 0;
 
     /** Wall-clock budget from job start, ms; 0 = unlimited. */
     std::uint64_t deadlineMs = 0;
 };
 
 Blob encodeJobSpec(const JobSpec &spec);
+
+/**
+ * Decode a submit payload. Throws on any malformed input, including
+ * data left over after the spec or inside any of its rows: a payload
+ * must be exactly one spec in this layout.
+ */
 JobSpec decodeJobSpec(const Blob &payload);
 
 } // namespace lp

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <stdexcept>
 
 #include <dirent.h>
@@ -215,17 +216,20 @@ CampaignService::writeJobState(const Job &j, JobState s) const
 std::uint64_t
 CampaignService::residentEstimate(const JobSpec &spec) const
 {
-    // A campaign streams set-backed workloads one shard at a time, so
-    // a job's resident footprint is bounded by its largest shard (the
-    // service keeps shards of *concurrent* jobs resident, so the
-    // admission sum is over jobs).
-    std::uint64_t mx = 0;
+    // A job's campaign keeps every shard it opens mapped (it never
+    // unloads a shard another job may share), and the service unmaps
+    // a shard only when the last job using it ends: a job holds all
+    // of its distinct shards until it finishes.
+    std::set<std::size_t> shards;
     for (const JobWorkloadSpec &w : spec.workloads) {
         const std::size_t i = set_.find(w.shard);
         if (i != LibrarySet::npos)
-            mx = std::max(mx, set_.fileBytes(i));
+            shards.insert(i);
     }
-    return mx;
+    std::uint64_t sum = 0;
+    for (std::size_t i : shards)
+        sum += set_.fileBytes(i);
+    return sum;
 }
 
 void
@@ -421,7 +425,7 @@ CampaignService::submit(const JobSpec &spec)
         resident + estimate > cfg_.maxResidentBytes &&
         resident != 0) {
         // resident == 0 means this job alone exceeds the budget; let
-        // it run (it still streams shard by shard) rather than wedge.
+        // it run rather than wedge.
         out.retry = true;
         out.retryAfterMs = cfg_.retryAfterMs;
         out.error = strfmt(
@@ -729,7 +733,6 @@ CampaignService::runJob(Job *j)
         o.blockSize = static_cast<std::size_t>(spec.blockSize);
         o.maxFoldedReplays = spec.maxFoldedReplays;
         o.manifestPath = j->dir + "/manifest.lpcmf";
-        o.residentBudgetBytes = spec.residentBudgetBytes;
         // Concurrent jobs share shards through the service's
         // refcounts; a job must never unload a shard under another.
         o.unloadFinishedShards = false;

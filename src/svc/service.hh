@@ -29,8 +29,9 @@
  *    barrier.
  *  - **Admission control.** submit() rejects-with-retry-after when
  *    the queue is at maxQueueDepth or when the aggregate resident
- *    estimate (each job counts its largest shard, because a campaign
- *    streams one shard at a time) would exceed maxResidentBytes.
+ *    estimate (each job counts the bytes of every distinct shard it
+ *    names, because its shards stay mapped until it finishes) would
+ *    exceed maxResidentBytes.
  *  - **Supervision.** A supervisor thread watches each running job's
  *    progress heartbeat; a job stalled past stuckTimeoutMs gets its
  *    failStuck flag raised, which aborts only hang-parked workers

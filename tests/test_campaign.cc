@@ -237,9 +237,9 @@ main()
 
     // (f) The sharded fleet store as a campaign source: a set-backed
     // grid must reproduce the resident-library campaign bit for bit
-    // (cells and pairs, at several thread counts, with and without a
-    // resident budget), open shards lazily, release them as
-    // workloads finish, and interoperate with manifests written by
+    // (cells and pairs, at several thread counts), open shards
+    // lazily, release them as workloads finish, and interoperate
+    // with manifests written by
     // the resident-library campaign (the index hash equals the
     // library hash).
     {
@@ -269,32 +269,23 @@ main()
         CHECK_EQ(set.loadedCount(), 0u);
 
         for (const unsigned threads : {1u, 2u}) {
-            for (const std::uint64_t budget :
-                 {std::uint64_t{0}, std::uint64_t{256 * 1024}}) {
-                CampaignOptions opt = copt;
-                opt.threads = threads;
-                opt.residentBudgetBytes = budget;
-                const CampaignResult r =
-                    CampaignEngine(setGrid, cfgs, opt).run();
-                // Finished shards were unloaded behind the run.
-                CHECK_EQ(set.loadedCount(), 0u);
-                for (std::size_t i = 0; i < base.cells.size(); ++i) {
-                    CHECK_EQ(r.cells[i].processed,
-                             base.cells[i].processed);
-                    CHECK_NEAR(r.cells[i].cpi(), base.cells[i].cpi(),
-                               0.0);
-                    CHECK_NEAR(r.cells[i].estimate.relHalfWidth,
-                               base.cells[i].estimate.relHalfWidth,
-                               0.0);
-                }
-                for (std::size_t i = 0; i < base.pairs.size(); ++i) {
-                    CHECK_EQ(r.pairs[i].delta.count(),
-                             base.pairs[i].delta.count());
-                    CHECK_NEAR(r.pairs[i].meanDelta(),
-                               base.pairs[i].meanDelta(), 0.0);
-                }
-                if (budget)
-                    CHECK(r.peakResidentBytes > 0);
+            CampaignOptions opt = copt;
+            opt.threads = threads;
+            const CampaignResult r =
+                CampaignEngine(setGrid, cfgs, opt).run();
+            // Finished shards were unloaded behind the run.
+            CHECK_EQ(set.loadedCount(), 0u);
+            for (std::size_t i = 0; i < base.cells.size(); ++i) {
+                CHECK_EQ(r.cells[i].processed, base.cells[i].processed);
+                CHECK_NEAR(r.cells[i].cpi(), base.cells[i].cpi(), 0.0);
+                CHECK_NEAR(r.cells[i].estimate.relHalfWidth,
+                           base.cells[i].estimate.relHalfWidth, 0.0);
+            }
+            for (std::size_t i = 0; i < base.pairs.size(); ++i) {
+                CHECK_EQ(r.pairs[i].delta.count(),
+                         base.pairs[i].delta.count());
+                CHECK_NEAR(r.pairs[i].meanDelta(),
+                           base.pairs[i].meanDelta(), 0.0);
             }
         }
 

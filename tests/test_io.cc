@@ -109,7 +109,7 @@ main()
         payload[i] = static_cast<std::uint8_t>(i * 2654435761u >> 13);
     writeFile(path, payload);
 
-    // MappedFile: exact bytes, working hints, clean move semantics.
+    // MappedFile: exact bytes, a working hint, clean move semantics.
     {
         MappedFile m = MappedFile::map(path);
         CHECK(m.mapped());
@@ -117,16 +117,8 @@ main()
         CHECK(std::memcmp(m.data(), payload.data(), payload.size()) ==
               0);
 
-        // Hints are advisory: any range (aligned or not, even past
-        // the end) must leave the bytes readable.
+        // The hint is advisory: the bytes stay readable.
         m.adviseSequential();
-        m.willNeed(0, m.size());
-        m.willNeed(1000, 9000);
-        m.willNeed(m.size() - 1, 100);
-        m.dontNeed(5000, 100000);
-        m.dontNeed(0, m.size());
-        m.willNeed(m.size() + 10, 5);
-        m.dontNeed(m.size() + 10, 5);
         CHECK(std::memcmp(m.data(), payload.data(), payload.size()) ==
               0);
 
@@ -160,8 +152,6 @@ main()
         const MappedFile m = MappedFile::map(empty);
         CHECK(!m.mapped());
         CHECK_EQ(m.size(), 0u);
-        m.willNeed(0, 4096);
-        m.dontNeed(0, 4096);
         const auto msg = thrown<std::runtime_error>(
             [&] { LivePointLibrary::load(empty); });
         CHECK(mentions(msg, "not a live-point library"));

@@ -239,11 +239,7 @@ main()
         LivePoint pt;
         for (const std::size_t i :
              {std::size_t{0}, lib.size() / 2, lib.size() - 1}) {
-            // Prefetch/release hints around a decode must never
-            // change its result.
-            loaded.prefetchRecord(i);
             loaded.decodeInto(i, scratch, pt);
-            loaded.releaseRecord(i);
             CHECK(pt.serialize() == lib.get(i).serialize());
         }
         auto refused = [](const std::function<void()> &append) {
@@ -526,9 +522,12 @@ main()
         for (std::size_t i = 0; i < lib.size(); ++i) {
             CHECK(clib.get(i).serialize() == lib.get(i).serialize());
             CHECK_EQ(clib.rawSize(i), lib.rawSize(i));
-            // The budget charge covers the record plus its chain.
-            CHECK(clib.chargeBytes(i) >=
-                  clib.compressedSize(i) + clib.rawSize(i));
+            // Built in file order, each delta's base is the record
+            // before it: a record sits depth links above its keyframe.
+            CHECK_EQ(clib.chainKeyframe(i) + clib.chainDepth(i), i);
+            CHECK_EQ(clib.chainDepth(i) > 0,
+                     (clib.recordFlags(i) &
+                      LivePointLibrary::kFlagDelta) != 0);
         }
 
         // The scratch decoder in stored order (the replay producer
@@ -573,10 +572,10 @@ main()
         LivePoint p;
         for (std::size_t i = 0; i < b.size(); ++i) {
             CHECK_EQ(b.recordFlags(i), clib.recordFlags(i));
-            CHECK_EQ(b.chargeBytes(i), clib.chargeBytes(i));
-            b.prefetchRecord(i);
+            // validateChains rebuilds what addEncoded recorded.
+            CHECK_EQ(b.chainDepth(i), clib.chainDepth(i));
+            CHECK_EQ(b.chainKeyframe(i), clib.chainKeyframe(i));
             b.decodeInto(i, scratch, p);
-            b.releaseRecord(i);
             CHECK(p.serialize() == lib.get(i).serialize());
         }
 

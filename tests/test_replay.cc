@@ -3,9 +3,9 @@
  * fresh-context results exactly, and the block-synchronous runners
  * produce bit-identical estimates at every thread count — with and
  * without early stopping, which must stop at the same block prefix
- * everywhere. The storage matrix: the in-memory build, its mapped
- * load and the resident-budget streaming mode must reproduce the same
- * bits at threads 1/2/4, stopping included. At one decode producer,
+ * everywhere. The storage matrix: the in-memory build and its mapped
+ * load must reproduce the same bits at threads 1/2/4, stopping
+ * included. At one decode producer,
  * the engine's count of records decoded repeats exactly and beats
  * cache-less chain walks.
  */
@@ -248,9 +248,8 @@ main()
     }
 
     // Storage matrix: a loaded library must replay bit-identically to
-    // the in-memory build, with and without a resident budget, at
-    // every thread count — the storage layer may decide where bytes
-    // live, never what the estimate is.
+    // the in-memory build at every thread count — the storage layer
+    // may decide where bytes live, never what the estimate is.
     {
         const std::string path = "replaytest-backend.lpl";
         lib.save(path);
@@ -267,38 +266,20 @@ main()
             const LivePointRunResult base =
                 runLivePoints(prog, lib, cfg, ref);
 
-            // Budgets from generous down to below one fold block
-            // (the degenerate block-at-a-time stream); 0 = off.
-            std::uint64_t window = 0;
-            for (std::size_t i = 0; i < loaded.size(); ++i)
-                window += loaded.compressedSize(i) +
-                          loaded.rawSize(i);
-            for (const std::uint64_t budget :
-                 {std::uint64_t{0}, window / 2, window / 4,
-                  window / 16, std::uint64_t{1}}) {
-                for (const unsigned threads : {1u, 2u, 4u}) {
-                    LivePointRunOptions opt = ref;
-                    opt.threads = threads;
-                    opt.residentBudgetBytes = budget;
-                    const LivePointRunResult r =
-                        runLivePoints(prog, loaded, cfg, opt);
-                    CHECK_EQ(r.processed, base.processed);
-                    CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
-                    CHECK_NEAR(r.finalSnapshot.relHalfWidth,
-                               base.finalSnapshot.relHalfWidth,
-                               0.0);
-                    CHECK_EQ(r.unavailableLoads,
-                             base.unavailableLoads);
-                    // A real budget must be respected whenever it
-                    // admits at least one whole fold block.
-                    if (budget >= window / 4)
-                        CHECK(r.peakResidentBytes <=
-                              (budget ? budget : window));
-                }
+            for (const unsigned threads : {1u, 2u, 4u}) {
+                LivePointRunOptions opt = ref;
+                opt.threads = threads;
+                const LivePointRunResult r =
+                    runLivePoints(prog, loaded, cfg, opt);
+                CHECK_EQ(r.processed, base.processed);
+                CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
+                CHECK_NEAR(r.finalSnapshot.relHalfWidth,
+                           base.finalSnapshot.relHalfWidth, 0.0);
+                CHECK_EQ(r.unavailableLoads, base.unavailableLoads);
             }
         }
 
-        // Matched pairs stream through a budget identically too.
+        // Matched pairs replay a loaded library identically too.
         {
             const CoreConfig slow = slowMemConfig();
             LivePointRunOptions ref;
@@ -311,7 +292,6 @@ main()
             for (const unsigned threads : {1u, 2u}) {
                 LivePointRunOptions opt = ref;
                 opt.threads = threads;
-                opt.residentBudgetBytes = 64 * 1024;
                 const MatchedPairOutcome r =
                     runMatchedPair(prog, loaded, cfg, slow, opt);
                 CHECK_EQ(r.processed, base.processed);
@@ -326,10 +306,7 @@ main()
 
     // Checkpoint economics: a delta-chained library must replay
     // bit-identically to the plain library — same program, same
-    // design, same shuffle — loaded from its file, at threads 1/2/4,
-    // with and without a resident budget. Delta records charge their
-    // whole chain against the budget, so the peak stays bounded even
-    // though decoding a delta pins its base.
+    // design, same shuffle — loaded from its file, at threads 1/2/4.
     {
         TinyLib tc = buildTinyLibrary(
             "replaytest", 500'000, 17, 64, {cfg}, 11,
@@ -356,31 +333,16 @@ main()
             const LivePointRunResult base =
                 runLivePoints(prog, lib, cfg, ref);
 
-            // Budget sized off the chain charges (what the gate
-            // actually accounts), from generous down to 4x under
-            // the library's charge total; 0 = off.
-            std::uint64_t window = 0;
-            for (std::size_t i = 0; i < loaded.size(); ++i)
-                window += loaded.chargeBytes(i);
-            for (const std::uint64_t budget :
-                 {std::uint64_t{0}, window / 2, window / 4}) {
-                for (const unsigned threads : {1u, 2u, 4u}) {
-                    LivePointRunOptions opt = ref;
-                    opt.threads = threads;
-                    opt.residentBudgetBytes = budget;
-                    const LivePointRunResult r =
-                        runLivePoints(prog, loaded, cfg, opt);
-                    CHECK_EQ(r.processed, base.processed);
-                    CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
-                    CHECK_NEAR(r.finalSnapshot.relHalfWidth,
-                               base.finalSnapshot.relHalfWidth,
-                               0.0);
-                    CHECK_EQ(r.unavailableLoads,
-                             base.unavailableLoads);
-                    if (budget >= window / 4)
-                        CHECK(r.peakResidentBytes <=
-                              (budget ? budget : window));
-                }
+            for (const unsigned threads : {1u, 2u, 4u}) {
+                LivePointRunOptions opt = ref;
+                opt.threads = threads;
+                const LivePointRunResult r =
+                    runLivePoints(prog, loaded, cfg, opt);
+                CHECK_EQ(r.processed, base.processed);
+                CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
+                CHECK_NEAR(r.finalSnapshot.relHalfWidth,
+                           base.finalSnapshot.relHalfWidth, 0.0);
+                CHECK_EQ(r.unavailableLoads, base.unavailableLoads);
             }
             // Several producers, each with its own chain cache,
             // decode the same points.

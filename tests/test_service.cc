@@ -23,7 +23,9 @@
 
 #include "core/campaign.hh"
 #include "core/library_set.hh"
+#include "codec/der.hh"
 #include "core/replay.hh"
+#include "io/atomic_file.hh"
 #include "io/source.hh"
 #include "svc/client.hh"
 #include "svc/daemon.hh"
@@ -77,6 +79,63 @@ extractAll(const std::string &json, const std::string &key)
         pos = end;
     }
     return out;
+}
+
+/** Where specDer() writes one value the JobSpec codec does not expect. */
+enum class Surplus
+{
+    none,
+    workloadRow, //!< at the end of each workload row
+    configRow,   //!< at the end of each config row
+    budgetSlot,  //!< a 0 before deadlineMs: the previous release's layout
+};
+
+/** encodeJobSpec()'s layout, written out here with one @p surplus value. */
+Blob
+specDer(const JobSpec &spec, Surplus surplus)
+{
+    DerWriter w;
+    w.beginSequence();
+    w.putString(spec.name);
+    w.beginSequence();
+    for (const JobWorkloadSpec &wl : spec.workloads) {
+        w.beginSequence();
+        w.putString(wl.shard);
+        w.putString(wl.profile);
+        w.putUint(wl.tinyInsts);
+        w.putUint(wl.tinySeed);
+        if (surplus == Surplus::workloadRow)
+            w.putUint(7);
+        w.endSequence();
+    }
+    w.endSequence();
+    w.beginSequence();
+    for (const JobConfigSpec &c : spec.configs) {
+        w.beginSequence();
+        w.putString(c.preset);
+        w.putString(c.name);
+        w.putUint(c.memLatency);
+        w.putUint(c.l2Latency);
+        w.putUint(c.l2SizeBytes);
+        if (surplus == Surplus::configRow)
+            w.putUint(7);
+        w.endSequence();
+    }
+    w.endSequence();
+    w.putDouble(spec.level);
+    w.putDouble(spec.relativeError);
+    w.putUint(spec.stopAtConfidence ? 1 : 0);
+    w.putUint(spec.approxWrongPath ? 1 : 0);
+    w.putUint(spec.shuffleSeed);
+    w.putUint(spec.threads);
+    w.putUint(spec.decodeThreads);
+    w.putUint(spec.blockSize);
+    w.putUint(spec.maxFoldedReplays);
+    if (surplus == Surplus::budgetSlot)
+        w.putUint(0);
+    w.putUint(spec.deadlineMs);
+    w.endSequence();
+    return w.finish();
 }
 
 /** The standard two-workload, two-config job this suite submits. */
@@ -135,7 +194,7 @@ main()
     const std::vector<std::string> baseBits =
         extractAll(baseReport, "cpi_bits");
     CHECK_EQ(baseBits.size(), 4u);
-    CHECK(baseReport.find("\"schema_version\": 3") !=
+    CHECK(baseReport.find("\"schema_version\": 4") !=
           std::string::npos);
 
     // ---- Protocol: JobSpec codec round trip ------------------------
@@ -156,6 +215,19 @@ main()
         CHECK_EQ(back.blockSize, 4u);
         CHECK_EQ(back.deadlineMs, 1234u);
         CHECK(!back.stopAtConfidence);
+
+        // A payload is exactly one spec in this layout: a value left
+        // over anywhere is malformed, never ignored. The previous
+        // release's layout (one more spec element, a resident-budget
+        // slot before deadlineMs) must not decode its budget as the
+        // deadline.
+        CHECK(specDer(spec, Surplus::none) == encodeJobSpec(spec));
+        for (const Surplus at : {Surplus::workloadRow, Surplus::configRow,
+                                 Surplus::budgetSlot})
+            CHECK_THROWS(decodeJobSpec(specDer(spec, at)));
+        Blob trailing = encodeJobSpec(spec);
+        trailing.push_back(0);
+        CHECK_THROWS(decodeJobSpec(trailing));
     }
 
     // ---- Protocol: frame integrity over a socketpair ---------------
@@ -208,7 +280,7 @@ main()
             CHECK(svc.result(out.id, &state, &json));
             CHECK(state == JobState::done);
             CHECK(extractAll(json, "cpi_bits") == baseBits);
-            CHECK(json.find("\"schema_version\": 3") !=
+            CHECK(json.find("\"schema_version\": 4") !=
                   std::string::npos);
             CHECK(json.find("\"reason\": \"none\"") !=
                   std::string::npos);
@@ -401,6 +473,42 @@ main()
         CHECK(state == JobState::done);
         CHECK(extractAll(json, "cpi_bits") == baseBits);
         svc.drain();
+    }
+
+    // A job holds every shard it names until it finishes, so the
+    // admission estimate counts them all: with the bound at both
+    // fixture shards' bytes, a parked job over both leaves no room
+    // for a job over the smaller one.
+    {
+        ServiceConfig cfg;
+        cfg.jobsDir = "svc-jobs-resident-sum";
+        cfg.setDir = setDir;
+        cfg.workerSlots = 8;
+        std::size_t smaller = 0;
+        {
+            const LibrarySet set = LibrarySet::open(setDir);
+            cfg.maxResidentBytes = set.fileBytes(0) + set.fileBytes(1);
+            smaller = set.fileBytes(1) < set.fileBytes(0) ? 1 : 0;
+        }
+        std::filesystem::remove_all(cfg.jobsDir);
+        CampaignService svc(cfg);
+        arm("replay.cell", FailpointSpec::Trigger::nth, 1,
+            FailpointSpec::Action::hang);
+        const SubmitOutcome a = svc.submit(makeSpec(1));
+        CHECK(a.accepted);
+        JobSpec small = makeSpec(1);
+        small.workloads = {small.workloads[smaller]};
+        const SubmitOutcome b = svc.submit(small);
+        CHECK(!b.accepted);
+        CHECK(b.retry);
+        disarmAllFailpoints();
+        CHECK(svc.waitForJob(a.id, 30'000));
+        // With the first job finished, its shards no longer count.
+        const SubmitOutcome c = svc.submit(small);
+        CHECK(c.accepted);
+        CHECK(svc.waitForJob(c.id, 30'000));
+        svc.drain();
+        std::filesystem::remove_all(cfg.jobsDir);
     }
 
     // ---- Cancel / deadline matrix at threads 1/2/4 -----------------
@@ -688,6 +796,52 @@ main()
             log.find("\"event\": \"recover_skipped\"");
         CHECK(skipped != std::string::npos);
         CHECK(log.find("job-3/state", skipped) != std::string::npos);
+        std::filesystem::remove_all(cfg.jobsDir);
+    }
+
+    // ---- Recovery past a spec in the previous release's layout -----
+    // Its resident-budget slot would decode as deadlineMs (and the
+    // real deadline be lost) if the codec ignored trailing values;
+    // instead the job is skipped as undecodable and its directory
+    // left as it is.
+    {
+        ServiceConfig cfg;
+        cfg.jobsDir = "svc-jobs-legacy";
+        cfg.setDir = setDir;
+        cfg.workerSlots = 8;
+        std::filesystem::remove_all(cfg.jobsDir);
+        const std::string dir = cfg.jobsDir + "/job-1";
+        std::filesystem::create_directories(dir);
+        JobSpec old = makeSpec(1);
+        old.deadlineMs = 1234;
+        const Blob spec = specDer(old, Surplus::budgetSlot);
+        writeFileAtomic(dir + "/spec.der", spec.data(), spec.size(),
+                        "job spec");
+        const std::string running = "running\n";
+        writeFileAtomic(
+            dir + "/state",
+            reinterpret_cast<const std::uint8_t *>(running.data()),
+            running.size(), "job state");
+        {
+            CampaignService svc(cfg);
+            CHECK(svc.jobIds().empty());
+            svc.drain();
+        }
+        const std::string log = readText(cfg.jobsDir + "/service.jsonl");
+        const std::size_t skipped =
+            log.find("\"event\": \"recover_skipped\"");
+        CHECK(skipped != std::string::npos);
+        CHECK(log.find("job-1 spec undecodable", skipped) !=
+              std::string::npos);
+        const Blob kept = readWholeFile(dir + "/spec.der", "test file");
+        CHECK(kept == spec);
+        CHECK_EQ(readText(dir + "/state"), running);
+        std::size_t files = 0;
+        for (const auto &e : std::filesystem::directory_iterator(dir)) {
+            (void)e;
+            ++files;
+        }
+        CHECK_EQ(files, 2u);
         std::filesystem::remove_all(cfg.jobsDir);
     }
 
