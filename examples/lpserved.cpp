@@ -2,9 +2,9 @@
  * @file
  * lpserved — the campaign service daemon. Owns one LibrarySet fleet
  * store and a worker-slot budget, accepts JobSpecs over a Unix domain
- * socket (see src/svc/proto.hh), schedules them concurrently,
- * supervises stuck workers, and recovers in-flight jobs across
- * restarts from their campaign manifests.
+ * socket (see src/svc/proto.hh), schedules them concurrently, and
+ * recovers in-flight jobs across restarts from their campaign
+ * manifests.
  *
  * Usage: lpserved --set <dir> [options]
  *   --socket <path>      listen socket   (LP_SVC_SOCKET)
@@ -13,8 +13,6 @@
  *   --slots <n>          worker budget   (LP_SVC_WORKER_SLOTS)
  *   --queue <n>          max queued jobs (LP_SVC_MAX_QUEUE)
  *   --resident <bytes>   admission bound (LP_SVC_MAX_RESIDENT_BYTES)
- *   --stuck-ms <ms>      watchdog stall  (LP_SVC_STUCK_TIMEOUT_MS)
- *   --period-ms <ms>     watchdog period (LP_SVC_SUPERVISOR_PERIOD_MS)
  *   --results <path>     fleet result store (LP_SVC_RESULTS;
  *                        default <jobs>/results.lpres)
  *
@@ -75,10 +73,6 @@ main(int argc, char **argv)
         envOrU64("LP_SVC_MAX_QUEUE", cfg.maxQueueDepth));
     cfg.maxResidentBytes =
         envOrU64("LP_SVC_MAX_RESIDENT_BYTES", cfg.maxResidentBytes);
-    cfg.stuckTimeoutMs =
-        envOrU64("LP_SVC_STUCK_TIMEOUT_MS", cfg.stuckTimeoutMs);
-    cfg.supervisorPeriodMs = envOrU64("LP_SVC_SUPERVISOR_PERIOD_MS",
-                                      cfg.supervisorPeriodMs);
     cfg.resultStorePath = envOr("LP_SVC_RESULTS", "");
 
     for (int i = 1; i < argc; ++i) {
@@ -104,10 +98,6 @@ main(int argc, char **argv)
                 std::strtoull(need(), nullptr, 10));
         else if (a == "--resident")
             cfg.maxResidentBytes = std::strtoull(need(), nullptr, 10);
-        else if (a == "--stuck-ms")
-            cfg.stuckTimeoutMs = std::strtoull(need(), nullptr, 10);
-        else if (a == "--period-ms")
-            cfg.supervisorPeriodMs = std::strtoull(need(), nullptr, 10);
         else if (a == "--results")
             cfg.resultStorePath = need();
         else

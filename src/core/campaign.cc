@@ -80,8 +80,6 @@ cellFailReasonToken(CellFailReason r)
         return "shard_unavailable";
     case CellFailReason::replayFault:
         return "replay_fault";
-    case CellFailReason::cellStuck:
-        return "cell_stuck";
     case CellFailReason::staleFoldState:
         return "stale_fold_state";
     case CellFailReason::none:
@@ -417,9 +415,7 @@ CampaignEngine::run()
         std::vector<CellRun> cells;
         cells.reserve(nc);
         std::vector<std::size_t> restoredAtStart(nc, 0);
-        std::vector<CellFailReason> cellReason(nc,
-                                               CellFailReason::none);
-        std::vector<std::string> cellDetail(nc);
+        std::vector<std::string> staleDetail(nc); //!< "" = not stale
         std::uint64_t initialMask = 0;
         for (std::size_t c = 0; c < nc; ++c) {
             cells.push_back(CellRun{OnlineEstimator(opt_.spec),
@@ -440,13 +436,14 @@ CampaignEngine::run()
                 !mw.cells[c].converged && mw.frontier < n;
             // Active cells only ever leave the fold frontier by
             // retiring, so a resumed unconverged cell sitting below
-            // it was cut out mid-run by a contained fault. Resuming
-            // it would fold from the wrong offset; it fails instead.
+            // it was cut out mid-run: a manifest written by an older
+            // build, whose per-cell faults did that, can hold one.
+            // Resuming it would fold from the wrong offset; it fails
+            // instead.
             if (cells[c].active && m.restored &&
                 mw.cells[c].processed != mw.frontier) {
                 cells[c].active = false;
-                cellReason[c] = CellFailReason::staleFoldState;
-                cellDetail[c] = strfmt(
+                staleDetail[c] = strfmt(
                     "resumed below the fold frontier (%llu of %llu "
                     "points): a prior fault cut this cell out",
                     static_cast<unsigned long long>(
@@ -512,33 +509,6 @@ CampaignEngine::run()
                     engine.run(
                         *lib, order, blockSize_, stopping,
                         [&](std::size_t, const WindowResult *row) {
-                            // Contained per-cell faults: the fault
-                            // record is visible before the faulting
-                            // point's block completes, so cutting the
-                            // cell out here guarantees no invalid
-                            // result is ever folded.
-                            if (const std::uint64_t fm =
-                                    engine.faultedConfigs()) {
-                                for (std::size_t c = 0; c < nc; ++c) {
-                                    if (!cells[c].active ||
-                                        !((fm >> c) & 1))
-                                        continue;
-                                    cells[c].active = false;
-                                    cells[c].block = RunningStat();
-                                    const auto info =
-                                        engine.cellFault(c);
-                                    cellReason[c] =
-                                        info.stuck
-                                            ? CellFailReason::cellStuck
-                                            : CellFailReason::
-                                                  replayFault;
-                                    cellDetail[c] = info.reason;
-                                    warn("campaign: workload '%s' "
-                                         "config %zu failed: %s",
-                                         wk.name.c_str(), c,
-                                         info.reason.c_str());
-                                }
-                            }
                             for (std::size_t c = 0; c < nc; ++c) {
                                 if (!cells[c].active)
                                     continue;
@@ -671,13 +641,12 @@ CampaignEngine::run()
             cell.converged = mw.cells[c].converged;
             // Cells already retired by their confidence target have
             // complete estimates; only the ones a failure cut short
-            // are marked failed. A per-cell fault (stuck/injected or
-            // stale resume state) outranks the workload-level reason.
-            if (cellReason[c] != CellFailReason::none &&
-                !cell.converged) {
+            // are marked failed. Stale resume state (never a converged
+            // cell) outranks the workload-level reason.
+            if (!staleDetail[c].empty()) {
                 cell.failed = true;
-                cell.reason = cellReason[c];
-                cell.failureReason = cellDetail[c];
+                cell.reason = CellFailReason::staleFoldState;
+                cell.failureReason = staleDetail[c];
                 ++res.failedCells;
             } else if (!failReason.empty() && !cell.converged) {
                 cell.failed = true;

@@ -125,13 +125,12 @@ struct CampaignOptions
     bool unloadFinishedShards = true;
 
     /**
-     * Supervision hook (optional; the caller keeps ownership).
+     * Control hook (optional; the caller keeps ownership).
      * control->cancel stops the campaign gracefully at the next block
      * barrier — after the barrier's manifest write, so the stop is a
      * valid resume point and a later resumption is bit-identical to
-     * the uninterrupted run. control->progress and
-     * control->failStuck are threaded through to the replay engine
-     * (see ReplayEngineOptions::control).
+     * the uninterrupted run. control->progress is threaded through to
+     * the replay engine (see ReplayEngineOptions::control).
      */
     ReplayControl *control = nullptr;
 
@@ -170,11 +169,10 @@ enum class CellFailReason
     shardQuarantined, //!< the workload's shard is quarantined
     shardUnavailable, //!< the shard would not open
     replayFault,      //!< a replay error (injected or real)
-    cellStuck,        //!< a stalled replay aborted by the supervisor
     staleFoldState    //!< resumed cell was below the fold frontier
 };
 
-/** Stable token for @p r (e.g. "cell_stuck"); never changes meaning. */
+/** Stable token for @p r (e.g. "replay_fault"); never changes meaning. */
 const char *cellFailReasonToken(CellFailReason r);
 
 /** One (workload, configuration) cell's outcome. */
@@ -191,10 +189,9 @@ struct CampaignCell
 
     /**
      * The cell failed before it finished (quarantined or unopenable
-     * shard, a contained per-cell replay fault or stuck-worker
-     * verdict, or stale resume state): the estimate covers only the
-     * points folded before the failure. Converged cells retired
-     * before the failure are not marked.
+     * shard, a replay error in its workload, or stale resume state):
+     * the estimate covers only the points folded before the failure.
+     * Converged cells retired before the failure are not marked.
      */
     bool failed = false;
     CellFailReason reason = CellFailReason::none;

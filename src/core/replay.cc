@@ -264,8 +264,7 @@ ReplayContext::replay(std::size_t cfgIdx, bool approxWrongPath)
 ReplayEngine::ReplayEngine(const Program &prog,
                            std::vector<CoreConfig> cfgs,
                            const ReplayEngineOptions &opt)
-    : prog_(prog), cfgs_(std::move(cfgs)),
-      approxWrongPath_(opt.approxWrongPath),
+    : cfgs_(std::move(cfgs)), approxWrongPath_(opt.approxWrongPath),
       threads_(std::max(opt.threads, 1u)),
       producers_(opt.decodeThreads ? opt.decodeThreads
                                    : autoProducers(threads_)),
@@ -290,49 +289,7 @@ ReplayEngine::ReplayEngine(const Program &prog,
     }
     ctx_.reserve(threads_);
     for (unsigned w = 0; w < threads_; ++w)
-        ctx_.push_back(std::make_unique<ReplayContext>(prog_, cfgs_));
-    // Caller contexts are built lazily: only simulateOne() needs them.
-    callerCtx_.resize(cfgs_.size());
-    faults_.resize(cfgs_.size());
-}
-
-ReplayEngine::CellFaultInfo
-ReplayEngine::cellFault(std::size_t c) const
-{
-    std::lock_guard<std::mutex> lk(faultM_);
-    return faults_[c];
-}
-
-void
-ReplayEngine::recordCellFault(std::size_t c, std::size_t point,
-                              bool stuck, const std::string &reason)
-{
-    {
-        std::lock_guard<std::mutex> lk(faultM_);
-        if (!((faultMask_.load(std::memory_order_relaxed) >> c) & 1)) {
-            faults_[c].stuck = stuck;
-            faults_[c].point = point;
-            faults_[c].reason = reason;
-        }
-    }
-    faultMask_.fetch_or(1ull << c, std::memory_order_release);
-}
-
-WindowResult
-ReplayEngine::simulateOne(const LivePointLibrary &lib, std::size_t pos,
-                          std::size_t cfgIdx)
-{
-    if (!callerCtx_[cfgIdx])
-        callerCtx_[cfgIdx] =
-            std::make_unique<ReplayContext>(prog_, cfgs_[cfgIdx]);
-    lib.decodeInto(pos, callerScratch_, callerPoint_);
-    bytesDecoded_.fetch_add(callerScratch_.payload.size(),
-                            std::memory_order_relaxed);
-    pointsDecoded_.fetch_add(1, std::memory_order_relaxed);
-    recordsDecoded_.fetch_add(callerScratch_.chain.size(),
-                              std::memory_order_relaxed);
-    replaysExecuted_.fetch_add(1, std::memory_order_relaxed);
-    return callerCtx_[cfgIdx]->simulate(callerPoint_, approxWrongPath_);
+        ctx_.push_back(std::make_unique<ReplayContext>(prog, cfgs_));
 }
 
 void
@@ -482,41 +439,24 @@ ReplayEngine::run(
         }
     };
 
-    // The per-replay fault site. An injected error fails
-    // configuration c of point k as a contained cell fault; an
-    // injected hang parks this worker — a stuck cell — until the site
-    // is disarmed (the stall recovered: the replay proceeds normally
-    // and results are untouched) or a supervisor's failStuck verdict
-    // aborts it as a fault. Returns true when the replay must be
-    // skipped: its result slot stays invalid, and the fault record is
-    // visible to the fold side before the point's block completes.
-    auto cellGate = [&](std::size_t k, std::size_t c) -> bool {
+    // The per-replay fault site, passed once per (point, active
+    // configuration). An injected error throws like a real replay
+    // error, halting the run. An injected hang parks this worker until
+    // the site is disarmed (the replay then proceeds, results
+    // untouched) or the run halts; false means the run is halting.
+    auto cellGate = [&]() -> bool {
         if (!failpointsArmed())
-            return false;
-        const FailpointOutcome o = failpointFire("replay.cell");
-        if (o.hang) {
-            while (!stop.load(std::memory_order_relaxed)) {
-                if (control_ && control_->failStuck.load(
-                                    std::memory_order_relaxed)) {
-                    recordCellFault(
-                        c, k, true,
-                        "stuck replay aborted by supervisor");
-                    return true;
-                }
-                if (!failpointArmed("replay.cell"))
-                    return false; // disarmed: the stall recovered
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-            }
-            return true; // the run is halting; skip the replay
-        }
-        if (o.fail) {
-            recordCellFault(c, k, false,
-                            strfmt("replay fault: %s",
-                                   std::strerror(o.err)));
             return true;
+        const FailpointOutcome o = failpointFire("replay.cell");
+        if (o.fail)
+            throw std::runtime_error(
+                strfmt("replay.cell: %s", std::strerror(o.err)));
+        while (o.hang && failpointArmed("replay.cell")) {
+            if (stop.load(std::memory_order_relaxed))
+                return false;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        return false;
+        return true;
     };
 
     auto worker = [&](unsigned w) {
@@ -549,14 +489,14 @@ ReplayEngine::run(
             // passes its cell gate first, in configuration order;
             // then the point is loaded once and all of them replay it
             // in one lockstep pass.
-            const std::uint64_t m =
+            const std::uint64_t run =
                 activeMask.load(std::memory_order_acquire);
-            std::uint64_t run = 0;
             std::uint64_t ran = 0;
             for (std::size_t c = 0; c < nc; ++c) {
-                if (!((m >> c) & 1) || cellGate(k, c))
+                if (!((run >> c) & 1))
                     continue;
-                run |= 1ull << c;
+                if (!cellGate())
+                    return;
                 ++ran;
             }
             if (run) {
@@ -613,11 +553,7 @@ ReplayEngine::run(
             const std::size_t end = std::min(n, (b + 1) * blockSize);
             for (; k < end; ++k)
                 foldPoint(k, resultRow(k));
-            // Faulted configurations never replay again, whatever the
-            // barrier answered (their pending results are invalid).
-            const std::uint64_t keep =
-                foldBarrier(end) & allMask &
-                ~faultMask_.load(std::memory_order_acquire);
+            const std::uint64_t keep = foldBarrier(end) & allMask;
             activeMask.store(keep, std::memory_order_release);
             {
                 std::lock_guard<std::mutex> lk(foldM);

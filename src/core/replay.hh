@@ -44,7 +44,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "core/library.hh"
@@ -94,12 +93,9 @@ struct ReplayEngineOptions
     ThreadPool *sharedPool = nullptr;
 
     /**
-     * Supervision hook (optional; the caller keeps ownership). The
+     * Progress hook (optional; the caller keeps ownership). The
      * engine bumps control->progress once per simulated point — the
-     * heartbeat a watchdog monitors — and honors control->failStuck
-     * by aborting replays parked at the `replay.cell` hang site as
-     * contained per-configuration faults (see ReplayEngine fault
-     * accessors) instead of killing the run.
+     * heartbeat a service's status replies report.
      */
     ReplayControl *control = nullptr;
 };
@@ -282,31 +278,6 @@ class ReplayEngine
     }
 
     /**
-     * Configurations that took a contained per-cell fault (mask).
-     * Faults come from the `replay.cell` failpoint: an injected error
-     * fails the configuration immediately; an injected hang parks the
-     * worker until a supervisor flips control->failStuck (the stuck
-     * verdict) or the site is disarmed (a recovered stall). A faulted
-     * configuration's pending results are invalid — a fold callback
-     * that observes the bit here must stop consuming that
-     * configuration (visibility is guaranteed: the fault is recorded
-     * before the faulting point's block completes).
-     */
-    std::uint64_t faultedConfigs() const
-    {
-        return faultMask_.load(std::memory_order_acquire);
-    }
-
-    /** Details of config @p c's first fault (valid once its bit is set). */
-    struct CellFaultInfo
-    {
-        bool stuck = false;     //!< aborted by the supervisor verdict
-        std::size_t point = 0;  //!< order position where it faulted
-        std::string reason;
-    };
-    CellFaultInfo cellFault(std::size_t c) const;
-
-    /**
      * Replay lib[order[k]] for every k. foldPoint(k, results) runs on
      * the calling thread for k = firstPoint, firstPoint + 1, ...
      * strictly in order (results[c] is the k-th point's outcome under
@@ -318,7 +289,9 @@ class ReplayEngine
      * time on the rest. With @p stopEarly, workers are throttled to
      * stay near the fold frontier so stopping actually saves work;
      * without it they free-run to the end. @p plan (optional) offsets
-     * the run for a campaign resume.
+     * the run for a campaign resume. An error in any worker, producer
+     * or callback halts the run and is rethrown here, once the pool
+     * has drained.
      */
     void run(const LivePointLibrary &lib,
              const std::vector<std::size_t> &order,
@@ -328,20 +301,7 @@ class ReplayEngine
              const std::function<std::uint64_t(std::size_t)> &foldBarrier,
              const ReplayPlan *plan = nullptr);
 
-    /**
-     * Decode and replay a single point on the calling thread using a
-     * dedicated pooled context (config @p cfgIdx) — the sequential
-     * path adaptive algorithms such as stratified allocation take
-     * between batches.
-     */
-    WindowResult simulateOne(const LivePointLibrary &lib,
-                             std::size_t pos, std::size_t cfgIdx = 0);
-
   private:
-    void recordCellFault(std::size_t c, std::size_t point, bool stuck,
-                         const std::string &reason);
-
-    const Program &prog_;
     std::vector<CoreConfig> cfgs_;
     bool approxWrongPath_;
     unsigned threads_;
@@ -351,9 +311,6 @@ class ReplayEngine
      *  together keep at most 2 * ringSlots_ raw records. */
     std::size_t ringSlots_;
     std::vector<std::unique_ptr<ReplayContext>> ctx_; //!< one per worker
-    std::vector<std::unique_ptr<ReplayContext>> callerCtx_;
-    LivePointDecodeScratch callerScratch_;
-    LivePoint callerPoint_;
     std::atomic<std::uint64_t> bytesDecoded_{0};
     std::atomic<std::uint64_t> pointsDecoded_{0};
     std::atomic<std::uint64_t> recordsDecoded_{0};
@@ -361,9 +318,6 @@ class ReplayEngine
     std::unique_ptr<ThreadPool> ownedPool_;
     ThreadPool *pool_;
     ReplayControl *control_;
-    std::atomic<std::uint64_t> faultMask_{0};
-    mutable std::mutex faultM_;
-    std::vector<CellFaultInfo> faults_; //!< per config, first fault wins
 };
 
 } // namespace lp

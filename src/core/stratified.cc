@@ -58,11 +58,16 @@ runStratified(const Program &prog, const LivePointLibrary &lib,
     ropt.threads = opt.threads;
     ReplayEngine engine(prog, {cfg}, ropt);
 
+    // The greedy picks replay one at a time on this thread, each
+    // depending on the last, so they take their own context.
+    ReplayContext ctx(prog, cfg);
+    LivePointDecodeScratch scratch;
+    LivePoint point;
     auto measureFrom = [&](unsigned h) {
         const std::size_t pos = queues[h].back();
         queues[h].pop_back();
-        const WindowResult w = engine.simulateOne(lib, pos);
-        strat[h].add(w.cpi);
+        lib.decodeInto(pos, scratch, point);
+        strat[h].add(ctx.simulate(point).cpi);
         ++res.processed;
     };
 

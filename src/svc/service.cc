@@ -32,7 +32,8 @@ namespace lp
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
+/** Retry hint returned with admission rejections. */
+constexpr std::uint64_t kRetryAfterMs = 250;
 
 std::uint64_t
 nowWallMs()
@@ -122,14 +123,9 @@ struct CampaignService::Job
     std::string detail;     //!< failure / cancellation detail
     std::string resultJson; //!< campaign report once done
     std::vector<std::size_t> shards;
-    std::uint64_t residentEstimate = 0;
     unsigned slots = 1;
     ReplayControl control;
     std::thread thread;
-
-    // Supervisor bookkeeping (valid while running).
-    std::uint64_t lastProgress = 0;
-    Clock::time_point lastChange{};
 };
 
 CampaignService::CampaignService(const ServiceConfig &cfg)
@@ -169,7 +165,6 @@ CampaignService::CampaignService(const ServiceConfig &cfg)
     }
     recoverJobs();
     scheduler_ = std::thread([this] { schedulerLoop(); });
-    supervisor_ = std::thread([this] { supervisorLoop(); });
     logEvent("service_start", nullptr,
              strfmt("slots=%u queue=%zu", cfg_.workerSlots,
                     cfg_.maxQueueDepth));
@@ -211,25 +206,6 @@ CampaignService::writeJobState(const Job &j, JobState s) const
     writeFileAtomic(j.dir + "/state",
                     reinterpret_cast<const std::uint8_t *>(token.data()),
                     token.size(), "job state");
-}
-
-std::uint64_t
-CampaignService::residentEstimate(const JobSpec &spec) const
-{
-    // A job's campaign keeps every shard it opens mapped (it never
-    // unloads a shard another job may share), and the service unmaps
-    // a shard only when the last job using it ends: a job holds all
-    // of its distinct shards until it finishes.
-    std::set<std::size_t> shards;
-    for (const JobWorkloadSpec &w : spec.workloads) {
-        const std::size_t i = set_.find(w.shard);
-        if (i != LibrarySet::npos)
-            shards.insert(i);
-    }
-    std::uint64_t sum = 0;
-    for (std::size_t i : shards)
-        sum += set_.fileBytes(i);
-    return sum;
 }
 
 void
@@ -300,7 +276,6 @@ CampaignService::recoverJobs()
             continue;
         }
         j->slots = std::max(1u, j->spec.threads);
-        j->residentEstimate = residentEstimate(j->spec);
         for (const JobWorkloadSpec &w : j->spec.workloads) {
             const std::size_t i = set_.find(w.shard);
             if (i != LibrarySet::npos)
@@ -405,29 +380,43 @@ CampaignService::submit(const JobSpec &spec)
         out.error = "service is draining";
         return out;
     }
+    // A job's campaign keeps every shard it opens mapped, and the
+    // service maps a shard once however many jobs name it, unmapping
+    // it when the last of them ends. So the resident set is every
+    // shard an unfinished job names, counted once.
     std::size_t queued = 0;
-    std::uint64_t resident = 0;
+    std::set<std::size_t> live;
     for (const auto &kv : jobs_) {
         const Job &j = *kv.second;
         if (j.state == JobState::queued)
             ++queued;
         if (!jobStateTerminal(j.state))
-            resident += j.residentEstimate;
+            live.insert(j.shards.begin(), j.shards.end());
     }
     if (queued >= cfg_.maxQueueDepth) {
         out.retry = true;
-        out.retryAfterMs = cfg_.retryAfterMs;
+        out.retryAfterMs = kRetryAfterMs;
         out.error = strfmt("queue full (%zu queued)", queued);
         return out;
     }
-    const std::uint64_t estimate = residentEstimate(spec);
+    auto bytesOf = [this](const std::set<std::size_t> &shards) {
+        std::uint64_t sum = 0;
+        for (const std::size_t i : shards)
+            sum += set_.fileBytes(i);
+        return sum;
+    };
+    std::set<std::size_t> after = live;
+    for (const JobWorkloadSpec &w : spec.workloads)
+        after.insert(set_.find(w.shard));
+    const std::uint64_t resident = bytesOf(live);
+    const std::uint64_t estimate = bytesOf(after) - resident;
     if (cfg_.maxResidentBytes &&
         resident + estimate > cfg_.maxResidentBytes &&
         resident != 0) {
         // resident == 0 means this job alone exceeds the budget; let
         // it run rather than wedge.
         out.retry = true;
-        out.retryAfterMs = cfg_.retryAfterMs;
+        out.retryAfterMs = kRetryAfterMs;
         out.error = strfmt(
             "resident budget full (%llu + %llu > %llu bytes)",
             static_cast<unsigned long long>(resident),
@@ -442,7 +431,6 @@ CampaignService::submit(const JobSpec &spec)
     j->dir = cfg_.jobsDir +
              strfmt("/job-%llu", static_cast<unsigned long long>(j->id));
     j->slots = std::max(1u, spec.threads);
-    j->residentEstimate = estimate;
     for (const JobWorkloadSpec &w : spec.workloads)
         j->shards.push_back(set_.find(w.shard));
 
@@ -508,7 +496,6 @@ CampaignService::resume(std::uint64_t id)
     if (j.thread.joinable())
         j.thread.join(); // it already reached a terminal state
     j.control.cancel.reset();
-    j.control.failStuck.store(false, std::memory_order_relaxed);
     j.cancelRequested = false;
     j.detail.clear();
     j.state = JobState::queued;
@@ -610,9 +597,6 @@ CampaignService::startJobLocked(Job *j)
 {
     j->state = JobState::running;
     j->cancelRequested = false;
-    j->lastProgress =
-        j->control.progress.load(std::memory_order_relaxed);
-    j->lastChange = Clock::now();
     runningSlots_ += j->slots;
     for (std::size_t s : j->shards)
         ++shardRefs_[s];
@@ -651,48 +635,6 @@ CampaignService::schedulerLoop()
             continue;
         }
         cv_.wait_for(lk, std::chrono::milliseconds(20));
-    }
-}
-
-void
-CampaignService::supervisorLoop()
-{
-    std::unique_lock<std::mutex> lk(m_);
-    while (!stop_) {
-        const Clock::time_point now = Clock::now();
-        for (auto &kv : jobs_) {
-            Job &j = *kv.second;
-            if (j.state != JobState::running)
-                continue;
-            const std::uint64_t p =
-                j.control.progress.load(std::memory_order_relaxed);
-            if (p != j.lastProgress) {
-                j.lastProgress = p;
-                j.lastChange = now;
-                continue;
-            }
-            if (cfg_.stuckTimeoutMs == 0 ||
-                j.control.failStuck.load(std::memory_order_relaxed))
-                continue;
-            const auto stalled =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    now - j.lastChange)
-                    .count();
-            if (stalled >= 0 &&
-                static_cast<std::uint64_t>(stalled) >=
-                    cfg_.stuckTimeoutMs) {
-                // Raising failStuck aborts only hang-parked workers
-                // (ReplayControl::failStuck), so a healthy job that
-                // is merely slow is unaffected.
-                j.control.failStuck.store(true,
-                                          std::memory_order_relaxed);
-                logEvent("stuck_detected", &j,
-                         strfmt("no progress for %lld ms",
-                                static_cast<long long>(stalled)));
-            }
-        }
-        cv_.wait_for(lk,
-                     std::chrono::milliseconds(cfg_.supervisorPeriodMs));
     }
 }
 
@@ -837,8 +779,6 @@ CampaignService::shutdown(bool cancelRunning)
     }
     if (scheduler_.joinable())
         scheduler_.join();
-    if (supervisor_.joinable())
-        supervisor_.join();
     std::unique_lock<std::mutex> lk(m_);
     for (auto &kv : jobs_)
         if (kv.second->thread.joinable())

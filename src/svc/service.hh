@@ -1,7 +1,7 @@
 /**
  * @file
- * The campaign service: a job-queue scheduler, supervisor, and
- * restart-recovery layer over CampaignEngine. One service owns one
+ * The campaign service: a job-queue scheduler and restart-recovery
+ * layer over CampaignEngine. One service owns one
  * LibrarySet fleet store (opened with openRecover, so a degraded set
  * serves what it can) and one worker-slot budget; submitted JobSpecs
  * queue, run concurrently under that budget, and persist everything
@@ -28,15 +28,16 @@
  *    re-enqueues it and its manifest resumes it at the last durable
  *    barrier.
  *  - **Admission control.** submit() rejects-with-retry-after when
- *    the queue is at maxQueueDepth or when the aggregate resident
- *    estimate (each job counts the bytes of every distinct shard it
- *    names, because its shards stay mapped until it finishes) would
- *    exceed maxResidentBytes.
- *  - **Supervision.** A supervisor thread watches each running job's
- *    progress heartbeat; a job stalled past stuckTimeoutMs gets its
- *    failStuck flag raised, which aborts only hang-parked workers
- *    (ReplayControl::failStuck) — the stuck cell fails with reason
- *    `cell_stuck` and every other cell of every job completes.
+ *    the queue is at maxQueueDepth or when the resident estimate
+ *    would exceed maxResidentBytes. The estimate is the bytes of
+ *    every distinct shard that an unfinished job names, plus the new
+ *    job's shards outside that set: the service maps a shard once,
+ *    however many jobs share it, and unmaps it when the last job
+ *    using it ends.
+ *  - **Contained replay errors.** A replay error, real or injected
+ *    at `replay.cell`, fails every unconverged cell of its workload
+ *    with reason `replay_fault`; the job's other workloads finish
+ *    bit-identical and the job completes `done`.
  *  - **Graceful degradation.** A job naming a quarantined shard still
  *    runs; the campaign marks those cells failed-with-reason
  *    (`shard_quarantined`) and the job completes `done`.
@@ -94,17 +95,8 @@ struct ServiceConfig
     /** Queued (not yet running) jobs beyond this are rejected. */
     std::size_t maxQueueDepth = 8;
 
-    /** Aggregate resident-bytes admission bound; 0 = unlimited. */
+    /** Resident-bytes admission bound; 0 = unlimited. */
     std::uint64_t maxResidentBytes = 0;
-
-    /** Heartbeat stall that marks a job stuck; 0 = watchdog off. */
-    std::uint64_t stuckTimeoutMs = 0;
-
-    /** Supervisor poll period. */
-    std::uint64_t supervisorPeriodMs = 25;
-
-    /** retryAfterMs hint returned with admission rejections. */
-    std::uint64_t retryAfterMs = 250;
 
     /** Structured log path; "" = <jobsDir>/service.jsonl. */
     std::string logPath;
@@ -145,7 +137,7 @@ class CampaignService
      * Open the fleet set, scan @p cfg.jobsDir for jobs a previous
      * incarnation left behind (terminal jobs are reloaded as results;
      * queued/running jobs re-enqueue and resume from their
-     * manifests), and start the scheduler and supervisor threads.
+     * manifests), and start the scheduler thread.
      */
     explicit CampaignService(const ServiceConfig &cfg);
 
@@ -205,11 +197,9 @@ class CampaignService
 
     void recoverJobs();
     void schedulerLoop();
-    void supervisorLoop();
     void runJob(Job *j);
     void startJobLocked(Job *j);
     void writeJobState(const Job &j, JobState s) const;
-    std::uint64_t residentEstimate(const JobSpec &spec) const;
     void shutdown(bool cancelRunning);
     void logEvent(const std::string &event, const Job *j,
                   const std::string &detail);
@@ -225,13 +215,12 @@ class CampaignService
     std::uint64_t nextId_ = 1;
     unsigned runningSlots_ = 0;
     bool draining_ = false; //!< no new submissions
-    bool stop_ = false;     //!< scheduler/supervisor exit
+    bool stop_ = false;     //!< scheduler exit
 
     std::mutex logM_;
     std::FILE *log_ = nullptr;
 
     std::thread scheduler_;
-    std::thread supervisor_;
 };
 
 } // namespace lp

@@ -1,19 +1,16 @@
 /**
  * @file
  * Cooperative cancellation and deadlines. A CancelToken is the shared
- * switch between a running campaign and whoever supervises it (a
- * service daemon's watchdog, a signal handler, a test): requesting
+ * switch between a running campaign and whoever controls it (the
+ * service's cancel request, a signal handler, a test): requesting
  * cancellation is sticky, carries a reason, and is observed at block
  * barriers — the replay itself never tears mid-block, so a cancelled
  * job's manifest stays a valid resume point and a later resumption is
  * bit-identical to the uninterrupted run.
  *
  * ReplayControl bundles the token with a progress heartbeat (bumped
- * once per simulated point) and a fail-stuck switch: a supervisor
- * that sees the heartbeat stall can flip failStuck, which aborts
- * replays parked at interruptible wait points (failpoint-injected
- * hangs modelling I/O stalls) as contained per-cell faults instead of
- * killing the job.
+ * once per simulated point), which the service reports in status
+ * replies.
  */
 
 #ifndef LP_UTIL_CANCEL_HH
@@ -118,26 +115,16 @@ class Deadline
 
 /**
  * The shared control block between a running replay/campaign and its
- * supervisor. All members are safe to poke from any thread while the
- * run is live.
+ * owner. All members are safe to poke from any thread while the run
+ * is live.
  */
 struct ReplayControl
 {
     /** Graceful stop: observed at fold-block barriers. */
     CancelToken cancel;
 
-    /**
-     * Heartbeat: incremented once per simulated point. A supervisor
-     * that sees this stall while the job claims to be running has
-     * found a stuck worker.
-     */
+    /** Heartbeat: incremented once per simulated point. */
     std::atomic<std::uint64_t> progress{0};
-
-    /**
-     * Watchdog verdict: abort replays parked at interruptible wait
-     * points as per-cell faults. Sticky for the lifetime of the run.
-     */
-    std::atomic<bool> failStuck{false};
 };
 
 } // namespace lp

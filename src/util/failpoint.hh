@@ -19,9 +19,8 @@
  *              short         simulate a short read/write (one chunk)
  *              hang          park the hitting thread at the site (a
  *                            stuck worker); the site waits
- *                            interruptibly — a supervisor watchdog
- *                            aborts it as a contained fault, and
- *                            disarming the site releases it
+ *                            interruptibly, and disarming the site
+ *                            releases it
  *              err[:CODE]    inject errno CODE (EIO, EINTR, EAGAIN,
  *                            ENOSPC, ENOENT, EACCES, ENOMEM, or a
  *                            number; default EIO)

@@ -565,31 +565,73 @@ main()
     }
 
     // ---- Replay faults are contained per workload ------------------
+    // A replay error has one outcome, whatever its cause: every cell
+    // of the first workload fails as replay_fault with the cause in
+    // its detail, and the second workload's cells match @p ref's
+    // workload @p refW bit for bit.
+    auto firstWorkloadFailed = [](const CampaignResult &r,
+                                  const CampaignResult &ref,
+                                  std::size_t refW, std::size_t nc,
+                                  const char *cause) {
+        CHECK_EQ(r.failedCells, nc);
+        for (std::size_t c = 0; c < nc; ++c) {
+            const CampaignCell &cell = r.cell(0, c, nc);
+            CHECK(cell.failed);
+            CHECK(cell.reason == CellFailReason::replayFault);
+            CHECK(cell.failureReason.find(cause) != std::string::npos);
+            const CampaignCell &ok = r.cell(1, c, nc);
+            CHECK(!ok.failed);
+            CHECK_EQ(ok.processed, ref.cell(refW, c, nc).processed);
+            CHECK_NEAR(ok.cpi(), ref.cell(refW, c, nc).cpi(), 0.0);
+        }
+    };
     {
-        // The first decode of the run fails (injected codec fault):
-        // that workload's cells carry the reason, the other workload
-        // finishes untouched and bit-identical.
+        // The first decode of the run fails (injected codec fault).
         arm("codec.decompress", FailpointSpec::Trigger::nth, 1,
             FailpointSpec::Action::error);
         const CampaignResult r = CampaignEngine(grid, cfgs, copt).run();
         disarmAllFailpoints();
-        CHECK_EQ(r.failedCells, cfgs.size());
-        for (std::size_t c = 0; c < cfgs.size(); ++c) {
-            const CampaignCell &cell = r.cell(0, c, cfgs.size());
-            CHECK(cell.failed);
-            CHECK(cell.failureReason.find("codec.decompress") !=
-                  std::string::npos);
-            const CampaignCell &ok = r.cell(1, c, cfgs.size());
-            CHECK(!ok.failed);
-            CHECK_EQ(ok.processed,
-                     baseline.cell(1, c, cfgs.size()).processed);
-            CHECK_NEAR(ok.cpi(),
-                       baseline.cell(1, c, cfgs.size()).cpi(), 0.0);
-        }
+        firstWorkloadFailed(r, baseline, 1, cfgs.size(),
+                            "codec.decompress");
         const std::string report =
             CampaignEngine(grid, cfgs, copt).jsonReport(r);
         CHECK(report.find("\"failed\": true") != std::string::npos);
         CHECK(report.find("codec.decompress") != std::string::npos);
+    }
+    {
+        // The first replay fails (injected at replay.cell): it throws
+        // from the worker like a real replay error, so its workload's
+        // other configuration fails with it.
+        arm("replay.cell", FailpointSpec::Trigger::nth, 1,
+            FailpointSpec::Action::error);
+        const CampaignResult r = CampaignEngine(grid, cfgs, copt).run();
+        disarmAllFailpoints();
+        firstWorkloadFailed(r, baseline, 1, cfgs.size(), "replay.cell");
+        const std::string report =
+            CampaignEngine(grid, cfgs, copt).jsonReport(r);
+        CHECK(report.find("\"reason\": \"replay_fault\"") !=
+              std::string::npos);
+    }
+    {
+        // A real replay error: the first workload's library covers
+        // only the 8-way predictor, and the grid also replays the
+        // 16-way. Its 8-way cell fails too; the second workload's
+        // library covers both and matches its standalone run.
+        const std::vector<CoreConfig> wide{baseConfig(),
+                                           CoreConfig::sixteenWay()};
+        const TinyLib both =
+            buildTinyLibrary("flt-w", 200'000, 37, 16, wide);
+        const CampaignWorkload covered{"flt-w", &both.prog, &both.lib,
+                                       nullptr, 0};
+        const CampaignResult ref =
+            CampaignEngine({covered}, wide, copt).run();
+        CHECK_EQ(ref.failedCells, 0u);
+        const CampaignResult r =
+            CampaignEngine({grid[0], covered}, wide, copt).run();
+        firstWorkloadFailed(r, ref, 0, wide.size(),
+                            "library does not cover predictor");
+        CHECK(r.cell(0, 0, wide.size()).failureReason.find(
+                  wide[1].bpred.key()) != std::string::npos);
     }
 
     // ---- Set-backed campaigns: quarantine and transient retries ----
