@@ -123,7 +123,7 @@ main()
 
     // --- Replay: single-thread decode+simulate points/s ------------
     ReplayContext ctx(b.prog, cfg);
-    Blob scratch;
+    LivePointDecodeScratch scratch;
     LivePoint point;
     // Warm pass: grows every pooled buffer to its high-water mark so
     // the measured passes run the steady (allocation-free) state.

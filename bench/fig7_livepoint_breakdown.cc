@@ -49,7 +49,7 @@ main()
     const LivePointLibrary lib = cachedLibrary(b, design, bc, s);
 
     LivePointBreakdown avg;
-    Blob scratch;
+    LivePointDecodeScratch scratch;
     LivePoint pt;
     for (std::size_t i = 0; i < lib.size(); ++i) {
         lib.decodeInto(i, scratch, pt);

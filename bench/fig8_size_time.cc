@@ -104,7 +104,7 @@ main()
         if (target.mem.l2.sizeBytes > l2Size)
             target.mem.l2.sizeBytes = l2Size;
         const auto t0 = std::chrono::steady_clock::now();
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint pt;
         for (std::size_t i = 0; i < lib.size(); ++i) {
             lib.decodeInto(i, scratch, pt);

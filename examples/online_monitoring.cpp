@@ -61,7 +61,7 @@ main(int argc, char **argv)
     OnlineEstimator estimator(spec);
     std::printf("\n%8s %12s %14s %10s\n", "n", "CPI estimate",
                 "conf. interval", "status");
-    Blob scratch;
+    LivePointDecodeScratch scratch;
     LivePoint lp;
     ReplayContext ctx(prog, cfg);
     for (std::size_t i = 0; i < lib.size(); ++i) {

@@ -42,32 +42,6 @@ seconds(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-void
-putStatState(DerWriter &w, const RunningStat &s)
-{
-    const RunningStat::State st = s.state();
-    w.beginSequence();
-    w.putUint(st.n);
-    w.putDouble(st.mean);
-    w.putDouble(st.m2);
-    w.putDouble(st.min);
-    w.putDouble(st.max);
-    w.endSequence();
-}
-
-RunningStat
-getStatState(DerReader &r)
-{
-    DerReader seq = r.getSequence();
-    RunningStat::State st;
-    st.n = seq.getUint();
-    st.mean = seq.getDouble();
-    st.m2 = seq.getDouble();
-    st.min = seq.getDouble();
-    st.max = seq.getDouble();
-    return RunningStat::fromState(st);
-}
-
 } // namespace
 
 const char *
@@ -212,11 +186,11 @@ CampaignEngine::saveManifest(const Manifest &m) const
             w.putUint(c.processed);
             w.putUint(c.converged ? 1 : 0);
             w.putUint(c.unavailable);
-            putStatState(w, c.stat);
+            putFoldState(w, c.stat.state());
             w.endSequence();
         }
         for (const RunningStat &p : mw.pairs)
-            putStatState(w, p);
+            putFoldState(w, p.state());
         w.endSequence();
     }
     w.endSequence();
@@ -321,10 +295,10 @@ CampaignEngine::loadManifest() const
             c.processed = cs.getUint();
             c.converged = cs.getUint() != 0;
             c.unavailable = cs.getUint();
-            c.stat = getStatState(cs);
+            c.stat = RunningStat::fromState(getFoldState(cs));
         }
         for (RunningStat &p : mw.pairs)
-            p = getStatState(ws);
+            p = RunningStat::fromState(getFoldState(ws));
     }
     m.restored = true;
     return m;
@@ -395,6 +369,20 @@ CampaignEngine::run()
         res.budgetExhausted = true;
     const bool stopping =
         opt_.stopAtConfidence || opt_.maxFoldedReplays != 0;
+    // Marks the run cancelled, once, on a cancellation or an expired
+    // deadline; true once it is.
+    auto stopRequested = [this, &res] {
+        if (!res.cancelled && opt_.control &&
+            opt_.control->cancel.cancelled()) {
+            res.cancelled = true;
+            res.cancelReason = opt_.control->cancel.reason();
+        }
+        if (!res.cancelled && opt_.deadline.expired()) {
+            res.cancelled = true;
+            res.cancelReason = "deadline expired";
+        }
+        return res.cancelled;
+    };
 
     for (std::size_t w = 0; w < workloads_.size(); ++w) {
         const CampaignWorkload &wk = workloads_[w];
@@ -465,18 +453,9 @@ CampaignEngine::run()
 
         // A cancellation or expired deadline observed between
         // workloads stops before the next one opens its shard.
-        if (!res.cancelled && opt_.control &&
-            opt_.control->cancel.cancelled()) {
-            res.cancelled = true;
-            res.cancelReason = opt_.control->cancel.reason();
-        }
-        if (!res.cancelled && opt_.deadline.expired()) {
-            res.cancelled = true;
-            res.cancelReason = "deadline expired";
-        }
-
+        const bool stopped = stopRequested();
         if (failReason.empty() && initialMask != 0 &&
-            !res.budgetExhausted && !res.cancelled) {
+            !res.budgetExhausted && !stopped) {
             // A set-backed workload's shard opens here — only now,
             // only because this workload actually has work left — and
             // closes again below. Workloads the manifest already
@@ -561,19 +540,8 @@ CampaignEngine::run()
                             // stop is a valid resume point and a
                             // later resumption is bit-identical to
                             // the uninterrupted run.
-                            if (!res.cancelled && opt_.control &&
-                                opt_.control->cancel.cancelled()) {
-                                res.cancelled = true;
-                                res.cancelReason =
-                                    opt_.control->cancel.reason();
+                            if (stopRequested())
                                 keep = 0;
-                            }
-                            if (!res.cancelled &&
-                                opt_.deadline.expired()) {
-                                res.cancelled = true;
-                                res.cancelReason = "deadline expired";
-                                keep = 0;
-                            }
                             if (!opt_.manifestPath.empty())
                                 saveManifest(m);
                             return keep;

@@ -216,7 +216,7 @@ LivePointLibrary::record(std::size_t i) const
 LivePoint
 LivePointLibrary::get(std::size_t i) const
 {
-    Blob scratch;
+    LivePointDecodeScratch scratch;
     LivePoint p;
     decodeInto(i, scratch, p);
     return p;
@@ -422,24 +422,6 @@ LivePointLibrary::decodeInto(std::size_t i,
     const std::size_t p = pos(i);
     materializeRaw(p, scratch);
     deserializeRecord(scratch.payload, i, refs_[p].index, out);
-}
-
-void
-LivePointLibrary::decodeInto(std::size_t i, Blob &scratch,
-                             LivePoint &out) const
-{
-    // A plain record decodes straight into the caller's buffer, so
-    // only a delta record pays for a walk's scratch.
-    const std::size_t p = pos(i);
-    if (!(refs_[p].flags & kFlagDelta)) {
-        decodeOne(p, scratch, ByteSpan());
-        deserializeRecord(scratch, i, refs_[p].index, out);
-        return;
-    }
-    LivePointDecodeScratch s;
-    s.payload.swap(scratch);
-    decodeInto(i, s, out);
-    s.payload.swap(scratch);
 }
 
 std::size_t

@@ -197,13 +197,6 @@ class LivePointLibrary
                     LivePoint &out) const;
 
     /**
-     * Compatibility overload with a bare payload buffer. Identical
-     * for plain records; a delta record allocates chain buffers per
-     * call — hot paths use the scratch-struct overload.
-     */
-    void decodeInto(std::size_t i, Blob &scratch, LivePoint &out) const;
-
-    /**
      * Append an already-compressed record (the builder's encoder
      * threads compress off the simulating thread and hand the
      * finished bytes over). @p rawSize is the uncompressed size,

@@ -15,130 +15,69 @@ namespace lp
 namespace
 {
 
-constexpr char kMagic[8] = {'L', 'P', 'R', 'E', 'S', '1', '\n', '\0'};
+constexpr std::uint64_t kMagic = 0x4c50'5245'5332ull; // "LPRES2"
 constexpr std::uint64_t kVersion = 1;
-constexpr const char *kRole = "lp-result-store";
-
-constexpr std::size_t kHeaderBytes = 48;
-constexpr std::size_t kCellWords = 17; //!< 16 payload + record fnv
-constexpr std::size_t kPairWords = 14; //!< 13 payload + record fnv
-constexpr std::size_t kCellBytes = kCellWords * 8;
-constexpr std::size_t kPairBytes = kPairWords * 8;
 
 constexpr std::uint64_t kFlagStop = 1u << 0;
 constexpr std::uint64_t kFlagWrongPath = 1u << 1;
 constexpr std::uint64_t kFlagConverged = 1u << 2;
 
 [[noreturn]] void
-badStore(const std::string &path, const char *why)
+badStore(const std::string &path, const std::string &why)
 {
     throw IoError(
         ioErrorMsg("parse", "result store", path, 0) + ": " + why, 0);
 }
 
+/** Throw unless every value of @p r was read. */
 void
-encodeCell(std::uint8_t *p, const CellRecord &r)
+expectEnd(const DerReader &r, const char *where)
 {
-    std::uint64_t flags = 0;
-    if (r.key.stopAtConfidence)
-        flags |= kFlagStop;
-    if (r.key.approxWrongPath)
-        flags |= kFlagWrongPath;
-    if (r.converged)
-        flags |= kFlagConverged;
-    const std::uint64_t w[kCellWords - 1] = {
-        r.key.libHash,      r.key.configDigest,
-        r.key.shuffleSeed,  r.key.blockSize,
-        flags,              r.key.levelBits,
-        r.key.relErrBits,   r.libPoints,
-        r.processed,        r.unavailableLoads,
-        r.cpiBits,          r.stat.n,
-        doubleBits(r.stat.mean), doubleBits(r.stat.m2),
-        doubleBits(r.stat.min),  doubleBits(r.stat.max)};
-    for (std::size_t i = 0; i < kCellWords - 1; ++i)
-        putU64le(p + i * 8, w[i]);
-    putU64le(p + (kCellWords - 1) * 8, fnv1a(p, (kCellWords - 1) * 8));
+    if (!r.atEnd())
+        throw std::runtime_error(strfmt("data left over in %s", where));
 }
 
-CellRecord
-decodeCell(const std::uint8_t *p, const std::string &path)
+/** The flags word of @p k: its stopping and wrong-path modes. */
+std::uint64_t
+keyFlags(const ResultKey &k)
 {
-    if (getU64le(p + (kCellWords - 1) * 8) !=
-        fnv1a(p, (kCellWords - 1) * 8))
-        badStore(path, "cell record checksum mismatch");
-    CellRecord r;
-    r.key.libHash = getU64le(p);
-    r.key.configDigest = getU64le(p + 8);
-    r.key.shuffleSeed = getU64le(p + 16);
-    r.key.blockSize = getU64le(p + 24);
-    const std::uint64_t flags = getU64le(p + 32);
-    if (flags & ~(kFlagStop | kFlagWrongPath | kFlagConverged))
-        badStore(path, "cell record has unknown flag bits");
-    r.key.stopAtConfidence = (flags & kFlagStop) != 0;
-    r.key.approxWrongPath = (flags & kFlagWrongPath) != 0;
-    r.converged = (flags & kFlagConverged) != 0;
-    r.key.levelBits = getU64le(p + 40);
-    r.key.relErrBits = getU64le(p + 48);
-    r.libPoints = getU64le(p + 56);
-    r.processed = getU64le(p + 64);
-    r.unavailableLoads = getU64le(p + 72);
-    r.cpiBits = getU64le(p + 80);
-    r.stat.n = getU64le(p + 88);
-    r.stat.mean = bitsFromDouble(getU64le(p + 96));
-    r.stat.m2 = bitsFromDouble(getU64le(p + 104));
-    r.stat.min = bitsFromDouble(getU64le(p + 112));
-    r.stat.max = bitsFromDouble(getU64le(p + 120));
-    return r;
+    return (k.stopAtConfidence ? kFlagStop : 0u) |
+           (k.approxWrongPath ? kFlagWrongPath : 0u);
 }
 
+/** @p k's seven words; @p outcome adds a cell's converged bit. */
 void
-encodePair(std::uint8_t *p, const PairRecord &r)
+putKey(DerWriter &w, const ResultKey &k, std::uint64_t outcome)
 {
-    const ResultKey &k = r.key.base;
-    std::uint64_t flags = 0;
-    if (k.stopAtConfidence)
-        flags |= kFlagStop;
-    if (k.approxWrongPath)
-        flags |= kFlagWrongPath;
-    const std::uint64_t w[kPairWords - 1] = {
-        k.libHash,          k.configDigest,
-        r.key.testDigest,   k.shuffleSeed,
-        k.blockSize,        flags,
-        k.levelBits,        k.relErrBits,
-        r.delta.n,          doubleBits(r.delta.mean),
-        doubleBits(r.delta.m2), doubleBits(r.delta.min),
-        doubleBits(r.delta.max)};
-    for (std::size_t i = 0; i < kPairWords - 1; ++i)
-        putU64le(p + i * 8, w[i]);
-    putU64le(p + (kPairWords - 1) * 8, fnv1a(p, (kPairWords - 1) * 8));
+    w.putUint(k.libHash);
+    w.putUint(k.configDigest);
+    w.putUint(k.shuffleSeed);
+    w.putUint(k.blockSize);
+    w.putUint(keyFlags(k) | outcome);
+    w.putUint(k.levelBits);
+    w.putUint(k.relErrBits);
 }
 
-PairRecord
-decodePair(const std::uint8_t *p, const std::string &path)
+/**
+ * Read putKey()'s words into @p k. Throws on a flags bit outside
+ * @p allowed; returns the flags word.
+ */
+std::uint64_t
+getKey(DerReader &r, ResultKey &k, std::uint64_t allowed)
 {
-    if (getU64le(p + (kPairWords - 1) * 8) !=
-        fnv1a(p, (kPairWords - 1) * 8))
-        badStore(path, "pair record checksum mismatch");
-    PairRecord r;
-    ResultKey &k = r.key.base;
-    k.libHash = getU64le(p);
-    k.configDigest = getU64le(p + 8);
-    r.key.testDigest = getU64le(p + 16);
-    k.shuffleSeed = getU64le(p + 24);
-    k.blockSize = getU64le(p + 32);
-    const std::uint64_t flags = getU64le(p + 40);
-    if (flags & ~(kFlagStop | kFlagWrongPath))
-        badStore(path, "pair record has unknown flag bits");
-    k.stopAtConfidence = (flags & kFlagStop) != 0;
-    k.approxWrongPath = (flags & kFlagWrongPath) != 0;
-    k.levelBits = getU64le(p + 48);
-    k.relErrBits = getU64le(p + 56);
-    r.delta.n = getU64le(p + 64);
-    r.delta.mean = bitsFromDouble(getU64le(p + 72));
-    r.delta.m2 = bitsFromDouble(getU64le(p + 80));
-    r.delta.min = bitsFromDouble(getU64le(p + 88));
-    r.delta.max = bitsFromDouble(getU64le(p + 96));
-    return r;
+    std::uint64_t v[7];
+    r.getUints(v, 7);
+    if (v[4] & ~allowed)
+        throw std::runtime_error("a record has unknown flag bits");
+    k.libHash = v[0];
+    k.configDigest = v[1];
+    k.shuffleSeed = v[2];
+    k.blockSize = v[3];
+    k.stopAtConfidence = (v[4] & kFlagStop) != 0;
+    k.approxWrongPath = (v[4] & kFlagWrongPath) != 0;
+    k.levelBits = v[5];
+    k.relErrBits = v[6];
+    return v[4];
 }
 
 /** Insert @p rec, or overwrite the record stored under its key. */
@@ -198,9 +137,7 @@ ResultKey::hash() const
                                 configDigest,
                                 shuffleSeed,
                                 blockSize,
-                                (stopAtConfidence ? kFlagStop : 0u) |
-                                    (approxWrongPath ? kFlagWrongPath
-                                                     : 0u),
+                                keyFlags(*this),
                                 levelBits,
                                 relErrBits,
                                 0};
@@ -208,6 +145,32 @@ ResultKey::hash() const
     for (std::size_t i = 0; i < 8; ++i)
         putU64le(buf + i * 8, w[i]);
     return fnv1a(buf, sizeof(buf));
+}
+
+void
+putFoldState(DerWriter &w, const RunningStat::State &st)
+{
+    w.beginSequence();
+    w.putUint(st.n);
+    w.putDouble(st.mean);
+    w.putDouble(st.m2);
+    w.putDouble(st.min);
+    w.putDouble(st.max);
+    w.endSequence();
+}
+
+RunningStat::State
+getFoldState(DerReader &r)
+{
+    DerReader seq = r.getSequence();
+    RunningStat::State st;
+    st.n = seq.getUint();
+    st.mean = seq.getDouble();
+    st.m2 = seq.getDouble();
+    st.min = seq.getDouble();
+    st.max = seq.getDouble();
+    expectEnd(seq, "a fold state");
+    return st;
 }
 
 void
@@ -243,70 +206,55 @@ ResultStore::parseLocked(const std::uint8_t *data, std::size_t size,
                          const std::string &path)
 {
     std::size_t payloadSize = 0;
-    if (size < kHeaderBytes + checksumFooterBytes ||
-        !checksummedPayload(data, size, &payloadSize))
+    if (!checksummedPayload(data, size, &payloadSize))
         badStore(path, "truncated or missing checksum footer");
-    if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
-        badStore(path, "bad magic");
-    if (getU64le(data + 8) != kVersion)
-        badStore(path, "unsupported version");
-    if (getU64le(data + 40) != fnv1a(data, 40))
-        badStore(path, "header checksum mismatch");
-    const std::uint64_t metaSize = getU64le(data + 16);
-    const std::uint64_t nCells = getU64le(data + 24);
-    const std::uint64_t nPairs = getU64le(data + 32);
-    // Bound each section by the payload before multiplying, so a
-    // corrupt count can never overflow the size arithmetic.
-    if (metaSize > payloadSize || nCells > payloadSize ||
-        nPairs > payloadSize)
-        badStore(path, "section sizes exceed the file");
-    const std::uint64_t want = kHeaderBytes + metaSize + nCells * 8 +
-                               nCells * kCellBytes +
-                               nPairs * kPairBytes;
-    if (want != payloadSize)
-        badStore(path, "section sizes disagree with the file size");
-
-    const std::uint8_t *meta = data + kHeaderBytes;
-    try {
-        DerReader r(ByteSpan(meta, metaSize));
-        DerReader seq = r.getSequence();
-        if (seq.getString() != kRole)
-            badStore(path, "meta role mismatch");
-        if (seq.getUint() != kVersion || seq.getUint() != nCells ||
-            seq.getUint() != nPairs)
-            badStore(path, "meta disagrees with the header");
-    } catch (const IoError &) {
-        throw;
-    } catch (const std::exception &) {
-        badStore(path, "malformed DER meta");
-    }
-
-    const std::uint8_t *index = meta + metaSize;
-    const std::uint8_t *cellBase = index + nCells * 8;
-    const std::uint8_t *pairBase = cellBase + nCells * kCellBytes;
 
     // save() writes each key once, so a repeated key (judged on the
-    // full identity, as the index is) means the file is corrupt.
+    // full identity) means the file is corrupt.
     std::vector<CellRecord> cells;
     std::vector<PairRecord> pairs;
     std::unordered_map<ResultKey, std::size_t, ResultKeyHash> cellIdx;
     std::unordered_map<PairKey, std::size_t, PairKeyHash> pairIdx;
-    cells.reserve(nCells);
-    pairs.reserve(nPairs);
-    for (std::uint64_t i = 0; i < nCells; ++i) {
-        CellRecord rec =
-            decodeCell(cellBase + i * kCellBytes, path);
-        if (getU64le(index + i * 8) != rec.key.hash())
-            badStore(path, "index entry disagrees with its record");
-        if (!cellIdx.try_emplace(rec.key, cells.size()).second)
-            badStore(path, "duplicate key");
-        cells.push_back(rec);
-    }
-    for (std::uint64_t i = 0; i < nPairs; ++i) {
-        PairRecord rec = decodePair(pairBase + i * kPairBytes, path);
-        if (!pairIdx.try_emplace(rec.key, pairs.size()).second)
-            badStore(path, "duplicate key");
-        pairs.push_back(rec);
+    try {
+        DerReader top(ByteSpan(data, payloadSize));
+        DerReader seq = top.getSequence();
+        if (seq.getUint() != kMagic || seq.getUint() != kVersion)
+            badStore(path, "bad magic or version");
+        DerReader cs = seq.getSequence();
+        while (!cs.atEnd()) {
+            DerReader r = cs.getSequence();
+            CellRecord rec;
+            const std::uint64_t flags = getKey(
+                r, rec.key, kFlagStop | kFlagWrongPath | kFlagConverged);
+            rec.converged = (flags & kFlagConverged) != 0;
+            rec.libPoints = r.getUint();
+            rec.processed = r.getUint();
+            rec.unavailableLoads = r.getUint();
+            rec.cpiBits = r.getUint();
+            rec.stat = getFoldState(r);
+            expectEnd(r, "a cell record");
+            if (!cellIdx.try_emplace(rec.key, cells.size()).second)
+                badStore(path, "duplicate key");
+            cells.push_back(rec);
+        }
+        DerReader ps = seq.getSequence();
+        while (!ps.atEnd()) {
+            DerReader r = ps.getSequence();
+            PairRecord rec;
+            getKey(r, rec.key.base, kFlagStop | kFlagWrongPath);
+            rec.key.testDigest = r.getUint();
+            rec.delta = getFoldState(r);
+            expectEnd(r, "a pair record");
+            if (!pairIdx.try_emplace(rec.key, pairs.size()).second)
+                badStore(path, "duplicate key");
+            pairs.push_back(rec);
+        }
+        expectEnd(seq, "the store");
+        expectEnd(top, "the file");
+    } catch (const IoError &) {
+        throw;
+    } catch (const std::exception &e) {
+        badStore(path, e.what());
     }
 
     cells_ = std::move(cells);
@@ -318,36 +266,35 @@ ResultStore::parseLocked(const std::uint8_t *data, std::size_t size,
 Blob
 ResultStore::serializeLocked() const
 {
-    DerWriter mw;
-    mw.beginSequence();
-    mw.putString(kRole);
-    mw.putUint(kVersion);
-    mw.putUint(cells_.size());
-    mw.putUint(pairs_.size());
-    mw.endSequence();
-    const Blob meta = mw.finish();
-
-    Blob out(kHeaderBytes + meta.size() + cells_.size() * 8 +
-             cells_.size() * kCellBytes + pairs_.size() * kPairBytes);
-    std::uint8_t *p = out.data();
-    std::memcpy(p, kMagic, sizeof(kMagic));
-    putU64le(p + 8, kVersion);
-    putU64le(p + 16, meta.size());
-    putU64le(p + 24, cells_.size());
-    putU64le(p + 32, pairs_.size());
-    putU64le(p + 40, fnv1a(p, 40));
-    std::memcpy(p + kHeaderBytes, meta.data(), meta.size());
-    std::uint8_t *index = p + kHeaderBytes + meta.size();
-    std::uint8_t *cellBase = index + cells_.size() * 8;
-    std::uint8_t *pairBase = cellBase + cells_.size() * kCellBytes;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        putU64le(index + i * 8, cells_[i].key.hash());
-        encodeCell(cellBase + i * kCellBytes, cells_[i]);
+    DerWriter w;
+    w.beginSequence();
+    w.putUint(kMagic);
+    w.putUint(kVersion);
+    w.beginSequence();
+    for (const CellRecord &r : cells_) {
+        w.beginSequence();
+        putKey(w, r.key, r.converged ? kFlagConverged : 0);
+        w.putUint(r.libPoints);
+        w.putUint(r.processed);
+        w.putUint(r.unavailableLoads);
+        w.putUint(r.cpiBits);
+        putFoldState(w, r.stat);
+        w.endSequence();
     }
-    for (std::size_t i = 0; i < pairs_.size(); ++i)
-        encodePair(pairBase + i * kPairBytes, pairs_[i]);
-    appendChecksumFooter(out);
-    return out;
+    w.endSequence();
+    w.beginSequence();
+    for (const PairRecord &r : pairs_) {
+        w.beginSequence();
+        putKey(w, r.key.base, 0);
+        w.putUint(r.key.testDigest);
+        putFoldState(w, r.delta);
+        w.endSequence();
+    }
+    w.endSequence();
+    w.endSequence();
+    Blob image = w.finish();
+    appendChecksumFooter(image);
+    return image;
 }
 
 void

@@ -16,29 +16,32 @@
  * bit. A matched-pair delta's identity is its base cell's key plus
  * the test config's digest.
  *
- * On-disk container (`LPRES1`, one file, written atomically):
+ * On-disk image (one file, replaced whole through writeFileAtomic):
+ * the DER framing of the campaign manifest and the library-set index,
+ * sealed with the 16-byte checksum footer (appendChecksumFooter):
  *
- *   header   48 B: magic "LPRES1\n\0", version, meta size, cell
- *            count, pair count, FNV-1a of the preceding 40 bytes
- *   meta     DER sequence (role string + the counts again) — the
- *            extensible part of the format
- *   index    cellCount x 8 B: each cell record's key hash (FNV-1a of
- *            its 8 key words), in record order, so a reader can
- *            binary-probe candidates without touching record bodies
- *   cells    cellCount x 136 B fixed-width records, each ending in
- *            its own FNV-1a
- *   pairs    pairCount x 112 B fixed-width records, ditto
- *   footer   16 B checksum footer over everything above
- *            (appendChecksumFooter)
+ *   SEQUENCE {
+ *     magic (the integer 0x4c5052455332, "LPRES2"), version 1
+ *     SEQUENCE of cell records, each a SEQUENCE {
+ *       key: libHash, configDigest, shuffleSeed, blockSize, flags
+ *            (bit 0 stop at confidence, bit 1 approx wrong path,
+ *            bit 2 converged), levelBits, relErrBits
+ *       libPoints, processed, unavailableLoads, cpiBits
+ *       fold state (putFoldState) }
+ *     SEQUENCE of pair records, each a SEQUENCE {
+ *       base key (flags bits 0-1 only), testDigest
+ *       delta fold state (putFoldState) } }
  *
- * Loading is corruption-strict in the LPLIB3 fuzz-suite sense: any
- * truncation or byte flip anywhere in the file — header, meta,
- * index, record bodies, per-record checksums, footer — throws
- * IoError; there is no partial or best-effort load. save() writes
- * each key once, so a key that repeats in the file (judged on the
- * full identity) is corruption too. In memory, cells and pairs are
- * indexed by their full identity, so two keys whose 64-bit hashes
- * collide are still two entries.
+ * Every number is a DER unsigned integer and every double its
+ * IEEE-754 bits, so records round-trip bit for bit.
+ *
+ * Loading is all or nothing: a bad footer (any truncation or byte
+ * flip), bad magic or version, unknown flag bits, a value left over
+ * anywhere (inside a record, inside a fold state, after the lists)
+ * or a key that repeats (judged on the full identity; save() writes
+ * each key once) throws IoError naming the file, and nothing loads.
+ * In memory, cells and pairs are indexed by their full identity, so
+ * two keys whose 64-bit hashes collide are still two entries.
  *
  * The in-memory store is internally synchronized: concurrent service
  * workers may publish() while the daemon answers queries.
@@ -60,6 +63,9 @@
 
 namespace lp
 {
+
+class DerReader;
+class DerWriter;
 
 /** IEEE-754 bit pattern of @p v (the exact-identity currency). */
 inline std::uint64_t
@@ -108,7 +114,7 @@ struct ResultKey
                           bool stopAtConfidence, bool approxWrongPath,
                           const ConfidenceSpec &spec);
 
-    /** FNV-1a over the 8 key words (the on-disk index entry). */
+    /** FNV-1a over the key's words (its in-memory index hash). */
     std::uint64_t hash() const;
 
     bool operator==(const ResultKey &o) const
@@ -123,7 +129,7 @@ struct ResultKey
     }
 };
 
-/** Hasher for indexing by ResultKey: its on-disk index entry. */
+/** Hasher for indexing by ResultKey. */
 struct ResultKeyHash
 {
     std::size_t operator()(const ResultKey &k) const
@@ -175,6 +181,20 @@ struct PairRecord
     RunningStat::State delta;
 };
 
+/**
+ * The fold-state codec both sealed state files share, the result
+ * store and the campaign manifest: a DER sequence {n, mean, m2, min,
+ * max} with each double as its IEEE-754 bits, so a state round-trips
+ * bit for bit.
+ */
+void putFoldState(DerWriter &w, const RunningStat::State &st);
+
+/**
+ * Read one putFoldState() sequence. Throws std::runtime_error on a
+ * malformed state or a value left over inside it.
+ */
+RunningStat::State getFoldState(DerReader &r);
+
 class ResultStore
 {
   public:
@@ -186,9 +206,9 @@ class ResultStore
      * Load @p path (mapped read-only, so a large store is never
      * copied to the heap) into this store, replacing its contents,
      * and remember @p path. Corruption-strict: a missing file, any
-     * truncation, bad checksum, malformed header/meta, size
-     * inconsistency or repeated key throws IoError and leaves the
-     * store as it was. The read-only path inspect_results uses.
+     * truncation, bad checksum, malformed image or repeated key
+     * throws IoError and leaves the store as it was. The read-only
+     * path inspect_results uses.
      */
     void load(const std::string &path);
 

@@ -17,21 +17,6 @@
 namespace lp
 {
 
-namespace
-{
-
-Blob
-encodeId(std::uint64_t id)
-{
-    DerWriter w;
-    w.beginSequence();
-    w.putUint(id);
-    w.endSequence();
-    return w.finish();
-}
-
-} // namespace
-
 SvcClient::SvcClient(const std::string &socketPath,
                      std::uint64_t connectTimeoutMs)
 {

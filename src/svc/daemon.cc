@@ -40,14 +40,16 @@ encodeRetry(const std::string &msg, std::uint64_t retryAfterMs)
     return w.finish();
 }
 
-Blob
-encodeId(std::uint64_t id)
+/**
+ * Throw unless a request was read whole: @p s, the payload's one
+ * sequence, and @p top, the payload itself. The throw is answered
+ * with an error reply, and the connection stays open.
+ */
+void
+expectRequestEnd(const DerReader &top, const DerReader &s)
 {
-    DerWriter w;
-    w.beginSequence();
-    w.putUint(id);
-    w.endSequence();
-    return w.finish();
+    if (!s.atEnd() || !top.atEnd())
+        throw std::runtime_error("malformed request: data left over");
 }
 
 } // namespace
@@ -148,6 +150,7 @@ SvcDaemon::handleFrame(int fd, const Frame &req)
             DerReader r(req.payload);
             DerReader s = r.getSequence();
             const std::uint64_t id = s.getUint();
+            expectRequestEnd(r, s);
             const JobStatusInfo info = svc_.status(id);
             if (!info.found) {
                 sendFrame(fd, MsgType::status, MsgStatus::error,
@@ -168,6 +171,7 @@ SvcDaemon::handleFrame(int fd, const Frame &req)
             DerReader r(req.payload);
             DerReader s = r.getSequence();
             const std::uint64_t id = s.getUint();
+            expectRequestEnd(r, s);
             JobState state;
             std::string json;
             if (!svc_.result(id, &state, &json)) {
@@ -188,6 +192,7 @@ SvcDaemon::handleFrame(int fd, const Frame &req)
             DerReader s = r.getSequence();
             const std::uint64_t id = s.getUint();
             const std::string reason = s.getString();
+            expectRequestEnd(r, s);
             const bool found = svc_.cancel(id, reason);
             DerWriter w;
             w.beginSequence();
@@ -200,6 +205,7 @@ SvcDaemon::handleFrame(int fd, const Frame &req)
             DerReader r(req.payload);
             DerReader s = r.getSequence();
             const std::uint64_t id = s.getUint();
+            expectRequestEnd(r, s);
             const SubmitOutcome out = svc_.resume(id);
             if (out.accepted)
                 sendFrame(fd, MsgType::resume, MsgStatus::ok,
@@ -214,6 +220,7 @@ SvcDaemon::handleFrame(int fd, const Frame &req)
             DerReader s = r.getSequence();
             const std::string workload = s.getString();
             const std::uint64_t digest = s.getUint();
+            expectRequestEnd(r, s);
             DerWriter w;
             w.beginSequence();
             w.putString(svc_.queryResults(workload, digest));

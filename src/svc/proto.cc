@@ -118,6 +118,16 @@ recvFrame(int fd, Frame &out)
 }
 
 Blob
+encodeId(std::uint64_t id)
+{
+    DerWriter w;
+    w.beginSequence();
+    w.putUint(id);
+    w.endSequence();
+    return w.finish();
+}
+
+Blob
 encodeJobSpec(const JobSpec &spec)
 {
     DerWriter w;

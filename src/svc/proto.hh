@@ -132,6 +132,12 @@ struct JobSpec
     std::uint64_t deadlineMs = 0;
 };
 
+/**
+ * The {id} payload: status, result and resume requests, and the ok
+ * reply to submit and resume.
+ */
+Blob encodeId(std::uint64_t id);
+
 Blob encodeJobSpec(const JobSpec &spec);
 
 /**

@@ -2,9 +2,9 @@
  * @file
  * The byte-level primitives every on-disk and on-wire container
  * shares: little-endian u64 fields and the 64-bit FNV-1a checksum.
- * LPLIB, LPRES1, the atomic-file footer and the service's socket
- * frames all lay their fixed-width fields down with these, so one
- * definition fixes the byte order of every format. fnv1aEach() is
+ * LPLIB, the atomic-file footer and the service's socket frames all
+ * lay their fixed-width fields down with these, so one definition
+ * fixes the byte order of every format. fnv1aEach() is
  * the same checksum over many buffers, several at a time.
  */
 

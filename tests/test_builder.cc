@@ -122,7 +122,7 @@ main()
                       pinnedHash(shards, true));
         }
 
-        Blob scratchA, scratchB;
+        LivePointDecodeScratch scratchA, scratchB;
         LivePoint pa, pb;
         for (std::size_t i = 0; i < lib.size(); ++i) {
             seqLib.decodeInto(i, scratchA, pa);
@@ -198,8 +198,7 @@ main()
 
         // Every point decodes to the sequential plain build's bytes
         // (encoding never changes content).
-        LivePointDecodeScratch scratch;
-        Blob plainScratch;
+        LivePointDecodeScratch scratch, plainScratch;
         LivePoint pc, pp;
         for (std::size_t i = 0; i < crossSeqLib.size(); ++i) {
             crossSeqLib.decodeInto(i, scratch, pc);

@@ -256,7 +256,7 @@ zeroAllocSteadyState()
     // Single-configuration path.
     {
         ReplayContext ctx(t.prog, lptest::baseConfig());
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint point;
         std::vector<WindowResult> warm(n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -291,7 +291,7 @@ zeroAllocSteadyState()
             smallL1};
         ReplayContext ctx(t.prog, cfgs);
         const std::uint64_t all = replayMaskAll(cfgs.size());
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint point;
         LivePoint longPoint = t.lib.get(0);
         longPoint.warmLen = InstCount(1) << 40;

@@ -235,7 +235,7 @@ main()
         CHECK_EQ(loaded.contentHash(), lib.contentHash());
         for (std::size_t i = 0; i < lib.size(); ++i)
             CHECK_EQ(loaded.rawSize(i), lib.rawSize(i));
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint pt;
         for (const std::size_t i :
              {std::size_t{0}, lib.size() / 2, lib.size() - 1}) {
@@ -1075,8 +1075,7 @@ main()
             const LivePointLibrary &s4 = set4.shard(0);
             CHECK(identicalRecords(s4, cross.lib));
             CHECK(s4.deltaCount() > 0);
-            LivePointDecodeScratch sa;
-            Blob sb;
+            LivePointDecodeScratch sa, sb;
             LivePoint pa, pb;
             for (std::size_t i = 0; i < s4.size(); ++i) {
                 s4.decodeInto(i, sa, pa);

@@ -127,7 +127,7 @@ main()
 
     // decodeInto with recycled buffers matches get().
     {
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint reused;
         for (std::size_t i = 0; i < lib.size(); ++i) {
             lib.decodeInto(i, scratch, reused);

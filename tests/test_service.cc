@@ -3,8 +3,10 @@
  * lifecycle over the in-process service (submit/status/result/
  * cancel/resume), admission control (each shard counted once), the
  * cancel/deadline matrix at threads 1/2/4 with resume bit-identity,
- * quarantined-shard degradation, a daemon+client socket round trip,
- * recovery past an unreadable job file, and a fork-based SIGKILL
+ * quarantined-shard degradation, a daemon+client socket round trip
+ * with malformed requests answered by errors, a result store that
+ * fails to load moved aside, recovery past an unreadable job file,
+ * and a fork-based SIGKILL
  * crash matrix: a daemon killed at successive barriers must recover
  * its jobs on restart and finish them bit-identical to standalone
  * runs.
@@ -30,10 +32,14 @@
 #include "svc/daemon.hh"
 #include "svc/proto.hh"
 #include "svc/service.hh"
+#include "store/result_store.hh"
+#include "util/bytes.hh"
 #include "util/failpoint.hh"
 #include "util/log.hh"
+#include "util/rng.hh"
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -664,25 +670,181 @@ main()
         SvcDaemon daemon(cfg, sock);
         std::thread server([&] { daemon.run(); });
 
-        SvcClient client(sock);
-        const SvcReply sub = client.submit(makeSpec(2));
-        CHECK(sub.ok);
-        const SvcReply fin = client.waitForJob(sub.id, 30'000);
-        CHECK(fin.ok);
-        CHECK_EQ(fin.state, std::string("done"));
-        const SvcReply res = client.result(sub.id);
-        CHECK(res.ok);
-        CHECK(extractAll(res.resultJson, "cpi_bits") == baseBits);
+        std::uint64_t jobId = 0;
+        {
+            SvcClient client(sock);
+            const SvcReply sub = client.submit(makeSpec(2));
+            CHECK(sub.ok);
+            jobId = sub.id;
+            const SvcReply fin = client.waitForJob(sub.id, 30'000);
+            CHECK(fin.ok);
+            CHECK_EQ(fin.state, std::string("done"));
+            const SvcReply res = client.result(sub.id);
+            CHECK(res.ok);
+            CHECK(extractAll(res.resultJson, "cpi_bits") == baseBits);
 
-        CHECK(!client.status(999).ok);
-        CHECK(!client.cancel(999, "x").ok);
-        JobSpec bad = makeSpec(1);
-        bad.workloads[0].shard = "no-such-shard";
-        CHECK(!client.submit(bad).ok);
+            CHECK(!client.status(999).ok);
+            CHECK(!client.cancel(999, "x").ok);
+            JobSpec bad = makeSpec(1);
+            bad.workloads[0].shard = "no-such-shard";
+            CHECK(!client.submit(bad).ok);
+        }
 
-        CHECK(client.drain().ok);
+        // A request decodes whole: a value left over in its sequence,
+        // or a byte after it, gets an error reply, and the connection
+        // stays open for the next request, which is answered. The
+        // daemon serves one connection at a time, so this raw one
+        // opens after the client above has closed.
+        {
+            const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+            CHECK(fd >= 0);
+            sockaddr_un addr{};
+            addr.sun_family = AF_UNIX;
+            std::strncpy(addr.sun_path, sock.c_str(),
+                         sizeof(addr.sun_path) - 1);
+            CHECK_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                               sizeof(addr)),
+                     0);
+            // @p type's request for the finished job, with one value
+            // more when @p surplus.
+            auto request = [jobId](MsgType type, bool surplus) {
+                DerWriter w;
+                w.beginSequence();
+                if (type == MsgType::query) {
+                    w.putString("");
+                    w.putUint(0);
+                } else {
+                    w.putUint(jobId);
+                }
+                if (type == MsgType::cancel)
+                    w.putString("x");
+                if (surplus)
+                    w.putUint(7);
+                w.endSequence();
+                return w.finish();
+            };
+            // Send one request and read its reply's status and, for
+            // an error, its message.
+            auto ask = [fd](MsgType type, const Blob &payload,
+                            std::string *error) {
+                sendFrame(fd, type, MsgStatus::ok, payload);
+                Frame reply;
+                if (!recvFrame(fd, reply) || reply.type != type)
+                    return false;
+                if (reply.status == MsgStatus::error) {
+                    DerReader r(reply.payload);
+                    *error = r.getSequence().getString();
+                }
+                return true;
+            };
+            for (const MsgType type :
+                 {MsgType::status, MsgType::result, MsgType::cancel,
+                  MsgType::query, MsgType::resume}) {
+                Blob trailing = request(type, false);
+                trailing.push_back(0);
+                for (const Blob &bad : {request(type, true), trailing}) {
+                    std::string error;
+                    CHECK(ask(type, bad, &error));
+                    CHECK(error.find("data left over") !=
+                          std::string::npos);
+                }
+                // resume answers a finished job with an error of its
+                // own; the other four answer ok.
+                std::string error;
+                CHECK(ask(type, request(type, false), &error));
+                CHECK(type == MsgType::resume ? !error.empty()
+                                              : error.empty());
+                CHECK(error.find("left over") == std::string::npos);
+            }
+            ::close(fd);
+        }
+
+        CHECK(SvcClient(sock).drain().ok);
         server.join();
         std::filesystem::remove_all(cfg.jobsDir);
+    }
+
+    // ---- A store that fails to load is moved aside ----------------
+    // The store is a regenerable cache. A file that does not load (one
+    // in the retired LPRES1 layout, or random bytes) is renamed to
+    // <path>.corrupt byte for byte, a result_store_corrupt event names
+    // it, and the service starts empty; the next job publishes into a
+    // fresh store that loads.
+    {
+        // The retired layout, as it stored an empty store: the 48-byte
+        // header (magic "LPRES1\n\0", version 1, meta size, cell and
+        // pair counts, the FNV-1a of those 40 bytes), the DER meta
+        // (role, version, counts) and the checksum footer.
+        DerWriter mw;
+        mw.beginSequence();
+        mw.putString("lp-result-store");
+        mw.putUint(1);
+        mw.putUint(0);
+        mw.putUint(0);
+        mw.endSequence();
+        const Blob meta = mw.finish();
+        Blob lpres1(48);
+        std::memcpy(lpres1.data(), "LPRES1\n\0", 8);
+        putU64le(lpres1.data() + 8, 1);
+        putU64le(lpres1.data() + 16, meta.size());
+        putU64le(lpres1.data() + 40, fnv1a(lpres1.data(), 40));
+        lpres1.insert(lpres1.end(), meta.begin(), meta.end());
+        appendChecksumFooter(lpres1);
+        Rng rng(29, "svc-store-noise");
+        Blob noise(4096);
+        for (std::uint8_t &b : noise)
+            b = static_cast<std::uint8_t>(rng.next());
+
+        // The records the job publishes: the baseline's.
+        ResultStore expected;
+        baseEngine.publish(baseline, expected);
+        CHECK_EQ(expected.cellCount(), 4u);
+
+        int k = 0;
+        for (const Blob *bad : {&lpres1, &noise}) {
+            ServiceConfig cfg;
+            cfg.jobsDir = strfmt("svc-jobs-store-%d", k++);
+            cfg.setDir = setDir;
+            cfg.workerSlots = 8;
+            std::filesystem::remove_all(cfg.jobsDir);
+            std::filesystem::create_directories(cfg.jobsDir);
+            const std::string storePath = cfg.jobsDir + "/results.lpres";
+            writeFileAtomic(storePath, bad->data(), bad->size(),
+                            "result store");
+            {
+                CampaignService svc(cfg);
+                const SubmitOutcome out = svc.submit(makeSpec(1));
+                CHECK(out.accepted);
+                CHECK(svc.waitForJob(out.id, 30'000));
+                JobState state;
+                std::string json;
+                CHECK(svc.result(out.id, &state, &json));
+                CHECK(state == JobState::done);
+                CHECK(extractAll(json, "cpi_bits") == baseBits);
+                svc.drain();
+            }
+            const std::string log =
+                readText(cfg.jobsDir + "/service.jsonl");
+            const std::size_t at =
+                log.find("\"event\": \"result_store_corrupt\"");
+            CHECK(at != std::string::npos);
+            CHECK(log.find("'" + storePath + "'", at) !=
+                  std::string::npos);
+            const std::string aside = storePath + ".corrupt";
+            CHECK(std::filesystem::exists(aside) &&
+                  readWholeFile(aside, "test file") == *bad);
+            ResultStore published;
+            published.load(storePath);
+            CHECK_EQ(published.cellCount(), expected.cellCount());
+            CHECK_EQ(published.pairCount(), expected.pairCount());
+            for (const CellRecord &want : expected.cells()) {
+                CellRecord got;
+                CHECK(published.find(want.key, &got));
+                CHECK_EQ(got.cpiBits, want.cpiBits);
+                CHECK_EQ(got.processed, want.processed);
+            }
+            std::filesystem::remove_all(cfg.jobsDir);
+        }
     }
 
     // ---- Recovery past an unreadable job file ----------------------

@@ -1,26 +1,30 @@
 /**
- * The fleet result store's contracts: LPRES1 round-trips records
- * bit-exactly, loading is corruption-strict (a missing file, every
- * single-byte truncation and byte flip throws, nothing loads
- * partially, and a repeated cell or pair key fails the load) and
- * remembers the loaded path, campaign memoization
- * restores cells bit-identical
- * to replaying at every thread count, the stored-CPI cross-check
- * catches a tampered record, and the campaign JSON report survives a
- * strict parser even with hostile free-text fields.
+ * The fleet result store's contracts: its sealed DER image round-trips
+ * records bit-exactly, loading is corruption-strict (a missing file,
+ * every single-byte truncation and byte flip, a repeated cell or pair
+ * key, unknown flag bits and data left over anywhere each throw, and
+ * nothing loads partially) and remembers the loaded path, concurrent
+ * publishers and readers leave a file holding every record, campaign
+ * memoization restores cells bit-identical to replaying at every
+ * thread count, the stored-CPI cross-check catches a tampered record,
+ * and the campaign JSON report survives a strict parser even with
+ * hostile free-text fields.
  */
 
 #include "test_util.hh"
 
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <thread>
 #include <unordered_map>
 
 #include <unistd.h>
 
+#include "codec/der.hh"
 #include "core/campaign.hh"
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
@@ -124,6 +128,90 @@ bool
 pairsBitEqual(const lp::PairRecord &a, const lp::PairRecord &b)
 {
     return a.key == b.key && statBitEqual(a.delta, b.delta);
+}
+
+/** Where storeImage() departs from the layout save() writes. */
+enum class Tamper
+{
+    none,
+    cellSurplus, //!< one more value at the end of each cell record
+    pairSurplus, //!< one more value at the end of each pair record
+    foldSurplus, //!< one more value at the end of each fold state
+    listSurplus, //!< one more value after the pair list
+    fileSurplus, //!< one more byte after the store's sequence
+    cellFlag,    //!< flags bit 3, which no cell sets, in each cell
+    pairFlag,    //!< the converged bit, which no pair sets, in each pair
+};
+
+/**
+ * The store's on-disk layout, written out here rather than by
+ * ResultStore, with one @p tamper, and sealed with the footer.
+ */
+lp::Blob
+storeImage(const std::vector<lp::CellRecord> &cells,
+           const std::vector<lp::PairRecord> &pairs,
+           Tamper tamper = Tamper::none)
+{
+    using namespace lp;
+    DerWriter w;
+    auto key = [&w](const ResultKey &k, std::uint64_t flags) {
+        w.putUint(k.libHash);
+        w.putUint(k.configDigest);
+        w.putUint(k.shuffleSeed);
+        w.putUint(k.blockSize);
+        w.putUint(flags | (k.stopAtConfidence ? 1u : 0u) |
+                  (k.approxWrongPath ? 2u : 0u));
+        w.putUint(k.levelBits);
+        w.putUint(k.relErrBits);
+    };
+    auto fold = [&w, tamper](const RunningStat::State &st) {
+        w.beginSequence();
+        w.putUint(st.n);
+        w.putUint(doubleBits(st.mean));
+        w.putUint(doubleBits(st.m2));
+        w.putUint(doubleBits(st.min));
+        w.putUint(doubleBits(st.max));
+        if (tamper == Tamper::foldSurplus)
+            w.putUint(7);
+        w.endSequence();
+    };
+    w.beginSequence();
+    w.putUint(0x4c50'5245'5332ull); // "LPRES2"
+    w.putUint(1);
+    w.beginSequence();
+    for (const CellRecord &c : cells) {
+        w.beginSequence();
+        key(c.key, (c.converged ? 4u : 0u) |
+                       (tamper == Tamper::cellFlag ? 8u : 0u));
+        w.putUint(c.libPoints);
+        w.putUint(c.processed);
+        w.putUint(c.unavailableLoads);
+        w.putUint(c.cpiBits);
+        fold(c.stat);
+        if (tamper == Tamper::cellSurplus)
+            w.putUint(7);
+        w.endSequence();
+    }
+    w.endSequence();
+    w.beginSequence();
+    for (const PairRecord &p : pairs) {
+        w.beginSequence();
+        key(p.key.base, tamper == Tamper::pairFlag ? 4u : 0u);
+        w.putUint(p.key.testDigest);
+        fold(p.delta);
+        if (tamper == Tamper::pairSurplus)
+            w.putUint(7);
+        w.endSequence();
+    }
+    w.endSequence();
+    if (tamper == Tamper::listSurplus)
+        w.putUint(7);
+    w.endSequence();
+    Blob image = w.finish();
+    if (tamper == Tamper::fileSurplus)
+        image.push_back(0);
+    appendChecksumFooter(image);
+    return image;
 }
 
 } // namespace
@@ -256,40 +344,32 @@ main()
         std::remove(mut.c_str());
     }
 
-    // --- Duplicate keys on disk: save() writes each key once, so a
-    // repeated key is corruption. Built by hand-patching record 1 into
-    // a duplicate of record 0's key (new payload, recomputed record
-    // FNV, index entry, and footer), for cells and for pairs; each
-    // load throws IoError naming the file and leaves the store as it
-    // was.
+    // --- The layout, and what a load rejects in it. storeImage()
+    // writes the layout out by hand: unaltered, it is the bytes save()
+    // writes. Each altered image below is sealed with a valid footer,
+    // so only the parse can reject it, and each load throws IoError
+    // naming the file and the fault and leaves the store as it was.
+    // save() writes each key once, so a key that repeats (a cell's,
+    // then a pair's) is corruption.
     {
-        ResultStore two;
-        two.put(sampleCell(0));
-        two.put(sampleCell(1));
+        const std::vector<CellRecord> cells{sampleCell(0), sampleCell(1)};
         PairRecord p;
         p.key = PairKey{sampleCell(0).key, 0x7};
         p.delta.n = 3;
+        PairRecord q = p;
+        q.key.testDigest = 0x8;
+        ResultStore two;
+        for (const CellRecord &c : cells)
+            two.put(c);
         two.putPair(p);
-        p.key.testDigest = 0x8;
-        two.putPair(p);
+        two.putPair(q);
         two.save(storePath);
-        const std::vector<std::uint8_t> image = readAll(storePath);
+        CHECK(readAll(storePath) == storeImage(cells, {p, q}));
 
-        const std::size_t metaSize =
-            static_cast<std::size_t>(getU64le(image.data() + 16));
-        const std::size_t indexOff = 48 + metaSize;
-        const std::size_t cellBase = indexOff + 2 * 8;
-        constexpr std::size_t kCellBytes = 17 * 8;
-        constexpr std::size_t kPairBytes = 14 * 8;
-        const std::size_t pairBase = cellBase + 2 * kCellBytes;
-
-        // Reseal @p patched with a fresh footer and load it into a
-        // store that already holds one record.
-        auto rejected = [&](const std::vector<std::uint8_t> &patched) {
-            Blob sealed(patched.begin(),
-                        patched.end() - checksumFooterBytes);
-            appendChecksumFooter(sealed);
-            writeAll(storePath, sealed.data(), sealed.size());
+        // Write @p image and load it into a store that already holds
+        // one record.
+        auto rejected = [&](const Blob &image, const char *why) {
+            writeAll(storePath, image.data(), image.size());
             ResultStore victim;
             victim.put(sampleCell(5));
             bool named = false;
@@ -298,45 +378,112 @@ main()
             } catch (const IoError &e) {
                 const std::string msg = e.what();
                 named = msg.find(storePath) != std::string::npos &&
-                        msg.find("duplicate key") != std::string::npos;
+                        msg.find(why) != std::string::npos;
             }
             return named && victim.cellCount() == 1 &&
+                   victim.pairCount() == 0 &&
                    victim.find(sampleCell(5).key, nullptr);
         };
 
-        // The unpatched image loads: the rejections below are the
-        // duplicates' doing.
+        // The unaltered image loads: the rejections below are the
+        // alterations' doing.
         ResultStore clean;
         clean.load(storePath);
         CHECK_EQ(clean.cellCount(), 2u);
         CHECK_EQ(clean.pairCount(), 2u);
 
-        // Cell 1 := cell 0's key with a different CPI + mean.
-        std::vector<std::uint8_t> dupCell = image;
-        std::uint8_t *rec0 = dupCell.data() + cellBase;
-        std::uint8_t *rec1 = rec0 + kCellBytes;
-        std::memcpy(rec1, rec0, kCellBytes);
-        putU64le(rec1 + 80, doubleBits(2.5)); // cpiBits
-        putU64le(rec1 + 96, doubleBits(2.5)); // stat mean bits
-        putU64le(rec1 + 16 * 8, fnv1a(rec1, 16 * 8));
-        // Index entry 1 now carries record 0's key hash.
-        std::memcpy(dupCell.data() + indexOff + 8,
-                    dupCell.data() + indexOff, 8);
-        CHECK(rejected(dupCell));
+        // Cell 1 := cell 0's key with a different CPI and mean.
+        CellRecord dupCell = cells[0];
+        dupCell.cpiBits = doubleBits(2.5);
+        dupCell.stat.mean = 2.5;
+        CHECK(rejected(storeImage({cells[0], dupCell}, {p, q}),
+                       "duplicate key"));
 
         // Pair 1 := pair 0's key with a different count.
-        std::vector<std::uint8_t> dupPair = image;
-        std::uint8_t *pair0 = dupPair.data() + pairBase;
-        std::uint8_t *pair1 = pair0 + kPairBytes;
-        std::memcpy(pair1, pair0, kPairBytes);
-        putU64le(pair1 + 64, 9); // delta n
-        putU64le(pair1 + 13 * 8, fnv1a(pair1, 13 * 8));
-        CHECK(rejected(dupPair));
+        PairRecord dupPair = p;
+        dupPair.delta.n = 9;
+        CHECK(rejected(storeImage(cells, {p, dupPair}), "duplicate key"));
+
+        const std::pair<Tamper, const char *> faults[] = {
+            {Tamper::cellSurplus, "data left over in a cell record"},
+            {Tamper::pairSurplus, "data left over in a pair record"},
+            {Tamper::foldSurplus, "data left over in a fold state"},
+            {Tamper::listSurplus, "data left over in the store"},
+            {Tamper::fileSurplus, "data left over in the file"},
+            {Tamper::cellFlag, "unknown flag bits"},
+            {Tamper::pairFlag, "unknown flag bits"},
+        };
+        for (const auto &[tamper, why] : faults)
+            CHECK(rejected(storeImage(cells, {p, q}, tamper), why));
     }
 
-    // --- Container pin: a fixed store's file bytes, so every header,
-    // meta, index and record byte the writer lays down stays fixed,
-    // not only what a load accepts.
+    // --- Concurrency: writer threads each publish one cell and one
+    // pair, then save(), while reader threads query. save() orders
+    // its snapshots, so the last rename carries every record: a fresh
+    // load of the file holds them all.
+    {
+        const std::string concPath = storePath + ".conc";
+        constexpr std::uint64_t kWriters = 4;
+        constexpr unsigned kReaders = 2;
+        auto writerPair = [](std::uint64_t t) {
+            PairRecord p;
+            p.key = PairKey{sampleCell(100 + t).key, 0x50 + t};
+            p.delta.n = t + 1;
+            p.delta.mean = 0.25 * static_cast<double>(t);
+            return p;
+        };
+        ResultStore shared;
+        shared.open(concPath);
+        std::atomic<bool> writing{true};
+        std::atomic<unsigned> readerPasses{0};
+        std::atomic<unsigned> badDocs{0};
+        std::vector<std::thread> readers;
+        for (unsigned r = 0; r < kReaders; ++r)
+            readers.emplace_back([&] {
+                // At least one pass, however soon the writers finish.
+                do {
+                    CellRecord got;
+                    shared.find(sampleCell(100).key, &got);
+                    const std::size_t cellsNow = shared.cells().size();
+                    const std::string doc =
+                        storeQueryJson(shared, StoreQuery{}, {});
+                    if (cellsNow > kWriters || !jsonValidate(doc))
+                        ++badDocs;
+                    ++readerPasses;
+                } while (writing.load());
+            });
+        std::vector<std::thread> writers;
+        for (std::uint64_t t = 0; t < kWriters; ++t)
+            writers.emplace_back([&, t] {
+                shared.put(sampleCell(100 + t));
+                shared.putPair(writerPair(t));
+                shared.save();
+            });
+        for (std::thread &t : writers)
+            t.join();
+        writing.store(false);
+        for (std::thread &t : readers)
+            t.join();
+        CHECK_EQ(badDocs.load(), 0u);
+        CHECK(readerPasses.load() >= kReaders);
+
+        ResultStore fresh;
+        fresh.load(concPath);
+        CHECK_EQ(fresh.cellCount(), kWriters);
+        CHECK_EQ(fresh.pairCount(), kWriters);
+        for (std::uint64_t t = 0; t < kWriters; ++t) {
+            CellRecord got;
+            CHECK(fresh.find(sampleCell(100 + t).key, &got));
+            CHECK(cellsBitEqual(got, sampleCell(100 + t)));
+            PairRecord gotPair;
+            CHECK(fresh.findPair(writerPair(t).key, &gotPair));
+            CHECK(pairsBitEqual(gotPair, writerPair(t)));
+        }
+        std::remove(concPath.c_str());
+    }
+
+    // --- Container pin: a fixed store's file bytes, so every byte
+    // the writer lays down stays fixed, not only what a load accepts.
     {
         ResultStore pinned;
         for (std::uint64_t i = 0; i < 3; ++i)
@@ -353,7 +500,7 @@ main()
         pinned.save(storePath);
         const std::vector<std::uint8_t> image = readAll(storePath);
         CHECK_PIN(fnv1a(image.data(), image.size()),
-                  0x437ed1fe538a5afaull);
+                  0x964744a61ac73230ull);
     }
 
     // --- Differential: seeded random put/putPair/find/findPair
