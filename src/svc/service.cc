@@ -1,18 +1,20 @@
 #include "svc/service.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
+#include <deque>
 #include <set>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 
 #include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 #include "core/campaign.hh"
 #include "core/replay.hh"
@@ -35,6 +37,16 @@ namespace
 /** Retry hint returned with admission rejections. */
 constexpr std::uint64_t kRetryAfterMs = 250;
 
+/** A job directory's record (svc/job.hh). */
+constexpr const char *kRecordFile = "/job.lpjob";
+
+std::string
+jobDir(const std::string &jobsDir, std::uint64_t id)
+{
+    return jobsDir +
+           strfmt("/job-%llu", static_cast<unsigned long long>(id));
+}
+
 std::uint64_t
 nowWallMs()
 {
@@ -50,34 +62,6 @@ makeDir(const std::string &path, const char *what)
     if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST)
         return;
     throwIoError("create", what, path, errno);
-}
-
-/**
- * The bytes of job file @p path, or nullopt when it does not exist.
- * Any other failure throws IoError naming the file.
- */
-std::optional<std::string>
-readJobFile(const std::string &path, const char *what)
-{
-    try {
-        const Blob data = readWholeFile(path, what);
-        return std::string(data.begin(), data.end());
-    } catch (const IoError &e) {
-        if (e.errnum() == ENOENT)
-            return std::nullopt;
-        throw;
-    }
-}
-
-std::string
-trimToken(const std::string &s)
-{
-    std::size_t a = 0, b = s.size();
-    while (a < b && std::isspace(static_cast<unsigned char>(s[a])))
-        ++a;
-    while (b > a && std::isspace(static_cast<unsigned char>(s[b - 1])))
-        --b;
-    return s.substr(a, b - a);
 }
 
 /** The bundle a job runs from; programs must outlive the engine. */
@@ -116,12 +100,12 @@ materializeConfig(const JobConfigSpec &c)
 struct CampaignService::Job
 {
     std::uint64_t id = 0;
-    JobSpec spec;
     std::string dir;
-    JobState state = JobState::queued;
-    bool cancelRequested = false;
-    std::string detail;     //!< failure / cancellation detail
-    std::string resultJson; //!< campaign report once done
+    /**
+     * The record as last written, except that a job recovered in
+     * flight is queued until it starts. rec.spec never changes.
+     */
+    JobRecord rec;
     std::vector<std::size_t> shards;
     unsigned slots = 1;
     ReplayControl control;
@@ -164,10 +148,11 @@ CampaignService::CampaignService(const ServiceConfig &cfg)
                         aside.c_str()));
     }
     recoverJobs();
-    scheduler_ = std::thread([this] { schedulerLoop(); });
     logEvent("service_start", nullptr,
              strfmt("slots=%u queue=%zu", cfg_.workerSlots,
                     cfg_.maxQueueDepth));
+    std::lock_guard<std::mutex> lk(m_);
+    admitLocked();
 }
 
 CampaignService::~CampaignService()
@@ -188,7 +173,7 @@ CampaignService::logEvent(const std::string &event, const Job *j,
     if (j) {
         line += strfmt(", \"job\": %llu, \"state\": \"%s\"",
                        static_cast<unsigned long long>(j->id),
-                       jobStateToken(j->state));
+                       jobStateToken(j->rec.state));
     }
     if (!detail.empty())
         line += strfmt(", \"detail\": \"%s\"",
@@ -197,15 +182,6 @@ CampaignService::logEvent(const std::string &event, const Job *j,
     std::lock_guard<std::mutex> lk(logM_);
     std::fwrite(line.data(), 1, line.size(), log_);
     std::fflush(log_);
-}
-
-void
-CampaignService::writeJobState(const Job &j, JobState s) const
-{
-    const std::string token = std::string(jobStateToken(s)) + "\n";
-    writeFileAtomic(j.dir + "/state",
-                    reinterpret_cast<const std::uint8_t *>(token.data()),
-                    token.size(), "job state");
 }
 
 void
@@ -234,69 +210,40 @@ CampaignService::recoverJobs()
         // A skipped job's id is not handed out again, so no new job
         // writes into the directory recovery left alone.
         nextId_ = std::max(nextId_, id + 1);
-        const std::string dir =
-            cfg_.jobsDir + strfmt("/job-%llu",
-                                  static_cast<unsigned long long>(id));
-        // A missing file has a meaning (no spec, never started, no
-        // result); a file that cannot be read skips the job and
-        // leaves its directory as it is.
-        std::optional<std::string> specBytes, resultJson;
-        JobState s = JobState::queued;
+        const std::string path = jobDir(cfg_.jobsDir, id) + kRecordFile;
+        JobRecord rec;
         try {
-            specBytes = readJobFile(dir + "/spec.der", "job spec");
-            if (const auto tok = readJobFile(dir + "/state", "job state"))
-                jobStateFromToken(trimToken(*tok), &s);
-            if (s == JobState::done)
-                resultJson =
-                    readJobFile(dir + "/result.json", "job result");
-        } catch (const IoError &e) {
-            logEvent("recover_skipped", nullptr,
-                     strfmt("job-%llu unreadable: %s",
-                            static_cast<unsigned long long>(id),
-                            e.what()));
-            continue;
-        }
-        if (!specBytes) {
-            logEvent("recover_skipped", nullptr,
-                     strfmt("job-%llu has no spec",
-                            static_cast<unsigned long long>(id)));
-            continue;
-        }
-        auto j = std::make_unique<Job>();
-        j->id = id;
-        j->dir = dir;
-        try {
-            j->spec = decodeJobSpec(
-                Blob(specBytes->begin(), specBytes->end()));
+            rec = decodeJobRecord(readWholeFile(path, "job record"), path);
         } catch (const std::exception &e) {
-            logEvent("recover_skipped", nullptr,
-                     strfmt("job-%llu spec undecodable: %s",
-                            static_cast<unsigned long long>(id),
-                            e.what()));
+            logEvent("recover_skipped", nullptr, e.what());
             continue;
         }
-        j->slots = std::max(1u, j->spec.threads);
-        for (const JobWorkloadSpec &w : j->spec.workloads) {
-            const std::size_t i = set_.find(w.shard);
-            if (i != LibrarySet::npos)
-                j->shards.push_back(i);
-        }
-
-        if (s == JobState::done) {
-            j->resultJson = resultJson.value_or("");
-            j->state = JobState::done;
-        } else if (jobStateTerminal(s)) {
-            j->state = s;
-        } else {
-            // queued / running / draining: the previous incarnation
-            // died with this job in flight. Re-enqueue; the manifest
+        std::unique_ptr<Job> j = newJob(id, std::move(rec));
+        if (!jobStateTerminal(j->rec.state)) {
+            // queued / running: the previous incarnation died with
+            // this job in flight. It queues again, and its manifest
             // resumes it bit-identically.
-            j->state = JobState::queued;
-            writeJobState(*j, JobState::queued);
+            j->rec.state = JobState::queued;
             logEvent("recovered", j.get(), "re-enqueued after restart");
         }
         jobs_.emplace(id, std::move(j));
     }
+}
+
+std::unique_ptr<CampaignService::Job>
+CampaignService::newJob(std::uint64_t id, JobRecord rec) const
+{
+    auto j = std::make_unique<Job>();
+    j->id = id;
+    j->dir = jobDir(cfg_.jobsDir, id);
+    j->slots = std::max(1u, rec.spec.threads);
+    for (const JobWorkloadSpec &w : rec.spec.workloads) {
+        const std::size_t i = set_.find(w.shard);
+        if (i != LibrarySet::npos)
+            j->shards.push_back(i);
+    }
+    j->rec = std::move(rec);
+    return j;
 }
 
 SubmitOutcome
@@ -376,7 +323,7 @@ CampaignService::submit(const JobSpec &spec)
     }
 
     std::unique_lock<std::mutex> lk(m_);
-    if (draining_ || stop_) {
+    if (draining_) {
         out.error = "service is draining";
         return out;
     }
@@ -388,9 +335,9 @@ CampaignService::submit(const JobSpec &spec)
     std::set<std::size_t> live;
     for (const auto &kv : jobs_) {
         const Job &j = *kv.second;
-        if (j.state == JobState::queued)
+        if (j.rec.state == JobState::queued)
             ++queued;
-        if (!jobStateTerminal(j.state))
+        if (!jobStateTerminal(j.rec.state))
             live.insert(j.shards.begin(), j.shards.end());
     }
     if (queued >= cfg_.maxQueueDepth) {
@@ -425,26 +372,24 @@ CampaignService::submit(const JobSpec &spec)
         return out;
     }
 
-    auto j = std::make_unique<Job>();
-    j->id = nextId_++;
-    j->spec = spec;
-    j->dir = cfg_.jobsDir +
-             strfmt("/job-%llu", static_cast<unsigned long long>(j->id));
-    j->slots = std::max(1u, spec.threads);
-    for (const JobWorkloadSpec &w : spec.workloads)
-        j->shards.push_back(set_.find(w.shard));
-
-    makeDir(j->dir, "job directory");
-    const Blob enc = encodeJobSpec(spec);
-    writeFileAtomic(j->dir + "/spec.der", enc.data(), enc.size(),
-                    "job spec");
-    writeJobState(*j, JobState::queued);
-
+    // A job whose first record cannot be written is erased again,
+    // with its empty directory: a restart finds nothing to run.
+    const std::uint64_t id = nextId_;
+    const std::string dir = jobDir(cfg_.jobsDir, id);
+    Job &j = *jobs_.emplace(id, newJob(id, {spec, JobState::queued, "", ""}))
+                  .first->second;
+    try {
+        makeDir(dir, "job directory");
+        setStateLocked(j, JobState::queued, "submitted");
+    } catch (const std::exception &e) {
+        jobs_.erase(id);
+        ::rmdir(dir.c_str());
+        out.error = e.what();
+        return out;
+    }
+    ++nextId_;
     out.accepted = true;
-    out.id = j->id;
-    logEvent("submitted", j.get(), spec.name);
-    jobs_.emplace(j->id, std::move(j));
-    cv_.notify_all();
+    out.id = id;
     return out;
 }
 
@@ -456,14 +401,11 @@ CampaignService::cancel(std::uint64_t id, const std::string &reason)
     if (it == jobs_.end())
         return false;
     Job &j = *it->second;
-    if (j.state == JobState::queued) {
-        j.state = JobState::cancelled;
-        j.detail = reason.empty() ? "cancelled" : reason;
-        writeJobState(j, JobState::cancelled);
-        logEvent("cancelled", &j, j.detail);
-        cv_.notify_all();
-    } else if (j.state == JobState::running && !j.cancelRequested) {
-        j.cancelRequested = true;
+    if (j.rec.state == JobState::queued) {
+        setStateLocked(j, JobState::cancelled, "cancelled",
+                       reason.empty() ? "cancelled" : reason);
+    } else if (j.rec.state == JobState::running &&
+               !j.control.cancel.cancelled()) {
         j.control.cancel.requestCancel(
             reason.empty() ? "cancel requested" : reason);
         logEvent("draining", &j, reason);
@@ -483,27 +425,25 @@ CampaignService::resume(std::uint64_t id)
         return out;
     }
     Job &j = *it->second;
-    if (draining_ || stop_) {
+    if (draining_) {
         out.error = "service is draining";
         return out;
     }
-    if (!jobStateTerminal(j.state) || j.state == JobState::done) {
+    if (!jobStateTerminal(j.rec.state) || j.rec.state == JobState::done) {
         out.error = strfmt("job %llu is %s, not resumable",
                            static_cast<unsigned long long>(id),
-                           jobStateToken(j.state));
+                           jobStateToken(j.rec.state));
         return out;
     }
-    if (j.thread.joinable())
-        j.thread.join(); // it already reached a terminal state
     j.control.cancel.reset();
-    j.cancelRequested = false;
-    j.detail.clear();
-    j.state = JobState::queued;
-    writeJobState(j, JobState::queued);
-    logEvent("resumed", &j, "");
+    try {
+        setStateLocked(j, JobState::queued, "resumed");
+    } catch (const std::exception &e) {
+        out.error = e.what();
+        return out;
+    }
     out.accepted = true;
     out.id = id;
-    cv_.notify_all();
     return out;
 }
 
@@ -517,12 +457,13 @@ CampaignService::status(std::uint64_t id) const
         return info;
     const Job &j = *it->second;
     info.found = true;
-    info.state = (j.state == JobState::running && j.cancelRequested)
+    info.state = (j.rec.state == JobState::running &&
+                  j.control.cancel.cancelled())
                      ? JobState::draining
-                     : j.state;
+                     : j.rec.state;
     info.progress =
         j.control.progress.load(std::memory_order_relaxed);
-    info.detail = j.detail;
+    info.detail = j.rec.detail;
     return info;
 }
 
@@ -535,10 +476,10 @@ CampaignService::result(std::uint64_t id, JobState *state,
     if (it == jobs_.end())
         return false;
     const Job &j = *it->second;
-    if (!jobStateTerminal(j.state))
+    if (!jobStateTerminal(j.rec.state))
         return false;
-    *state = j.state;
-    *json = j.state == JobState::done ? j.resultJson : j.detail;
+    *state = j.rec.state;
+    *json = j.rec.state == JobState::done ? j.rec.report : j.rec.detail;
     return true;
 }
 
@@ -548,7 +489,8 @@ CampaignService::waitForJob(std::uint64_t id, std::uint64_t timeoutMs)
     std::unique_lock<std::mutex> lk(m_);
     auto terminal = [&] {
         auto it = jobs_.find(id);
-        return it != jobs_.end() && jobStateTerminal(it->second->state);
+        return it != jobs_.end() &&
+               jobStateTerminal(it->second->rec.state);
     };
     if (jobs_.find(id) == jobs_.end())
         return false;
@@ -593,60 +535,99 @@ CampaignService::jobIds() const
 }
 
 void
-CampaignService::startJobLocked(Job *j)
+CampaignService::setStateLocked(Job &j, JobState s, const char *event,
+                                std::string detail, std::string report)
 {
-    j->state = JobState::running;
-    j->cancelRequested = false;
-    runningSlots_ += j->slots;
-    for (std::size_t s : j->shards)
-        ++shardRefs_[s];
-    writeJobState(*j, JobState::running);
-    logEvent("started", j, "");
-    j->thread = std::thread([this, j] { runJob(j); });
+    JobRecord next{j.rec.spec, s, std::move(detail), std::move(report)};
+    try {
+        const Blob image = encodeJobRecord(next);
+        writeFileAtomic(j.dir + kRecordFile, image.data(), image.size(),
+                        "job record");
+    } catch (const std::exception &e) {
+        // Submit, cancel and resume answer the error with the job as
+        // it was. A job that is starting or ending cannot stay where
+        // it is: it fails here, and its record keeps the last state
+        // written (queued or running), which a restart runs again.
+        if (s != JobState::running && j.rec.state != JobState::running)
+            throw;
+        next = JobRecord{j.rec.spec, JobState::failed,
+                         strfmt("state write failed: %s", e.what()), ""};
+        event = "finished";
+    }
+
+    // A terminal job's thread has left the lock for good and is
+    // ending; join it before a resume can start a new one.
+    for (auto &kv : jobs_) {
+        Job &t = *kv.second;
+        if (jobStateTerminal(t.rec.state) && t.thread.joinable() &&
+            t.thread.get_id() != std::this_thread::get_id())
+            t.thread.join();
+    }
+
+    const bool leftRunning = j.rec.state == JobState::running &&
+                             next.state != JobState::running;
+    if (leftRunning) {
+        runningSlots_ -= j.slots;
+        for (std::size_t sh : j.shards) {
+            auto it = shardRefs_.find(sh);
+            if (it != shardRefs_.end() && --it->second == 0) {
+                shardRefs_.erase(it);
+                if (set_.isLoaded(sh))
+                    set_.unload(sh);
+            }
+        }
+    } else if (next.state == JobState::running) {
+        runningSlots_ += j.slots;
+        for (std::size_t sh : j.shards)
+            ++shardRefs_[sh];
+    }
+    j.rec.state = next.state;
+    j.rec.detail = std::move(next.detail);
+    j.rec.report = std::move(next.report);
+    logEvent(event, &j, j.rec.detail);
+    cv_.notify_all();
+    if (leftRunning || j.rec.state == JobState::queued)
+        admitLocked();
 }
 
 void
-CampaignService::schedulerLoop()
+CampaignService::admitLocked()
 {
-    std::unique_lock<std::mutex> lk(m_);
-    while (!stop_) {
-        // Reap threads of jobs that reached a terminal state (their
-        // thread is at its very end; join returns immediately).
-        for (auto &kv : jobs_) {
-            Job &j = *kv.second;
-            if (jobStateTerminal(j.state) && j.thread.joinable())
-                j.thread.join();
-        }
+    for (;;) {
+        // The lowest-id queued job that fits the slot budget; an
+        // oversized job runs alone rather than starving forever.
         Job *next = nullptr;
         for (auto &kv : jobs_) {
             Job &j = *kv.second;
-            if (j.state != JobState::queued)
-                continue;
-            // Admit under the slot budget; an oversized job runs
-            // alone rather than starving forever.
-            if (runningSlots_ == 0 ||
-                runningSlots_ + j.slots <= cfg_.workerSlots) {
+            if (j.rec.state == JobState::queued &&
+                (runningSlots_ == 0 ||
+                 runningSlots_ + j.slots <= cfg_.workerSlots)) {
                 next = &j;
                 break;
             }
         }
-        if (next) {
-            startJobLocked(next);
-            continue;
+        if (!next)
+            return;
+        setStateLocked(*next, JobState::running, "started");
+        if (next->rec.state != JobState::running)
+            continue; // its record could not be written: it failed
+        try {
+            next->thread = std::thread([this, next] { runJob(*next); });
+        } catch (const std::system_error &e) {
+            setStateLocked(*next, JobState::failed, "finished", e.what());
         }
-        cv_.wait_for(lk, std::chrono::milliseconds(20));
     }
 }
 
 void
-CampaignService::runJob(Job *j)
+CampaignService::runJob(Job &j)
 {
     JobState final = JobState::failed;
     std::string detail;
-    std::string resultJson;
+    std::string report;
     try {
         MaterializedJob mat;
-        const JobSpec &spec = j->spec;
+        const JobSpec &spec = j.rec.spec;
         for (const JobWorkloadSpec &w : spec.workloads) {
             const WorkloadProfile prof =
                 w.profile.empty()
@@ -674,11 +655,11 @@ CampaignService::runJob(Job *j)
         o.decodeThreads = spec.decodeThreads;
         o.blockSize = static_cast<std::size_t>(spec.blockSize);
         o.maxFoldedReplays = spec.maxFoldedReplays;
-        o.manifestPath = j->dir + "/manifest.lpcmf";
+        o.manifestPath = j.dir + "/manifest.lpcmf";
         // Concurrent jobs share shards through the service's
         // refcounts; a job must never unload a shard under another.
         o.unloadFinishedShards = false;
-        o.control = &j->control;
+        o.control = &j.control;
         o.deadline = Deadline::inMs(spec.deadlineMs);
         // Cells another job already published resolve from the store
         // without replaying (bit-identical by the engine contract).
@@ -691,52 +672,27 @@ CampaignService::runJob(Job *j)
             detail = res.cancelReason;
         } else {
             final = JobState::done;
-            resultJson = engine.jsonReport(res);
-            writeFileAtomic(
-                j->dir + "/result.json",
-                reinterpret_cast<const std::uint8_t *>(
-                    resultJson.data()),
-                resultJson.size(), "job result");
+            report = engine.jsonReport(res);
             // Publish the finished cells so a re-submitted or widened
             // grid memoizes them; a failed save only costs the cache.
             const std::size_t published = engine.publish(res, *store_);
             try {
                 store_->save();
-                logEvent("published", j,
+                logEvent("published", &j,
                          strfmt("%zu records", published));
             } catch (const std::exception &e) {
-                logEvent("store_save_failed", j, e.what());
+                logEvent("store_save_failed", &j, e.what());
             }
         }
     } catch (const std::exception &e) {
         final = JobState::failed;
         detail = e.what();
     }
-    // The state token is written last: a crash before this line
-    // leaves `running` on disk, and recovery re-runs the job from
-    // its manifest.
-    try {
-        writeJobState(*j, final);
-    } catch (const std::exception &e) {
-        final = JobState::failed;
-        detail = strfmt("state write failed: %s", e.what());
-    }
-
-    std::unique_lock<std::mutex> lk(m_);
-    j->state = final;
-    j->detail = detail;
-    j->resultJson = std::move(resultJson);
-    runningSlots_ -= j->slots;
-    for (std::size_t s : j->shards) {
-        auto it = shardRefs_.find(s);
-        if (it != shardRefs_.end() && --it->second == 0) {
-            shardRefs_.erase(it);
-            if (set_.isLoaded(s))
-                set_.unload(s);
-        }
-    }
-    logEvent("finished", j, detail);
-    cv_.notify_all();
+    // A crash before the record is written leaves `running` on disk,
+    // and recovery runs the job again from its manifest.
+    std::lock_guard<std::mutex> lk(m_);
+    setStateLocked(j, final, "finished", std::move(detail),
+                   std::move(report));
 }
 
 void
@@ -748,42 +704,38 @@ CampaignService::drain()
 void
 CampaignService::shutdown(bool cancelRunning)
 {
-    {
-        std::unique_lock<std::mutex> lk(m_);
-        if (stop_)
-            return;
-        draining_ = true;
-        if (cancelRunning) {
-            for (auto &kv : jobs_) {
-                Job &j = *kv.second;
-                if (j.state == JobState::queued) {
-                    j.state = JobState::cancelled;
-                    j.detail = "service shutdown";
-                    writeJobState(j, JobState::cancelled);
-                } else if (j.state == JobState::running &&
-                           !j.cancelRequested) {
-                    j.cancelRequested = true;
-                    j.control.cancel.requestCancel("service shutdown");
+    std::unique_lock<std::mutex> lk(m_);
+    const bool first = !draining_;
+    draining_ = true;
+    if (cancelRunning) {
+        for (auto &kv : jobs_) {
+            Job &j = *kv.second;
+            if (j.rec.state == JobState::queued) {
+                try {
+                    setStateLocked(j, JobState::cancelled, "cancelled",
+                                   "service shutdown");
+                    continue;
+                } catch (const std::exception &) {
+                    // Its record stays queued, so a restart runs it;
+                    // should it start here, it stops at its first
+                    // barrier.
                 }
             }
-            cv_.notify_all();
+            if (!jobStateTerminal(j.rec.state))
+                j.control.cancel.requestCancel("service shutdown");
         }
-        cv_.wait(lk, [&] {
-            for (const auto &kv : jobs_)
-                if (!jobStateTerminal(kv.second->state))
-                    return false;
-            return true;
-        });
-        stop_ = true;
-        cv_.notify_all();
     }
-    if (scheduler_.joinable())
-        scheduler_.join();
-    std::unique_lock<std::mutex> lk(m_);
+    cv_.wait(lk, [&] {
+        for (const auto &kv : jobs_)
+            if (!jobStateTerminal(kv.second->rec.state))
+                return false;
+        return true;
+    });
     for (auto &kv : jobs_)
         if (kv.second->thread.joinable())
             kv.second->thread.join();
-    logEvent("service_stop", nullptr, "");
+    if (first)
+        logEvent("service_stop", nullptr, "");
 }
 
 } // namespace lp

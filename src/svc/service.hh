@@ -1,25 +1,28 @@
 /**
  * @file
- * The campaign service: a job-queue scheduler and restart-recovery
- * layer over CampaignEngine. One service owns one
+ * The campaign service: a job queue and restart-recovery layer over
+ * CampaignEngine. One service owns one
  * LibrarySet fleet store (opened with openRecover, so a degraded set
  * serves what it can) and one worker-slot budget; submitted JobSpecs
  * queue, run concurrently under that budget, and persist everything
  * they need to resume into per-job directories:
  *
- *     <jobsDir>/job-<id>/spec.der        the encoded JobSpec
+ *     <jobsDir>/job-<id>/job.lpjob       the job record (svc/job.hh):
+ *                                        spec, state, detail, report
  *     <jobsDir>/job-<id>/manifest.lpcmf  campaign checkpoint, replaced
  *                                        atomically at every barrier
- *     <jobsDir>/job-<id>/result.json     final report (done jobs)
- *     <jobsDir>/job-<id>/state           one state token, written
- *                                        atomically, always last
  *     <jobsDir>/service.jsonl            structured event log
  *
- * Every job file is written whole and atomically. Recovery reads each
- * one whole: a missing file has its meaning (no spec: skip; no state:
- * never started; no result: empty report), and a file that exists but
- * cannot be read skips that job with a `recover_skipped` event naming
- * the file, leaving its directory untouched.
+ * A job changes state in one place: the record is replaced whole
+ * first, then the job changes in memory, the event is logged,
+ * waiters wake, and — when a job was queued or left `running` — the
+ * lowest-id queued jobs that fit the slot budget start. No thread
+ * other than the jobs' own runs. Recovery reads each record whole:
+ * terminal jobs reload as results, the others queue again and resume
+ * from their manifests. A missing, unreadable or undecodable record
+ * skips its job with a `recover_skipped` event naming the file, and
+ * leaves the directory untouched; a skipped id is never handed out
+ * again.
  *
  * Guarantees:
  *  - **Bit-identity.** A job's result is bit-identical to running the
@@ -51,12 +54,10 @@
 
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/library_set.hh"
@@ -137,7 +138,7 @@ class CampaignService
      * Open the fleet set, scan @p cfg.jobsDir for jobs a previous
      * incarnation left behind (terminal jobs are reloaded as results;
      * queued/running jobs re-enqueue and resume from their
-     * manifests), and start the scheduler thread.
+     * manifests), and start the queued jobs that fit.
      */
     explicit CampaignService(const ServiceConfig &cfg);
 
@@ -147,16 +148,26 @@ class CampaignService
     CampaignService(const CampaignService &) = delete;
     CampaignService &operator=(const CampaignService &) = delete;
 
+    /**
+     * Validate, admit and record a new job, and start it when it
+     * fits. A record that cannot be written is an error: no job
+     * exists, and a restart runs nothing.
+     */
     SubmitOutcome submit(const JobSpec &spec);
 
     /**
      * Request cancellation. A queued job cancels immediately; a
      * running job drains to its next block barrier. False only when
-     * @p id is unknown.
+     * @p id is unknown. Throws IoError, with the job as it was, when
+     * a queued job's record cannot be written.
      */
     bool cancel(std::uint64_t id, const std::string &reason);
 
-    /** Re-enqueue a cancelled/failed job; resumes from its manifest. */
+    /**
+     * Re-enqueue a cancelled/failed job; resumes from its manifest.
+     * A record that cannot be written is an error, with the job as it
+     * was.
+     */
     SubmitOutcome resume(std::uint64_t id);
 
     JobStatusInfo status(std::uint64_t id) const;
@@ -196,10 +207,11 @@ class CampaignService
     struct Job;
 
     void recoverJobs();
-    void schedulerLoop();
-    void runJob(Job *j);
-    void startJobLocked(Job *j);
-    void writeJobState(const Job &j, JobState s) const;
+    std::unique_ptr<Job> newJob(std::uint64_t id, JobRecord rec) const;
+    void setStateLocked(Job &j, JobState s, const char *event,
+                        std::string detail = "", std::string report = "");
+    void admitLocked();
+    void runJob(Job &j);
     void shutdown(bool cancelRunning);
     void logEvent(const std::string &event, const Job *j,
                   const std::string &detail);
@@ -215,12 +227,9 @@ class CampaignService
     std::uint64_t nextId_ = 1;
     unsigned runningSlots_ = 0;
     bool draining_ = false; //!< no new submissions
-    bool stop_ = false;     //!< scheduler exit
 
     std::mutex logM_;
     std::FILE *log_ = nullptr;
-
-    std::thread scheduler_;
 };
 
 } // namespace lp

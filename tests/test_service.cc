@@ -1,24 +1,29 @@
 /**
- * The campaign service: protocol framing and JobSpec codec, job
- * lifecycle over the in-process service (submit/status/result/
- * cancel/resume), admission control (each shard counted once), the
- * cancel/deadline matrix at threads 1/2/4 with resume bit-identity,
- * quarantined-shard degradation, a daemon+client socket round trip
- * with malformed requests answered by errors, a result store that
- * fails to load moved aside, recovery past an unreadable job file,
- * and a fork-based SIGKILL
- * crash matrix: a daemon killed at successive barriers must recover
- * its jobs on restart and finish them bit-identical to standalone
- * runs.
+ * The campaign service: protocol framing, the JobSpec and job record
+ * codecs, job lifecycle over the in-process service (submit/status/
+ * result/cancel/resume), admission control (each shard counted once),
+ * the cancel/deadline matrix at threads 1/2/4 with resume
+ * bit-identity, quarantined-shard degradation, a daemon+client socket
+ * round trip with malformed requests answered by errors, a result
+ * store that fails to load moved aside, recovery past an unreadable,
+ * damaged or old-layout job directory, stop reasons kept across a
+ * restart, record writes that fail at submit, cancel, resume and job
+ * start, the daemon's retry-later path and stop(), and a fork-based
+ * SIGKILL crash matrix: a daemon killed at successive barriers must
+ * recover its jobs on restart and finish them bit-identical to
+ * standalone runs.
  */
 
 #include "test_util.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -27,9 +32,11 @@
 #include "codec/der.hh"
 #include "core/replay.hh"
 #include "io/atomic_file.hh"
+#include "io/io_error.hh"
 #include "io/source.hh"
 #include "svc/client.hh"
 #include "svc/daemon.hh"
+#include "svc/job.hh"
 #include "svc/proto.hh"
 #include "svc/service.hh"
 #include "store/result_store.hh"
@@ -143,6 +150,76 @@ specDer(const JobSpec &spec, Surplus surplus)
     return w.finish();
 }
 
+/** "LPJOB1": the job record's magic. */
+constexpr std::uint64_t kRecordMagic = 0x4c50'4a4f'4231ull;
+
+/** What recordDer() writes; each field may hold what the codec rejects. */
+struct RecordLayout
+{
+    std::uint64_t magic = kRecordMagic;
+    std::uint64_t version = 1;
+    Blob spec;         //!< the OCTET STRING's bytes
+    std::string state; //!< any token
+    std::string detail;
+    std::string report;
+    bool surplusInside = false; //!< one more value in the sequence
+    bool surplusAfter = false;  //!< one more value after it
+};
+
+/** encodeJobRecord()'s layout, written out here and sealed. */
+Blob
+recordDer(const RecordLayout &r)
+{
+    DerWriter w;
+    w.beginSequence();
+    w.putUint(r.magic);
+    w.putUint(r.version);
+    w.putBytes(r.spec);
+    w.putString(r.state);
+    w.putString(r.detail);
+    w.putString(r.report);
+    if (r.surplusInside)
+        w.putUint(7);
+    w.endSequence();
+    if (r.surplusAfter)
+        w.putUint(7);
+    Blob image = w.finish();
+    appendChecksumFooter(image);
+    return image;
+}
+
+/** True when decodeJobRecord() rejects @p image naming @p path. */
+bool
+recordRejected(const Blob &image, const std::string &path)
+{
+    try {
+        decodeJobRecord(image, path);
+    } catch (const IoError &e) {
+        return std::string(e.what()).find("'" + path + "'") !=
+               std::string::npos;
+    }
+    return false;
+}
+
+/** How many lines of @p log hold both @p a and @p b. */
+std::size_t
+countLines(const std::string &log, const std::string &a,
+           const std::string &b)
+{
+    std::size_t n = 0, pos = 0;
+    while (pos < log.size()) {
+        std::size_t end = log.find('\n', pos);
+        if (end == std::string::npos)
+            end = log.size();
+        const std::string line = log.substr(pos, end - pos);
+        if (line.find(a) != std::string::npos &&
+            line.find(b) != std::string::npos)
+            ++n;
+        pos = end + 1;
+    }
+    return n;
+}
+
 /** The standard two-workload, two-config job this suite submits. */
 JobSpec
 makeSpec(unsigned threads)
@@ -233,6 +310,55 @@ main()
         Blob trailing = encodeJobSpec(spec);
         trailing.push_back(0);
         CHECK_THROWS(decodeJobSpec(trailing));
+    }
+
+    // ---- The job record codec --------------------------------------
+    // The record is one sealed DER sequence in this layout. Every
+    // stored state round-trips; draining is never stored. A bad
+    // magic, version, spec or state, or a value left over anywhere,
+    // is rejected with an error naming the file.
+    {
+        JobRecord rec;
+        rec.spec = makeSpec(2);
+        rec.spec.deadlineMs = 1234;
+        rec.state = JobState::cancelled;
+        rec.detail = "deadline expired";
+        RecordLayout lay;
+        lay.spec = encodeJobSpec(rec.spec);
+        lay.state = "cancelled";
+        lay.detail = rec.detail;
+        CHECK(recordDer(lay) == encodeJobRecord(rec));
+        for (const JobState st : {JobState::queued, JobState::running,
+                                  JobState::done, JobState::failed,
+                                  JobState::cancelled}) {
+            rec.state = st;
+            rec.report = st == JobState::done ? "{\"x\": 1}\n" : "";
+            const JobRecord back =
+                decodeJobRecord(encodeJobRecord(rec), "r.lpjob");
+            CHECK(back.state == st);
+            CHECK_EQ(back.detail, rec.detail);
+            CHECK_EQ(back.report, rec.report);
+            CHECK(encodeJobSpec(back.spec) == lay.spec);
+        }
+        rec.state = JobState::draining;
+        CHECK_THROWS(encodeJobRecord(rec));
+
+        const std::string path = "jobs/job-7/job.lpjob";
+        std::vector<RecordLayout> bad(9, lay);
+        bad[0].magic += 1;
+        bad[1].version = 2;
+        bad[2].state = "draining";
+        bad[3].state = "dnoe";
+        bad[4].state = "";
+        bad[5].surplusInside = true;
+        bad[6].surplusAfter = true;
+        bad[7].spec = specDer(rec.spec, Surplus::budgetSlot);
+        bad[8].spec.push_back(0);
+        for (const RecordLayout &b : bad)
+            CHECK(recordRejected(recordDer(b), path));
+        Blob unsealed = recordDer(lay);
+        unsealed.resize(unsealed.size() - checksumFooterBytes);
+        CHECK(recordRejected(unsealed, path));
     }
 
     // ---- Protocol: frame integrity over a socketpair ---------------
@@ -847,12 +973,11 @@ main()
         }
     }
 
-    // ---- Recovery past an unreadable job file ----------------------
-    // A job file that exists but cannot be read skips that job with a
+    // ---- Recovery past an unreadable job record --------------------
+    // A record that exists but cannot be read skips that job with a
     // recover_skipped event naming the file, and leaves the file and
     // the job's id alone; the other jobs recover. The injected EIO
-    // lands on job 3's `state`, which holds `done`: read as a missing
-    // file, it would re-enqueue the job and overwrite the token.
+    // lands on job 3's record, which holds `done`.
     {
         ServiceConfig cfg;
         cfg.jobsDir = "svc-jobs-recover";
@@ -868,11 +993,11 @@ main()
             }
             svc.drain();
         }
-        const std::string state3 = cfg.jobsDir + "/job-3/state";
-        const std::string done3 = readText(state3);
-        CHECK_EQ(done3, std::string("done\n"));
+        const std::string record3 = cfg.jobsDir + "/job-3/job.lpjob";
+        const Blob done3 = readWholeFile(record3, "test file");
+        CHECK(decodeJobRecord(done3, record3).state == JobState::done);
 
-        // The reads a service makes before its first job file: count
+        // The reads a service makes before its first job record: count
         // them on an empty jobs directory with a never-firing arm.
         ServiceConfig empty = cfg;
         empty.jobsDir = "svc-jobs-recover-empty";
@@ -889,9 +1014,8 @@ main()
         std::filesystem::remove_all(empty.jobsDir);
         CHECK(before > 0);
 
-        // Jobs 1 and 2 each read spec.der, state and result.json; job
-        // 3 reads spec.der, then state.
-        arm("io.open.read", FailpointSpec::Trigger::nth, before + 8,
+        // One read per job: jobs 1 and 2, then job 3.
+        arm("io.open.read", FailpointSpec::Trigger::nth, before + 3,
             FailpointSpec::Action::error, EIO);
         {
             CampaignService svc(cfg);
@@ -910,20 +1034,20 @@ main()
             CHECK(svc.waitForJob(next.id, 30'000));
             svc.drain();
         }
-        CHECK_EQ(readText(state3), done3);
+        CHECK(readWholeFile(record3, "test file") == done3);
         const std::string log = readText(cfg.jobsDir + "/service.jsonl");
-        const std::size_t skipped =
-            log.find("\"event\": \"recover_skipped\"");
-        CHECK(skipped != std::string::npos);
-        CHECK(log.find("job-3/state", skipped) != std::string::npos);
+        CHECK_EQ(countLines(log, "\"event\": \"recover_skipped\"",
+                            "'" + record3 + "'"),
+                 1u);
         std::filesystem::remove_all(cfg.jobsDir);
     }
 
-    // ---- Recovery past a spec in the previous release's layout -----
-    // Its resident-budget slot would decode as deadlineMs (and the
-    // real deadline be lost) if the codec ignored trailing values;
-    // instead the job is skipped as undecodable and its directory
-    // left as it is.
+    // ---- Recovery past a job directory in the old layout -----------
+    // Before the job record, a job lived in three files: `spec.der`,
+    // a `state` token and `result.json`. Such a directory has no
+    // record, so recovery skips it, leaves it byte for byte as it
+    // was, and never reuses its id; resubmitting its spec memoizes
+    // whatever cells it finished.
     {
         ServiceConfig cfg;
         cfg.jobsDir = "svc-jobs-legacy";
@@ -932,9 +1056,7 @@ main()
         std::filesystem::remove_all(cfg.jobsDir);
         const std::string dir = cfg.jobsDir + "/job-1";
         std::filesystem::create_directories(dir);
-        JobSpec old = makeSpec(1);
-        old.deadlineMs = 1234;
-        const Blob spec = specDer(old, Surplus::budgetSlot);
+        const Blob spec = encodeJobSpec(makeSpec(1));
         writeFileAtomic(dir + "/spec.der", spec.data(), spec.size(),
                         "job spec");
         const std::string running = "running\n";
@@ -945,16 +1067,17 @@ main()
         {
             CampaignService svc(cfg);
             CHECK(svc.jobIds().empty());
+            const SubmitOutcome next = svc.submit(makeSpec(1));
+            CHECK(next.accepted);
+            CHECK_EQ(next.id, 2u);
+            CHECK(svc.waitForJob(next.id, 30'000));
             svc.drain();
         }
         const std::string log = readText(cfg.jobsDir + "/service.jsonl");
-        const std::size_t skipped =
-            log.find("\"event\": \"recover_skipped\"");
-        CHECK(skipped != std::string::npos);
-        CHECK(log.find("job-1 spec undecodable", skipped) !=
-              std::string::npos);
-        const Blob kept = readWholeFile(dir + "/spec.der", "test file");
-        CHECK(kept == spec);
+        CHECK_EQ(countLines(log, "\"event\": \"recover_skipped\"",
+                            "'" + dir + "/job.lpjob'"),
+                 1u);
+        CHECK(readWholeFile(dir + "/spec.der", "test file") == spec);
         CHECK_EQ(readText(dir + "/state"), running);
         std::size_t files = 0;
         for (const auto &e : std::filesystem::directory_iterator(dir)) {
@@ -962,6 +1085,322 @@ main()
             ++files;
         }
         CHECK_EQ(files, 2u);
+        std::filesystem::remove_all(cfg.jobsDir);
+    }
+
+    // ---- A job's directory and a damaged record --------------------
+    // A finished job's directory holds its record and its manifest,
+    // nothing else. Its record fails to decode at every truncation
+    // and under every single-byte flip. A restart over a truncated or
+    // flipped record, or over one resealed with an unknown state,
+    // skips the job with recover_skipped naming the file: it leaves
+    // the record and the manifest byte for byte as they were, never
+    // runs the job again, and never reuses its id.
+    {
+        ServiceConfig cfg;
+        cfg.jobsDir = "svc-jobs-record";
+        cfg.setDir = setDir;
+        cfg.workerSlots = 8;
+        std::filesystem::remove_all(cfg.jobsDir);
+        {
+            CampaignService svc(cfg);
+            const SubmitOutcome out = svc.submit(makeSpec(1));
+            CHECK(out.accepted);
+            CHECK_EQ(out.id, 1u);
+            CHECK(svc.waitForJob(out.id, 30'000));
+            svc.drain();
+        }
+        const std::string dir = cfg.jobsDir + "/job-1";
+        std::set<std::string> names;
+        for (const auto &e : std::filesystem::directory_iterator(dir))
+            names.insert(e.path().filename().string());
+        CHECK(names ==
+              (std::set<std::string>{"job.lpjob", "manifest.lpcmf"}));
+        const std::string path = dir + "/job.lpjob";
+        const std::string manifest = dir + "/manifest.lpcmf";
+        const Blob good = readWholeFile(path, "test file");
+        const Blob goodManifest = readWholeFile(manifest, "test file");
+        const JobRecord rec = decodeJobRecord(good, path);
+        CHECK(rec.state == JobState::done);
+        CHECK(rec.detail.empty());
+        CHECK(extractAll(rec.report, "cpi_bits") == baseBits);
+
+        std::size_t accepted = 0;
+        for (std::size_t n = 0; n < good.size(); ++n) {
+            if (!recordRejected(Blob(good.begin(), good.begin() + n), path))
+                ++accepted;
+            for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+                Blob flipped = good;
+                flipped[n] ^= mask;
+                if (!recordRejected(flipped, path))
+                    ++accepted;
+            }
+        }
+        CHECK_EQ(accepted, 0u);
+
+        RecordLayout dnoe;
+        dnoe.spec = encodeJobSpec(rec.spec);
+        dnoe.state = "done";
+        dnoe.report = rec.report;
+        CHECK(recordDer(dnoe) == good);
+        dnoe.state = "dnoe";
+        Blob flipped = good;
+        flipped[good.size() / 2] ^= 0x01;
+        const std::vector<Blob> damaged = {
+            Blob(good.begin(), good.begin() + good.size() / 2), flipped,
+            recordDer(dnoe)};
+        std::uint64_t lastId = 1;
+        for (const Blob &bad : damaged) {
+            writeFileAtomic(path, bad.data(), bad.size(), "test record");
+            {
+                CampaignService svc(cfg);
+                const std::vector<std::uint64_t> ids = svc.jobIds();
+                CHECK(std::find(ids.begin(), ids.end(), 1u) == ids.end());
+                const SubmitOutcome next = svc.submit(makeSpec(1));
+                CHECK(next.accepted);
+                CHECK_EQ(next.id, lastId + 1);
+                lastId = next.id;
+                CHECK(svc.waitForJob(next.id, 30'000));
+                svc.drain();
+            }
+            CHECK(readWholeFile(path, "test file") == bad);
+            CHECK(readWholeFile(manifest, "test file") == goodManifest);
+        }
+        const std::string log = readText(cfg.jobsDir + "/service.jsonl");
+        CHECK_EQ(countLines(log, "\"event\": \"recover_skipped\"",
+                            "'" + path + "'"),
+                 damaged.size());
+        CHECK_EQ(countLines(log, "unknown state 'dnoe'", path), 1u);
+        CHECK_EQ(countLines(log, "\"event\": \"started\"",
+                            "\"job\": 1,"),
+                 1u);
+        std::filesystem::remove_all(cfg.jobsDir);
+    }
+
+    // ---- A stopped job keeps its reason across a restart -----------
+    // A deadline-cancelled job answers `deadline expired` before and
+    // after a restart. Shutdown cancels a queued job (logging
+    // `cancelled`) and drains a running one, each with the reason
+    // `service shutdown`; after the restart all three resume to the
+    // baseline's bits.
+    {
+        ServiceConfig cfg;
+        cfg.jobsDir = "svc-jobs-reason";
+        cfg.setDir = setDir;
+        cfg.workerSlots = 1;
+        std::filesystem::remove_all(cfg.jobsDir);
+        auto svc = std::make_unique<CampaignService>(cfg);
+        arm("replay.cell", FailpointSpec::Trigger::nth, 5,
+            FailpointSpec::Action::hang);
+        JobSpec dspec = makeSpec(1);
+        dspec.deadlineMs = 100;
+        const SubmitOutcome a = svc->submit(dspec);
+        CHECK(a.accepted);
+        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+        disarmAllFailpoints();
+        CHECK(svc->waitForJob(a.id, 30'000));
+        JobStatusInfo st = svc->status(a.id);
+        CHECK(st.state == JobState::cancelled);
+        CHECK_EQ(st.detail, std::string("deadline expired"));
+
+        arm("replay.cell", FailpointSpec::Trigger::nth, 1,
+            FailpointSpec::Action::hang);
+        const SubmitOutcome b = svc->submit(makeSpec(1)); // parks
+        const SubmitOutcome c = svc->submit(makeSpec(1)); // queues
+        CHECK(b.accepted && c.accepted);
+        CHECK(svc->status(b.id).state == JobState::running);
+        CHECK(svc->status(c.id).state == JobState::queued);
+        // The destructor cancels c and asks b to stop before it waits
+        // for b, which stays parked until the site is disarmed.
+        std::thread closer([&svc] { svc.reset(); });
+        const std::string logPath = cfg.jobsDir + "/service.jsonl";
+        const std::string cancelledC =
+            strfmt("\"event\": \"cancelled\", \"job\": %llu,",
+                   static_cast<unsigned long long>(c.id));
+        while (readText(logPath).find(cancelledC) == std::string::npos)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        disarmAllFailpoints();
+        closer.join();
+        CHECK_EQ(countLines(readText(logPath), cancelledC,
+                            "service shutdown"),
+                 1u);
+
+        CampaignService again(cfg);
+        const std::pair<std::uint64_t, const char *> reasons[] = {
+            {a.id, "deadline expired"},
+            {b.id, "service shutdown"},
+            {c.id, "service shutdown"}};
+        for (const auto &[id, why] : reasons) {
+            st = again.status(id);
+            CHECK(st.state == JobState::cancelled);
+            CHECK_EQ(st.detail, std::string(why));
+            JobState state;
+            std::string json;
+            CHECK(again.result(id, &state, &json));
+            CHECK_EQ(json, std::string(why));
+        }
+        for (const auto &[id, why] : reasons) {
+            (void)why;
+            CHECK(again.resume(id).accepted);
+            CHECK(again.waitForJob(id, 30'000));
+            JobState state;
+            std::string json;
+            CHECK(again.result(id, &state, &json));
+            CHECK(state == JobState::done);
+            CHECK(extractAll(json, "cpi_bits") == baseBits);
+        }
+        again.drain();
+        std::filesystem::remove_all(cfg.jobsDir);
+    }
+
+    // ---- A record that cannot be written ---------------------------
+    // At submit, no job exists: the client gets the error and a
+    // restart runs nothing. At cancel or resume, the job stays as it
+    // was and the caller gets the error. At job start, the job fails
+    // with the error as its detail and the service keeps serving; its
+    // record still says queued, so a restart runs it to the
+    // baseline's bits. (A job's record is the only file written
+    // between a submit and the job's first barrier, so the record's
+    // writes are the rename site's first hits.)
+    {
+        ServiceConfig cfg;
+        cfg.jobsDir = "svc-jobs-write";
+        cfg.setDir = setDir;
+        cfg.workerSlots = 1;
+        std::filesystem::remove_all(cfg.jobsDir);
+        {
+            CampaignService svc(cfg);
+            arm("io.rename", FailpointSpec::Trigger::nth, 1,
+                FailpointSpec::Action::error, EIO);
+            const SubmitOutcome r = svc.submit(makeSpec(1));
+            disarmAllFailpoints();
+            CHECK(!r.accepted);
+            CHECK(!r.retry);
+            CHECK(r.error.find("job record") != std::string::npos);
+            CHECK(svc.jobIds().empty());
+            CHECK(!std::filesystem::exists(cfg.jobsDir + "/job-1"));
+            svc.drain();
+        }
+        std::uint64_t failedStart = 0, parked = 0, queued = 0;
+        {
+            CampaignService svc(cfg);
+            CHECK(svc.jobIds().empty());
+
+            arm("io.rename", FailpointSpec::Trigger::nth, 2,
+                FailpointSpec::Action::error, EIO);
+            const SubmitOutcome s = svc.submit(makeSpec(1));
+            disarmAllFailpoints();
+            CHECK(s.accepted);
+            failedStart = s.id;
+            JobStatusInfo st = svc.status(s.id);
+            CHECK(st.state == JobState::failed);
+            CHECK(st.detail.find("job record") != std::string::npos);
+            CHECK(st.detail.find("Input/output error") != std::string::npos);
+
+            arm("replay.cell", FailpointSpec::Trigger::nth, 1,
+                FailpointSpec::Action::hang);
+            const SubmitOutcome p = svc.submit(makeSpec(1)); // parks
+            const SubmitOutcome q = svc.submit(makeSpec(1)); // queues
+            CHECK(p.accepted && q.accepted);
+            parked = p.id;
+            queued = q.id;
+            CHECK(svc.status(q.id).state == JobState::queued);
+            arm("io.rename", FailpointSpec::Trigger::nth, 1,
+                FailpointSpec::Action::error, EIO);
+            CHECK_THROWS(svc.cancel(q.id, "why"));
+            disarmFailpoint("io.rename");
+            st = svc.status(q.id);
+            CHECK(st.state == JobState::queued);
+            CHECK(st.detail.empty());
+            CHECK(svc.cancel(q.id, "why"));
+            arm("io.rename", FailpointSpec::Trigger::nth, 1,
+                FailpointSpec::Action::error, EIO);
+            const SubmitOutcome rr = svc.resume(q.id);
+            disarmFailpoint("io.rename");
+            CHECK(!rr.accepted);
+            CHECK(rr.error.find("job record") != std::string::npos);
+            st = svc.status(q.id);
+            CHECK(st.state == JobState::cancelled);
+            CHECK_EQ(st.detail, std::string("why"));
+            disarmAllFailpoints();
+            CHECK(svc.resume(q.id).accepted);
+            for (const std::uint64_t id : {p.id, q.id}) {
+                CHECK(svc.waitForJob(id, 30'000));
+                JobState state;
+                std::string json;
+                CHECK(svc.result(id, &state, &json));
+                CHECK(state == JobState::done);
+                CHECK(extractAll(json, "cpi_bits") == baseBits);
+            }
+            svc.drain();
+        }
+        {
+            CampaignService svc(cfg);
+            CHECK(svc.jobIds() == (std::vector<std::uint64_t>{
+                                      failedStart, parked, queued}));
+            CHECK(svc.waitForJob(failedStart, 30'000));
+            JobState state;
+            std::string json;
+            CHECK(svc.result(failedStart, &state, &json));
+            CHECK(state == JobState::done);
+            CHECK(extractAll(json, "cpi_bits") == baseBits);
+            svc.drain();
+        }
+        const std::string log = readText(cfg.jobsDir + "/service.jsonl");
+        CHECK_EQ(countLines(log, "\"event\": \"recovered\"", "\"job\": "),
+                 1u);
+        std::filesystem::remove_all(cfg.jobsDir);
+    }
+
+    // ---- Daemon: retry-later over the socket, and stop() -----------
+    // One job's threads fill the slot budget and one queued job fills
+    // the queue, so a third submit is turned away: submitWithRetry
+    // with two retries sleeps the daemon's 250 ms hint twice and
+    // returns the retry. Once the parked job is released, a default
+    // submitWithRetry is accepted and all three jobs finish with the
+    // baseline's bits. stop() from this thread makes run() return, and
+    // the daemon removes its socket file. The daemon serves one
+    // connection at a time, so one client is open at a time.
+    {
+        ServiceConfig cfg;
+        cfg.jobsDir = "svc-jobs-retry";
+        cfg.setDir = setDir;
+        cfg.workerSlots = 2;
+        cfg.maxQueueDepth = 1;
+        std::filesystem::remove_all(cfg.jobsDir);
+        const std::string sock = "svc-retry.sock";
+        auto daemon = std::make_unique<SvcDaemon>(cfg, sock);
+        std::thread server([&daemon] { daemon->run(); });
+        {
+            SvcClient client(sock);
+            arm("replay.cell", FailpointSpec::Trigger::nth, 1,
+                FailpointSpec::Action::hang);
+            const SvcReply a = client.submit(makeSpec(2)); // parks
+            const SvcReply b = client.submit(makeSpec(2)); // queues
+            CHECK(a.ok && b.ok);
+            RetryPolicy twice;
+            twice.attempts = 2;
+            const auto t0 = std::chrono::steady_clock::now();
+            const SvcReply c = client.submitWithRetry(makeSpec(2), twice);
+            const auto waited = std::chrono::steady_clock::now() - t0;
+            CHECK(!c.ok);
+            CHECK(c.retry);
+            CHECK_EQ(c.retryAfterMs, 250u);
+            CHECK(waited >= std::chrono::milliseconds(500));
+            disarmAllFailpoints();
+            const SvcReply d = client.submitWithRetry(makeSpec(2));
+            CHECK(d.ok);
+            for (const std::uint64_t id : {a.id, b.id, d.id}) {
+                const SvcReply fin = client.waitForJob(id, 30'000);
+                CHECK_EQ(fin.state, std::string("done"));
+                const SvcReply res = client.result(id);
+                CHECK(extractAll(res.resultJson, "cpi_bits") == baseBits);
+            }
+        }
+        daemon->stop();
+        server.join();
+        daemon.reset();
+        CHECK(!std::filesystem::exists(sock));
         std::filesystem::remove_all(cfg.jobsDir);
     }
 
