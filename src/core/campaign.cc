@@ -250,6 +250,16 @@ CampaignEngine::loadManifest() const
                    opt_.manifestPath.c_str(), what));
     };
 
+    // The manifest is exactly one image in this layout: a value left
+    // over anywhere is damage, never ignored.
+    auto expectEnd = [this](const DerReader &r, const char *where) {
+        if (!r.atEnd())
+            throw std::runtime_error(
+                strfmt("campaign: manifest '%s' has data left over in "
+                       "%s",
+                       opt_.manifestPath.c_str(), where));
+    };
+
     DerReader top(ByteSpan(data.data(), payloadSize));
     DerReader seq = top.getSequence();
     if (seq.getUint() != kManifestMagic ||
@@ -274,6 +284,7 @@ CampaignEngine::loadManifest() const
         for (const std::uint64_t d : digests_)
             if (ds.getUint() != d)
                 throw mismatch("configuration");
+        expectEnd(ds, "the config digests");
     }
     for (std::size_t i = 0; i < workloads_.size(); ++i) {
         Manifest::Workload &mw = m.workloads[i];
@@ -296,10 +307,14 @@ CampaignEngine::loadManifest() const
             c.converged = cs.getUint() != 0;
             c.unavailable = cs.getUint();
             c.stat = RunningStat::fromState(getFoldState(cs));
+            expectEnd(cs, "a cell record");
         }
         for (RunningStat &p : mw.pairs)
             p = RunningStat::fromState(getFoldState(ws));
+        expectEnd(ws, "a workload record");
     }
+    expectEnd(seq, "the manifest");
+    expectEnd(top, "the file");
     m.restored = true;
     return m;
 }
@@ -422,18 +437,20 @@ CampaignEngine::run()
                 cells[c].est.fold(mw.cells[c].stat);
             cells[c].active =
                 !mw.cells[c].converged && mw.frontier < n;
-            // Active cells only ever leave the fold frontier by
-            // retiring, so a resumed unconverged cell sitting below
-            // it was cut out mid-run: a manifest written by an older
-            // build, whose per-cell faults did that, can hold one.
-            // Resuming it would fold from the wrong offset; it fails
-            // instead.
-            if (cells[c].active && m.restored &&
+            // An unconverged cell sits below the fold frontier only
+            // when the run that wrote the manifest took it from the
+            // result store, which no longer holds it (a corrupt store
+            // moved aside, or another store). Its fold state stops
+            // short of the frontier whether or not its workload has
+            // points left, so it fails rather than fold from the
+            // wrong offset or pass for finished.
+            if (m.restored && !mw.cells[c].converged &&
                 mw.cells[c].processed != mw.frontier) {
                 cells[c].active = false;
                 staleDetail[c] = strfmt(
                     "resumed below the fold frontier (%llu of %llu "
-                    "points): a prior fault cut this cell out",
+                    "points): the run that wrote the manifest took "
+                    "this cell from the result store",
                     static_cast<unsigned long long>(
                         mw.cells[c].processed),
                     static_cast<unsigned long long>(mw.frontier));

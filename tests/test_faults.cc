@@ -24,6 +24,7 @@
 #include "io/atomic_file.hh"
 #include "io/io_error.hh"
 #include "io/source.hh"
+#include "store/result_store.hh"
 #include "util/failpoint.hh"
 
 #include <sys/wait.h>
@@ -87,6 +88,126 @@ checkSameGrid(const CampaignResult &a, const CampaignResult &b)
         CHECK_NEAR(a.pairs[i].meanDelta(), b.pairs[i].meanDelta(),
                    0.0);
     }
+}
+
+/** Where manifestDer() writes one integer the reader does not expect. */
+enum class ManifestSurplus
+{
+    none,
+    digestList,       //!< at the end of the config-digest list
+    cellRecord,       //!< at the end of the first cell record
+    workloadRecord,   //!< at the end of the first workload record
+    manifestSequence, //!< at the end of the manifest sequence
+    payload,          //!< after the manifest sequence
+};
+
+/** A campaign manifest's values, field by field in its layout. */
+struct ManifestFields
+{
+    struct Cell
+    {
+        std::uint64_t processed = 0, converged = 0, unavailable = 0;
+        RunningStat::State stat;
+    };
+    struct Workload
+    {
+        std::string name;
+        std::uint64_t hash = 0, size = 0, frontier = 0;
+        std::vector<Cell> cells;
+        std::vector<RunningStat::State> pairs;
+    };
+    /** Magic, version, seed, block size, level and error bits,
+     *  stopping and wrong-path modes, workload and config counts. */
+    std::vector<std::uint64_t> head;
+    std::vector<std::uint64_t> digests;
+    std::vector<Workload> workloads;
+};
+
+/** Read a sealed manifest image field by field. */
+ManifestFields
+readManifestFields(const Blob &file)
+{
+    std::size_t payload = 0;
+    CHECK(checksummedPayload(file.data(), file.size(), &payload));
+    DerReader top(ByteSpan(file.data(), payload));
+    DerReader seq = top.getSequence();
+    ManifestFields m;
+    for (int i = 0; i < 10; ++i)
+        m.head.push_back(seq.getUint());
+    const std::uint64_t workloads = m.head[8], configs = m.head[9];
+    DerReader ds = seq.getSequence();
+    while (!ds.atEnd())
+        m.digests.push_back(ds.getUint());
+    for (std::uint64_t w = 0; w < workloads; ++w) {
+        DerReader ws = seq.getSequence();
+        ManifestFields::Workload mw;
+        mw.name = ws.getString();
+        mw.hash = ws.getUint();
+        mw.size = ws.getUint();
+        mw.frontier = ws.getUint();
+        for (std::uint64_t c = 0; c < configs; ++c) {
+            DerReader cs = ws.getSequence();
+            ManifestFields::Cell cell;
+            cell.processed = cs.getUint();
+            cell.converged = cs.getUint();
+            cell.unavailable = cs.getUint();
+            cell.stat = getFoldState(cs);
+            mw.cells.push_back(cell);
+        }
+        while (!ws.atEnd())
+            mw.pairs.push_back(getFoldState(ws));
+        m.workloads.push_back(mw);
+    }
+    return m;
+}
+
+/** The manifest layout written out here with one @p surplus integer,
+ *  and sealed. */
+Blob
+manifestDer(const ManifestFields &m, ManifestSurplus surplus)
+{
+    DerWriter w;
+    w.beginSequence();
+    for (const std::uint64_t v : m.head)
+        w.putUint(v);
+    w.beginSequence();
+    for (const std::uint64_t d : m.digests)
+        w.putUint(d);
+    if (surplus == ManifestSurplus::digestList)
+        w.putUint(7);
+    w.endSequence();
+    for (std::size_t i = 0; i < m.workloads.size(); ++i) {
+        const ManifestFields::Workload &mw = m.workloads[i];
+        w.beginSequence();
+        w.putString(mw.name);
+        w.putUint(mw.hash);
+        w.putUint(mw.size);
+        w.putUint(mw.frontier);
+        for (std::size_t c = 0; c < mw.cells.size(); ++c) {
+            const ManifestFields::Cell &cell = mw.cells[c];
+            w.beginSequence();
+            w.putUint(cell.processed);
+            w.putUint(cell.converged);
+            w.putUint(cell.unavailable);
+            putFoldState(w, cell.stat);
+            if (surplus == ManifestSurplus::cellRecord && i == 0 && c == 0)
+                w.putUint(7);
+            w.endSequence();
+        }
+        for (const RunningStat::State &p : mw.pairs)
+            putFoldState(w, p);
+        if (surplus == ManifestSurplus::workloadRecord && i == 0)
+            w.putUint(7);
+        w.endSequence();
+    }
+    if (surplus == ManifestSurplus::manifestSequence)
+        w.putUint(7);
+    w.endSequence();
+    if (surplus == ManifestSurplus::payload)
+        w.putUint(7);
+    Blob image = w.finish();
+    appendChecksumFooter(image);
+    return image;
 }
 
 } // namespace
@@ -519,6 +640,44 @@ main()
                 CHECK(readBytes(manifestPath) == foreign);
             }
         }
+        std::filesystem::remove(manifestPath);
+    }
+
+    // ---- Manifest: a value left over anywhere ----------------------
+    // A manifest is exactly one image in its layout. The layout is
+    // written out here, checked equal to what a finished run writes,
+    // and given one surplus integer at each place a sequence ends:
+    // each resealed file is rejected before any replay, named, and
+    // left byte-for-byte as it was.
+    {
+        std::filesystem::remove(manifestPath);
+        (void)runWithManifest();
+        const Blob manifest = readBytes(manifestPath);
+        const ManifestFields fields = readManifestFields(manifest);
+        CHECK_EQ(fields.workloads.size(), grid.size());
+        CHECK(manifestDer(fields, ManifestSurplus::none) == manifest);
+        arm("replay.cell", FailpointSpec::Trigger::nth,
+            ~std::uint64_t{0}, FailpointSpec::Action::error);
+        for (const ManifestSurplus at :
+             {ManifestSurplus::digestList, ManifestSurplus::cellRecord,
+              ManifestSurplus::workloadRecord,
+              ManifestSurplus::manifestSequence,
+              ManifestSurplus::payload}) {
+            const Blob bad = manifestDer(fields, at);
+            writeBytes(manifestPath, bad.data(), bad.size());
+            bool named = false;
+            try {
+                (void)runWithManifest();
+            } catch (const std::exception &e) {
+                const std::string msg = e.what();
+                named = msg.find(manifestPath) != std::string::npos &&
+                        msg.find("left over") != std::string::npos;
+            }
+            CHECK(named);
+            CHECK(readBytes(manifestPath) == bad);
+        }
+        CHECK_EQ(failpointHits("replay.cell"), 0u);
+        disarmAllFailpoints();
         std::filesystem::remove(manifestPath);
     }
 

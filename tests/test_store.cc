@@ -778,6 +778,69 @@ main()
         CHECK_EQ(store.cellCount(), wide.size());
     }
 
+    // --- A resume that cannot find a cell the first run memoized.
+    // The manifest records a cell taken from the store with 0 points;
+    // when the resume's store no longer holds it, the cell sits below
+    // its workload's fold frontier and fails stale_fold_state, whether
+    // the first run stopped inside that workload or after it. Every
+    // other cell resumes to the uninterrupted run's bits.
+    {
+        const TinyLib t1 =
+            buildTinyLibrary("store-w1", 150'000, 10, 24, cfgs, 3);
+        const std::vector<CampaignWorkload> grid2{
+            {"store-w0", &t.prog, &t.lib}, {"store-w1", &t1.prog, &t1.lib}};
+        const std::size_t nc = cfgs.size();
+        CampaignEngine whole(grid2, cfgs, copt);
+        const CampaignResult wholeRes = whole.run();
+        CHECK_EQ(wholeRes.failedCells, 0u);
+        ResultStore all;
+        whole.publish(wholeRes, all);
+        ResultStore first; // holds (w0, c0) only
+        for (const CellRecord &rec : all.cells())
+            if (rec.key.libHash == t.lib.contentHash() &&
+                rec.cpiBits == doubleBits(wholeRes.cell(0, 0, nc).cpi()))
+                first.put(rec);
+        CHECK_EQ(first.cellCount(), 1u);
+
+        // w0 replays its second cell alone (one replay a point), then
+        // w1 both cells: a budget of 8 stops after w0's first block,
+        // one of 40 after w1's first block.
+        const std::string mf = storePath + ".resume-manifest";
+        for (const std::uint64_t budget : {8u, 40u}) {
+            std::filesystem::remove(mf);
+            CampaignOptions o1 = copt;
+            o1.manifestPath = mf;
+            o1.resultStore = &first;
+            o1.maxFoldedReplays = budget;
+            const CampaignResult stopped =
+                CampaignEngine(grid2, cfgs, o1).run();
+            CHECK(stopped.budgetExhausted);
+            CHECK_EQ(stopped.memoizedCells, 1u);
+            CHECK_EQ(stopped.foldedReplays, budget);
+
+            CampaignOptions o2 = copt;
+            o2.manifestPath = mf;
+            const CampaignResult resumed =
+                CampaignEngine(grid2, cfgs, o2).run();
+            const CampaignCell &lost = resumed.cell(0, 0, nc);
+            CHECK(lost.failed);
+            CHECK(lost.reason == CellFailReason::staleFoldState);
+            CHECK(lost.failureReason.find(
+                      "the run that wrote the manifest took this cell "
+                      "from the result store") != std::string::npos);
+            CHECK_EQ(resumed.failedCells, 1u);
+            for (std::size_t w = 0; w < grid2.size(); ++w)
+                for (std::size_t c = 0; c < nc; ++c) {
+                    if (w == 0 && c == 0)
+                        continue;
+                    CHECK(!resumed.cell(w, c, nc).failed);
+                    CHECK_EQ(doubleBits(resumed.cell(w, c, nc).cpi()),
+                             doubleBits(wholeRes.cell(w, c, nc).cpi()));
+                }
+        }
+        std::filesystem::remove(mf);
+    }
+
     // --- A store whose library size disagrees with the workload is
     // ignored (fresh replay), and a tampered CPI bit pattern fails
     // the restore cross-check loudly instead of being served.
