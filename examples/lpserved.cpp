@@ -7,24 +7,26 @@
  * manifests.
  *
  * Usage: lpserved --set <dir> [options]
- *   --socket <path>      listen socket   (LP_SVC_SOCKET)
- *   --jobs <dir>         job directories (LP_SVC_JOBS_DIR)
- *   --set <dir>          fleet store     (LP_SVC_SET)
- *   --slots <n>          worker budget   (LP_SVC_WORKER_SLOTS)
- *   --queue <n>          max queued jobs (LP_SVC_MAX_QUEUE)
- *   --resident <bytes>   admission bound (LP_SVC_MAX_RESIDENT_BYTES)
- *   --results <path>     fleet result store (LP_SVC_RESULTS;
- *                        default <jobs>/results.lpres)
+ *   --socket <path>      listen socket   (default <set>/lpserved.sock)
+ *   --jobs <dir>         job directories (default <set>/jobs)
+ *   --set <dir>          fleet store     (required)
+ *   --slots <n>          worker budget   (positive; default 4)
+ *   --queue <n>          max queued jobs (positive; default 8)
+ *   --resident <bytes>   admission bound (0 = off, the default)
+ *   --results <path>     fleet result store
+ *                        (default <jobs>/results.lpres)
  *
- * Flags override the LP_SVC_* environment; defaults are a socket and
- * jobs directory beside the set. Runs until `lpsubmit drain` (or
- * SIGINT/SIGTERM, which cancels running jobs resumably).
+ * Numbers are decimal digits only. A malformed command line exits 2,
+ * naming the flag, before anything is opened or bound. Runs until
+ * `lpsubmit drain` (or SIGINT/SIGTERM, which cancels running jobs
+ * resumably).
  */
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "svc/daemon.hh"
@@ -44,18 +46,27 @@ onSignal(int)
         gDaemon->stop();
 }
 
-std::string
-envOr(const char *name, const std::string &fallback)
+/** Report a malformed command line and exit 2. */
+[[noreturn]] void
+usageError(const std::string &msg)
 {
-    const char *v = std::getenv(name);
-    return v && *v ? v : fallback;
+    std::fprintf(stderr, "lpserved: %s\n", msg.c_str());
+    std::exit(2);
 }
 
+/** The decimal value of @p flag's @p text, in [@p min, @p max]. */
 std::uint64_t
-envOrU64(const char *name, std::uint64_t fallback)
+number(const std::string &flag, const char *text, std::uint64_t min,
+       std::uint64_t max)
 {
-    const char *v = std::getenv(name);
-    return v && *v ? std::strtoull(v, nullptr, 10) : fallback;
+    std::uint64_t v = 0;
+    if (!parseDecimal(text, &v) || v < min || v > max)
+        usageError(strfmt("%s needs a decimal integer in [%llu, %llu], "
+                          "not '%s'",
+                          flag.c_str(),
+                          static_cast<unsigned long long>(min),
+                          static_cast<unsigned long long>(max), text));
+    return v;
 }
 
 } // namespace
@@ -64,25 +75,13 @@ int
 main(int argc, char **argv)
 {
     ServiceConfig cfg;
-    cfg.setDir = envOr("LP_SVC_SET", "");
-    cfg.jobsDir = envOr("LP_SVC_JOBS_DIR", "");
-    std::string socketPath = envOr("LP_SVC_SOCKET", "");
-    cfg.workerSlots = static_cast<unsigned>(
-        envOrU64("LP_SVC_WORKER_SLOTS", cfg.workerSlots));
-    cfg.maxQueueDepth = static_cast<std::size_t>(
-        envOrU64("LP_SVC_MAX_QUEUE", cfg.maxQueueDepth));
-    cfg.maxResidentBytes =
-        envOrU64("LP_SVC_MAX_RESIDENT_BYTES", cfg.maxResidentBytes);
-    cfg.resultStorePath = envOr("LP_SVC_RESULTS", "");
-
+    std::string socketPath;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        const char *val = i + 1 < argc ? argv[i + 1] : nullptr;
         auto need = [&]() -> const char * {
-            if (!val)
-                panic("flag %s needs a value", a.c_str());
-            ++i;
-            return val;
+            if (i + 1 >= argc)
+                usageError(strfmt("%s needs a value", a.c_str()));
+            return argv[++i];
         };
         if (a == "--set")
             cfg.setDir = need();
@@ -92,19 +91,19 @@ main(int argc, char **argv)
             socketPath = need();
         else if (a == "--slots")
             cfg.workerSlots =
-                static_cast<unsigned>(std::strtoull(need(), nullptr, 10));
+                static_cast<unsigned>(number(a, need(), 1, UINT_MAX));
         else if (a == "--queue")
-            cfg.maxQueueDepth = static_cast<std::size_t>(
-                std::strtoull(need(), nullptr, 10));
+            cfg.maxQueueDepth =
+                static_cast<std::size_t>(number(a, need(), 1, SIZE_MAX));
         else if (a == "--resident")
-            cfg.maxResidentBytes = std::strtoull(need(), nullptr, 10);
+            cfg.maxResidentBytes = number(a, need(), 0, UINT64_MAX);
         else if (a == "--results")
             cfg.resultStorePath = need();
         else
-            panic("unknown flag '%s'", a.c_str());
+            usageError(strfmt("unknown flag '%s'", a.c_str()));
     }
     if (cfg.setDir.empty())
-        panic("lpserved: --set <dir> (or LP_SVC_SET) is required");
+        usageError("--set <dir> is required");
     if (cfg.jobsDir.empty())
         cfg.jobsDir = cfg.setDir + "/jobs";
     if (socketPath.empty())

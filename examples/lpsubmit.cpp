@@ -2,7 +2,7 @@
  * @file
  * lpsubmit — client for the lpserved campaign service daemon.
  *
- * Usage: lpsubmit [--socket <path>] <command> ...
+ * Usage: lpsubmit --socket <path> <command> ...
  *   submit [--name X] --workload SHARD[:PROFILE] ...
  *          [--tiny INSTS:SEED] --config PRESET[:NAME[:MEM[:L2LAT[:L2KB]]]] ...
  *          [--threads N] [--deadline-ms N] [--level L] [--rel R]
@@ -23,18 +23,20 @@
  *                      list the daemon's result store (zero
  *                      simulation), optionally filtered by workload
  *                      shard name and/or config digest (1-16 hex
- *                      digits; anything else exits 2)
+ *                      digits)
  *   drain              run the daemon's queue dry and stop it
  *
- * The socket defaults to LP_SVC_SOCKET.
+ * Integers (ids, N, MEM, ...) are decimal digits only. A malformed
+ * command line exits 2, naming the flag, before the daemon is
+ * contacted.
  */
 
-#include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "store/result_store.hh"
@@ -63,10 +65,26 @@ splitColon(const std::string &s)
     return parts;
 }
 
-std::uint64_t
-toU64(const std::string &s)
+/** Report a malformed command line and exit 2. */
+[[noreturn]] void
+usageError(const std::string &msg)
 {
-    return std::strtoull(s.c_str(), nullptr, 10);
+    std::fprintf(stderr, "lpsubmit: %s\n", msg.c_str());
+    std::exit(2);
+}
+
+/** The decimal value of @p what's @p text, at most @p max. */
+std::uint64_t
+toU64(const std::string &text, const char *what,
+      std::uint64_t max = UINT64_MAX)
+{
+    std::uint64_t v = 0;
+    if (!parseDecimal(text, &v) || v > max)
+        usageError(strfmt("%s needs a decimal integer up to %llu, not "
+                          "'%s'",
+                          what, static_cast<unsigned long long>(max),
+                          text.c_str()));
+    return v;
 }
 
 } // namespace
@@ -74,27 +92,25 @@ toU64(const std::string &s)
 int
 main(int argc, char **argv)
 {
-    const char *envSock = std::getenv("LP_SVC_SOCKET");
-    std::string socketPath = envSock ? envSock : "";
+    std::string socketPath;
     int i = 1;
     if (i + 1 < argc && std::string(argv[i]) == "--socket") {
         socketPath = argv[i + 1];
         i += 2;
     }
-    if (i >= argc) {
-        std::fprintf(stderr, "lpsubmit: no command (see header)\n");
-        return 2;
-    }
-    if (socketPath.empty()) {
-        std::fprintf(stderr,
-                     "lpsubmit: --socket or LP_SVC_SOCKET required\n");
-        return 2;
-    }
+    if (socketPath.empty())
+        usageError("--socket <path> is required");
+    if (i >= argc)
+        usageError("no command (see header)");
     const std::string cmd = argv[i++];
+    // The job id of status, wait, result, cancel and resume.
+    auto jobId = [&]() {
+        if (i >= argc)
+            usageError(strfmt("%s: job id required", cmd.c_str()));
+        return toU64(argv[i++], "job id");
+    };
 
     try {
-        SvcClient client(socketPath);
-
         if (cmd == "submit") {
             JobSpec spec;
             std::uint64_t tinyInsts = 0, tinySeed = 0;
@@ -103,7 +119,7 @@ main(int argc, char **argv)
                 const std::string a = argv[i];
                 auto need = [&]() -> std::string {
                     if (i + 1 >= argc)
-                        panic("flag %s needs a value", a.c_str());
+                        usageError(strfmt("%s needs a value", a.c_str()));
                     return argv[++i];
                 };
                 if (a == "--name")
@@ -117,8 +133,8 @@ main(int argc, char **argv)
                     spec.workloads.push_back(w);
                 } else if (a == "--tiny") {
                     const auto p = splitColon(need());
-                    tinyInsts = toU64(p[0]);
-                    tinySeed = p.size() > 1 ? toU64(p[1]) : 1;
+                    tinyInsts = toU64(p[0], "--tiny INSTS");
+                    tinySeed = p.size() > 1 ? toU64(p[1], "--tiny SEED") : 1;
                 } else if (a == "--config") {
                     const auto p = splitColon(need());
                     JobConfigSpec c;
@@ -126,31 +142,35 @@ main(int argc, char **argv)
                     if (p.size() > 1)
                         c.name = p[1];
                     if (p.size() > 2)
-                        c.memLatency = toU64(p[2]);
+                        c.memLatency = toU64(p[2], "--config MEM");
                     if (p.size() > 3)
-                        c.l2Latency = toU64(p[3]);
+                        c.l2Latency = toU64(p[3], "--config L2LAT");
                     if (p.size() > 4)
-                        c.l2SizeBytes = toU64(p[4]) << 10;
+                        c.l2SizeBytes =
+                            toU64(p[4], "--config L2KB", UINT64_MAX >> 10)
+                            << 10;
                     spec.configs.push_back(c);
                 } else if (a == "--threads")
-                    spec.threads =
-                        static_cast<std::uint32_t>(toU64(need()));
+                    spec.threads = static_cast<std::uint32_t>(
+                        toU64(need(), "--threads", UINT32_MAX));
                 else if (a == "--deadline-ms")
-                    spec.deadlineMs = toU64(need());
+                    spec.deadlineMs = toU64(need(), "--deadline-ms");
                 else if (a == "--level")
                     spec.level = std::atof(need().c_str());
                 else if (a == "--rel")
                     spec.relativeError = std::atof(need().c_str());
                 else if (a == "--seed")
-                    spec.shuffleSeed = toU64(need());
+                    spec.shuffleSeed = toU64(need(), "--seed");
                 else if (a == "--block")
-                    spec.blockSize = toU64(need());
+                    spec.blockSize = toU64(need(), "--block");
                 else if (a == "--budget")
-                    spec.maxFoldedReplays = toU64(need());
+                    spec.maxFoldedReplays = toU64(need(), "--budget");
                 else if (a == "--retries")
-                    retry.attempts = static_cast<int>(toU64(need()));
+                    retry.attempts = static_cast<int>(
+                        toU64(need(), "--retries", INT_MAX));
                 else
-                    panic("unknown submit flag '%s'", a.c_str());
+                    usageError(
+                        strfmt("unknown submit flag '%s'", a.c_str()));
             }
             for (JobWorkloadSpec &w : spec.workloads) {
                 if (w.profile.empty()) {
@@ -160,6 +180,7 @@ main(int argc, char **argv)
             }
             if (spec.configs.empty())
                 spec.configs.push_back(JobConfigSpec{"eight", "", 0, 0, 0});
+            SvcClient client(socketPath);
             const SvcReply r = client.submitWithRetry(spec, retry);
             if (r.ok) {
                 std::printf("%llu\n",
@@ -179,14 +200,12 @@ main(int argc, char **argv)
         }
 
         if (cmd == "status" || cmd == "wait") {
-            if (i >= argc)
-                panic("lpsubmit %s: job id required", cmd.c_str());
-            const std::uint64_t id = toU64(argv[i++]);
-            const SvcReply r =
-                cmd == "wait"
-                    ? client.waitForJob(
-                          id, i < argc ? toU64(argv[i]) : 0)
-                    : client.status(id);
+            const std::uint64_t id = jobId();
+            const std::uint64_t ms =
+                cmd == "wait" && i < argc ? toU64(argv[i], "wait ms") : 0;
+            SvcClient client(socketPath);
+            const SvcReply r = cmd == "wait" ? client.waitForJob(id, ms)
+                                             : client.status(id);
             if (!r.ok) {
                 std::fprintf(stderr, "lpsubmit: %s\n",
                              r.detail.c_str());
@@ -202,9 +221,9 @@ main(int argc, char **argv)
         }
 
         if (cmd == "result") {
-            if (i >= argc)
-                panic("lpsubmit result: job id required");
-            const SvcReply r = client.result(toU64(argv[i]));
+            const std::uint64_t id = jobId();
+            SvcClient client(socketPath);
+            const SvcReply r = client.result(id);
             if (!r.ok) {
                 std::fprintf(stderr, "lpsubmit: %s\n",
                              r.detail.c_str());
@@ -220,11 +239,10 @@ main(int argc, char **argv)
         }
 
         if (cmd == "cancel") {
-            if (i >= argc)
-                panic("lpsubmit cancel: job id required");
-            const std::uint64_t id = toU64(argv[i++]);
+            const std::uint64_t id = jobId();
             const std::string why =
                 i < argc ? argv[i] : "cancelled by lpsubmit";
+            SvcClient client(socketPath);
             const SvcReply r = client.cancel(id, why);
             std::printf(r.ok ? "cancelling job %llu\n"
                              : "no job %llu\n",
@@ -233,9 +251,9 @@ main(int argc, char **argv)
         }
 
         if (cmd == "resume") {
-            if (i >= argc)
-                panic("lpsubmit resume: job id required");
-            const SvcReply r = client.resume(toU64(argv[i]));
+            const std::uint64_t id = jobId();
+            SvcClient client(socketPath);
+            const SvcReply r = client.resume(id);
             if (!r.ok) {
                 std::fprintf(stderr, "lpsubmit: %s\n",
                              r.detail.c_str());
@@ -249,13 +267,10 @@ main(int argc, char **argv)
         if (cmd == "query") {
             const std::string workload = i < argc ? argv[i++] : "";
             std::uint64_t digest = 0;
-            if (i < argc && !parseHexDigest(argv[i], &digest)) {
-                std::fprintf(stderr,
-                             "lpsubmit: '%s' is not a hex config "
-                             "digest\n",
-                             argv[i]);
-                return 2;
-            }
+            if (i < argc && !parseHexDigest(argv[i], &digest))
+                usageError(strfmt("'%s' is not a hex config digest",
+                                  argv[i]));
+            SvcClient client(socketPath);
             const SvcReply r = client.query(workload, digest);
             if (!r.ok) {
                 std::fprintf(stderr, "lpsubmit: %s\n",
@@ -267,14 +282,12 @@ main(int argc, char **argv)
         }
 
         if (cmd == "drain") {
-            client.drain();
+            SvcClient(socketPath).drain();
             std::printf("daemon drained\n");
             return 0;
         }
 
-        std::fprintf(stderr, "lpsubmit: unknown command '%s'\n",
-                     cmd.c_str());
-        return 2;
+        usageError(strfmt("unknown command '%s'", cmd.c_str()));
     } catch (const std::exception &e) {
         std::fprintf(stderr, "lpsubmit: %s\n", e.what());
         return 1;

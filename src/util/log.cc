@@ -105,4 +105,22 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+bool
+parseDecimal(const std::string &text, std::uint64_t *out)
+{
+    if (text.empty())
+        return false;
+    std::uint64_t v = 0;
+    for (const char ch : text) {
+        if (ch < '0' || ch > '9')
+            return false;
+        const auto d = static_cast<std::uint64_t>(ch - '0');
+        if (v > (~std::uint64_t{0} - d) / 10)
+            return false;
+        v = v * 10 + d;
+    }
+    *out = v;
+    return true;
+}
+
 } // namespace lp

@@ -1,12 +1,14 @@
 /**
  * @file
  * Minimal logging: informational/warning messages that benches can
- * silence with setQuiet(), plus printf-style string formatting.
+ * silence with setQuiet(), plus printf-style string formatting and
+ * the strict decimal parse the command-line tools share.
  */
 
 #ifndef LP_UTIL_LOG_HH
 #define LP_UTIL_LOG_HH
 
+#include <cstdint>
 #include <string>
 
 namespace lp
@@ -40,6 +42,13 @@ strfmt(const char *fmt, ...);
  * a quote in it yields unparseable output.
  */
 std::string jsonEscape(const std::string &s);
+
+/**
+ * Parse @p text as an unsigned decimal integer: one or more digits
+ * 0-9 and nothing else (no sign, space or prefix), at most
+ * UINT64_MAX. False, with @p out untouched, for anything else.
+ */
+bool parseDecimal(const std::string &text, std::uint64_t *out);
 
 } // namespace lp
 

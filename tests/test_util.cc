@@ -1,4 +1,7 @@
-/** Determinism of Rng, RunningStat against hand-computed values. */
+/**
+ * Determinism of Rng, RunningStat against hand-computed values, and
+ * the strict decimal parse the command-line tools share.
+ */
 
 #include "harness.hh"
 
@@ -105,6 +108,24 @@ main()
 
     // strfmt round-trips formatting.
     CHECK(strfmt("%s-%d", "x", 7) == "x-7");
+
+    // parseDecimal: digits only, up to UINT64_MAX.
+    {
+        std::uint64_t v = 0;
+        CHECK(parseDecimal("0", &v));
+        CHECK_EQ(v, 0u);
+        CHECK(parseDecimal("0042", &v));
+        CHECK_EQ(v, 42u);
+        CHECK(parseDecimal("18446744073709551615", &v));
+        CHECK_EQ(v, ~std::uint64_t{0});
+        v = 7;
+        for (const char *bad :
+             {"", "abc", "1a", "a1", "+1", "-1", " 1", "1 ", "0x10",
+              "1e3", "1.0", "18446744073709551616",
+              "99999999999999999999"})
+            CHECK(!parseDecimal(bad, &v));
+        CHECK_EQ(v, 7u);
+    }
 
     return TEST_MAIN_RESULT();
 }
