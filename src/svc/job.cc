@@ -55,8 +55,6 @@ jobStateFromToken(const std::string &token, JobState *out)
 Blob
 encodeJobRecord(const JobRecord &r)
 {
-    if (r.state == JobState::draining)
-        throw std::invalid_argument("job record: draining is not stored");
     DerWriter w;
     w.beginSequence();
     w.putUint(kRecordMagic);

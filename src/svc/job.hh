@@ -71,10 +71,7 @@ struct JobRecord
     std::string report; //!< campaign JSON report (done jobs)
 };
 
-/**
- * The sealed image of @p r. Throws std::invalid_argument for
- * `draining`, which is never stored.
- */
+/** The sealed image of @p r (whose state is never `draining`). */
 Blob encodeJobRecord(const JobRecord &r);
 
 /**

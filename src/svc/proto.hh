@@ -24,8 +24,9 @@
  * set to replay, how to regenerate each shard's program (profiles are
  * deterministic functions of their numeric parameters), the
  * configuration grid, and the run/stop/deadline options. The daemon
- * persists the encoded spec in the job directory, so a restarted
- * daemon can rebuild and resume every in-flight job from disk alone.
+ * keeps the encoded spec in the job's record (svc/job.hh), so a
+ * restarted daemon can rebuild and resume every in-flight job from
+ * disk alone.
  */
 
 #ifndef LP_SVC_PROTO_HH

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -187,23 +185,14 @@ CampaignService::logEvent(const std::string &event, const Job *j,
 void
 CampaignService::recoverJobs()
 {
-    DIR *d = ::opendir(cfg_.jobsDir.c_str());
-    if (!d)
-        throwIoError("scan", "service jobs directory", cfg_.jobsDir,
-                     errno);
     std::vector<std::uint64_t> ids;
-    while (struct dirent *e = ::readdir(d)) {
-        const std::string name = e->d_name;
-        if (name.rfind("job-", 0) != 0)
-            continue;
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(name.c_str() + 4, &end, 10);
-        if (!end || *end != '\0' || v == 0)
-            continue;
-        ids.push_back(v);
+    for (const auto &e : std::filesystem::directory_iterator(cfg_.jobsDir)) {
+        const std::string name = e.path().filename().string();
+        std::uint64_t id = 0;
+        if (name.rfind("job-", 0) == 0 && parseDecimal(name.substr(4), &id) &&
+            id != 0)
+            ids.push_back(id);
     }
-    ::closedir(d);
     std::sort(ids.begin(), ids.end());
 
     for (std::uint64_t id : ids) {

@@ -182,7 +182,7 @@ class CampaignService
     /** Block until @p id is terminal; false on timeout/unknown. */
     bool waitForJob(std::uint64_t id, std::uint64_t timeoutMs = 0);
 
-    /** Stop accepting, run the queue dry, stop the threads. */
+    /** Stop accepting, run the queue dry, join the job threads. */
     void drain();
 
     const LibrarySet &set() const { return set_; }

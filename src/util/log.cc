@@ -1,5 +1,6 @@
 #include "util/log.hh"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -108,17 +109,12 @@ jsonEscape(const std::string &s)
 bool
 parseDecimal(const std::string &text, std::uint64_t *out)
 {
-    if (text.empty())
-        return false;
+    // from_chars takes no sign, space or prefix and flags overflow.
     std::uint64_t v = 0;
-    for (const char ch : text) {
-        if (ch < '0' || ch > '9')
-            return false;
-        const auto d = static_cast<std::uint64_t>(ch - '0');
-        if (v > (~std::uint64_t{0} - d) / 10)
-            return false;
-        v = v * 10 + d;
-    }
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || ec != std::errc() || ptr != end)
+        return false;
     *out = v;
     return true;
 }
