@@ -109,11 +109,12 @@ jsonEscape(const std::string &s)
 bool
 parseDecimal(const std::string &text, std::uint64_t *out)
 {
-    // from_chars takes no sign, space or prefix and flags overflow.
+    // from_chars takes no sign, space or prefix, and flags an empty
+    // input and overflow.
     std::uint64_t v = 0;
     const char *end = text.data() + text.size();
     const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (text.empty() || ec != std::errc() || ptr != end)
+    if (ec != std::errc() || ptr != end)
         return false;
     *out = v;
     return true;
