@@ -244,6 +244,10 @@ main(int argc, char **argv)
                 i < argc ? argv[i] : "cancelled by lpsubmit";
             SvcClient client(socketPath);
             const SvcReply r = client.cancel(id, why);
+            if (!r.ok && !r.detail.empty()) {
+                std::fprintf(stderr, "lpsubmit: %s\n", r.detail.c_str());
+                return 1;
+            }
             std::printf(r.ok ? "cancelling job %llu\n"
                              : "no job %llu\n",
                         static_cast<unsigned long long>(id));

@@ -193,7 +193,16 @@ SvcDaemon::handleFrame(int fd, const Frame &req)
             const std::uint64_t id = s.getUint();
             const std::string reason = s.getString();
             expectRequestEnd(r, s);
-            const bool found = svc_.cancel(id, reason);
+            bool found = false;
+            try {
+                found = svc_.cancel(id, reason);
+            } catch (const IoError &e) {
+                // The job's record could not be written, and the job
+                // is as it was; the connection is fine.
+                sendFrame(fd, MsgType::cancel, MsgStatus::error,
+                          encodeError(e.what()));
+                return true;
+            }
             DerWriter w;
             w.beginSequence();
             w.putUint(found ? 1 : 0);

@@ -1363,8 +1363,9 @@ main()
     // with two retries sleeps the daemon's 250 ms hint twice and
     // returns the retry. Once the parked job is released, a default
     // submitWithRetry is accepted and all three jobs finish with the
-    // baseline's bits. stop() from this thread makes run() return, and
-    // the daemon removes its socket file. The daemon serves one
+    // baseline's bits. A cancel whose record write fails gets an error
+    // reply. stop() from this thread makes run() return, and the
+    // daemon removes its socket file. The daemon serves one
     // connection at a time, so one client is open at a time.
     {
         ServiceConfig cfg;
@@ -1392,6 +1393,16 @@ main()
             CHECK(c.retry);
             CHECK_EQ(c.retryAfterMs, 250u);
             CHECK(waited >= std::chrono::milliseconds(500));
+            // A cancel whose record cannot be written is answered with
+            // the error, over a connection that stays open, and the
+            // job stays queued.
+            arm("io.rename", FailpointSpec::Trigger::nth, 1,
+                FailpointSpec::Action::error, EIO);
+            const SvcReply failed = client.cancel(b.id, "why");
+            disarmFailpoint("io.rename");
+            CHECK(!failed.ok);
+            CHECK(failed.detail.find("job record") != std::string::npos);
+            CHECK_EQ(client.status(b.id).state, std::string("queued"));
             disarmAllFailpoints();
             const SvcReply d = client.submitWithRetry(makeSpec(2));
             CHECK(d.ok);
